@@ -15,19 +15,24 @@ Equivalence with the batch pass: component ``i`` of a clock counts the
 events of the ``i``-th process (first-appearance order, identical to
 ``Trace.processes()``) that happen before or at the event, and the
 event's own component is forced to ``proc_seq + 1`` after the merge --
-exactly ``HappensBefore._clocks``.  Clocks are dicts holding only
-nonzero components, so they are also independent of how many processes
-eventually appear.
+exactly ``HappensBefore._clocks``.  Clocks are dense tuples that stop
+at their last nonzero component (an event's own component is never
+zero, and a merge is as long as its longer operand), so they are also
+independent of how many processes eventually appear.  Tuples are
+immutable, which is what lets a program-order successor *share* its
+predecessor's clock until it resolves and writes its own component.
 """
 
 from collections import OrderedDict, deque
 
 
-def merge_clock(acc, other):
-    """Componentwise max of ``other`` into ``acc`` (both sparse dicts)."""
-    for component, value in other.items():
-        if value > acc.get(component, 0):
-            acc[component] = value
+def _merge(acc, other):
+    """Componentwise max of two dense clocks; ``acc`` may be None."""
+    if acc is None:
+        return other
+    if len(acc) < len(other):
+        acc, other = other, acc
+    return tuple(map(max, acc, other)) + acc[len(other):]
 
 
 class _Node:
@@ -35,11 +40,11 @@ class _Node:
 
     __slots__ = ("event", "acc", "wait", "open", "succ", "clock")
 
-    def __init__(self, event):
+    def __init__(self, event, open):
         self.event = event
-        self.acc = {}  # merged clocks of already-resolved predecessors
+        self.acc = None  # merged clocks of already-resolved predecessors
         self.wait = 0  # unresolved predecessors
-        self.open = False  # matcher may still add send dependencies
+        self.open = open  # matcher may still add send dependencies
         self.succ = None  # nodes waiting on this clock (lazy list)
         self.clock = None
 
@@ -59,13 +64,9 @@ class OnlineVectorClocks:
         #: process -> clock component index, first-appearance order
         #: (matches ``Trace.processes()``).
         self.proc_index = {}
-        self._last = {}  # process -> most recent node (program order)
         self._ready = deque()
-        self._unresolved = {}  # id(node) -> node, for finalize sweeps
-        self.pending = 0
+        self._unresolved = {}  # event index -> node, for finalize sweeps
         self.resolved = 0
-        #: process -> clock of its most recently *resolved* event.
-        self.frontier = {}
         self._history_len = int(history)
         self._history = OrderedDict()  # (machine, pid, proc_seq) -> clock
 
@@ -78,26 +79,25 @@ class OnlineVectorClocks:
     # -- building the order --------------------------------------------
 
     def add(self, event, defer=False):
-        """Admit ``event`` (a StreamEvent); returns its node, also
-        stored on ``event.node``.  With ``defer`` the node waits for
-        :meth:`close` before it may resolve."""
-        self.component(event.process)
-        node = _Node(event)
-        node.open = bool(defer)
-        prev = self._last.get(event.process)
+        """Admit ``event`` (a StreamEvent whose ``proc`` slot carries
+        this process's ``component`` and ``last`` node); returns its
+        node, also stored on ``event.node``.  With ``defer`` the node
+        waits for :meth:`close` before it may resolve."""
+        node = _Node(event, defer)
+        proc = event.proc
+        prev = proc.last
         if prev is not None:
             if prev.clock is not None:
-                merge_clock(node.acc, prev.clock)
+                node.acc = prev.clock
             else:
-                node.wait += 1
+                node.wait = 1
                 if prev.succ is None:
                     prev.succ = []
                 prev.succ.append(node)
-        self._last[event.process] = node
-        self._unresolved[id(node)] = node
-        self.pending += 1
+        proc.last = node
+        self._unresolved[event.index] = node
         event.node = node
-        if not node.open and node.wait == 0:
+        if not defer and node.wait == 0:
             self._ready.append(node)
         return node
 
@@ -106,7 +106,7 @@ class OnlineVectorClocks:
         if send_node is node or node.clock is not None:
             return
         if send_node.clock is not None:
-            merge_clock(node.acc, send_node.clock)
+            node.acc = _merge(node.acc, send_node.clock)
         else:
             node.wait += 1
             if send_node.succ is None:
@@ -132,14 +132,20 @@ class OnlineVectorClocks:
 
     def _resolve(self, node):
         event = node.event
-        clock = node.acc
-        clock[self.proc_index[event.process]] = event.proc_seq + 1
+        acc = node.acc or ()
+        own = event.proc.component
+        # One component written into the shared predecessor clock; the
+        # zero padding is empty unless this process is new to ``acc``.
+        clock = (
+            acc[:own]
+            + (0,) * (own - len(acc))
+            + (event.proc_seq + 1,)
+            + acc[own + 1:]
+        )
         node.clock = clock
         node.acc = None
-        del self._unresolved[id(node)]
-        self.pending -= 1
+        del self._unresolved[event.index]
         self.resolved += 1
-        self.frontier[event.process] = clock
         history = self._history
         history[(event.machine, event.pid, event.proc_seq)] = clock
         if len(history) > self._history_len:
@@ -152,7 +158,7 @@ class OnlineVectorClocks:
             for later in succ:
                 if later.clock is not None:
                     continue
-                merge_clock(later.acc, clock)
+                later.acc = _merge(later.acc, clock)
                 later.wait -= 1
                 if later.wait == 0 and not later.open:
                     self._ready.append(later)
@@ -163,9 +169,7 @@ class OnlineVectorClocks:
         evidence.  A correctly closed stream leaves nothing here."""
         self.drain()
         while self._unresolved:
-            stuck = min(
-                self._unresolved.values(), key=lambda node: node.event.index
-            )
+            stuck = self._unresolved[min(self._unresolved)]
             stuck.open = False
             self._resolve(stuck)
             self.drain()
@@ -173,7 +177,7 @@ class OnlineVectorClocks:
     # -- queries -------------------------------------------------------
 
     def clock_of(self, machine, pid, proc_seq):
-        """The (sparse) clock of one event, or None if it has not yet
+        """The (dense) clock of one event, or None if it has not yet
         resolved or has left the history window."""
         return self._history.get((machine, pid, proc_seq))
 
@@ -189,11 +193,11 @@ class OnlineVectorClocks:
         if clock_b is None:
             return None
         component = self.proc_index.get((a[0], a[1]))
-        if component is None:
-            return False
-        return clock_b.get(component, 0) >= a[2] + 1
+        if component is None or component >= len(clock_b):
+            return False  # b's clock has seen nothing of a's process
+        return clock_b[component] >= a[2] + 1
 
     def state_size(self):
         """In-flight state only: the bounded history is excluded so
         growth here means the frontier itself is growing."""
-        return self.pending
+        return len(self._unresolved)

@@ -13,12 +13,13 @@ pass in Kahn order, and both must hash to the same value.
 """
 
 import json
+import struct
 import zlib
 
 from repro.streaming.clocks import OnlineVectorClocks
 from repro.streaming.matching import OnlineMatcher
 from repro.streaming.queries import make_query
-from repro.streaming.windows import WindowedStats
+from repro.streaming.windows import WindowedStats, process_key
 
 #: Default sliding-window width for windowed aggregates.
 DEFAULT_WINDOW_MS = 500.0
@@ -46,6 +47,41 @@ def digest_add(acc, item):
     return (acc + (crc + 1) * 2654435761) % _DIGEST_MOD
 
 
+def clock_digest_add(acc, machine, pid, proc_seq, clock):
+    """Fold one event's vector clock into the commutative digest.
+
+    Called by the online fold and the batch twin alike: stripping the
+    packed little-endian form's trailing zero bytes drops the trailing
+    zero components, so the value does not depend on how many processes
+    eventually appear.  A record whose machine/pid are not integers (a
+    garbage or salvaged trace) contributes their ``repr`` instead."""
+    width = len(clock)
+    try:
+        data = struct.pack(
+            "<%dq" % (3 + width), machine, pid, proc_seq, *clock
+        )
+    except struct.error:
+        data = repr((machine, pid)).encode("utf-8") + struct.pack(
+            "<%dq" % (1 + width), proc_seq, *clock
+        )
+    crc = zlib.crc32(data.rstrip(b"\0"))
+    return (acc + (crc + 1) * 2654435761) % _DIGEST_MOD
+
+
+class _Process:
+    """What the folds keep per process, found with one lookup per
+    record and carried on the event as ``proc``."""
+
+    __slots__ = ("component", "key", "stats", "next_seq", "last")
+
+    def __init__(self, component, key, stats):
+        self.component = component  # vector-clock index
+        self.key = key  # "machine:pid"
+        self.stats = stats  # WindowedStats' cumulative counters
+        self.next_seq = 0
+        self.last = None  # most recent clock node (program order)
+
+
 class StreamEvent:
     """One committed record, decorated for the folds."""
 
@@ -55,6 +91,7 @@ class StreamEvent:
         "machine",
         "pid",
         "proc_seq",
+        "proc",
         "event",
         "time",
         "ptime",
@@ -62,6 +99,8 @@ class StreamEvent:
         "length",
         "dest",
         "source",
+        "dest_host",
+        "src_host",
         "sock_name",
         "peer_name",
         "new_sock",
@@ -70,12 +109,13 @@ class StreamEvent:
         "matched",
     )
 
-    def __init__(self, record, index, proc_seq):
+    def __init__(self, record, index, proc_seq, proc=None):
         self.record = record
         self.index = index
         self.machine = record.get("machine")
         self.pid = record.get("pid")
         self.proc_seq = proc_seq
+        self.proc = proc
         self.event = record.get("event")
         self.time = record.get("cpuTime", 0)
         self.ptime = record.get("procTime", 0)
@@ -83,16 +123,14 @@ class StreamEvent:
         self.length = record.get("msgLength", 0) or 0
         self.dest = record.get("destName") or None
         self.source = record.get("sourceName") or None
+        self.dest_host = None  # literal hosts, parsed by the matcher
+        self.src_host = None
         self.sock_name = record.get("sockName") or None
         self.peer_name = record.get("peerName") or None
         self.new_sock = record.get("newSock")
         self.node = None
         self.in_matching = False
         self.matched = False
-
-    @property
-    def process(self):
-        return (self.machine, self.pid)
 
     def __repr__(self):
         return "StreamEvent({0}, {1}@m{2}, t={3})".format(
@@ -120,7 +158,7 @@ class StreamEngine:
         self.on_firing = None  # optional callback, e.g. live printing
         self.records = 0
         self.watermark = 0.0
-        self._proc_seq = {}
+        self._procs = {}  # (machine, pid) -> _Process
         self.clock_digest = 0
         self.pairs_digest = 0
         self.peak_state = 0
@@ -132,9 +170,14 @@ class StreamEngine:
     def update(self, record):
         """Consume one committed record."""
         process = (record.get("machine"), record.get("pid"))
-        proc_seq = self._proc_seq.get(process, 0)
-        self._proc_seq[process] = proc_seq + 1
-        event = StreamEvent(record, self.records, proc_seq)
+        proc = self._procs.get(process)
+        if proc is None:
+            key = process_key(*process)
+            proc = self._procs[process] = _Process(
+                self.clocks.component(process), key, self.windows.admit(key)
+            )
+        event = StreamEvent(record, self.records, proc.next_seq, proc)
+        proc.next_seq += 1
         self.records += 1
         if event.time > self.watermark:
             self.watermark = event.time
@@ -181,10 +224,8 @@ class StreamEngine:
     # -- fold plumbing -------------------------------------------------
 
     def _clock_resolved(self, event, clock):
-        sparse = tuple(sorted(clock.items()))
-        self.clock_digest = digest_add(
-            self.clock_digest,
-            ("clk", event.machine, event.pid, event.proc_seq, sparse),
+        self.clock_digest = clock_digest_add(
+            self.clock_digest, event.machine, event.pid, event.proc_seq, clock
         )
 
     def _paired(self, send, recv, nbytes):
@@ -288,8 +329,8 @@ class StreamEngine:
         snap["state"] = {
             "size": self.state_size(),
             "peak": self.peak_state,
-            "clocks_pending": self.clocks.pending,
-            "outstanding_sends": len(self.matcher.pending_send_events()),
+            "clocks_pending": self.clocks.state_size(),
+            "outstanding_sends": self.matcher.outstanding_sends,
         }
         snap["queries"] = [q.describe() for q in self.queries.values()]
         snap["firings_buffered"] = len(self.firings)

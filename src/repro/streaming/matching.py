@@ -17,10 +17,14 @@ order records reach the fold:
   bytes cover its range -- later sends start past it.
 - **Datagrams**: the batch claim is "earliest compatible unconsumed
   receive, sends in trace order".  Online, a send claims among the
-  receives that have arrived; if none fit it goes pending and retries
-  (in send-arrival order) as receives arrive.  Because FIFO position
-  equals arrival order, the first compatible receive in the full queue
-  is claimed exactly when both sides exist.
+  receives that have arrived; if none fit it goes pending, indexed by
+  length.  Host-id discovery and consumption only ever *narrow* what a
+  pending send may claim, so the one thing that can become claimable
+  later is a receive that has not arrived yet: each new receive is
+  offered to the pending sends of its length, in send-arrival order,
+  and nothing else is retried.  Because FIFO position equals arrival
+  order, the first compatible receive in the full queue is claimed
+  exactly when both sides exist.
 
 Known divergence corners, documented rather than papered over (the
 equivalence tests and benchmark avoid them; DESIGN 13 discusses them):
@@ -43,6 +47,17 @@ def _host_of(display_name):
     if display_name and display_name.startswith("inet:"):
         return display_name.split(":")[1]
     return None
+
+
+def _compatible(send, recv, host_ids):
+    """Whether datagram ``send`` may claim ``recv``; an unknown host is
+    consistent with any machine.  ``host_ids`` only gains entries, so
+    for a given pair this can turn False but never True."""
+    src_id = host_ids.get(recv.src_host) if recv.src_host else None
+    if src_id is not None and src_id != send.machine:
+        return False
+    dest_id = host_ids.get(send.dest_host)
+    return dest_id is None or dest_id == recv.machine
 
 
 class _Direction:
@@ -131,7 +146,7 @@ class _DgramQueue:
     def append(self, cell):
         self.items.append(cell)
 
-    def claim(self, send_machine, host_ids):
+    def claim(self, send, host_ids):
         items = self.items
         head = self.head
         while head < len(items) and items[head][1]:
@@ -142,12 +157,7 @@ class _DgramQueue:
         self.head = head
         for i in range(head, len(items)):
             cell = items[i]
-            if cell[1]:
-                continue
-            recv = cell[0]
-            src_host = _host_of(recv.source)
-            src_id = host_ids.get(src_host) if src_host else None
-            if src_id is None or src_id == send_machine:
+            if not cell[1] and _compatible(send, cell[0], host_ids):
                 return cell
         return None
 
@@ -175,8 +185,9 @@ class OnlineMatcher:
         self._connections = []  # (dir_i2a, dir_a2i)
         self._by_mlen = defaultdict(_DgramQueue)  # (machine, length)
         self._by_len = defaultdict(_DgramQueue)
-        self._pending_sends = deque()  # cells [send event, matched]
-        self.pairs = 0
+        self._pending = defaultdict(deque)  # length -> unmatched dgram sends
+        self.outstanding_sends = 0  # events held in _pending
+        self._queued_recvs = 0  # unclaimed datagram receives
         self.unmatched_recvs = 0  # known only after finalize
         self.finalized = False
 
@@ -187,9 +198,10 @@ class OnlineMatcher:
         if kind == "send":
             if event.dest:
                 event.in_matching = True
-                cell = [event, False]
-                if not self._try_claim(cell):
-                    self._pending_sends.append(cell)
+                event.dest_host = _host_of(event.dest)
+                if not self._try_claim(event):
+                    self._pending[event.length].append(event)
+                    self.outstanding_sends += 1
                 return
             state = self._endpoints.get((event.machine, event.sock))
             if state is None:
@@ -203,7 +215,7 @@ class OnlineMatcher:
             event.in_matching = True
             state = self._endpoints.get((event.machine, event.sock))
             if state is None:
-                self._dgram_recv(event)
+                self._offer(self._queue_recv(event))
             elif state.paired:
                 state.dir_in.add_recv(event, self)
             else:
@@ -266,46 +278,57 @@ class OnlineMatcher:
 
     # -- datagrams -----------------------------------------------------
 
-    def _dgram_recv(self, event):
+    def _queue_recv(self, event):
+        event.src_host = _host_of(event.source)
         cell = [event, False]
         self._by_mlen[(event.machine, event.length)].append(cell)
         self._by_len[event.length].append(cell)
-        if self._pending_sends:
-            self._drain_pending()
+        self._queued_recvs += 1
+        return cell
 
-    def _try_claim(self, cell):
-        send = cell[0]
-        dest_id = self.host_ids.get(_host_of(send.dest))
+    def _offer(self, cell):
+        """A newly arrived receive goes to the earliest pending send
+        that can claim it -- the only claim its arrival can enable."""
+        recv = cell[0]
+        pending = self._pending.get(recv.length)
+        if not pending:
+            return
+        host_ids = self.host_ids
+        for i, send in enumerate(pending):
+            if _compatible(send, recv, host_ids):
+                del pending[i]
+                self.outstanding_sends -= 1
+                self._claim(send, cell)
+                return
+
+    def _retry_pending(self):
+        """Every pending send retries, in arrival order: needed only at
+        finalize, where the fallback receives all land at once."""
+        for send in self.pending_send_events():
+            if self._try_claim(send):
+                self._pending[send.length].remove(send)
+                self.outstanding_sends -= 1
+
+    def _try_claim(self, send):
+        dest_id = self.host_ids.get(send.dest_host)
         if dest_id is not None:
             queue = self._by_mlen.get((dest_id, send.length))
         else:
             queue = self._by_len.get(send.length)
-        found = (
-            queue.claim(send.machine, self.host_ids)
-            if queue is not None
-            else None
-        )
-        if found is None:
+        cell = queue.claim(send, self.host_ids) if queue is not None else None
+        if cell is None:
             return False
-        found[1] = True
-        cell[1] = True
-        recv = found[0]
-        src_host = _host_of(recv.source)
-        if src_host is not None:
-            self.host_ids.setdefault(src_host, send.machine)
-        self.on_pair(send, recv, min(send.length, recv.length))
-        self.on_recv_done(recv)
+        self._claim(send, cell)
         return True
 
-    def _drain_pending(self):
-        """Retry pending sends in arrival order (a stable rotation)."""
-        pending = self._pending_sends
-        for __ in range(len(pending)):
-            cell = pending.popleft()
-            if cell[1]:
-                continue
-            if not self._try_claim(cell):
-                pending.append(cell)
+    def _claim(self, send, cell):
+        cell[1] = True
+        self._queued_recvs -= 1
+        recv = cell[0]
+        if recv.src_host is not None:
+            self.host_ids.setdefault(recv.src_host, send.machine)
+        self.on_pair(send, recv, min(send.length, recv.length))
+        self.on_recv_done(recv)
 
     # -- end of stream -------------------------------------------------
 
@@ -329,12 +352,10 @@ class OnlineMatcher:
                 if which != "recv":
                     continue
                 if state.origin == "connect":
-                    cell = [event, False]
-                    self._by_mlen[(event.machine, event.length)].append(cell)
-                    self._by_len[event.length].append(cell)
+                    self._queue_recv(event)
                 else:
                     self.on_recv_done(event)
-        self._drain_pending()
+        self._retry_pending()
         for dir_i2a, dir_a2i in self._connections:
             for direction in (dir_i2a, dir_a2i):
                 while direction.waiting:
@@ -347,17 +368,14 @@ class OnlineMatcher:
     # -- inspection ----------------------------------------------------
 
     def pending_send_events(self):
-        """Sends routed into matching but not (yet) matched."""
-        return [cell[0] for cell in self._pending_sends if not cell[1]]
+        """Datagram sends not (yet) matched, in arrival order."""
+        sends = [s for queue in self._pending.values() for s in queue]
+        return sorted(sends, key=lambda send: send.index)
 
     def state_size(self):
-        size = sum(1 for cell in self._pending_sends if not cell[1])
+        size = self.outstanding_sends + self._queued_recvs
         for state in self._endpoints.values():
             size += len(state.pre)
         for dir_i2a, dir_a2i in self._connections:
             size += dir_i2a.state_size() + dir_a2i.state_size()
-        for queue in self._by_mlen.values():
-            size += sum(
-                1 for cell in queue.items[queue.head:] if not cell[1]
-            )
         return size

@@ -20,7 +20,7 @@ analysis stack's heavy dependencies.
 
 import json
 
-from repro.streaming.engine import StreamEngine, digest_add
+from repro.streaming.engine import StreamEngine, clock_digest_add, digest_add
 
 
 def replay_engine(records, window_ms=None, specs=None):
@@ -53,22 +53,20 @@ def replay_store(reader, window_ms=None, specs=None, salvage=False):
 
 
 def batch_clock_digest(trace):
-    """Digest the batch HappensBefore clocks exactly as the online fold
-    digests its own: sparse (nonzero-component) clocks, commutative."""
+    """Digest the batch HappensBefore clocks with the helper the online
+    fold digests its own with (it discounts the batch clocks' trailing
+    zero components)."""
     from repro.analysis.ordering import HappensBefore
 
     ordering = HappensBefore(trace)
     digest = 0
     for event in trace:
-        clock = ordering.vector_clock(event)
-        sparse = tuple(
-            (component, value)
-            for component, value in enumerate(clock)
-            if value
-        )
-        digest = digest_add(
+        digest = clock_digest_add(
             digest,
-            ("clk", event.machine, event.pid, event.proc_seq, sparse),
+            event.machine,
+            event.pid,
+            event.proc_seq,
+            ordering.vector_clock(event),
         )
     return digest
 
@@ -93,12 +91,13 @@ def batch_pairs_digest(trace):
     return digest
 
 
-def batch_per_process(trace):
+def batch_per_process(trace, stats=None):
     """CommunicationStatistics per-process counters, keyed and shaped
     like the engine's (JSON-native)."""
     from repro.analysis.stats import CommunicationStatistics
 
-    stats = CommunicationStatistics(trace)
+    if stats is None:
+        stats = CommunicationStatistics(trace)
     shaped = {}
     for (machine, pid), pstats in stats.per_process.items():
         as_dict = pstats.as_dict()
@@ -113,12 +112,13 @@ def batch_digest(trace):
     """Every batch-twin answer in the engine's ``digest()`` shape."""
     from repro.analysis.stats import CommunicationStatistics
 
+    stats = CommunicationStatistics(trace)
     return {
         "records": len(trace),
         "clock_digest": batch_clock_digest(trace),
         "pairs_digest": batch_pairs_digest(trace),
-        "totals": CommunicationStatistics(trace).totals(),
-        "per_process": batch_per_process(trace),
+        "totals": stats.totals(),
+        "per_process": batch_per_process(trace, stats),
     }
 
 

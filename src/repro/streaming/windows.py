@@ -33,12 +33,12 @@ class WindowedStats:
         # -- windowed --------------------------------------------------
         self.win_events = deque()  # (time, key, kind, length, machine)
         self.win_pairs = deque()  # (stamp, lag_ms, nbytes, pair key)
-        self.last_seen = {}  # process key -> last local time
 
     # -- fold ----------------------------------------------------------
 
-    def update(self, event, watermark):
-        key = process_key(event.machine, event.pid)
+    def admit(self, key):
+        """A process's cumulative counters, created on first sight (the
+        engine keeps them on ``event.proc.stats``)."""
         stats = self.per_process.get(key)
         if stats is None:
             stats = self.per_process[key] = {
@@ -50,6 +50,11 @@ class WindowedStats:
                 "sockets_created": 0,
                 "cpu_ms": 0,
             }
+        return stats
+
+    def update(self, event, watermark):
+        key = event.proc.key
+        stats = event.proc.stats
         kind = event.event
         stats["events"][kind] += 1
         if event.ptime > stats["cpu_ms"]:
@@ -67,15 +72,11 @@ class WindowedStats:
         self.win_events.append(
             (event.time, key, kind, event.length, event.machine)
         )
-        self.last_seen[key] = event.time
         self.evict(watermark)
 
     def on_pair(self, send, recv, nbytes, watermark):
         self.matched_pairs += 1
-        pair_key = "{0}->{1}".format(
-            process_key(send.machine, send.pid),
-            process_key(recv.machine, recv.pid),
-        )
+        pair_key = "{0}->{1}".format(send.proc.key, recv.proc.key)
         entry = self.pair_traffic.get(pair_key)
         if entry is None:
             entry = self.pair_traffic[pair_key] = [0, 0]

@@ -1,0 +1,209 @@
+"""Property tests on the online datagram matcher's pending-send index.
+
+Two oracles.  The batch :class:`MessageMatcher` (and the batch clock
+digest) on traces built to stay clear of the documented divergence
+corner -- a host learned late only ever carries traffic of lengths
+nobody else uses, so what the fold does not know yet cannot change a
+pairing.  And, on traces with no such care taken, the rule the index
+replaced: every pending send retries on every receive.  The index is
+exact only if host discovery never widens what a pending send may
+claim, which is what the second oracle would catch.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.trace import Trace
+from repro.streaming.engine import StreamEngine, StreamEvent
+from repro.streaming.matching import OnlineMatcher
+from repro.streaming.twins import batch_digest, diff_digests
+
+SINKS = 2
+SHARED_LENGTHS = (32, 64, 200)
+DGRAM_SOCK = 7
+STREAM_SOCK = 9
+
+
+def _host(machine):
+    return "h%d" % machine
+
+
+def _dgram_name(machine):
+    return "inet:%s:6000" % _host(machine)
+
+
+class _TraceBuilder:
+    """A causal interleaving of datagram runs between ``sources``
+    source machines and ``SINKS`` sink machines, one process each."""
+
+    def __init__(self, seed, sources, late, loss, careful):
+        self.rng = random.Random(seed)
+        self.machines = list(range(1, sources + SINKS + 1))
+        self.sources = self.machines[:sources]
+        self.sinks = self.machines[sources:]
+        self.late = set(self.rng.sample(self.machines, late))
+        self.loss = loss
+        self.careful = careful
+        self.records = []
+        self.in_flight = {}  # (src, dst) -> lengths sent, not yet read
+        self.private = {}  # (src, dst) -> a length only that pair uses
+
+    def emit(self, machine, event, **body):
+        record = {
+            "event": event,
+            "machine": machine,
+            "pid": 100 + machine,
+            "cpuTime": 10 * len(self.records),
+            "procTime": 0,
+        }
+        record.update(body)
+        self.records.append(record)
+
+    def register(self, machine):
+        """The connect or accept that teaches the matchers which
+        machine ``_host(machine)`` is."""
+        own = "inet:%s:5000" % _host(machine)
+        if machine % 2:
+            self.emit(machine, "connect", sock=STREAM_SOCK, sockName=own,
+                      peerName="inet:nowhere:1")
+        else:
+            self.emit(machine, "accept", sock=STREAM_SOCK,
+                      newSock=STREAM_SOCK + 1, sockName=own,
+                      peerName="inet:nowhere:2")
+
+    def length_for(self, src, dst):
+        if self.careful and (src in self.late or dst in self.late):
+            pair = (src, dst)
+            if pair not in self.private:
+                self.private[pair] = 1000 + len(self.private)
+            return self.private[pair]
+        return self.rng.choice(SHARED_LENGTHS)
+
+    def send_run(self):
+        src = self.rng.choice(self.sources)
+        dst = self.rng.choice(self.sinks)
+        length = self.length_for(src, dst)
+        lost_run = self.rng.random() < self.loss  # a send-only run
+        for __ in range(self.rng.randrange(1, 7)):
+            self.emit(src, "send", sock=DGRAM_SOCK, msgLength=length,
+                      destName=_dgram_name(dst))
+            if not lost_run and self.rng.random() >= self.loss:
+                self.in_flight.setdefault((src, dst), []).append(length)
+
+    def recv_run(self):
+        ready = [pair for pair, queue in self.in_flight.items() if queue]
+        if not ready:
+            return
+        src, dst = self.rng.choice(ready)
+        queue = self.in_flight[(src, dst)]
+        for __ in range(self.rng.randrange(1, 7)):
+            if not queue:
+                break
+            source = src
+            if not self.careful and self.rng.random() < 0.2:
+                source = self.rng.choice(self.sources)  # a lying name
+            self.emit(dst, "receive", sock=DGRAM_SOCK,
+                      msgLength=queue.pop(0),
+                      sourceName=_dgram_name(source))
+
+    def orphan_recv(self):
+        """A receive whose send the filter never logged."""
+        src = self.rng.choice(self.sources)
+        dst = self.rng.choice(self.sinks)
+        self.emit(dst, "receive", sock=DGRAM_SOCK,
+                  msgLength=self.length_for(src, dst),
+                  sourceName=_dgram_name(src))
+
+    def build(self, steps):
+        for machine in self.machines:
+            if machine not in self.late:
+                self.register(machine)
+        unregistered = sorted(self.late)
+        self.rng.shuffle(unregistered)
+        for step in range(steps):
+            roll = self.rng.random()
+            if unregistered and roll < len(unregistered) / (steps - step):
+                self.register(unregistered.pop())
+            elif roll < 0.5:
+                self.send_run()
+            elif roll < 0.95:
+                self.recv_run()
+            else:
+                self.orphan_recv()
+        for machine in unregistered:
+            self.register(machine)
+        return self.records
+
+
+@st.composite
+def _traces(draw, careful):
+    sources = draw(st.integers(min_value=3, max_value=5))
+    builder = _TraceBuilder(
+        seed=draw(st.integers(min_value=0, max_value=10**6)),
+        sources=sources,
+        late=draw(st.integers(min_value=1, max_value=sources + SINKS)),
+        loss=draw(st.sampled_from((0.0, 0.1, 0.4))),
+        careful=careful,
+    )
+    return builder.build(draw(st.integers(min_value=5, max_value=80)))
+
+
+@given(_traces(careful=True))
+@settings(max_examples=120, deadline=None)
+def test_online_pairs_and_clocks_equal_batch(records):
+    engine = StreamEngine()
+    online_pairs = []
+    fold_pair = engine.matcher.on_pair
+
+    def spy(send, recv, nbytes):
+        online_pairs.append((send.index, recv.index, nbytes))
+        fold_pair(send, recv, nbytes)
+
+    engine.matcher.on_pair = spy
+    for record in records:
+        engine.update(record)
+    engine.finalize()
+    trace = Trace(records)
+    batch_pairs = [
+        (pair.send.index, pair.recv.index, pair.nbytes)
+        for pair in trace.matcher().pairs
+    ]
+    assert sorted(online_pairs) == sorted(batch_pairs)
+    assert diff_digests(engine.digest(), batch_digest(trace)) == []
+
+
+class _RetryAllMatcher(OnlineMatcher):
+    """The rule the length index replaced: every receive lets every
+    pending send retry, in arrival order."""
+
+    def _offer(self, cell):
+        self._retry_pending()
+
+
+def _fold(matcher_class, records):
+    pairs = []
+    matcher = matcher_class(
+        on_pair=lambda send, recv, nbytes: pairs.append(
+            (send.index, recv.index, nbytes)
+        ),
+        on_recv_done=lambda recv: pairs.append(("done", recv.index)),
+    )
+    sizes = []
+    for index, record in enumerate(records):
+        matcher.update(StreamEvent(record, index, 0))
+        sizes.append((matcher.state_size(), matcher.outstanding_sends))
+    matcher.finalize()
+    sizes.append((matcher.state_size(), matcher.outstanding_sends))
+    pending = [send.index for send in matcher.pending_send_events()]
+    return pairs, sizes, pending
+
+
+@given(_traces(careful=False))
+@settings(max_examples=120, deadline=None)
+def test_length_index_equals_retrying_every_pending_send(records):
+    """Same pairs, sealed in the same order, with the same in-flight
+    state after every record -- lying source names, shared lengths and
+    hosts learned mid-stream included."""
+    assert _fold(OnlineMatcher, records) == _fold(_RetryAllMatcher, records)

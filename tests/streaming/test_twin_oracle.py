@@ -38,6 +38,17 @@ def test_replay_matches_batch_analyses(records):
         assert online[key] == batch[key], key
 
 
+def test_batch_per_process_takes_prebuilt_statistics(records):
+    from repro.analysis.stats import CommunicationStatistics
+
+    trace = Trace(list(records))
+    alone = twins.batch_per_process(trace)
+    assert alone == twins.batch_per_process(
+        trace, CommunicationStatistics(trace)
+    )
+    assert alone == twins.batch_digest(trace)["per_process"]
+
+
 def test_digest_survives_commit_order_permutation(records):
     """Interleaving across processes is arbitrary in the committed log;
     the digests must not depend on it.  Replaying the per-process

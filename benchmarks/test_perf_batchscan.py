@@ -9,9 +9,9 @@ pipeline:
    The dense rule file accepts roughly 30% of the store -- every
    record is screened, a minority is materialized -- which is the
    workload the column pre-screen was built for.  Floor: 1M events/s
-   with ``REPRO_BENCH_STRICT=1`` (how the committed BENCH_PR9.json is
-   produced); a generous 250k fallback otherwise so slow shared CI
-   runners gate real regressions without flaking;
+   with ``REPRO_BENCH_STRICT=1`` (PR 9's headline number); a generous
+   250k fallback otherwise so slow shared CI runners gate real
+   regressions without flaking;
 2. prove the fast lane record-identical to the interpreted oracle scan
    on every store flavour: v1, v2, v2-compressed, and a damaged copy
    read in salvage mode;
@@ -19,16 +19,14 @@ pipeline:
    the formatted record stream from :func:`merge_scan_fast` equals the
    oracle :func:`merge_scan`'s.
 
-Results land in BENCH_PR9.json at the repo root (uploaded as a CI
-artifact) so the perf trajectory has a baseline.
+Numbers are printed, not stored: ``python3 -m ledger`` is where
+results are recorded.
 """
 
 import hashlib
-import json
 import os
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -50,15 +48,12 @@ from repro.tracestore.writer import flush_to_files
 
 N_EVENTS = 200_000
 
-#: The committed BENCH_PR9.json is produced with REPRO_BENCH_STRICT=1,
-#: which enforces the PR's headline floor; plain CI uses the fallback
-#: so a slow shared runner cannot flake the gate while a real
-#: regression (the fast lane degrading to interpreted speed, ~205k
-#: ev/s on a stock runner) still fails it.
+#: REPRO_BENCH_STRICT=1 enforces PR 9's headline floor; plain CI uses
+#: the fallback so a slow shared runner cannot flake the gate while a
+#: real regression (the fast lane degrading to interpreted speed,
+#: ~205k ev/s on a stock runner) still fails it.
 STRICT = os.environ.get("REPRO_BENCH_STRICT", "") == "1"
 MIN_SELECT_EPS = 1_000_000.0 if STRICT else 250_000.0
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_PR9.json"
 
 #: Dense, type-pinned selections with reductions and cross-field
 #: comparisons (the Figure 3.4 shapes); tuned to accept ~30% of the
@@ -76,14 +71,6 @@ type=receivecall, sock>96
 machine=9
 cpuTime>999999999
 """
-
-
-def _record_bench(key, value):
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _bursty_wire(n=N_EVENTS, seed=9):
@@ -235,18 +222,6 @@ def test_batchscan_dense_select_throughput(stores, benchmark):
             oracle_eps, eps, eps / oracle_eps, len(fast), N_EVENTS
         )
     )
-    _record_bench(
-        "dense_select",
-        {
-            "n_events": N_EVENTS,
-            "accepted": len(fast),
-            "interpreted_eps": round(oracle_eps),
-            "fast_eps": round(eps),
-            "speedup": round(eps / oracle_eps, 2),
-            "strict_floor": STRICT,
-            "min_eps_enforced": MIN_SELECT_EPS,
-        },
-    )
     assert eps >= MIN_SELECT_EPS
 
 
@@ -261,7 +236,6 @@ def test_batchscan_full_scan_throughput(stores):
     assert count == N_EVENTS
     eps = N_EVENTS / min(times)
     print("\n[batchscan] full fast scan: {0:.0f} ev/s".format(eps))
-    _record_bench("full_scan", {"n_events": N_EVENTS, "fast_eps": round(eps)})
 
 
 @pytest.mark.parametrize("flavour", ["v2", "v1", "zlib"])
@@ -302,6 +276,3 @@ def test_merged_output_byte_stable(stores):
     fast = digest(merge_scan_fast(readers))
     oracle = digest(merge_scan(readers))
     assert fast == oracle
-    _record_bench(
-        "merged_digest", {"sha256": fast, "stores": 2, "identical": True}
-    )

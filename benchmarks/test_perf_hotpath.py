@@ -1,51 +1,47 @@
 """Hot path guard -- the live kernel->filter pipeline at 50k events.
 
-Blocking CI gate for PR 4's fast lane:
+Blocking CI gate for the filter's fast lane:
 
 1. run 50k mixed meter messages through the filter's per-event work
-   (description decode -> rule selection -> record formatting) twice:
-   once interpreted (the pre-PR path, kept as ``compiled=False``) and
-   once compiled (dispatch table + precompiled structs).  Outputs must
-   be identical and the compiled path at least 2x faster, above an
-   absolute events/sec floor;
+   (decode -> rule selection -> record formatting) twice: once on the
+   reference lane (the description file walked field by field, the
+   rule file interpreted) and once on the filter's compiled lane
+   (``message_select``: one unpack, one columnar evaluation).  Outputs
+   must be identical and the compiled lane at least 2x faster, above
+   an absolute events/sec floor;
 2. frame the same 50k-message stream with the old shrinking-``bytes``
    reslicer and the new indexed cursor; identical messages, cursor
    not slower;
 3. measure monitored-vs-unmonitored perturbation on a chatty metered
    workload (wall clock and simulated time);
-4. run the Appendix B session compiled and interpreted: the filter's
-   text log and trace store must be byte-identical.
+4. run the Appendix B session on the compiled lane and on the
+   reference lane: the filter's text log and trace store must be
+   byte-identical.
 
-Results land in BENCH_PR4.json at the repo root (uploaded as a CI
-artifact) so the perf trajectory has a baseline.
+Numbers are printed, not stored: ``python3 -m ledger`` is where
+results are recorded.
 """
 
-import json
 import time
-from pathlib import Path
 
 from benchmarks.conftest import HOSTS
-from repro.filtering.descriptions import (
-    default_descriptions_text,
-    parse_descriptions,
-)
+from repro.filtering.descriptions import DescriptionSet, default_description_set
 from repro.filtering.filterlib import MAX_METER_MESSAGE, MeterInbox
 from repro.filtering.records import format_record
 from repro.filtering.rules import parse_rules
 from repro.kernel import defs
 from repro.metering import flags as mf
 from repro.metering.messages import HEADER_BYTES, MessageCodec, peek_size
+from repro.tracestore.batchscan import message_select
 from tests.metering.harness import metered_spawn, start_collector
 
 N_EVENTS = 50_000
-#: Absolute floor for the dense-rule compiled pipeline.  The path
-#: sustains ~205k ev/s on a stock runner (BENCH_PR4.json), so 100k is
+#: Absolute floor for the dense-rule compiled pipeline.  PR 4's path
+#: sustained ~205k ev/s on a stock runner, so 100k is
 #: a real regression gate -- a change that halves the hot path fails
 #: CI -- while still leaving 2x headroom for slow shared runners.
 MIN_COMPILED_EPS = 100_000.0
 MIN_SPEEDUP = 2.0
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_PR4.json"
 
 #: Dense rule file: type-pinned selections with reductions plus range
 #: conditions, the shape Figure 3.4 shows -- every record walks rules.
@@ -76,14 +72,6 @@ def _best_of(fn, *args, rounds=3):
         result = fn(*args)
         times.append(time.perf_counter() - t0)
     return min(times), result
-
-
-def _record_bench(key, value):
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _mixed_wire(n=N_EVENTS):
@@ -149,12 +137,13 @@ def _mixed_wire(n=N_EVENTS):
     return wire
 
 
-def _run_pipeline(descriptions, rules, wire):
-    """The filter's per-event work: decode, select/reduce, format."""
+def _run_reference_lane(descriptions, rules, wire):
+    """The filter's per-event work, the slow way: per-field decode,
+    interpreted select/reduce, format."""
     lines = []
     field_order = descriptions.field_order
-    decode = descriptions.decode_message
-    apply_rules = rules.apply
+    decode = descriptions.decode_per_field
+    apply_rules = rules.apply_interpreted
     for raw in wire:
         record = decode(raw, HOSTS)
         saved = apply_rules(record)
@@ -164,26 +153,42 @@ def _run_pipeline(descriptions, rules, wire):
     return lines
 
 
+def _run_fast_lane(descriptions, rules, wire):
+    """The same work as the standard filter does it on Appendix-A
+    descriptions: one ``select(raw)`` per message, then format."""
+    lines = []
+    field_order = descriptions.field_order
+    select = message_select(rules, HOSTS)
+    for raw in wire:
+        selected = select(raw)
+        if selected is None:
+            continue
+        lines.append(format_record(selected[0], field_order(selected[3])))
+    return lines
+
+
 def test_hotpath_50k_pipeline_speedup(benchmark):
     wire = _mixed_wire()
-    text = default_descriptions_text()
-    results = {"n_events": N_EVENTS}
+    descriptions = default_description_set()
+    assert descriptions.appendix_a
+    results = {}
     for label, rules_text in (("dense", DENSE_RULES), ("wildcard", WILDCARD_RULES)):
-        ds_fast = parse_descriptions(text)
-        ds_slow = parse_descriptions(text, compiled=False)
-        rules_fast = parse_rules(rules_text)
-        rules_slow = parse_rules(rules_text, compiled=False)
+        rules = parse_rules(rules_text)
 
-        slow_s, slow_lines = _best_of(_run_pipeline, ds_slow, rules_slow, wire)
+        slow_s, slow_lines = _best_of(
+            _run_reference_lane, descriptions, rules, wire
+        )
 
         if label == "dense":
             fast_lines = benchmark.pedantic(
-                _run_pipeline, args=(ds_fast, rules_fast, wire),
+                _run_fast_lane, args=(descriptions, rules, wire),
                 rounds=3, iterations=1,
             )
             fast_s = benchmark.stats.stats.min
         else:
-            fast_s, fast_lines = _best_of(_run_pipeline, ds_fast, rules_fast, wire)
+            fast_s, fast_lines = _best_of(
+                _run_fast_lane, descriptions, rules, wire
+            )
 
         # Identical selection, reduction, and formatting.
         assert fast_lines == slow_lines
@@ -209,7 +214,6 @@ def test_hotpath_50k_pipeline_speedup(benchmark):
     # The acceptance gate: >= 2x on the dense-rules run, above a floor.
     assert results["dense"]["speedup"] >= MIN_SPEEDUP
     assert results["dense"]["compiled_eps"] >= MIN_COMPILED_EPS
-    _record_bench("pipeline", results)
 
 
 def _frame_presliced(stream, chunk_size):
@@ -252,15 +256,6 @@ def test_hotpath_framing_cursor(benchmark):
     new_s = benchmark.stats.stats.min
 
     assert new == old == wire
-    _record_bench(
-        "framing",
-        {
-            "stream_bytes": len(stream),
-            "presliced_4k_eps": round(N_EVENTS / old_s),
-            "cursor_64k_eps": round(N_EVENTS / new_s),
-            "speedup": round(old_s / new_s, 2),
-        },
-    )
     print(
         "\n[hotpath] framing: {0} -> {1} ev/s ({2:.2f}x)".format(
             round(N_EVENTS / old_s), round(N_EVENTS / new_s), old_s / new_s
@@ -304,19 +299,6 @@ def test_hotpath_perturbation(benchmark):
         _run_workload, args=(True,), rounds=1, iterations=1
     )
     assert received == N_PERTURB_SENDS  # lossless under immediate mode
-    _record_bench(
-        "perturbation",
-        {
-            "sends": N_PERTURB_SENDS,
-            "unmetered_wall_s": round(base_wall, 4),
-            "metered_wall_s": round(metered_wall, 4),
-            "unmetered_proc_ms": base_proc_ms,
-            "metered_proc_ms": metered_proc_ms,
-            "proc_time_overhead": round(
-                metered_proc_ms / base_proc_ms - 1.0, 4
-            ) if base_proc_ms else None,
-        },
-    )
     print(
         "\n[hotpath] perturbation: {0} sends, wall {1:.3f}s -> {2:.3f}s, "
         "procTime {3} -> {4} ms".format(
@@ -359,26 +341,19 @@ def _appendix_b_outputs(log_format):
 def test_hotpath_appendix_b_output_identical(monkeypatch):
     import repro.filtering.standard as standard
 
-    results = {}
     for log_format in ("text", "store"):
         compiled = _appendix_b_outputs(log_format)
         with monkeypatch.context() as patch:
+            # Interpreted rules have nothing to compile, so the filter
+            # keeps the dict lane; decode it field by field too.
             patch.setattr(
                 standard, "parse_rules",
                 lambda text: parse_rules(text, compiled=False),
             )
             patch.setattr(
-                standard, "parse_descriptions",
-                lambda text: parse_descriptions(text, compiled=False),
+                DescriptionSet, "decode_message", DescriptionSet.decode_per_field
             )
-            interpreted = _appendix_b_outputs(log_format)
-        assert compiled == interpreted
-        results[log_format + "_identical"] = True
-        if log_format == "text":
-            results["text_bytes"] = len(compiled)
-            assert compiled  # the session really produced a trace
-        else:
-            results["store_segments"] = len(compiled)
-            assert compiled
-    _record_bench("appendix_b", results)
+            reference = _appendix_b_outputs(log_format)
+        assert compiled == reference
+        assert compiled  # the session really produced a trace
     print("\n[hotpath] appendix B output byte-identical (text + store)")

@@ -1,14 +1,10 @@
 """Streaming online analysis at scale: the twin oracle on a 20k-event
 faulted session, the bounded-memory claim, and a clock-drift sweep
-measuring the precision/recall of `undelivered` watch firings.
-
-Writes BENCH_PR8.json at the repo root (uploaded by the CI
-``streaming`` job).
+measuring the precision/recall of `undelivered` watch firings (run by
+the CI ``streaming`` job).
 """
 
 import json
-import time
-from pathlib import Path
 
 from repro.analysis.trace import Trace
 from repro.core.cluster import Cluster
@@ -18,22 +14,12 @@ from repro.programs import install_all
 from repro.streaming import twins
 from repro.streaming.twins import diff_digests, replay_engine
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_PR8.json"
-
 FLAGS = "send receive receivecall socket destsocket termproc"
 
 #: messages per producer pair for the big (>=20k records) session and
 #: the small session the memory bound is measured against.
 N_BIG = 2600
 N_SMALL = 650
-
-
-def _record_bench(key, value):
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _store_session(seed=41, clock_skew=None):
@@ -81,14 +67,12 @@ def _faulted_run(n, kill_at_ms):
         return _runs[n]
     session = _store_session()
     cluster = session.cluster
-    t0 = time.perf_counter()
     plan = FaultPlan().kill_filter(cluster.sim.now + kill_at_ms, "blue")
     FaultInjector(cluster, plan, session=session).arm()
     _start_fanout_job(session, n)
     session.settle()
     run = {
         "session": session,
-        "wall_s": round(time.perf_counter() - t0, 3),
         "records": list(session.read_trace("f1")),
         "live": _live_digest(session),
     }
@@ -103,9 +87,7 @@ def test_oracle_holds_at_scale_under_faults():
     assert "was relaunched" in run["session"].transcript()
 
     live = run["live"]
-    t0 = time.perf_counter()
     online = replay_engine(records).finalize().digest()
-    replay_s = time.perf_counter() - t0
     batch = twins.batch_digest(Trace(list(records)))
     problems = diff_digests(online, batch)
     assert problems == [], problems
@@ -116,19 +98,6 @@ def test_oracle_holds_at_scale_under_faults():
         if live[key] != json.loads(json.dumps(online[key]))
     ]
     assert mismatched == [], mismatched
-
-    _record_bench(
-        "streaming_oracle",
-        {
-            "records": len(records),
-            "fault_plan": ["kill_filter@+400ms"],
-            "live_equals_replay_twin": True,
-            "replay_equals_batch_twin": True,
-            "session_wall_s": run["wall_s"],
-            "replay_wall_s": round(replay_s, 3),
-            "replay_records_per_s": int(len(records) / replay_s),
-        },
-    )
 
 
 def test_memory_bounded_by_window_not_trace_length():
@@ -144,17 +113,6 @@ def test_memory_bounded_by_window_not_trace_length():
     ratio = peak_big / max(1, peak_small)
     assert ratio < 1.6, (peak_big, peak_small)
     assert peak_big < n_big / 2
-    _record_bench(
-        "streaming_memory",
-        {
-            "records_small": n_small,
-            "records_big": n_big,
-            "peak_state_small": peak_small,
-            "peak_state_big": peak_big,
-            "peak_ratio": round(ratio, 3),
-            "bound": "peak state tracks window occupancy, not trace length",
-        },
-    )
 
 
 # ----------------------------------------------------------------------
@@ -261,14 +219,3 @@ def test_drift_sweep_precision_recall():
     # The watermark never lies about what was genuinely lost: skew
     # costs precision (eager false alarms), not coverage.
     assert all(row["recall"] == 1.0 for row in sweep)
-
-    _record_bench(
-        "streaming_drift_sweep",
-        {
-            "window_ms": DRIFT_WINDOW_MS,
-            "messages": DRIFT_N,
-            "undelivered_by_construction": DRIFT_LOST,
-            "skewed_machine": "red (the receiver)",
-            "sweep": sweep,
-        },
-    )

@@ -13,13 +13,8 @@ Three gates, all blocking in CI:
   partition-budget oracle reduces to its 2-event core, and the written
   artifact replays to the same verdict.
 
-Writes the soak metrics to BENCH_PR10.json at the repo root (uploaded
-by the CI ``chaos-search`` job).
+Run by the CI ``chaos-search`` job.
 """
-
-import json
-import time
-from pathlib import Path
 
 from repro.chaos.artifact import (
     build_artifact,
@@ -35,18 +30,8 @@ from repro.chaos.search import search
 from repro.chaos.shrink import is_subsequence, shrink_plan
 from repro.faults.plan import FaultPlan
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_PR10.json"
-
 SEEDS = range(5)
 CLUSTER_SEED = 7
-
-
-def _record_bench(key, value):
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_fixed_seed_batch_has_full_coverage_and_zero_violations():
@@ -59,18 +44,6 @@ def test_fixed_seed_batch_has_full_coverage_and_zero_violations():
     assert report["schedules"] >= 25
     assert report["kinds_covered"] >= 5, report["coverage"]
     assert report["violations"] == 0, report["failures"]
-    _record_bench(
-        "chaos_search_batch",
-        {
-            "schedules": report["schedules"],
-            "events_injected": report["events_injected"],
-            "coverage": report["coverage"],
-            "kinds_covered": report["kinds_covered"],
-            "violations": report["violations"],
-            "schedules_per_hour": report["schedules_per_hour"],
-            "elapsed_seconds": report["elapsed_seconds"],
-        },
-    )
 
 
 def test_search_is_deterministic_end_to_end():
@@ -92,10 +65,6 @@ def test_search_is_deterministic_end_to_end():
     first = search(scenario, profiles=("mixed",), seeds=range(3))
     second = search(scenario, profiles=("mixed",), seeds=range(3))
     assert stripped(first) == stripped(second)
-    _record_bench(
-        "chaos_search_deterministic",
-        {"schedules_compared": first["schedules"], "byte_identical": True},
-    )
 
 
 def test_shrinker_reduces_a_synthetic_failure_to_its_core(tmp_path):
@@ -128,9 +97,7 @@ def test_shrinker_reduces_a_synthetic_failure_to_its_core(tmp_path):
         verdict = run_oracles(run, baseline, oracles=["partition_budget"])
         return "partition_budget" in violated_names(verdict)
 
-    began = time.perf_counter()
     result = shrink_plan(plan, fails)
-    shrink_seconds = time.perf_counter() - began
     assert result.final_events == 2
     assert all(event.kind == "partition" for event in result.plan.events)
     assert is_subsequence(result.plan, plan)
@@ -155,12 +122,3 @@ def test_shrinker_reduces_a_synthetic_failure_to_its_core(tmp_path):
     )
     replayed_verdict, reproduced = replay_artifact(load_artifact(path))
     assert reproduced, replayed_verdict
-    _record_bench(
-        "chaos_shrink",
-        {
-            "original_events": result.original_events,
-            "shrunk_events": result.final_events,
-            "probes": result.probes,
-            "wall_seconds": round(shrink_seconds, 3),
-        },
-    )

@@ -16,14 +16,8 @@ checked by brute force over a small sealed v2 store:
   (the record stream is byte-identical to the clean one).
 
 ``silent_wrong_records`` / ``silent_corruptions`` must both be zero --
-that is the blocking acceptance criterion -- and the sweep metrics go
-to BENCH_PR6.json at the repo root (uploaded by the CI ``durability``
-job).
+that is the blocking acceptance criterion (the CI ``durability`` job).
 """
-
-import json
-import time
-from pathlib import Path
 
 from benchmarks.conftest import HOSTS, synthetic_send_records
 from repro.faults import FaultyWriter, StorageFaultPlan
@@ -35,18 +29,8 @@ from repro.tracestore import (
     collect_ops,
 )
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_PR6.json"
-
 N_RECORDS = 30
 SEGMENT_BYTES = 900  # several segments, a few KB total: sweepable
-
-
-def _record_bench(key, value):
-    data = {}
-    if BENCH_PATH.exists():
-        data = json.loads(BENCH_PATH.read_text())
-    data[key] = value
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _build_store():
@@ -80,7 +64,6 @@ def test_crashpoint_sweep_every_byte_offset_salvages_to_a_prefix():
     store, baseline = _build_store()
     paths = sorted(store)
     total = sum(len(store[path]) for path in paths)
-    t0 = time.perf_counter()
     silent_wrong = 0
     recovered_at = []
     for cut in range(total + 1):
@@ -99,17 +82,6 @@ def test_crashpoint_sweep_every_byte_offset_salvages_to_a_prefix():
     # Recovery is monotone in how much survived, and complete at the end.
     assert recovered_at[-1] == len(baseline)
     assert all(a <= b for a, b in zip(recovered_at, recovered_at[1:]))
-    _record_bench(
-        "crashpoint_sweep",
-        {
-            "store_bytes": total,
-            "records": len(baseline),
-            "crashpoints": total + 1,
-            "silent_wrong_records": silent_wrong,
-            "min_recovered": min(recovered_at),
-            "wall_seconds": round(time.perf_counter() - t0, 3),
-        },
-    )
 
 
 def test_torn_write_at_every_flush_boundary_salvages_to_a_prefix():
@@ -140,10 +112,6 @@ def test_torn_write_at_every_flush_boundary_salvages_to_a_prefix():
         if records != baseline[: len(records)]:
             silent_wrong += 1
     assert silent_wrong == 0
-    _record_bench(
-        "flush_boundary_tears",
-        {"boundaries": len(boundaries), "silent_wrong_records": silent_wrong},
-    )
 
 
 def _flush_offsets(wire):
@@ -167,7 +135,6 @@ def _flush_offsets(wire):
 def test_bit_flip_sweep_every_byte_detected_or_harmless():
     store, baseline = _build_store()
     paths = sorted(store)
-    t0 = time.perf_counter()
     outcomes = {"detected_strict": 0, "accounted_loss": 0, "harmless": 0}
     silent_corruptions = 0
     total = 0
@@ -195,18 +162,4 @@ def test_bit_flip_sweep_every_byte_detected_or_harmless():
         "{0}/{1} flips silently changed the record stream".format(
             silent_corruptions, total
         )
-    )
-    detected = outcomes["detected_strict"] + outcomes["accounted_loss"]
-    _record_bench(
-        "bit_flip_sweep",
-        {
-            "flips": total,
-            "silent_corruptions": silent_corruptions,
-            "detected_strict": outcomes["detected_strict"],
-            "accounted_loss": outcomes["accounted_loss"],
-            "harmless_identical": outcomes["harmless"],
-            "detection_or_harmless_rate": 1.0,
-            "detected_rate": round(detected / total, 4),
-            "wall_seconds": round(time.perf_counter() - t0, 3),
-        },
     )

@@ -13,12 +13,11 @@ import sys
 import time
 
 from repro.filtering.records import format_record, parse_trace
-from repro.filtering.rules import parse_rules
 from repro.metering.messages import record_fields
 from repro.streaming.engine import format_firing, format_snapshot
 from repro.streaming.queries import QUERY_KINDS
 from repro.streaming.twins import replay_engine
-from repro.tracestore import StoreReader, pack_text, scan_fast, select
+from repro.tracestore import StoreReader, pack_text, scan_fast
 from repro.tracestore.errors import StoreError
 from repro.tracestore.fsck import format_report, fsck_store, repair_store
 from repro.tracestore.format import DEFAULT_SEGMENT_BYTES
@@ -39,7 +38,6 @@ Trace-store tools (trace files on the real filesystem):
   python -m repro trace pack <logfile> <storebase> [--compress yes]
   python -m repro trace inspect <storebase>            segment footers
   python -m repro trace cat <storebase> [--event send] [--salvage yes]
-  python -m repro trace bench <storebase> [--rules FILE]
   python -m repro trace fsck <storebase> [--repair yes]
 
 Offline analysis (replay a finished trace through the streaming engine):
@@ -69,9 +67,6 @@ usage: python -m repro trace <subcommand>
   cat <storebase> [--machine N] [--pid N] [--event NAME]
                   [--since T] [--until T] [--salvage yes]
                      stream selected records as log lines
-  bench <storebase> [--rules FILE] [--repeat N]
-                     time the interpreted scan against the batch fast
-                     lane (and rule selection, with --rules)
   fsck <storebase> [--repair yes] [--out BASE]
                      verify every segment (exit 1 if damaged); with
                      --repair, write a clean copy at BASE (default
@@ -304,71 +299,11 @@ def _trace_cat(args):
     return 0
 
 
-def _bench_lane(run, repeat):
-    """Best-of-``repeat`` wall time for one scan lane; ``run`` returns
-    the records it produced.  Returns (records, seconds)."""
-    best = None
-    count = 0
-    for __ in range(repeat):
-        began = time.perf_counter()
-        count = run()
-        elapsed = time.perf_counter() - began
-        if best is None or elapsed < best:
-            best = elapsed
-    return count, best
-
-
-def _trace_bench(args):
-    positional, flags = _parse_flags(args, {"rules": str, "repeat": int})
-    if len(positional) != 1:
-        print(TRACE_USAGE)
-        return 1
-    reader = StoreReader.from_files(positional[0])
-    repeat = max(1, flags.get("repeat", 3))
-    lanes = [
-        ("interpreted scan", lambda: sum(1 for __ in reader.scan())),
-        ("fast scan", lambda: sum(1 for __ in scan_fast(reader))),
-    ]
-    if "rules" in flags:
-        rules = parse_rules(
-            pathlib.Path(flags["rules"]).read_text(encoding="ascii")
-        )
-        lanes.append(
-            (
-                "interpreted select",
-                lambda: sum(
-                    1 for r in reader.scan() if rules.apply(r) is not None
-                ),
-            )
-        )
-        lanes.append(("fast select", lambda: len(select(reader, rules))))
-    total = None
-    baseline = None
-    for label, run in lanes:
-        count, seconds = _bench_lane(run, repeat)
-        if total is None:
-            total = count  # every lane walks the whole store
-        # Rate is records *scanned* per second -- selection lanes
-        # process the full store and output a subset.
-        eps = total / seconds if seconds else 0.0
-        if baseline is None:
-            baseline = eps
-        print(
-            "{0:<18} {1:>9} records out  {2:>8.1f}ms  {3:>9.0f} ev/s  "
-            "({4:.2f}x)".format(
-                label, count, seconds * 1000.0, eps,
-                eps / baseline if baseline else 0.0,
-            )
-        )
-    return 0
-
-
 def trace_main(args):
     handlers = {
         "pack": _trace_pack,
         "inspect": _trace_inspect,
         "cat": _trace_cat,
-        "bench": _trace_bench,
         "fsck": _trace_fsck,
     }
     if not args or args[0] not in handlers:

@@ -9,8 +9,7 @@ repro and emitted as replayable JSON artifacts.
 
 The report is the soak currency: schedules and events injected,
 per-fault-kind coverage, schedules/hour, and every verdict -- the
-numbers the blocking ``chaos-search`` CI job uploads as
-BENCH_PR10.json.
+numbers the blocking ``chaos-search`` CI job asserts on.
 """
 
 import time

@@ -16,12 +16,12 @@ base 16 fields of length 16 are NAME (sockaddr) blobs.
 important for establishing a successful protocol between the meter and
 a filter" -- so the default description file is *generated from* the
 codec's field tables (:func:`default_descriptions_text`), and the
-standard filter decodes with the descriptions, never with the codec
-directly.  A mismatch is therefore a real protocol failure, exactly as
-it would have been in 1984.
+standard filter decodes by its description file: field by field as
+written, or -- only when the file is verified equal to those tables
+(:func:`matches_appendix_a`) -- with the decoder generated from them.
+A mismatch is therefore a real protocol failure, exactly as it would
+have been in 1984.
 """
-
-import struct
 
 from repro.metering import messages
 from repro.net.addresses import decode_name
@@ -37,17 +37,6 @@ _HEADER_LAYOUT = {
     "traceType": (20, 4),
 }
 
-# One-shot unpack of the standard header (Dummy is the 4x gap).
-_HEADER_STRUCT = struct.Struct(">ih2xi4xii")
-
-# traceType alone (header offset 20), to pick the event description
-# before the fused header+body unpack.
-_TRACE_TYPE_STRUCT = struct.Struct(">i")
-
-# struct codes for base-10 integer fields by byte length (big-endian,
-# signed -- identical to the int.from_bytes(..., signed=True) fallback).
-_INT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-
 
 class FieldDescription:
     """One ``name,offset,length,base`` entry."""
@@ -62,6 +51,8 @@ class FieldDescription:
 
     def decode(self, body, host_names):
         raw = body[self.offset : self.offset + self.length]
+        if len(raw) < self.length:
+            raise ValueError("truncated meter message: no room for " + self.name)
         if self.base == 16 and self.length == 16:
             name = decode_name(raw, host_names)
             return name.display() if name is not None else ""
@@ -72,134 +63,71 @@ class FieldDescription:
 
 
 class EventDescription:
-    """All fields of one event type.
+    """All fields of one event type."""
 
-    At parse time the field specs are compiled into one
-    ``struct.Struct`` (gaps between fields become pad bytes) so a body
-    decodes with a single unpack.  Descriptions the struct module can't
-    express -- overlapping fields, odd lengths or bases -- fall back to
-    the per-field decode, as does any body shorter than the compiled
-    layout.
-    """
-
-    def __init__(self, event, type_code, fields, compiled=True):
+    def __init__(self, event, type_code, fields):
         self.event = event
         self.type_code = int(type_code)
         self.fields = list(fields)
-        self._compiled = self._compile() if compiled else None
-
-    def _compile(self):
-        fmt = [">"]
-        names = []
-        name_fields = []
-        position = 0
-        for field in sorted(self.fields, key=lambda f: f.offset):
-            if field.offset < position:
-                return None  # overlapping fields: interpret per-field
-            gap = field.offset - position
-            if gap:
-                fmt.append("%dx" % gap)
-            if field.base == 16 and field.length == 16:
-                fmt.append("16s")
-                name_fields.append(len(names))
-            elif field.base == 10 and field.length in _INT_CODES:
-                fmt.append(_INT_CODES[field.length])
-            else:
-                return None
-            names.append(field.name)
-            position = field.offset + field.length
-        return struct.Struct("".join(fmt)), tuple(names), tuple(name_fields)
 
     def field_names(self):
         return [field.name for field in self.fields]
 
-    def compile_with_header(self):
-        """Fuse the standard header and the compiled body layout into
-        one struct, so a whole message decodes with a single unpack.
-        Returns ``(unpacker, names, name_field_indices, event_name)``
-        or None when the body needs the per-field fallback."""
-        if self._compiled is None:
-            return None
-        body, names, name_fields = self._compiled
-        fused = struct.Struct(_HEADER_STRUCT.format + body.format[1:])
-        return (
-            fused,
-            HEADER_FIELDS + names,
-            tuple(index + len(HEADER_FIELDS) for index in name_fields),
-            self.event.lower(),
-        )
-
     def decode_body(self, body, host_names, offset=0):
-        compiled = self._compiled
-        if compiled is None or len(body) - offset < compiled[0].size:
-            if offset:
-                body = body[offset:]
-            return {
-                field.name: field.decode(body, host_names)
-                for field in self.fields
-            }
-        unpacker, names, name_fields = compiled
-        values = list(unpacker.unpack_from(body, offset))
-        for index in name_fields:
-            decoded = decode_name(values[index], host_names)
-            values[index] = decoded.display() if decoded is not None else ""
-        return dict(zip(names, values))
+        if offset:
+            body = body[offset:]
+        return {
+            field.name: field.decode(body, host_names)
+            for field in self.fields
+        }
 
 
 class DescriptionSet:
-    """A parsed description file: header + per-event descriptions."""
+    """A parsed description file: header + per-event descriptions.
 
-    def __init__(self, header_fields, events, compiled=True):
+    Two decode lanes, chosen once at construction.  A set that
+    describes exactly the Appendix-A formats (the shipped default)
+    decodes through the codec tables' generated columnar decoder
+    (:func:`repro.metering.messages.wire_decoder`); an edited set --
+    renamed or subset fields, other offsets, extra event types -- is a
+    different protocol and decodes field by field as written.  The
+    per-field walk is also the reference the generated lane is tested
+    against (:meth:`decode_per_field`, like
+    ``RuleSet.apply_interpreted``).
+    """
+
+    def __init__(self, header_fields, events):
         self.header_fields = list(header_fields)
         #: type code -> EventDescription
         self.by_type = {event.type_code: event for event in events}
         self.by_name = {event.event.lower(): event for event in events}
-        # The standard header decodes in one unpack; a HEADER line that
-        # renames or subsets the fields keeps the per-field path.
-        self._standard_header = compiled and tuple(header_fields) == HEADER_FIELDS
-        # With the standard header, header + body of each regular event
-        # fuse into one struct: type code -> (unpacker, names,
-        # name_field_indices, event_name).
-        self._fused = {}
-        if self._standard_header:
-            for event in events:
-                fused = event.compile_with_header()
-                if fused is not None:
-                    self._fused[event.type_code] = fused
+        self.appendix_a = matches_appendix_a(self)
+        # The generated decoder caches NAME display strings, so it is
+        # built per host table (and rebuilt if the table changes).
+        self._decoder = None
+        self._decoder_hosts = None
 
     def decode_message(self, raw, host_names=None):
-        """Decode one complete meter message into a flat record dict."""
+        """Decode one complete meter message into a flat record dict;
+        ValueError when it is shorter than its description."""
         host_names = host_names or {}
-        if self._standard_header and len(raw) >= messages.HEADER_BYTES:
-            fused = self._fused.get(_TRACE_TYPE_STRUCT.unpack_from(raw, 20)[0])
-            if fused is not None and len(raw) >= fused[0].size:
-                unpacker, names, name_fields, event_name = fused
-                values = unpacker.unpack_from(raw)
-                record = dict(zip(names, values))
-                for index in name_fields:
-                    decoded = decode_name(values[index], host_names)
-                    record[names[index]] = (
-                        decoded.display() if decoded is not None else ""
-                    )
-                record["event"] = event_name
-                return record
-            size, machine, cpu_time, proc_time, trace_type = (
-                _HEADER_STRUCT.unpack_from(raw)
+        if not self.appendix_a:
+            return self.decode_per_field(raw, host_names)
+        if host_names != self._decoder_hosts:
+            self._decoder_hosts = dict(host_names)
+            self._decoder = messages.wire_decoder(self._decoder_hosts)
+        return self._decoder(raw)
+
+    def decode_per_field(self, raw, host_names=None):
+        """The description file interpreted literally, one slice per
+        field (reference semantics; the only lane for edited sets)."""
+        host_names = host_names or {}
+        record = {}
+        for name in self.header_fields:
+            offset, length = _HEADER_LAYOUT[name]
+            record[name] = int.from_bytes(
+                raw[offset : offset + length], "big", signed=True
             )
-            record = {
-                "size": size,
-                "machine": machine,
-                "cpuTime": cpu_time,
-                "procTime": proc_time,
-                "traceType": trace_type,
-            }
-        else:
-            record = {}
-            for name in self.header_fields:
-                offset, length = _HEADER_LAYOUT[name]
-                record[name] = int.from_bytes(
-                    raw[offset : offset + length], "big", signed=True
-                )
         event = self.by_type.get(record["traceType"])
         if event is None:
             raise ValueError("no description for traceType %d" % record["traceType"])
@@ -215,12 +143,8 @@ class DescriptionSet:
         return ["event"] + list(self.header_fields) + event.field_names()
 
 
-def parse_descriptions(text, compiled=True):
-    """Parse a description file (Figure 3.2 format).
-
-    ``compiled=False`` skips struct compilation and decodes every
-    message field-by-field (the benchmark baseline).
-    """
+def parse_descriptions(text):
+    """Parse a description file (Figure 3.2 format)."""
     header_fields = list(HEADER_FIELDS)
     events = []
     for line in text.splitlines():
@@ -240,23 +164,25 @@ def parse_descriptions(text, compiled=True):
             if len(parts) != 4:
                 raise ValueError("bad field spec %r in %r" % (spec, line))
             fields.append(FieldDescription(parts[0], parts[1], parts[2], parts[3]))
-        events.append(EventDescription(keyword, type_token, fields, compiled=compiled))
-    return DescriptionSet(header_fields, events, compiled=compiled)
+        events.append(EventDescription(keyword, type_token, fields))
+    return DescriptionSet(header_fields, events)
 
 
 def matches_appendix_a(descriptions):
-    """True when this description set describes every Appendix-A event
-    exactly as the codec tables do -- standard header, same type
-    codes, event names, field names, offsets, lengths and bases.
+    """True when this description set describes exactly the
+    Appendix-A events, exactly as the codec tables do -- standard
+    header, same type codes, event names, field names, offsets,
+    lengths and bases, and no event type of its own.
 
-    This is the precondition for installing column-level screens
-    (:func:`repro.tracestore.batchscan.message_screen`) compiled
-    against the codec layouts: a filter running with *edited*
-    descriptions decodes differently, so it must not pre-reject on the
-    codec's idea of the wire format.  Extra non-Appendix-A event types
-    are fine -- a screen passes through types it was not compiled for.
+    This is the precondition for running code generated from the codec
+    layouts (the columnar decoder, and the live filter's
+    :func:`repro.tracestore.batchscan.message_select`): a filter with
+    *edited* descriptions speaks a different protocol, so it must
+    decode and select by its own file, field by field.
     """
     if tuple(descriptions.header_fields) != tuple(HEADER_FIELDS):
+        return False
+    if set(descriptions.by_type) != set(messages.EVENT_TYPES.values()):
         return False
     for event, type_code in messages.EVENT_TYPES.items():
         desc = descriptions.by_type.get(type_code)

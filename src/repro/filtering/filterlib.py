@@ -25,29 +25,6 @@ from repro.metering.messages import (
 MAX_METER_MESSAGE = 4096
 
 
-def build_record_screen(rules, descriptions, host_names=None):
-    """A raw-message pre-screen for the live filter loop, or None.
-
-    When the filter's descriptions are exactly the Appendix-A layouts
-    (the shipped default), the rule set compiles to a columnar screen
-    that rejects most unselectable messages straight off the wire --
-    no record dict and, when ``host_names`` is the same host table the
-    records will be decoded with, no NAME decoding either (NAME
-    conditions compare display strings read straight out of the wire
-    bytes; without the table they fall back to the full decode path).
-    The screen only ever *definitively rejects*: any message it cannot
-    prove unselectable passes through to the full decode +
-    ``rules.apply`` path, so the filter's output is bit-identical with
-    or without it.  Filters running edited descriptions (a changed
-    protocol) get None and keep the plain path.
-    """
-    from repro.filtering.descriptions import matches_appendix_a
-    from repro.tracestore.batchscan import message_screen
-
-    if descriptions is None or not matches_appendix_a(descriptions):
-        return None
-    return message_screen(rules, host_names)
-
 #: Bytes requested per read: large enough to drain a whole shipped
 #: batch train in one syscall, so framing cost is paid per read, not
 #: per message.

@@ -19,11 +19,15 @@ Field name ``type`` is accepted as an alias for the header's
 ``traceType``, matching the figures' spelling, and may also be compared
 against event names ("type=send").
 
-The filter runs :meth:`RuleSet.apply` once per live record, so the set
-is compiled at parse time: every condition becomes a closure, every
-rule a tuple of closures, and rules pinned to one event type by a
-``type=`` equality condition go into a dispatch table keyed by
-``traceType`` so only candidate rules are consulted per record.  The
+Dict-shaped callers (the filter's lane for edited descriptions, watch
+queries, store-scan fallbacks) run :meth:`RuleSet.apply` once per
+record, so the set is compiled at parse time: every condition becomes
+a closure, every rule a tuple of closures, and rules pinned to one
+event type by a ``type=`` equality condition go into a dispatch table
+keyed by ``traceType`` so only candidate rules are consulted per
+record.  (On the shipped descriptions the live filter and the store
+scan go one step further and run the same candidate lists as generated
+column programs -- :mod:`repro.tracestore.batchscan`.)  The
 interpreted path (:meth:`Rule.matches` walking conditions) is kept both
 as the semantic reference for the property tests and as the
 ``compiled=False`` baseline for the hot-path benchmark.

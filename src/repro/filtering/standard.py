@@ -29,7 +29,7 @@ concurrent sessions on one machine keep separate logs.
 
 from repro import guestlib
 from repro.filtering.descriptions import parse_descriptions
-from repro.filtering.filterlib import MeterInbox, build_record_screen
+from repro.filtering.filterlib import MeterInbox
 from repro.filtering.records import format_record, parse_trace
 from repro.filtering.rules import RuleSet, parse_rules
 from repro.kernel.errno import SyscallError
@@ -47,6 +47,7 @@ from repro.tracestore import (
     next_segment_index,
     zero_masked_bytes,
 )
+from repro.tracestore.batchscan import message_select
 from repro.tracestore.format import masked_fields
 from repro.tracestore.reader import Segment
 from repro.tracestore.writer import segment_path
@@ -167,14 +168,34 @@ def standard_filter(sys, argv):
     templates_text = yield from guestlib.read_optional_file(sys, templates_path)
     rules = parse_rules(templates_text) if templates_text is not None else RuleSet([])
     host_names = yield sys.hosttable()
-    # With the shipped (Appendix-A) descriptions, the rule set compiles
-    # to a columnar screen that drops unselectable messages before any
-    # record decoding; it never rejects anything rules.apply would
-    # accept, so output is identical either way (see filterlib).  The
-    # host table lets NAME conditions screen on the wire bytes too.
-    screen = build_record_screen(rules, descriptions, host_names)
-
     store_mode = log_path.endswith(STORE_SUFFIX)
+
+    def select_on_dict(raw):
+        record = descriptions.decode_message(raw, host_names)
+        saved = rules.apply(record)
+        if saved is None:
+            return None
+        event = record["event"]
+        mask = 0
+        if store_mode:
+            mask = discard_mask(
+                event,
+                {name for name in record_fields(event) if name not in saved},
+            )
+        return saved, mask, (record["machine"], record.get("pid", 0)), event
+
+    # select(raw) -> None, or (saved record, discard mask, (machine,
+    # pid) batch key, event name); ValueError/KeyError if malformed.
+    # With the shipped (Appendix-A) descriptions the rule set compiles
+    # to the store scan's columnar program: one unpack and one
+    # evaluation per message, and only accepted records become dicts.
+    # Edited descriptions are a different protocol, and an empty rule
+    # set has nothing to compile: those decode by the description file
+    # and select on the dict.
+    select = select_on_dict
+    if descriptions.appendix_a:
+        select = message_select(rules, host_names) or select_on_dict
+
     # The live analysis engine folds exactly the records this filter
     # commits, in commit order.  A relaunched incarnation replays the
     # previous incarnation's committed log into a fresh engine before
@@ -224,13 +245,32 @@ def standard_filter(sys, argv):
     open_batches = {}
     pending = []  # committed text lines buffered across wait batches
     pending_bytes = 0
+    lines = []  # text lines committed by the current wait batch
+
+    def commit(batch, marker=None):
+        """One batch's items to the log, then to the engine.  ``marker``
+        is the durable form of the batch's commit marker -- the raw
+        marker message in store mode, its ``#batch`` line in text mode
+        -- or None for a markerless flush."""
+        if store_mode:
+            for payload, mask, __ in batch:
+                writer.append(payload, mask)
+            if marker is not None:
+                writer.append_marker(marker)
+            writer.maybe_seal()
+        else:
+            lines.extend(item[0] for item in batch)
+            if marker is not None:
+                lines.append(marker)
+        for item in batch:
+            engine.update(item[-1])
+
     while True:
         # While lines are buffered (or batches are open on a markerless
         # stream), wake after a short idle gap so the log never lags
         # the stream by more than the flush interval.
         timeout_ms = LOG_IDLE_FLUSH_MS if (pending or open_batches) else None
         raw_messages = yield from inbox.wait(sys, timeout_ms=timeout_ms)
-        lines = []
         for raw in raw_messages:
             if is_batch_marker(raw):
                 marker = parse_batch_marker(raw)
@@ -240,39 +280,25 @@ def standard_filter(sys, argv):
                 batch = open_batches.pop((machine_id, pid), [])
                 if not inbox.accept_batch(machine_id, pid, seq):
                     continue  # retransmitted batch already in the log
-                if store_mode:
-                    for payload, mask, __ in batch:
-                        writer.append(payload, mask)
-                    writer.append_marker(raw)
-                    writer.maybe_seal()
-                else:
-                    lines.extend(item[0] for item in batch)
-                    lines.append(format_batch_line(machine_id, pid, seq))
-                for item in batch:
-                    engine.update(item[-1])
+                commit(
+                    batch,
+                    raw if store_mode
+                    else format_batch_line(machine_id, pid, seq),
+                )
                 continue
-            if screen is not None and not screen(raw):
-                continue  # provably unselectable: skip the decode
             try:
-                record = descriptions.decode_message(raw, host_names)
+                selected = select(raw)
             except (ValueError, KeyError):
                 # Anything may connect to the meter port; a malformed
                 # message must not take the filter down -- drop it.
                 continue
-            saved = rules.apply(record)
-            if saved is None:
+            if selected is None:
                 continue
+            saved, mask, key, event = selected
             if store_mode:
-                event = record["event"]
-                mask = discard_mask(
-                    event,
-                    {name for name in record_fields(event) if name not in saved},
-                )
                 item = (zero_masked_bytes(raw, event, mask), mask, saved)
             else:
-                order = descriptions.field_order(record["event"])
-                item = (format_record(saved, order), saved)
-            key = (record["machine"], record.get("pid", 0))
+                item = (format_record(saved, descriptions.field_order(event)), saved)
             open_batches.setdefault(key, []).append(item)
         for query_fd, raw_query in inbox.take_queries():
             # A live-analysis query on the meter port: answer from the
@@ -289,15 +315,7 @@ def standard_filter(sys, argv):
             # hand-built meter streams).  Flush what we have without
             # commit markers, preserving the pre-marker behaviour.
             for key in list(open_batches):
-                batch = open_batches.pop(key)
-                if store_mode:
-                    for payload, mask, __ in batch:
-                        writer.append(payload, mask)
-                    writer.maybe_seal()
-                else:
-                    lines.extend(item[0] for item in batch)
-                for item in batch:
-                    engine.update(item[-1])
+                commit(open_batches.pop(key))
         if store_mode:
             # Bounded buffering: whatever this batch left in the
             # writer's buffer goes to disk before we block again.
@@ -307,6 +325,7 @@ def standard_filter(sys, argv):
         if lines:
             pending.extend(lines)
             pending_bytes += sum(len(line) + 1 for line in lines)
+            del lines[:]
         # One write per committed batch train: flush when the stream
         # pauses (idle timeout, connection close) or the buffer fills.
         # The whole of ``pending`` goes in one atomic write, so a

@@ -24,7 +24,6 @@ import struct
 from repro.net.addresses import NO_NAME, InternetName, SocketName, decode_name, parse_name
 
 HEADER_BYTES = 24
-_HEADER_STRUCT = struct.Struct(">ih2xiiii")
 _NAME_BYTES = 16
 
 # Trace type numbers.  Figure 3.2 shows SEND as type 1; the Figure 3.4
@@ -219,6 +218,215 @@ def field_layout(event):
         layout.append((name, offset, nbytes, base))
         offset += nbytes
     return layout
+
+
+# ----------------------------------------------------------------------
+# Columnar layouts: the one compiled decode lane
+# ----------------------------------------------------------------------
+#
+# Every Appendix-A body is longs first, then 16-byte NAME blobs, so the
+# header and all integer columns of a message come out of one
+# ``unpack_from`` and the NAME blobs are slices at fixed offsets behind
+# them.  The layouts below are that observation, compiled once per
+# ``(prefix, event)``: ``prefix`` is the string of one-character struct
+# codes for whatever frames the message ("" for a bare wire message,
+# "II"/"III" for the trace store's v1/v2 frame headers), so the live
+# filter and the store scan run the same generated code over the same
+# tuple shape, shifted by ``len(prefix)``.
+
+_EVENT_LAYOUTS = {}
+_FRAME_LAYOUTS = {}
+_MATERIALIZERS = {}
+
+
+def name_lookup(host_names):
+    """A cached raw-NAME-bytes -> display-string decoder for one host
+    table (traces repeat a small set of socket names endlessly)."""
+    cache = {}
+
+    def look(raw):
+        text = cache.get(raw)
+        if text is None:
+            decoded = decode_name(raw, host_names)
+            text = cache[raw] = decoded.display() if decoded is not None else ""
+        return text
+
+    return look
+
+
+def name_column(slot):
+    """Source text, for generated code over ``(buf, noff, look)``, of
+    the display string of the ``slot``-th NAME blob behind the longs."""
+    return "look(buf[noff + %d : noff + %d])" % (
+        _NAME_BYTES * slot, _NAME_BYTES * (slot + 1)
+    )
+
+
+def _materializer(prefix, event, discards):
+    """Generate ``mat(t, buf, noff, look) -> record dict`` with keys in
+    exactly :meth:`MessageCodec.decode`'s order, omitting ``discards``
+    so an accepted record never needs a second dict pass.  ``t`` is the
+    layout's unpacked tuple, ``noff`` the offset in ``buf`` of the
+    first NAME blob, ``look`` a :func:`name_lookup`."""
+    key = (prefix, event, discards)
+    mat = _MATERIALIZERS.get(key)
+    if mat is not None:
+        return mat
+    base = len(prefix)
+    parts = []
+    for offset, name in enumerate(HEADER_FIELDS):
+        if name not in discards:
+            parts.append("%r: t[%d]" % (name, base + offset))
+    if "event" not in discards:
+        parts.append("'event': %r" % event)
+    long_i = name_i = 0
+    for name, kind in BODY_FIELDS[event]:
+        if kind == "long":
+            if name not in discards:
+                parts.append(
+                    "%r: t[%d]" % (name, base + len(HEADER_FIELDS) + long_i)
+                )
+            long_i += 1
+        else:
+            if name not in discards:
+                parts.append("%r: %s" % (name, name_column(name_i)))
+            name_i += 1
+    source = "def mat(t, buf, noff, look):\n    return {%s}\n" % ", ".join(parts)
+    namespace = {}
+    exec(source, namespace)
+    mat = _MATERIALIZERS[key] = namespace["mat"]
+    return mat
+
+
+class EventLayout:
+    """Column layout of one event's message behind one frame prefix."""
+
+    __slots__ = (
+        "prefix", "event", "type_code", "unpack", "length", "long_index",
+        "name_index", "field_bits", "names_offset", "pid_index", "mat",
+        "_mask_cache",
+    )
+
+    def __init__(self, prefix, event):
+        kinds = [kind for __, kind in BODY_FIELDS[event]]
+        longs = [n for n, kind in BODY_FIELDS[event] if kind == "long"]
+        if kinds[: len(longs)] != ["long"] * len(longs):
+            raise ValueError("%s body is not longs-then-names" % event)
+        base = len(prefix)
+        fused = struct.Struct(
+            ">" + prefix + _HEADER_FMT[1:] + "i" * len(longs)
+        )
+        self.prefix = prefix
+        self.event = event
+        self.type_code = EVENT_TYPES[event]
+        #: ``unpack(buf, offset=0)`` -> prefix fields, the five header
+        #: fields, then the body's longs.
+        self.unpack = fused.unpack_from
+        #: Bytes of prefix + whole message (NAME blobs included).
+        self.length = fused.size + _NAME_BYTES * (len(kinds) - len(longs))
+        #: Integer field -> index in the unpacked tuple.
+        self.long_index = {
+            name: base + i for i, name in enumerate(HEADER_FIELDS + longs)
+        }
+        #: NAME field -> slot among the body's trailing 16-byte blobs.
+        self.name_index = {
+            n: i
+            for i, n in enumerate(
+                n for n, kind in BODY_FIELDS[event] if kind == "name"
+            )
+        }
+        #: Bit of each field in a discard mask (a bitmap over
+        #: ``record_fields`` order).
+        self.field_bits = {
+            name: i for i, name in enumerate(record_fields(event))
+        }
+        #: Offset of the first NAME blob from the start of the prefix.
+        self.names_offset = fused.size
+        self.pid_index = self.long_index.get("pid")
+        self.mat = _materializer(prefix, event, frozenset())
+        self._mask_cache = {}
+
+    def materializer(self, discards):
+        """The record builder that leaves out ``discards``."""
+        return _materializer(self.prefix, self.event, frozenset(discards))
+
+    def masked(self, mask):
+        """The field names discard mask ``mask`` hides."""
+        names = self._mask_cache.get(mask)
+        if names is None:
+            names = self._mask_cache[mask] = [
+                name for name, bit in self.field_bits.items()
+                if mask >> bit & 1
+            ]
+        return names
+
+
+def event_layout(prefix, event):
+    """The (shared, cached) :class:`EventLayout` of ``event`` behind
+    ``prefix``."""
+    key = (prefix, event)
+    layout = _EVENT_LAYOUTS.get(key)
+    if layout is None:
+        layout = _EVENT_LAYOUTS[key] = EventLayout(prefix, event)
+    return layout
+
+
+def frame_layout(prefix, length):
+    """(fused unpack_from, {traceType: EventLayout}) for a ``prefix``
+    framing a message of ``length`` bytes: every event of that length
+    shares the unpack when they agree on how many longs lead the body;
+    an unusual length gets the header-only unpack and no layouts, a
+    length that cannot hold a message header (None, None)."""
+    key = (prefix, length)
+    entry = _FRAME_LAYOUTS.get(key)
+    if entry is not None:
+        return entry
+    if length < HEADER_BYTES:
+        entry = _FRAME_LAYOUTS[key] = (None, None)
+        return entry
+    layouts = {
+        EVENT_TYPES[event]: event_layout(prefix, event)
+        for event in BODY_FIELDS
+        if message_length(event) == length
+    }
+    unpacks = {layout.names_offset: layout.unpack for layout in layouts.values()}
+    if len(unpacks) == 1:
+        (unpack,) = unpacks.values()
+    else:
+        layouts = {}
+        unpack = struct.Struct(">" + prefix + _HEADER_FMT[1:]).unpack_from
+    entry = _FRAME_LAYOUTS[key] = (unpack, layouts)
+    return entry
+
+
+_WIRE_LAYOUTS = {
+    EVENT_TYPES[event]: event_layout("", event) for event in BODY_FIELDS
+}
+
+
+def wire_layout(raw):
+    """The :class:`EventLayout` of the bare wire message ``raw``;
+    ValueError when it is not a whole Appendix-A message."""
+    layout = _WIRE_LAYOUTS.get(peek_trace_type(raw))
+    if layout is None:
+        raise ValueError("not an Appendix-A meter message")
+    if len(raw) < layout.length:
+        raise ValueError("truncated meter message")
+    return layout
+
+
+def wire_decoder(host_names):
+    """``decode(raw) -> record dict`` for bare wire messages: the
+    generated lane, record-identical to :meth:`MessageCodec.decode` and
+    to the description-driven per-field walk on Appendix-A messages."""
+    look = name_lookup(host_names)
+
+    def decode(raw):
+        layout = wire_layout(raw)
+        return layout.mat(layout.unpack(raw), raw, layout.names_offset, look)
+
+    return decode
+
 
 
 class MessageCodec:

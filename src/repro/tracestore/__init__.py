@@ -38,7 +38,7 @@ from repro.tracestore.format import (
 )
 from repro.tracestore.batchscan import (
     merge_scan_fast,
-    message_screen,
+    message_select,
     scan_fast,
     select,
 )
@@ -81,7 +81,7 @@ __all__ = [
     "StoreReader",
     "merge_scan",
     "merge_scan_fast",
-    "message_screen",
+    "message_select",
     "scan_fast",
     "select",
     "StoreWriter",

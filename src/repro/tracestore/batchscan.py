@@ -15,15 +15,18 @@ this module compiles the same semantics down to batch-shaped work:
 - **Columnar rule pre-screen.**  For each traceType the candidate rule
   list (:meth:`RuleSet.candidates`, the exact dispatch ``apply`` uses)
   is compiled to one generated function over the unpacked tuple.  It
-  returns an accept token (carrying a discard-specialized record
-  materializer), ``None`` (no rule can match: the record dict is never
-  built), or a candidate index when a condition needs a decoded NAME
-  field -- then, and only then, the full dict path runs.  A discard
-  mask hides a field from the rules, so every inline condition is
-  guarded by a required-field bitmask test against the frame's mask.
+  returns an accept token (carrying the matching rule's
+  discard-specialized record materializer and discard mask) or
+  ``None`` (no rule can match: the record dict is never built).  NAME
+  conditions compare display strings read straight out of the buffer
+  through the scan's host table.  A discard mask hides a field from
+  the rules, so every condition is guarded by a required-field
+  bitmask test against the frame's mask.
 - **Lazy record materialization.**  Accepted records are built by a
   generated dict-literal function in exactly the codec's key order;
   NAME blobs decode through a per-scan cache keyed on their raw bytes.
+  (The layouts, materializers and NAME cache live beside the codec in
+  :mod:`repro.metering.messages`, the wire format's one owner.)
 - **Checksum hoisting.**  Segments whose footer carries ``data_crc32``
   are verified with one CRC32 sweep over the whole frame region
   instead of one per frame; a mismatch falls back to the per-frame
@@ -39,10 +42,9 @@ records before yielding them, so in strict mode a corruption error in
 segment N surfaces *before* N's earlier records instead of after them
 (the record stream up to the raise differs only in that suffix).
 
-:func:`message_screen` reuses the rule compiler for the live filter:
-a screen over raw wire messages (no frame header, no masks) that can
-only ever *definitively reject*, never wrongly accept -- anything
-unusual passes through to the full decode path.
+:func:`message_select` runs the same compiled program over the live
+filter's raw wire messages (no frame header, no masks): one unpack and
+one evaluation per message, straight to the reduced record.
 """
 
 import heapq
@@ -52,197 +54,56 @@ import zlib
 from repro.filtering.rules import _ALIASES
 from repro.metering.messages import (
     BATCH_MARKER_TYPE,
-    BODY_FIELDS,
     EVENT_TYPES,
-    HEADER_BYTES,
+    event_layout,
+    frame_layout,
     is_batch_marker,
-    message_length,
-    record_fields,
+    name_column,
+    name_lookup,
+    wire_layout,
 )
-from repro.net.addresses import decode_name
 from repro.tracestore import format as sformat
 from repro.tracestore.errors import CorruptFrameError, CorruptSegmentError
 from repro.tracestore.reader import ScanStats
 
 _U32 = struct.Struct(">I")
 
-#: Tuple index of the message header's ``size`` field per frame
-#: version: v2 frames prefix (length, mask, crc32), v1 (length, mask),
-#: version 0 is a bare wire message (the live filter's screen).
-_BASE = {0: 0, 1: 2, 2: 3}
-_PREFIX = {0: ">", 1: ">II", 2: ">III"}
-_OVERHEADS = {0: 0, 1: sformat.FRAME_OVERHEAD_BYTES_V1,
-              2: sformat.FRAME_OVERHEAD_BYTES}
+#: Struct codes of the frame header per segment version: v2 frames
+#: prefix the message with (length, mask, crc32), v1 with (length,
+#: mask).  The live filter's bare wire messages have no prefix.
+_PREFIX = {sformat.FORMAT_VERSION_V1: "II", sformat.FORMAT_VERSION: "III"}
+_OVERHEADS = {
+    sformat.FORMAT_VERSION_V1: sformat.FRAME_OVERHEAD_BYTES_V1,
+    sformat.FORMAT_VERSION: sformat.FRAME_OVERHEAD_BYTES,
+}
 
 _OP_TEXT = {"=": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
-_LAYOUTS = {}
-_INFOS = {}
-_MATS = {}
-
-
-def _name_lookup(host_names):
-    """A cached raw-NAME-bytes -> display-string decoder (one cache per
-    scan: stores repeat a small set of socket names endlessly)."""
-    cache = {}
-
-    def look(raw):
-        text = cache.get(raw)
-        if text is None:
-            decoded = decode_name(raw, host_names)
-            text = cache[raw] = decoded.display() if decoded is not None else ""
-        return text
-
-    return look
-
-
-def _materializer(version, event, discards):
-    """Generate ``mat(t, buf, noff, look) -> record dict`` with keys in
-    exactly the codec's order, omitting ``discards`` so an accepted
-    record never needs a second dict pass."""
-    key = (version, event, discards)
-    mat = _MATS.get(key)
-    if mat is not None:
-        return mat
-    base = _BASE[version]
-    parts = []
-    for offset, name in enumerate(
-        ("size", "machine", "cpuTime", "procTime", "traceType")
-    ):
-        if name not in discards:
-            parts.append("%r: t[%d]" % (name, base + offset))
-    if "event" not in discards:
-        parts.append("'event': %r" % event)
-    long_i = name_i = 0
-    for name, kind in BODY_FIELDS[event]:
-        if kind == "long":
-            if name not in discards:
-                parts.append("%r: t[%d]" % (name, base + 5 + long_i))
-            long_i += 1
-        else:
-            if name not in discards:
-                parts.append(
-                    "%r: look(buf[noff + %d : noff + %d])"
-                    % (name, 16 * name_i, 16 * name_i + 16)
-                )
-            name_i += 1
-    source = "def mat(t, buf, noff, look):\n    return {%s}\n" % ", ".join(parts)
-    namespace = {}
-    exec(source, namespace)
-    mat = _MATS[key] = namespace["mat"]
-    return mat
-
 
 class _Accept:
-    """Screen accept token: carries the rule's discard-specialized
-    materializer (``screen(t) is an _Accept`` means "this rule matched
-    on columns alone; build the reduced record directly")."""
+    """Screen accept token: the rule that matched, as its
+    discard-specialized materializer and its discard mask."""
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "mask")
 
-    def __init__(self, mat):
-        self.mat = mat
+    def __init__(self, info, discards):
+        self.mat = info.materializer(discards)
+        self.mask = sformat.discard_mask(info.event, discards)
 
 
-class _EventInfo:
-    """Column layout of one (frame version, event) pair."""
-
-    __slots__ = (
-        "event", "type_code", "long_index", "name_set", "name_index",
-        "field_bits", "names_offset", "pid_index", "mat", "_mask_cache",
+def _selected(records, ruleset):
+    """``records`` through ``ruleset.apply`` on the dict lane (None:
+    everything, unreduced)."""
+    if ruleset is None:
+        return records
+    return (
+        saved for saved in map(ruleset.apply, records) if saved is not None
     )
-
-    def __init__(self, version, event):
-        base = _BASE[version]
-        longs = [n for n, kind in BODY_FIELDS[event] if kind == "long"]
-        self.event = event
-        self.type_code = EVENT_TYPES[event]
-        index = {
-            "size": base, "machine": base + 1, "cpuTime": base + 2,
-            "procTime": base + 3, "traceType": base + 4,
-        }
-        for i, name in enumerate(longs):
-            index[name] = base + 5 + i
-        self.long_index = index
-        self.name_set = frozenset(
-            n for n, kind in BODY_FIELDS[event] if kind == "name"
-        )
-        #: NAME field -> slot among the body's trailing 16-byte blobs.
-        self.name_index = {
-            n: i
-            for i, n in enumerate(
-                n for n, kind in BODY_FIELDS[event] if kind == "name"
-            )
-        }
-        #: Bit of each field in the discard mask (the writer's bitmap
-        #: is over ``record_fields`` order).
-        self.field_bits = {
-            name: i for i, name in enumerate(record_fields(event))
-        }
-        self.names_offset = _OVERHEADS[version] + HEADER_BYTES + 4 * len(longs)
-        self.pid_index = index.get("pid")
-        self.mat = _materializer(version, event, frozenset())
-        self._mask_cache = {}
-
-    def masked(self, mask):
-        names = self._mask_cache.get(mask)
-        if names is None:
-            names = self._mask_cache[mask] = sformat.masked_fields(
-                self.event, mask
-            )
-        return names
-
-
-def _event_info(version, event):
-    key = (version, event)
-    info = _INFOS.get(key)
-    if info is None:
-        info = _INFOS[key] = _EventInfo(version, event)
-    return info
-
-
-def _layout(version, length):
-    """(fused unpack_from, {traceType: _EventInfo}) for frames whose
-    payload is ``length`` bytes; (None, None) when the payload cannot
-    even hold a message header (per-frame oracle fallback)."""
-    key = (version, length)
-    entry = _LAYOUTS.get(key)
-    if entry is not None:
-        return entry
-    if length < HEADER_BYTES:
-        entry = _LAYOUTS[key] = (None, None)
-        return entry
-    native = [e for e in BODY_FIELDS if message_length(e) == length]
-    shapes = set()
-    for event in native:
-        kinds = [kind for __, kind in BODY_FIELDS[event]]
-        nlongs = kinds.count("long")
-        if kinds[:nlongs] != ["long"] * nlongs:
-            shapes = None  # body is not longs-then-names: no fused layout
-            break
-        shapes.add(nlongs)
-    if shapes is None or len(shapes) > 1:
-        nlongs, infos = 0, {}
-    else:
-        nlongs = shapes.pop() if shapes else 0
-        infos = {EVENT_TYPES[e]: _event_info(version, e) for e in native}
-    fused = struct.Struct(
-        _PREFIX[version] + "ih2xi4xii" + "i" * nlongs
-    )
-    entry = _LAYOUTS[key] = (fused.unpack_from, infos)
-    return entry
 
 
 # ----------------------------------------------------------------------
 # Condition compilation (column expressions over the unpacked tuple)
 # ----------------------------------------------------------------------
-
-
-def _name_col(slot):
-    """The decoded-display-string expression for NAME slot ``slot``
-    (``noff`` is the record's first NAME byte; ``look`` the per-scan
-    raw -> display cache, so a repeated name costs one dict hit)."""
-    return "look(buf[noff + %d : noff + %d])" % (16 * slot, 16 * slot + 16)
 
 
 def _cmp_expr(cond, op, actual, expected):
@@ -260,13 +121,13 @@ def _cmp_expr(cond, op, actual, expected):
         # A NAME column is a display string, so this is _compare's
         # string branch: coerce the other operand to str.
         if actual_kind == "name":
-            left = _name_col(actual_val)
+            left = name_column(actual_val)
         elif actual_kind == "long":
             left = "str(t[%d])" % actual_val
         else:
             left = repr(str(actual_val))
         if expected_kind == "name":
-            right = _name_col(expected_val)
+            right = name_column(expected_val)
         elif expected_kind == "long":
             right = "str(t[%d])" % expected_val
         else:
@@ -281,10 +142,11 @@ def _cmp_expr(cond, op, actual, expected):
     return "(%r %s str(t[%d]))" % (str(actual_val), op, expected_val)
 
 
-def _finish(cond, op, actual, expected, refbit, bits, version,
-            masked_expected=None):
+def _finish(cond, op, actual, expected, refbit=0, masked_expected=None):
+    """One condition over known operands: True, False (no record of
+    this type can satisfy it) or the expression's source text."""
     present = _cmp_expr(cond, op, actual, expected)
-    if refbit and masked_expected is not None and version != 0:
+    if refbit and masked_expected is not None:
         # A masked cross-field reference falls back to the literal
         # string (Condition.matches: absent ref -> literal).
         masked = _cmp_expr(cond, op, actual, masked_expected)
@@ -292,24 +154,19 @@ def _finish(cond, op, actual, expected, refbit, bits, version,
             present = "((%s) if not (m & %d) else (%s))" % (
                 present, refbit, masked
             )
-    if present == "True":
-        return ("inline", True, bits)
-    if present == "False":
-        return ("never", None, 0)
-    return ("inline", present, bits)
+    return {"True": True, "False": False}.get(present, present)
 
 
-def _condition_expr(cond, info, version, names_ok=True):
+def _condition_expr(cond, info, masks):
     """Lower one condition against an event layout.
 
-    Returns (kind, expr, required_bits): kind "inline" with expr a
-    Python expression over ``t``/``m``/``buf``/``noff``/``look`` (or
-    True when the presence guard alone decides), "defer" when a
-    decoded NAME field is needed but ``names_ok`` is off (no host
-    table: display strings cannot be computed, so the dict path must
-    decide), or "never" when no record of this type can satisfy it.
-    ``required_bits`` are the mask bits that must be *clear* (a masked
-    field is absent, and an absent field fails every condition).
+    Returns (expr, required_bits): expr a Python expression over
+    ``t``/``m``/``buf``/``noff``/``look``, True when the presence guard
+    alone decides, or False when no record of this type can satisfy
+    it.  ``required_bits`` are the mask bits that must be *clear* (a
+    masked field is absent, and an absent field fails every
+    condition); ``masks`` says whether the records carry a discard
+    mask at all.
     """
     field = cond.field
     field_bit = info.field_bits.get(field)
@@ -321,92 +178,69 @@ def _condition_expr(cond, info, version, names_ok=True):
         actual = ("const", info.type_code)
     elif field in info.long_index:
         actual = ("long", info.long_index[field])
-    elif field in info.name_set:
-        actual = ("name", info.name_index[field]) if names_ok else None
+    elif field in info.name_index:
+        actual = ("name", info.name_index[field])
     else:
-        return ("never", None, 0)  # field never present on this event
+        return False, 0  # field never present on this event
     if cond.is_wildcard:
-        return ("inline", True, bits)
-    if actual is None:
-        return ("defer", None, bits)
+        return True, bits
     op = _OP_TEXT[cond.op]
     if not cond.is_field_ref:
-        return _finish(cond, op, actual, ("const", cond.value), 0, bits,
-                       version)
+        return _finish(cond, op, actual, ("const", cond.value)), bits
     ref = _ALIASES.get(cond.value, cond.value)
     literal = ("const", cond.value)
     if ref == "event":
-        return _finish(cond, op, actual, ("const", info.event), 0, bits,
-                       version)
-    if ref == "traceType":
-        return _finish(cond, op, actual, ("const", info.type_code),
-                       1 << info.field_bits["traceType"], bits, version,
-                       masked_expected=literal)
-    if ref in info.long_index:
-        return _finish(cond, op, actual, ("long", info.long_index[ref]),
-                       1 << info.field_bits[ref], bits, version,
-                       masked_expected=literal)
-    if ref in info.name_set:
-        if not names_ok:
-            return ("defer", None, bits)
-        return _finish(cond, op, actual, ("name", info.name_index[ref]),
-                       1 << info.field_bits[ref], bits, version,
-                       masked_expected=literal)
-    # Reference to a field this event never carries: literal string.
-    return _finish(cond, op, actual, literal, 0, bits, version)
+        expected = ("const", info.event)
+    elif ref == "traceType":
+        expected = ("const", info.type_code)
+    elif ref in info.long_index:
+        expected = ("long", info.long_index[ref])
+    elif ref in info.name_index:
+        expected = ("name", info.name_index[ref])
+    else:
+        expected = literal  # a field this event never carries
+    ref_bit = info.field_bits.get(ref)
+    return _finish(
+        cond, op, actual, expected,
+        (1 << ref_bit) if ref_bit is not None else 0,
+        literal if masks else None,
+    ), bits
 
 
-def _compile_screen(candidates, version, info, names_ok=True):
+def _compile_screen(candidates, info, masks):
     """Generate ``screen(t, buf, noff, look)`` for one traceType: the
     first-match walk over ``candidates`` (the exact list
     ``RuleSet.apply`` consults), evaluated on columns -- NAME columns
     read straight out of ``buf`` at ``noff`` and displayed via
-    ``look`` when ``names_ok``.  Returns an :class:`_Accept`, a
-    candidate index to resume the dict-path walk from (a NAME
-    condition that could not be compiled), or None (no rule can match
-    -- the record is never materialized)."""
+    ``look``.  Returns the matching rule's :class:`_Accept`, or None
+    (no rule can match -- the record is never materialized)."""
     body = []
     namespace = {}
     for index, crule in enumerate(candidates):
+        token = "A%d" % index
         if crule.accepts_all:
             # apply() accepts without any check (even masked fields).
-            token = "A%d" % index
-            namespace[token] = _Accept(
-                _materializer(version, info.event, crule.discards)
-            )
+            namespace[token] = _Accept(info, crule.discards)
             body.append("    return %s" % token)
             break
-        parts = []
+        lowered = [
+            _condition_expr(cond, info, masks)
+            for cond in crule.rule.conditions
+        ]
+        if any(expr is False for expr, __ in lowered):
+            continue  # this rule can never match this traceType
+        parts = [expr for expr, __ in lowered if expr is not True]
         required = 0
-        deferred = impossible = False
-        for cond in crule.rule.conditions:
-            kind, expr, bits = _condition_expr(cond, info, version,
-                                               names_ok)
-            if kind == "never":
-                impossible = True
-                break
+        for __, bits in lowered:
             required |= bits
-            if kind == "defer":
-                deferred = True
-            elif expr is not True:
-                parts.append(expr)
-        if impossible:
-            continue
-        if required and version != 0:
+        if required and masks:
             parts.insert(0, "not (m & %d)" % required)
-        if deferred:
-            result = str(index)
-        else:
-            token = "A%d" % index
-            namespace[token] = _Accept(
-                _materializer(version, info.event, crule.discards)
-            )
-            result = token
+        namespace[token] = _Accept(info, crule.discards)
         if parts:
             body.append("    if %s:" % " and ".join(parts))
-            body.append("        return %s" % result)
+            body.append("        return %s" % token)
         else:
-            body.append("    return %s" % result)
+            body.append("    return %s" % token)
             break
     body.append("    return None")
     lines = ["def screen(t, buf, noff, look):"]
@@ -419,38 +253,30 @@ def _compile_screen(candidates, version, info, names_ok=True):
 
 class _Program:
     """Per-(frame version, rule set) compilation state: layouts plus
-    per-traceType screens, resolved lazily by payload length.
+    per-traceType screens, resolved lazily by payload length."""
 
-    ``names`` says whether screens may compile NAME conditions to
-    columnar display-string compares: only safe when the caller's host
-    table is the one the records will be decoded with (store scans use
-    the store's own codec table, so always true there)."""
+    __slots__ = ("version", "ruleset", "by_length")
 
-    __slots__ = ("version", "ruleset", "by_length", "names")
-
-    def __init__(self, version, ruleset, names=True):
+    def __init__(self, version, ruleset):
         self.version = version
         self.ruleset = ruleset
         self.by_length = {}
-        self.names = names
 
     def entry(self, length):
-        unpack, infos = _layout(self.version, length)
+        """(fused unpack_from, {traceType: (layout, screen or None)})
+        for frames with a ``length``-byte payload."""
+        unpack, infos = frame_layout(_PREFIX[self.version], length)
         if unpack is None:
             entry = (None, None)
         else:
             typedisp = {}
             for type_code, info in infos.items():
-                if self.ruleset is None:
-                    typedisp[type_code] = (info, None, None)
-                else:
-                    cands = self.ruleset.candidates(type_code)
-                    typedisp[type_code] = (
-                        info,
-                        _compile_screen(cands, self.version, info,
-                                        self.names),
-                        cands,
+                screen = None
+                if self.ruleset is not None:
+                    screen = _compile_screen(
+                        self.ruleset.candidates(type_code), info, masks=True
                     )
+                typedisp[type_code] = (info, screen)
             entry = (unpack, typedisp)
         self.by_length[length] = entry
         return entry
@@ -470,7 +296,7 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
     """
     version = program.version
     overhead = _OVERHEADS[version]
-    base = _BASE[version]
+    base = len(_PREFIX[version])
     size_ix, machine_ix, cpu_ix, tt_ix = base, base + 1, base + 2, base + 4
     filtered = not (
         machine_set is None and pid_set is None and event_set is None
@@ -529,16 +355,13 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
             for name in sformat.masked_fields(record["event"], mask):
                 record.pop(name, None)
         yielded += 1
-        if ruleset is not None:
-            record = ruleset.apply(record)
-            if record is None:
-                return
-        out_append(record)
+        for record in _selected((record,), ruleset):
+            out_append(record)
 
     off = start
     cur_len = -1
     unpack = typedisp = None
-    last_tt = last_trio = None
+    last_tt = last_pair = None
     while off + overhead <= end:
         t = None
         if unpack is not None:
@@ -559,7 +382,7 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
                     entry = resolve(length)
                 unpack, typedisp = entry
                 cur_len = length
-                last_tt = last_trio = None
+                last_tt = last_pair = None
             nxt = off + overhead + cur_len
             if nxt > end:
                 raise CorruptFrameError(
@@ -590,16 +413,16 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
         tt = t[tt_ix]
         if tt != last_tt:
             last_tt = tt
-            last_trio = typedisp.get(tt)
-        trio = last_trio
-        if trio is None or t[size_ix] > cur_len:
+            last_pair = typedisp.get(tt)
+        pair = last_pair
+        if pair is None or t[size_ix] > cur_len:
             if tt == marker_type:
                 off = nxt  # delivery-protocol control frame
                 continue
             fallback(off, nxt)
             off = nxt
             continue
-        info = trio[0]
+        info, screen = pair
         decoded += 1
         if damaged:
             salvaged += 1
@@ -623,50 +446,21 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
             if t_max is not None and time > t_max:
                 off = nxt
                 continue
+        yielded += 1
+        mat = info.mat
+        if screen is not None:
+            accept = screen(t, buf, off + info.names_offset, look)
+            if accept is None:
+                prescreened += 1
+                off = nxt
+                continue
+            mat = accept.mat
+        record = mat(t, buf, off + info.names_offset, look)
         mask = t[1]
-        handler = trio[1]
-        if handler is None:
-            record = info.mat(t, buf, off + info.names_offset, look)
-            if mask:
-                for name in info.masked(mask):
-                    record.pop(name, None)
-            yielded += 1
-            out_append(record)
-            off = nxt
-            continue
-        res = handler(t, buf, off + info.names_offset, look)
-        if res is None:
-            yielded += 1
-            prescreened += 1
-            off = nxt
-            continue
-        if res.__class__ is _Accept:
-            record = res.mat(t, buf, off + info.names_offset, look)
-            if mask:
-                for name in info.masked(mask):
-                    record.pop(name, None)
-            yielded += 1
-            out_append(record)
-            off = nxt
-            continue
-        # A NAME-field condition: materialize and resume the exact
-        # first-match walk from the deferring candidate.
-        record = info.mat(t, buf, off + info.names_offset, look)
         if mask:
             for name in info.masked(mask):
                 record.pop(name, None)
-        yielded += 1
-        for crule in trio[2][res:]:
-            if crule.accepts_all or crule.matches(record):
-                discards = crule.discards
-                if discards:
-                    record = {
-                        key: value
-                        for key, value in record.items()
-                        if key not in discards
-                    }
-                out_append(record)
-                break
+        out_append(record)
         off = nxt
     stats.records_decoded += decoded
     stats.records_yielded += yielded
@@ -691,8 +485,18 @@ def _iter_fast(reader, ruleset, machines, pids, events, t_min, t_max):
     #: strict scan's corruption errors are not skipped along with it.
     rule_events = ruleset.pinned_events() if ruleset is not None else None
     codec = reader.codec
-    look = _name_lookup(codec.host_names)
+    look = name_lookup(codec.host_names)
     programs = {}
+
+    def oracle_walk(segment):
+        return _selected(
+            reader._segment_records(
+                segment, stats, machine_set, pid_set, event_set,
+                t_min, t_max, False,
+            ),
+            ruleset,
+        )
+
     for segment in reader.segments:
         if not segment.valid:
             stats.segments_bad_header += 1
@@ -722,15 +526,7 @@ def _iter_fast(reader, ruleset, machines, pids, events, t_min, t_max):
         if not segment.sealed:
             # Unsealed tails need marker-based commit truncation: the
             # oracle walk is authoritative (and tails are small).
-            for record in reader._segment_records(
-                segment, stats, machine_set, pid_set, event_set,
-                t_min, t_max, False,
-            ):
-                if ruleset is not None:
-                    record = ruleset.apply(record)
-                    if record is None:
-                        continue
-                yield record
+            yield from oracle_walk(segment)
             continue
         version = segment.version
         program = programs.get(version)
@@ -747,15 +543,7 @@ def _iter_fast(reader, ruleset, machines, pids, events, t_min, t_max):
             ) & 0xFFFFFFFF != region_crc:
                 # One region sweep failed: re-walk with the oracle so
                 # the error carries the exact frame offset.
-                for record in reader._segment_records(
-                    segment, stats, machine_set, pid_set, event_set,
-                    t_min, t_max, False,
-                ):
-                    if ruleset is not None:
-                        record = ruleset.apply(record)
-                        if record is None:
-                            continue
-                    yield record
+                yield from oracle_walk(segment)
                 continue
         out = []
         _walk_segment(
@@ -791,17 +579,13 @@ def select(reader, ruleset=None, machines=None, pids=None, events=None,
     if ruleset is not None and not ruleset.rules:
         ruleset = None  # empty rule set accepts everything unreduced
     if salvage or (ruleset is not None and not ruleset.compiled):
-        out = []
-        for record in reader.scan(
-            machines=machines, pids=pids, events=events,
-            t_min=t_min, t_max=t_max, salvage=salvage,
-        ):
-            if ruleset is not None:
-                record = ruleset.apply(record)
-                if record is None:
-                    continue
-            out.append(record)
-        return out
+        return list(_selected(
+            reader.scan(
+                machines=machines, pids=pids, events=events,
+                t_min=t_min, t_max=t_max, salvage=salvage,
+            ),
+            ruleset,
+        ))
     return list(
         _iter_fast(reader, ruleset, machines, pids, events, t_min, t_max)
     )
@@ -817,43 +601,45 @@ def merge_scan_fast(readers, **predicates):
     )
 
 
-def message_screen(ruleset, host_names=None):
-    """A raw-wire-message pre-screen for the live filter: returns
-    ``screen(raw) -> bool`` that is False only when *no* rule can
-    accept the decoded record, or None when the rule set cannot screen
-    (uncompiled or empty -- an empty set accepts everything).
+def message_select(ruleset, host_names):
+    """The live filter's record lane: ``select(raw)`` takes one bare
+    wire message through one unpack and one evaluation of the compiled
+    program and returns None (no rule accepts it) or ``(saved, mask,
+    (machine, pid), event)`` -- exactly ``ruleset.apply`` of the
+    decoded record, the discard mask of the fields the matching rule
+    dropped, and the sender's batch key and the event name taken from
+    the message itself (a rule may discard them from ``saved``).
+    Raises ValueError for anything that is not a whole Appendix-A
+    message.
 
-    The screen can only reject on evidence: messages of unknown type,
-    unusual length, or (without ``host_names``) rules needing NAME
-    fields all pass through (True) to the full decode + apply path.
-    Pass the filter's host table as ``host_names`` to let NAME
-    conditions screen columnar too -- only safe when it is the same
-    table the accepted records will be decoded with.  The caller is
-    responsible for only installing the screen when its record
-    descriptions match the Appendix-A layouts it compiles against."""
+    ``host_names`` must be the table accepted records are displayed
+    with: NAME conditions compare display strings.  Returns None when
+    there is nothing to compile (uncompiled or empty rule set -- an
+    empty set accepts everything unreduced); the caller must only
+    install it when its record descriptions are the Appendix-A layouts
+    this is compiled against (``DescriptionSet.appendix_a``)."""
     if ruleset is None or not ruleset.compiled or not ruleset.rules:
         return None
-    program = _Program(0, ruleset, names=host_names is not None)
-    by_length = program.by_length
-    resolve = program.entry
-    struct_error = struct.error
-    look = _name_lookup(host_names or {})
+    screens = {
+        event: _compile_screen(
+            ruleset.candidates(type_code), event_layout("", event),
+            masks=False,
+        )
+        for event, type_code in EVENT_TYPES.items()
+    }
+    look = name_lookup(host_names)
 
-    def screen(raw):
-        length = len(raw)
-        entry = by_length.get(length)
-        if entry is None:
-            entry = resolve(length)
-        unpack = entry[0]
-        if unpack is None:
-            return True
-        try:
-            t = unpack(raw)
-        except struct_error:
-            return True
-        trio = entry[1].get(t[4])
-        if trio is None:
-            return True
-        return trio[1](t, raw, trio[0].names_offset, look) is not None
+    def select(raw):
+        info = wire_layout(raw)
+        t = info.unpack(raw)
+        accept = screens[info.event](t, raw, info.names_offset, look)
+        if accept is None:
+            return None
+        return (
+            accept.mat(t, raw, info.names_offset, look),
+            accept.mask,
+            (t[1], t[info.pid_index]),
+            info.event,
+        )
 
-    return screen
+    return select

@@ -114,64 +114,99 @@ def test_field_order_headers_first():
     assert order[6:] == ["pid", "pc", "sock", "msgLength", "destNameLen", "destName"]
 
 
-def test_compiled_body_decode_matches_per_field_decode():
-    """The per-event compiled struct must read exactly what the
-    interpreted field-by-field decode reads, for every Appendix-A
-    event and for gapped custom layouts."""
+def _wire_of(codec, event, name):
+    """One wire message of ``event`` with every long and NAME set."""
     from repro.metering import messages
 
+    body, names = {}, {}
+    for i, (field, kind) in enumerate(messages.BODY_FIELDS[event]):
+        if kind == "name":
+            names[field] = name
+        elif not field.endswith("NameLen"):
+            body[field] = -3 if field == "status" else 7 + i
+    body.update(names)
+    body.update(codec.name_lengths(**names))
+    return codec.encode(event, machine=2, cpu_time=50, proc_time=10, **body)
+
+
+def test_compiled_body_decode_matches_per_field_decode():
+    """The shipped (Appendix-A) set decodes through the generated lane;
+    it must read exactly what the description file interpreted field by
+    field reads -- same values, same key order -- on every event."""
     hosts = {1: "red", 2: "green", 3: "blue"}
     ds = default_description_set()
+    assert ds.appendix_a
     codec = MessageCodec(hosts)
     name = InternetName("green", 5100, 2)
-    bodies = {
-        "send": dict(pid=7, pc=2, sock=3, msgLength=512, destName=name,
-                     **codec.name_lengths(destName=name)),
-        "accept": dict(pid=7, pc=2, sock=3, newSock=4, sockName=name,
-                       peerName=name,
-                       **codec.name_lengths(sockName=name, peerName=name)),
-        "termproc": dict(pid=7, pc=2, status=-1),
-    }
-    for event, body in bodies.items():
-        raw = codec.encode(event, machine=1, cpu_time=50, proc_time=10, **body)
-        desc = ds.by_type[messages.EVENT_TYPES[event]]
-        assert desc._compiled is not None
-        compiled = desc.decode_body(raw, hosts, offset=messages.HEADER_BYTES)
-        interpreted = {
-            field.name: field.decode(raw[messages.HEADER_BYTES :], hosts)
-            for field in desc.fields
-        }
-        assert compiled == interpreted
+    for event in EVENT_TYPES:
+        raw = _wire_of(codec, event, name)
+        fast = ds.decode_message(raw, hosts)
+        reference = ds.decode_per_field(raw, hosts)
+        assert fast == reference == codec.decode(raw)
+        assert list(fast) == list(reference)
+        # Another host table is another set of display strings.
+        assert ds.decode_message(raw, {}) == ds.decode_per_field(raw, {})
+        # The size header frames the message; trailing bytes beyond
+        # the described layout are not the decoder's business.
+        assert ds.decode_message(raw + b"\x00" * 8, hosts) == reference
 
-    # Gapped subset layout: pad bytes cover the skipped fields.
+
+def test_truncated_message_raises_on_both_lanes():
+    """A message shorter than its event's layout is malformed, not a
+    record of zeros."""
+    codec = MessageCodec()
+    raw = _wire_of(codec, "socket", None)
+    short = (34).to_bytes(4, "big") + raw[4:34]
+    ds = default_description_set()
+    with pytest.raises(ValueError):
+        ds.decode_message(short)
+    with pytest.raises(ValueError):
+        ds.decode_per_field(short)
+    with pytest.raises(ValueError):
+        codec.decode(short)
+    # A NAME blob cut short is just as malformed as a missing long.
+    send = _wire_of(codec, "send", InternetName("red", 1, 1))
+    for lane in (ds.decode_message, ds.decode_per_field):
+        with pytest.raises(ValueError):
+            lane(send[:-1])
+
+
+def test_irregular_description_falls_back_to_per_field_decode():
+    """Edited descriptions are a different protocol: a subset, a 3-byte
+    field or overlapping fields all take the per-field lane, which
+    reads the file literally."""
+    import struct
+
+    codec = MessageCodec()
     subset = parse_descriptions("SEND 1, pid,0,4,10 msgLength,12,4,10\n")
-    desc = subset.by_type[1]
-    assert desc._compiled is not None
+    assert not subset.appendix_a
     raw = codec.encode(
         "send", machine=1, cpu_time=0, proc_time=0,
         pid=9, pc=1, sock=2, msgLength=77, destName=None, destNameLen=0,
     )
-    assert desc.decode_body(raw, hosts, offset=messages.HEADER_BYTES) == {
-        "pid": 9,
-        "msgLength": 77,
-    }
-
-
-def test_irregular_description_falls_back_to_per_field_decode():
-    """A 3-byte field has no struct code; the interpreted decode must
-    still serve it (and overlapping fields must not compile)."""
-    import struct
+    record = subset.decode_message(raw)
+    assert record == subset.decode_per_field(raw)
+    assert (record["pid"], record["msgLength"]) == (9, 77)
+    assert "sock" not in record
 
     ds = parse_descriptions("SEND 1, weird,1,3,10\n")
-    desc = ds.by_type[1]
-    assert desc._compiled is None
+    assert not ds.appendix_a
     header = struct.pack(">ih2xi4xii", 64, 1, 50, 10, 1)
     raw = header + b"\x00\x01\x02\x03\x04\x05" + b"\x00" * 34
     record = ds.decode_message(raw)
     assert record["weird"] == 0x010203
 
     overlap = parse_descriptions("SEND 1, a,0,4,10 b,2,4,10\n")
-    assert overlap.by_type[1]._compiled is None
+    assert not overlap.appendix_a
     record = overlap.decode_message(raw)
     assert record["a"] == 0x00010203
     assert record["b"] == 0x02030405
+
+    # The shipped file plus one event type of the user's own is edited
+    # too: the generated lane knows nothing about type 42.
+    extended = parse_descriptions(
+        default_descriptions_text() + "MYEVENT 42, pid,0,4,10\n"
+    )
+    assert not extended.appendix_a
+    mine = struct.pack(">ih2xi4xii", 28, 1, 50, 10, 42) + (5).to_bytes(4, "big")
+    assert extended.decode_message(mine)["pid"] == 5

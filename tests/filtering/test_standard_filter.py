@@ -118,3 +118,94 @@ def test_filter_on_disjoint_machine(running_session):
     assert records
     red_id = session.cluster.host_table.lookup("red").host_id
     assert {r["machine"] for r in records} == {red_id}
+
+
+REDUCING_RULES = "type=send, msgLength>=300, pc=#*, machine=#*, pid=#*\n"
+
+
+def test_appendix_a_filter_unpacks_and_evaluates_each_message_once(
+    running_session, monkeypatch
+):
+    """With the shipped descriptions and a non-empty rule set the
+    filter's record lane is one ``select(raw)`` per message: no second
+    decode through the description set, no second evaluation through
+    ``RuleSet.apply``."""
+    from repro.filtering.descriptions import DescriptionSet
+    from repro.filtering.rules import RuleSet
+
+    calls = {"decode": 0, "apply": 0}
+    real_decode, real_apply = DescriptionSet.decode_message, RuleSet.apply
+
+    def counting_decode(self, raw, host_names=None):
+        calls["decode"] += 1
+        return real_decode(self, raw, host_names)
+
+    def counting_apply(self, record):
+        calls["apply"] += 1
+        return real_apply(self, record)
+
+    monkeypatch.setattr(DescriptionSet, "decode_message", counting_decode)
+    monkeypatch.setattr(RuleSet, "apply", counting_apply)
+    cluster, session = running_session
+    cluster.machine("blue").fs.install("reducing", REDUCING_RULES, mode=0o644)
+    records = _run_job(session, templates="reducing")
+    assert [r["msgLength"] for r in records] == [300, 400, 500, 600]
+    assert all(
+        "pc" not in r and "machine" not in r and "pid" not in r for r in records
+    )
+    assert calls == {"decode": 0, "apply": 0}
+
+
+def test_edited_descriptions_take_only_the_per_field_lane(
+    running_session, monkeypatch
+):
+    """A description file that is not exactly Appendix A is a different
+    protocol: the compiled lane is not installed, every message is
+    decoded by the file, field by field -- and a file that merely adds
+    an event type of the user's own logs the same bytes as the shipped
+    one."""
+    from repro.filtering import standard
+    from repro.filtering.descriptions import (
+        DescriptionSet,
+        default_descriptions_text,
+    )
+
+    cluster, session = running_session
+    blue = cluster.machine("blue")
+    blue.fs.install("reducing", REDUCING_RULES, mode=0o644)
+    _run_job(session, templates="reducing")
+    __, shipped_log = session.find_filter_log("f1")
+
+    installed = []
+    monkeypatch.setattr(
+        standard, "message_select",
+        lambda rules, host_names: installed.append(rules),
+    )
+    walked = []
+    real_walk = DescriptionSet.decode_per_field
+
+    def counting_walk(self, raw, host_names=None):
+        walked.append(len(raw))
+        return real_walk(self, raw, host_names)
+
+    monkeypatch.setattr(DescriptionSet, "decode_per_field", counting_walk)
+    cluster2 = Cluster(seed=21)
+    session2 = MeasurementSession(cluster2, control_machine="yellow")
+    session2.install_program("talker", _talker(6100))
+    blue2 = cluster2.machine("blue")
+    blue2.fs.install("reducing", REDUCING_RULES, mode=0o644)
+    blue2.fs.install(
+        "mydescriptions",
+        default_descriptions_text() + "MYEVENT 42, pid,0,4,10\n",
+        mode=0o644,
+    )
+    session2.command("filter f1 blue filter mydescriptions reducing")
+    session2.command("newjob j")
+    session2.command("addprocess j red talker")
+    session2.command("setflags j send socket termproc")
+    session2.command("startjob j")
+    session2.settle()
+    __, edited_log = session2.find_filter_log("f1")
+    assert edited_log == shipped_log
+    assert installed == []
+    assert len(walked) == 8  # 6 sends + socket + termproc, once each

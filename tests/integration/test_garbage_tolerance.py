@@ -100,6 +100,52 @@ def test_filter_drops_malformed_but_framed_messages(session):
     assert len(session.read_trace("f1")) == 3
 
 
+@pytest.mark.parametrize("log_format", ["text", "store"])
+def test_filter_drops_truncated_messages(log_format):
+    """A framed, name-less message whose size is shorter than its
+    event's layout (a 34-byte ``socket``) is malformed.  It must be
+    dropped -- not logged as a record of zeros, and above all not
+    committed to the store, where the short payload would be a
+    CRC-valid frame no strict scan can ever decode."""
+    from repro.tracestore import scan_fast
+
+    cluster = Cluster(seed=97)
+    session = MeasurementSession(
+        cluster, control_machine="yellow", log_format=log_format
+    )
+    install_all(session)
+    session.command("filter f1 blue")
+    blue = cluster.machine("blue")
+    meter_ports = [
+        port
+        for (stype, port), sock in blue.inet_ports.items()
+        if stype == defs.SOCK_STREAM and port != METERDAEMON_PORT
+    ]
+    truncated = bytearray(34)
+    truncated[0:4] = (34).to_bytes(4, "big")
+    truncated[4:6] = (1).to_bytes(2, "big")    # machine
+    truncated[20:24] = (4).to_bytes(4, "big")  # traceType: socket
+    truncated[24:28] = (77).to_bytes(4, "big")  # pid
+    attacker = cluster.spawn(
+        "red", _garbage_sender("blue", meter_ports[0], bytes(truncated)),
+        uid=100,
+    )
+    cluster.run_until_exit([attacker])
+    session.settle(50)
+    assert _alive(blue, "filter")
+    session.command("newjob j")
+    session.command("addprocess j red dgramproducer green 6000 3 64 1")
+    session.command("setflags j send")
+    session.command("startjob j")
+    session.settle()
+    records = session.read_trace("f1")
+    assert [r["event"] for r in records] == ["send"] * 3
+    if log_format == "store":
+        # The store stays strictly scannable on both lanes.
+        reader = session.store_reader("f1")
+        assert list(scan_fast(reader)) == list(reader.scan()) == records
+
+
 def test_daemon_survives_garbage_rpc(session):
     attacker = session.cluster.spawn(
         "green",

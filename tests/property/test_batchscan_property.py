@@ -7,6 +7,13 @@ must produce record-for-record (and key-order-for-key-order) exactly
 what :meth:`StoreReader.scan` + ``RuleSet.apply`` produce.  A damaged
 store must agree in salvage mode too.
 
+The same compiled program runs the live filter's record lane:
+:func:`~repro.tracestore.batchscan.message_select` over a bare wire
+message must equal the reference lanes -- per-field description decode,
+interpreted rules, the discard mask rebuilt from the missing fields --
+including the batch key and event name of records whose rule discards
+``machine``, ``pid`` or ``event``.
+
 The corrupt-store x strict-scan combination is deliberately out of
 scope here: strict scans *raise* on damage in both lanes, but which
 frame the error names may differ (the fast lane hoists the region CRC
@@ -28,6 +35,8 @@ from repro.tracestore import (
     scan_fast,
     select,
 )
+from repro.tracestore.batchscan import message_select
+from tests.tracestore.harness import reference_select
 
 HOSTS = {1: "red", 2: "green", 3: "blue", 4: "yellow"}
 
@@ -90,6 +99,19 @@ _CONDITIONS = [
     "sockName=peerName",
     "peerName!=sockName",
     "nosuchfield=1",
+]
+
+#: What only the live lane can get wrong: a rule that discards the
+#: very fields the filter keys batches and orders log fields by.
+_LIVE_CONDITIONS = _CONDITIONS + [
+    "machine=#*",
+    "pid=#*",
+    "event=#*",
+    "type=#receive",
+    "sourceName=#*",
+    "pid=#sock",
+    "destName!=#inet:blue:4000",
+    "size>=machine",
 ]
 
 _rule_lines = st.lists(
@@ -195,3 +217,25 @@ def test_salvage_fast_lane_equals_interpreted_lane(
         if s is not None
     ]
     assert select(reader, rules, salvage=True) == oracle_sel
+
+
+@given(
+    raws=st.lists(_wire_messages(), min_size=1, max_size=20),
+    rule_text=st.lists(
+        st.lists(st.sampled_from(_LIVE_CONDITIONS), min_size=1, max_size=4)
+        .map(lambda conds: ", ".join(conds)),
+        min_size=1,
+        max_size=4,
+    ).map(lambda lines: "\n".join(lines) + "\n"),
+    host_names=st.sampled_from([HOSTS, {2: "green"}, {}]),
+)
+@settings(max_examples=150, deadline=None)
+def test_message_select_equals_reference_lane(raws, rule_text, host_names):
+    rules = parse_rules(rule_text)
+    live = message_select(rules, host_names)
+    for raw in raws:
+        got = live(raw)
+        want = reference_select(raw, rules, host_names)
+        assert got == want
+        if got is not None:
+            assert list(got[0]) == list(want[0])

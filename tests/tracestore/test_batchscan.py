@@ -5,7 +5,7 @@ these are the *correctness* units -- the pre-screen's soundness on
 every Appendix-A record type, the compressed segment round trip, the
 lazy (mmap / referenced-buffer) store constructors, and the trace CLI
 surface the fast lane grew (``pack --compress``, ``inspect`` cost
-lines, ``bench``).
+lines).
 """
 
 import mmap
@@ -13,11 +13,6 @@ import mmap
 import pytest
 
 from repro.__main__ import main
-from repro.filtering.descriptions import (
-    default_descriptions_text,
-    parse_descriptions,
-)
-from repro.filtering.filterlib import build_record_screen
 from repro.filtering.records import format_record
 from repro.filtering.rules import parse_rules
 from repro.metering.messages import (
@@ -34,8 +29,9 @@ from repro.tracestore import (
     scan_fast,
     select,
 )
-from repro.tracestore.batchscan import message_screen
+from repro.tracestore.batchscan import message_select
 from repro.tracestore.writer import flush_to_files
+from tests.tracestore.harness import reference_select
 
 HOSTS = {1: "red", 2: "green", 3: "blue", 4: "yellow"}
 
@@ -104,58 +100,73 @@ def test_prescreen_every_type_matches_oracle(event):
 
 @pytest.mark.parametrize("event", sorted(EVENT_TYPES))
 def test_prescreen_soundness_on_wire_messages(event):
-    """message_screen may only reject what rules.apply would reject --
-    checked per type against rules that accept, rules that reject, and
-    a NAME-condition rule (screenable only with the host table)."""
-    codec, wire = _all_type_wire(n_per_type=1)
+    """message_select is the reference lane (per-field decode,
+    interpreted rules, mask from the missing fields) on every wire
+    message -- checked per type against rules that accept, rules that
+    reject, first-match order with discards, and a NAME condition."""
+    codec, wire = _all_type_wire(n_per_type=2)
     rule_texts = [
         "type={0}, pid>=10\n".format(event),
         "type={0}, pid<0\n".format(event),
         "machine=1\n",
         "#type={0}\nevent=*\n".format(event),
+        "type={0}, machine=#*, pid=#*, event=#*\ncpuTime=#*\n".format(event),
     ]
     name_fields = [f for f, k in BODY_FIELDS[event] if k == "name"]
     if name_fields:
         rule_texts.append(
-            "type={0}, {1}=inet:green:6001\n".format(event, name_fields[0])
+            "type={0}, {1}=#inet:green:6001\n".format(event, name_fields[0])
         )
     for text in rule_texts:
         rules = parse_rules(text)
-        for host_names in (None, HOSTS):
-            screen = message_screen(rules, host_names)
-            assert screen is not None
-            for raw in wire:
-                record = codec.decode(raw)
-                if not screen(raw):
-                    assert rules.apply(record) is None, (text, record)
+        select = message_select(rules, HOSTS)
+        for raw in wire:
+            got = select(raw)
+            want = reference_select(raw, rules, HOSTS)
+            assert got == want, (text, raw)
+            if got is not None:
+                assert list(got[0]) == list(want[0])  # key order too
 
 
 def test_prescreen_name_rule_needs_host_table():
-    """Without a host table a NAME condition cannot be screened (the
-    display string is table-dependent), so those messages pass through;
-    with the table the screen decides -- and agrees with the oracle."""
+    """A NAME condition compares display strings, and a display string
+    is a function of the host table: the same wire bytes select under
+    the table that names host 2 "green" and not under one that does
+    not -- in both cases exactly as the reference decides."""
     codec, __ = _all_type_wire()
     rules = parse_rules("type=send, destName=inet:green:6001\n")
     hit = _wire_for(codec, "send", 1)     # destName inet:green:6001
     miss = _wire_for(codec, "send", 2)    # destName inet:blue:6002
-    blind = message_screen(rules, None)
-    sighted = message_screen(rules, HOSTS)
-    assert blind(hit) and blind(miss)     # both pass to the full path
-    assert sighted(hit) is True
-    assert sighted(miss) is False
-    assert rules.apply(codec.decode(miss)) is None
+    sighted = message_select(rules, HOSTS)
+    assert sighted(hit)[0]["destName"] == "inet:green:6001"
+    assert sighted(miss) is None
+    renamed = dict(HOSTS)
+    renamed[2] = "teal"
+    for table in (HOSTS, renamed, {}):
+        select = message_select(rules, table)
+        for raw in (hit, miss):
+            assert select(raw) == reference_select(raw, rules, table)
+    assert message_select(rules, renamed)(hit) is None
 
 
-def test_build_record_screen_gates_on_descriptions_and_table():
-    rules = parse_rules("type=send, destName=inet:green:6001\n")
-    shipped = parse_descriptions(default_descriptions_text())
-    edited = parse_descriptions("SEND 1, pid,0,4,10 msgLength,12,4,10\n")
-    assert build_record_screen(rules, edited) is None
-    assert build_record_screen(rules, None) is None
+def test_select_lane_gates_on_rules_and_message_shape():
+    """Nothing to compile -> no select lane (the filter keeps the dict
+    lane); and what is not a whole Appendix-A message raises, so the
+    filter's malformed-message handler drops it."""
+    assert message_select(parse_rules(""), HOSTS) is None
+    assert message_select(parse_rules("machine=1\n", compiled=False), HOSTS) is None
+    assert message_select(None, HOSTS) is None
+    select = message_select(parse_rules("machine=*\n"), HOSTS)
     codec, __ = _all_type_wire()
-    miss = _wire_for(codec, "send", 2)
-    assert build_record_screen(rules, shipped)(miss) is True
-    assert build_record_screen(rules, shipped, HOSTS)(miss) is False
+    raw = _wire_for(codec, "socket")
+    assert select(raw)[3] == "socket"
+    for bad in (
+        raw[:10],                                         # no header
+        (34).to_bytes(4, "big") + raw[4:34],              # short body
+        raw[:20] + (77).to_bytes(4, "big") + raw[24:],    # unknown type
+    ):
+        with pytest.raises(ValueError):
+            select(bad)
 
 
 def test_cross_field_name_comparison_matches_oracle():
@@ -258,7 +269,7 @@ def text_log(tmp_path):
     return logfile
 
 
-def test_cli_pack_compress_inspect_bench(tmp_path, capsys, text_log):
+def test_cli_pack_compress_inspect(tmp_path, capsys, text_log):
     base = str(tmp_path / "t.store")
     assert main(["trace", "pack", str(text_log), base,
                  "--compress", "yes"]) == 0
@@ -271,13 +282,3 @@ def test_cli_pack_compress_inspect_bench(tmp_path, capsys, text_log):
     assert "verify cost:" in out
     assert "scan cost:" in out
     assert "batch fast lane" in out
-
-    rules = tmp_path / "r.rules"
-    rules.write_text("type=send, pid>=10\n", encoding="ascii")
-    assert main(["trace", "bench", base, "--rules", str(rules),
-                 "--repeat", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "interpreted scan" in out
-    assert "fast scan" in out
-    assert "fast select" in out
-    assert "ev/s" in out

@@ -16,12 +16,17 @@ Blocking CI gate for the filter's fast lane:
    workload (wall clock and simulated time);
 4. run the Appendix B session on the compiled lane and on the
    reference lane: the filter's text log and trace store must be
-   byte-identical.
+   byte-identical;
+5. push 100k no-op events through the simulator's event queue and
+   through an object heap ordered by a Python ``__lt__`` (the queue's
+   representation before PR 15): same events run, and the tuple-keyed
+   queue at least 1.5x faster.  A ratio only -- no ev/s floor.
 
 Numbers are printed, not stored: ``python3 -m ledger`` is where
 results are recorded.
 """
 
+import heapq
 import time
 
 from benchmarks.conftest import HOSTS
@@ -32,6 +37,7 @@ from repro.filtering.rules import parse_rules
 from repro.kernel import defs
 from repro.metering import flags as mf
 from repro.metering.messages import HEADER_BYTES, MessageCodec, peek_size
+from repro.sim.simulator import Simulator
 from repro.tracestore.batchscan import message_select
 from tests.metering.harness import metered_spawn, start_collector
 
@@ -357,3 +363,97 @@ def test_hotpath_appendix_b_output_identical(monkeypatch):
         assert compiled == reference
         assert compiled  # the session really produced a trace
     print("\n[hotpath] appendix B output byte-identical (text + store)")
+
+
+# ----------------------------------------------------------------------
+# Event queue: tuple-keyed heap vs object heap
+# ----------------------------------------------------------------------
+
+N_QUEUE_EVENTS = 100_000
+MIN_QUEUE_SPEEDUP = 1.5
+
+
+class _ObjectEvent:
+    """A heap entry ordered by a Python ``__lt__``."""
+
+    __slots__ = ("time", "seq", "callback", "cancelled", "in_queue")
+
+    def __init__(self, time, seq, callback):
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+        self.in_queue = True
+
+    def __lt__(self, other):
+        return (self.time, self.seq) < (other.time, other.seq)
+
+
+class _ObjectHeapQueue:
+    """The event queue as it was before PR 15, cut down to what this
+    gate drives: ``schedule`` and a ``run`` that peeks, then steps."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_run = 0
+        self._queue = []
+        self._seq = 0
+
+    def schedule(self, delay_ms, callback):
+        assert delay_ms >= 0
+        event = _ObjectEvent(self.now + delay_ms, self._seq, callback)
+        self._seq += 1
+        heapq.heappush(self._queue, event)
+        return event
+
+    def _peek(self):
+        while self._queue and self._queue[0].cancelled:
+            heapq.heappop(self._queue).in_queue = False
+        return self._queue[0] if self._queue else None
+
+    def step(self):
+        while self._queue:
+            event = heapq.heappop(self._queue)
+            event.in_queue = False
+            if event.cancelled:
+                continue
+            assert event.time >= self.now
+            self.now = event.time
+            self.events_run += 1
+            event.callback()
+            return True
+        return False
+
+    def run(self):
+        while self._peek() is not None:
+            self.step()
+
+
+def _noop():
+    pass
+
+
+def _dispatch(queue, n):
+    """The ledger's ``sim.dispatch_per_s`` shape: ``n`` no-op events
+    over 1000 distinct times, all queued before the first one runs."""
+    for i in range(n):
+        queue.schedule((i * 7919) % 1000 / 10.0, _noop)
+    queue.run()
+    return queue.events_run, queue.now
+
+
+def test_hotpath_event_queue_ratio(benchmark):
+    old_s, old = _best_of(lambda: _dispatch(_ObjectHeapQueue(), N_QUEUE_EVENTS))
+    new = benchmark.pedantic(
+        lambda: _dispatch(Simulator(seed=0), N_QUEUE_EVENTS),
+        rounds=3, iterations=1,
+    )
+    new_s = benchmark.stats.stats.min
+    assert new == old and new[0] == N_QUEUE_EVENTS
+    print(
+        "\n[hotpath] event queue: {0} -> {1} ev/s ({2:.2f}x)".format(
+            round(N_QUEUE_EVENTS / old_s), round(N_QUEUE_EVENTS / new_s),
+            old_s / new_s,
+        )
+    )
+    assert old_s / new_s >= MIN_QUEUE_SPEEDUP

@@ -34,6 +34,12 @@ class _Marker:
         return "<%s>" % self.label
 
 
+def _deliver_to_host(host, packet):
+    """A packet's arrival event: the host's machine is looked up when
+    the packet lands, not when it was sent."""
+    host.machine.deliver_packet(packet)
+
+
 class Machine(SocketCalls, FileCalls, ProcessCalls):
     """A simulated 4.2BSD host."""
 
@@ -89,6 +95,16 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
             name[len("sys_") :]: getattr(self, name)
             for name in dir(self)
             if name.startswith("sys_")
+        }
+        # Packet dispatch table.
+        self._packet_handlers = {
+            packets.CONN_REQ: self._on_conn_req,
+            packets.CONN_ACK: self._on_conn_ack,
+            packets.CONN_REFUSED: self._on_conn_refused,
+            packets.STREAM_DATA: self._on_stream_data,
+            packets.STREAM_WINDOW: self._on_stream_window,
+            packets.STREAM_CLOSE: self._on_stream_close,
+            packets.DGRAM: self._on_dgram,
         }
 
         # The metering subsystem (the paper's kernel additions).
@@ -320,7 +336,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
         self._enqueue(proc)
 
     def _enqueue(self, proc):
-        if not getattr(proc, "in_runq", False):
+        if not proc.in_runq:
             proc.in_runq = True
             self.run_queue.append(proc)
         self._kick()
@@ -402,7 +418,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
         proc.syscall_count += 1
         proc.charge_cpu(defs.SYSCALL_COST_MS)
         self.sim.schedule(
-            defs.SYSCALL_COST_MS, lambda: self._finish_trap(proc, token, request)
+            defs.SYSCALL_COST_MS, self._finish_trap, proc, token, request
         )
 
     def _finish_trap(self, proc, token, request):
@@ -461,9 +477,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
 
     def _compute_slice(self, proc, token):
         slice_ms = min(proc.compute_remaining, defs.QUANTUM_MS)
-        self.sim.schedule(
-            slice_ms, lambda: self._finish_slice(proc, token, slice_ms)
-        )
+        self.sim.schedule(slice_ms, self._finish_slice, proc, token, slice_ms)
 
     def _finish_slice(self, proc, token, slice_ms):
         if proc.run_token != token or proc.state != defs.PROC_RUNNING:
@@ -491,27 +505,20 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
     # ------------------------------------------------------------------
 
     def send_packet(self, dst_host, packet, reliable_channel=None, size=64):
-        deliver = lambda: dst_host.machine.deliver_packet(packet)
         if reliable_channel is not None:
             self.network.send_reliable(
-                reliable_channel, self.host, dst_host, size, deliver
+                reliable_channel, self.host, dst_host, size,
+                _deliver_to_host, dst_host, packet,
             )
         else:
-            self.network.send_datagram(self.host, dst_host, size, deliver)
+            self.network.send_datagram(
+                self.host, dst_host, size, _deliver_to_host, dst_host, packet
+            )
 
     def deliver_packet(self, packet):
         if self.crashed:
             return  # a dead machine receives nothing
-        handler = {
-            packets.CONN_REQ: self._on_conn_req,
-            packets.CONN_ACK: self._on_conn_ack,
-            packets.CONN_REFUSED: self._on_conn_refused,
-            packets.STREAM_DATA: self._on_stream_data,
-            packets.STREAM_WINDOW: self._on_stream_window,
-            packets.STREAM_CLOSE: self._on_stream_close,
-            packets.DGRAM: self._on_dgram,
-        }[packet.kind]
-        handler(packet)
+        self._packet_handlers[packet.kind](packet)
 
     def _listener_for(self, name):
         if isinstance(name, InternetName):

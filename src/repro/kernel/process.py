@@ -55,6 +55,8 @@ class Proc:
         self.syscall_state = {}
         #: WaitQueues this proc is currently parked on.
         self.waiting_on = []
+        #: True while queued on the machine's run queue.
+        self.in_runq = False
 
         # CPU accounting.  ``cpu_ms`` is exact; ``proc_time()`` reports
         # it at the 10ms granularity of Section 4.1.

@@ -222,15 +222,13 @@ class ProcessCalls:
     def _schedule_timeout_wake(self, proc, delay_ms):
         """Arrange a retry at the deadline; stale wakes are harmless
         because the handler re-checks its own state."""
-        state = proc.syscall_state
         token = object()
-        state["timeout_token"] = token
+        proc.syscall_state["timeout_token"] = token
+        self.sim.schedule(delay_ms, self._timeout_wake, proc, token)
 
-        def fire():
-            if proc.syscall_state.get("timeout_token") is token:
-                self.wake(proc)
-
-        self.sim.schedule(delay_ms, fire)
+    def _timeout_wake(self, proc, token):
+        if proc.syscall_state.get("timeout_token") is token:
+            self.wake(proc)
 
     # ------------------------------------------------------------------
     # Remote file copy (the controller's system("rcp ...") stand-in)

@@ -365,12 +365,7 @@ class SocketCalls:
                 data=data,
                 src_name=sock.name,
             )
-            self.network.send_datagram(
-                self.host,
-                dst_host,
-                packets.packet_size(len(data)),
-                lambda: dst_host.machine.deliver_packet(packet),
-            )
+            self.send_packet(dst_host, packet, size=packets.packet_size(len(data)))
         self.meter.on_send(proc, entry, sock, len(data), dest)
         return len(data)
 
@@ -406,12 +401,11 @@ class SocketCalls:
         packet = packets.Packet(
             packets.STREAM_DATA, self.host, dst_eid=peer_eid, data=chunk
         )
-        self.network.send_reliable(
-            ("conn", sock.endpoint_id, peer_eid),
-            self.host,
+        self.send_packet(
             peer_host,
-            packets.packet_size(len(chunk)),
-            lambda: peer_host.machine.deliver_packet(packet),
+            packet,
+            reliable_channel=("conn", sock.endpoint_id, peer_eid),
+            size=packets.packet_size(len(chunk)),
         )
 
     def kernel_stream_send(self, sock, data):
@@ -466,10 +460,9 @@ class SocketCalls:
         packet = packets.Packet(
             packets.STREAM_WINDOW, self.host, dst_eid=peer_eid, n=nbytes
         )
-        self.network.send_reliable(
-            ("win", sock.endpoint_id, peer_eid),
-            self.host,
+        self.send_packet(
             peer_host,
-            packets.packet_size(8),
-            lambda: peer_host.machine.deliver_packet(packet),
+            packet,
+            reliable_channel=("win", sock.endpoint_id, peer_eid),
+            size=packets.packet_size(8),
         )

@@ -68,9 +68,11 @@ class Network:
         #: channel key -> (src Host, dst Host) of the last send, so a
         #: partition or crash can identify the channels it severs.
         self._channel_hosts = {}
-        #: channel key -> set of in-flight delivery events, cancellable
-        #: by break_channel (a severed channel drops its packets).
+        #: channel key -> {packet id: in-flight delivery event},
+        #: cancellable by break_channel (a severed channel drops its
+        #: packets).
         self._channel_pending = {}
+        self._packet_ids = itertools.count()
         #: host name -> partition group index; None = no partition.
         #: Hosts absent from every group share one implicit group.
         self._partition = None
@@ -160,8 +162,9 @@ class Network:
 
     # ------------------------------------------------------------------
 
-    def send_datagram(self, src_host, dst_host, size_bytes, deliver):
-        """Best-effort delivery; ``deliver()`` runs on arrival (if any).
+    def send_datagram(self, src_host, dst_host, size_bytes, deliver, *args):
+        """Best-effort delivery; ``deliver(*args)`` runs on arrival (if
+        any).
 
         Returns True if the datagram was sent (False means it was
         dropped in transit; the sender is never told, as in UDP).
@@ -178,11 +181,12 @@ class Network:
                 self.datagrams_dropped += 1
                 return False
         delay = self._transit_time(src_host, dst_host, size_bytes, jittered=True)
-        self.sim.schedule(delay, deliver)
+        self.sim.schedule(delay, deliver, *args)
         return True
 
-    def send_reliable(self, channel, src_host, dst_host, size_bytes, deliver):
-        """Reliable FIFO delivery on ``channel`` (any hashable key).
+    def send_reliable(self, channel, src_host, dst_host, size_bytes, deliver, *args):
+        """Reliable FIFO delivery on ``channel`` (any hashable key):
+        ``deliver(*args)`` runs on arrival.
 
         Packets on the same channel arrive in send order even when
         jitter would have reordered them; nothing is dropped while the
@@ -203,17 +207,19 @@ class Network:
         self._channel_clearance[channel] = arrival + 1e-9
         self._channel_hosts[channel] = (src_host, dst_host)
 
-        event_box = []
-
-        def deliver_and_forget():
-            pending = self._channel_pending.get(channel)
-            if pending is not None:
-                pending.discard(event_box[0])
-            deliver()
-
-        event_box.append(self.sim.schedule_at(arrival, deliver_and_forget))
-        self._channel_pending.setdefault(channel, set()).add(event_box[0])
+        packet_id = next(self._packet_ids)
+        event = self.sim.schedule_at(
+            arrival, self._arrive, channel, packet_id, deliver, args
+        )
+        self._channel_pending.setdefault(channel, {})[packet_id] = event
         return True
+
+    def _arrive(self, channel, packet_id, deliver, args):
+        """A reliable packet lands: it is no longer in flight."""
+        pending = self._channel_pending.get(channel)
+        if pending is not None:
+            pending.pop(packet_id, None)
+        deliver(*args)
 
     def close_channel(self, channel):
         """Forget FIFO state for a finished connection.
@@ -232,8 +238,8 @@ class Network:
         Violent: models the loss of a transport connection when the
         path dies.  Returns the number of in-flight packets destroyed.
         """
-        pending = self._channel_pending.pop(channel, ())
-        for event in pending:
+        pending = self._channel_pending.pop(channel, {})
+        for event in pending.values():
             self.sim.cancel(event)
         self.reliable_packets_dropped += len(pending)
         self._channel_clearance.pop(channel, None)

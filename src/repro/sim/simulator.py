@@ -15,19 +15,19 @@ from repro.sim.errors import SimulationDeadlock, SimulationError
 
 
 class _Event:
-    """One scheduled callback.  Ordered by (time, sequence number)."""
+    """The cancel handle of one scheduled callback.
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "in_queue")
+    The heap orders ``(time, seq, handle)`` tuples; ``(time, seq)`` is
+    unique, so tuple comparison is decided in C before it could reach
+    the handle, which therefore needs no ordering of its own.
+    ``callback`` is ``None`` once the event has run or been cancelled.
+    """
 
-    def __init__(self, time, seq, callback):
-        self.time = time
-        self.seq = seq
+    __slots__ = ("callback", "args")
+
+    def __init__(self, callback, args):
         self.callback = callback
-        self.cancelled = False
-        self.in_queue = True
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
+        self.args = args
 
 
 #: Compaction never triggers below this many cancelled events; tiny
@@ -45,6 +45,8 @@ class Simulator:
     def __init__(self, seed=0):
         self.now = 0.0
         self.rng = random.Random(seed)
+        #: Heap of ``(time, seq, handle)``.  Only ever mutated in place:
+        #: the run loops hold it in a local across callbacks.
         self._queue = []
         self._seq = itertools.count()
         self._idle_hooks = []
@@ -56,24 +58,25 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, delay_ms, callback):
-        """Run ``callback()`` after ``delay_ms`` of simulated time.
+    def schedule(self, delay_ms, callback, *args):
+        """Run ``callback(*args)`` after ``delay_ms`` of simulated time.
 
         Returns a handle that can be passed to :meth:`cancel`.
         """
         if delay_ms < 0:
             raise SimulationError("cannot schedule into the past: %r" % delay_ms)
-        event = _Event(self.now + delay_ms, next(self._seq), callback)
-        heapq.heappush(self._queue, event)
+        event = _Event(callback, args)
+        heapq.heappush(self._queue, (self.now + delay_ms, next(self._seq), event))
         return event
 
-    def schedule_at(self, time_ms, callback):
-        """Run ``callback()`` at absolute simulated time ``time_ms``."""
-        return self.schedule(max(0.0, time_ms - self.now), callback)
+    def schedule_at(self, time_ms, callback, *args):
+        """Run ``callback(*args)`` at absolute simulated time ``time_ms``."""
+        return self.schedule(max(0.0, time_ms - self.now), callback, *args)
 
-    def call_soon(self, callback):
-        """Run ``callback()`` at the current time, after pending events."""
-        return self.schedule(0.0, callback)
+    def call_soon(self, callback, *args):
+        """Run ``callback(*args)`` at the current time, after pending
+        events."""
+        return self.schedule(0.0, callback, *args)
 
     def cancel(self, event):
         """Cancel a scheduled event (lazy removal).
@@ -83,11 +86,10 @@ class Simulator:
         is compacted -- so long timer-churny runs (fault injection,
         retry storms) don't drag a garbage-filled queue.
         """
-        if event.cancelled:
-            return
-        event.cancelled = True
-        if not event.in_queue:
-            return  # already popped and executed/discarded
+        if event.callback is None:
+            return  # already ran, or already cancelled
+        event.callback = None
+        event.args = ()
         self._cancelled_in_queue += 1
         if (
             self._cancelled_in_queue >= _COMPACT_MIN_CANCELLED
@@ -97,8 +99,9 @@ class Simulator:
 
     def _compact(self):
         """Rebuild the heap without cancelled events."""
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapq.heapify(self._queue)
+        queue = self._queue
+        queue[:] = [entry for entry in queue if entry[2].callback is not None]
+        heapq.heapify(queue)
         self._cancelled_in_queue = 0
 
     def add_idle_hook(self, hook):
@@ -115,19 +118,25 @@ class Simulator:
 
     def step(self):
         """Run the next pending event.  Returns False if queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            event.in_queue = False
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            time, __, event = heapq.heappop(queue)
+            callback = event.callback
+            if callback is None:
                 self._cancelled_in_queue -= 1
                 continue
-            if event.time < self.now:
+            if time < self.now:
                 raise SimulationError("event queue went backwards")
-            self.now = event.time
+            self.now = time
             self.events_run += 1
-            event.callback()
+            event.callback = None
+            callback(*event.args)
             return True
         return False
+
+    # The two loops below repeat step()'s body rather than call it: they
+    # are crossed once per simulated event by every machine, and look at
+    # the heap top exactly once per event.
 
     def run(self, until_ms=None, max_events=None):
         """Run events until the queue drains or a limit is reached.
@@ -136,21 +145,33 @@ class Simulator:
         point (the clock is left at ``until_ms``).  ``max_events`` bounds
         the number of callbacks, as a runaway guard for tests.
         """
+        queue = self._queue
+        pop = heapq.heappop
         count = 0
-        while True:
-            if max_events is not None and count >= max_events:
-                return
-            next_event = self._peek()
-            if next_event is None:
+        while max_events is None or count < max_events:
+            while queue:
+                time, __, event = queue[0]
+                callback = event.callback
+                if callback is not None:
+                    break
+                pop(queue)
+                self._cancelled_in_queue -= 1
+            else:
                 if self._run_idle_hooks():
                     continue
                 if until_ms is not None and until_ms > self.now:
                     self.now = until_ms  # wall-clock wait with nothing to do
                 return
-            if until_ms is not None and next_event.time > until_ms:
+            if until_ms is not None and time > until_ms:
                 self.now = until_ms
                 return
-            self.step()
+            pop(queue)
+            if time < self.now:
+                raise SimulationError("event queue went backwards")
+            self.now = time
+            self.events_run += 1
+            event.callback = None
+            callback(*event.args)
             count += 1
 
     def run_until(self, predicate, max_events=1_000_000):
@@ -159,10 +180,18 @@ class Simulator:
         Raises :class:`SimulationDeadlock` if the queue drains first --
         that means whatever the caller is waiting for can never happen.
         """
+        queue = self._queue
+        pop = heapq.heappop
         count = 0
         while not predicate():
-            next_event = self._peek()
-            if next_event is None:
+            while queue:
+                time, __, event = queue[0]
+                callback = event.callback
+                if callback is not None:
+                    break
+                pop(queue)
+                self._cancelled_in_queue -= 1
+            else:
                 if self._run_idle_hooks():
                     continue
                 raise SimulationDeadlock(
@@ -173,7 +202,13 @@ class Simulator:
                     "run_until exceeded %d events without satisfying the "
                     "predicate" % max_events
                 )
-            self.step()
+            pop(queue)
+            if time < self.now:
+                raise SimulationError("event queue went backwards")
+            self.now = time
+            self.events_run += 1
+            event.callback = None
+            callback(*event.args)
             count += 1
 
     def pending_events(self):
@@ -186,14 +221,8 @@ class Simulator:
     # Internals
     # ------------------------------------------------------------------
 
-    def _peek(self):
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue).in_queue = False
-            self._cancelled_in_queue -= 1
-        return self._queue[0] if self._queue else None
-
     def _run_idle_hooks(self):
         """Run idle hooks; report whether any scheduled new work."""
         for hook in self._idle_hooks:
             hook()
-        return self._peek() is not None
+        return self.pending_events() > 0

@@ -21,8 +21,16 @@ from repro.metering.messages import (
 from repro.tracestore import format as sformat
 from repro.tracestore.writer import StoreWriter, collect_ops
 
-#: Record-dict keys that are not wire fields (derived on decode).
-_DERIVED_KEYS = frozenset({"event", "size"})
+#: event -> ((field, discard-mask bit), ...) over the fields a record
+#: can lack.  "size" is derived: always recomputed by encode_record.
+_MASK_BITS = {
+    event: tuple(
+        (name, 1 << i)
+        for i, name in enumerate(record_fields(event))
+        if name != "size"
+    )
+    for event in BODY_FIELDS
+}
 
 
 def host_names_from_records(records):
@@ -48,16 +56,14 @@ def wire_pairs(records, codec):
     pairs = []
     for record in records:
         event = record.get("event") or EVENT_NAMES.get(record.get("traceType"))
-        if event not in BODY_FIELDS:
+        bits = _MASK_BITS.get(event)
+        if bits is None:
             continue  # not an Appendix-A record; text logs may hold anything
-        missing = [
-            name
-            for name in record_fields(event)
-            if name not in record and name not in _DERIVED_KEYS
-        ]
-        # "size" is derived, always recomputed by encode_record.
-        mask = sformat.discard_mask(event, set(missing) - {"size"})
-        pairs.append((codec.encode_record(dict(record, event=event)), mask))
+        mask = 0
+        for name, bit in bits:
+            if name not in record:
+                mask |= bit
+        pairs.append((codec.encode_record(record), mask))
     return pairs
 
 

@@ -1,0 +1,134 @@
+"""Byte identity of the event schedule.
+
+Three small seeded sessions pin how many simulator events ran, where
+the simulated clock stopped and the sha256 of the committed log.  The
+literals were generated on the commit *before* the event queue changed
+representation (PR 15): the simulator may get cheaper, but it may not
+run a different event, run one at a different time, or run two in a
+different order -- any of those moves at least one of these numbers.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.core.cluster import Cluster
+from repro.core.session import MeasurementSession
+from repro.programs import install_all
+
+#: (consumer machine, producer machine, port, bytes, gap ms): the two
+#: gap-0 producers overrun their consumers' receive buffers.
+_DGRAM_PAIRS = (
+    ("red", "green", 6001, 64, 0),
+    ("red", "blue", 6002, 96, 1),
+    ("green", "red", 6003, 128, 0),
+    ("green", "blue", 6004, 160, 1),
+)
+_DGRAM_COUNT = 300
+
+
+def _pingpong(session):
+    session.command("newjob pp")
+    session.command("addprocess pp red pingpongserver 5100 10")
+    session.command("addprocess pp green pingpongclient red 5100 10")
+    session.command("setflags pp send receive accept connect termproc")
+    session.command("startjob pp")
+    session.settle()
+    session.command("jobs pp")
+    session.command("stats f1")
+    session.command("removejob pp")
+
+
+def _dgram_burst(session):
+    session.command("newjob dg")
+    for consumer, __, port, __, __ in _DGRAM_PAIRS:
+        session.command(
+            "addprocess dg %s dgramconsumer %d %d 300" % (consumer, port, _DGRAM_COUNT)
+        )
+    for consumer, producer, port, size, gap in _DGRAM_PAIRS:
+        session.command(
+            "addprocess dg %s dgramproducer %s %d %d %d %d"
+            % (producer, consumer, port, _DGRAM_COUNT, size, gap)
+        )
+    session.command(
+        "setflags dg send receive receivecall socket destsocket termproc immediate"
+    )
+    session.command("startjob dg")
+    for __ in range(3):
+        session.settle(100.0)
+        session.command("stats f1")
+    session.settle()
+
+
+def _farm(session):
+    session.command("newjob farm")
+    session.command("addprocess farm red mwmaster 7000 6 120 1")
+    for machine in ("red", "green", "blue", "red", "green", "blue"):
+        session.command("addprocess farm %s mwworker red 7000" % machine)
+    session.command("setflags farm all")
+    session.command("startjob farm")
+    for __ in range(3):
+        session.settle(50.0)
+        session.command("stats f1")
+    session.settle()
+
+
+def _committed_bytes(session):
+    if session.log_format == "store":
+        reader = session.store_reader("f1")
+        return b"".join(bytes(segment.data) for segment in reader.segments)
+    __, text = session.find_filter_log("f1")
+    return text.encode("ascii")
+
+
+def _run(drive, seed, log_format):
+    cluster = Cluster(seed=seed)
+    session = MeasurementSession(
+        cluster, control_machine="yellow", log_format=log_format
+    )
+    install_all(session)
+    session.command("filter f1 blue")
+    drive(session)
+    return session
+
+
+@pytest.mark.parametrize(
+    "drive, seed, log_format, events_run, now, records, sha256",
+    [
+        (
+            _pingpong, 7, "text", 1859, 2858.8367957458177, 45,
+            "3aa848876c8d11ec6c8ea1c350b1c9d5590bc04805299e307d323eb89e61f441",
+        ),
+        (
+            _dgram_burst, 11, "text", 32729, 2939.0454654320415, 3530,
+            "581fe497484c0956f9c9a2ff83b73c15775c06cbf606bb62e46680beea28c39c",
+        ),
+        (
+            _farm, 13, "store", 7404, 2766.645284526765, 1269,
+            "e7f25830472d5c013d7203d44728b803345926062c5f44385710e9ebbe2533be",
+        ),
+    ],
+    ids=["pingpong", "dgram_burst", "farm_store"],
+)
+def test_schedule_is_byte_identical_to_the_pinned_run(
+    drive, seed, log_format, events_run, now, records, sha256
+):
+    session = _run(drive, seed, log_format)
+    sim = session.cluster.sim
+    committed = _committed_bytes(session)
+    got = (
+        sim.events_run,
+        repr(sim.now),
+        len(list(session.read_trace("f1"))),
+        hashlib.sha256(committed).hexdigest(),
+    )
+    assert got == (events_run, repr(now), records, sha256)
+
+
+def test_dgram_burst_session_really_loses_datagrams():
+    """The pinned datagram session covers the loss path: fewer receives
+    are committed than sends."""
+    records = list(_run(_dgram_burst, 11, "text").read_trace("f1"))
+    sends = sum(1 for record in records if record["event"] == "send")
+    receives = sum(1 for record in records if record["event"] == "receive")
+    assert 0 < receives < sends

@@ -5,32 +5,16 @@ name -- "By examining the sockets that were paired when the connection
 was created, the recipient information can be recovered.  This is one
 of the tasks of the analysis programs."
 
-Two mechanisms:
-
-- **Connections** (streams): accept and connect events carry both end
-  names, which pairs ``(machine, sock)`` endpoints into connections.
-  Stream bytes are then matched by cumulative byte offsets, since the
-  stream may coalesce or split messages ("As many bytes as possible are
-  delivered for each read...").
-- **Datagrams**: the send's ``destName`` names the receiving socket and
-  the receive's ``sourceName`` names the sender's host; whole datagrams
-  are matched FIFO with equal lengths.
-
-Both mechanisms are indexed so matching stays near-linear in trace
-size: connections are discovered by a ``(sockName, peerName)`` hash
-join rather than a nested accept x connect scan, and datagram claims
-walk per-``(destination machine, length)`` FIFO queues rather than
-rescanning every receive for every send.
+The pairing itself is :class:`~repro.streaming.fold.CausalFold` -- the
+fold the live filter runs per committed record -- run once to the end
+of the finished trace; :class:`MessageMatcher` is a view over its final
+state (:mod:`repro.streaming.matching` documents the rules,
+:mod:`repro.analysis.reference` is their naive oracle).  The same run
+resolves every event's vector clock, which
+:class:`~repro.analysis.ordering.HappensBefore` reads from here.
 """
 
-from collections import defaultdict, deque
-
-
-def _host_of(display_name):
-    """Literal host of an "inet:host:port" display name, else None."""
-    if display_name and display_name.startswith("inet:"):
-        return display_name.split(":")[1]
-    return None
+from repro.streaming.fold import CausalFold
 
 
 class Connection:
@@ -39,17 +23,10 @@ class Connection:
     __slots__ = ("initiator", "acceptor", "initiator_name", "acceptor_name")
 
     def __init__(self, initiator, acceptor, initiator_name, acceptor_name):
-        self.initiator = initiator  # (machine, sock)
+        self.initiator = initiator  # (machine, sock); None if unmetered
         self.acceptor = acceptor  # (machine, newSock)
         self.initiator_name = initiator_name
         self.acceptor_name = acceptor_name
-
-    def other_end(self, endpoint):
-        if endpoint == self.initiator:
-            return self.acceptor
-        if endpoint == self.acceptor:
-            return self.initiator
-        return None
 
     def __repr__(self):
         return "Connection({0} <-> {1})".format(self.initiator, self.acceptor)
@@ -71,222 +48,58 @@ class MessagePair:
         )
 
 
-class _RecvQueue:
-    """Datagram receives for one index key, claimed FIFO.
-
-    A plain list with a head cursor: consumed entries (possibly
-    consumed through a *different* key's queue) are skipped and the
-    cursor advanced past any consumed prefix, so repeated claims stay
-    amortized linear.
-    """
-
-    __slots__ = ("items", "head")
-
-    def __init__(self):
-        self.items = []
-        self.head = 0
-
-    def append(self, event):
-        self.items.append(event)
-
-    def claim(self, consumed, send_machine, host_ids):
-        """Earliest unconsumed receive whose source is consistent with
-        ``send_machine`` (unknown sources are consistent with anyone)."""
-        items = self.items
-        while self.head < len(items) and items[self.head].index in consumed:
-            self.head += 1
-        for i in range(self.head, len(items)):
-            recv = items[i]
-            if recv.index in consumed:
-                continue
-            src_host = _host_of(recv.name("sourceName"))
-            src_id = host_ids.get(src_host) if src_host else None
-            if src_id is None or src_id == send_machine:
-                return recv
-        return None
-
-
 class MessageMatcher:
-    """Pairs sends with receives across a whole trace."""
+    """Pairs sends with receives across a whole trace.
+
+    ``pairs`` is in send order; ``connections`` has one entry per
+    accept, in accept order (``initiator`` None when only the server
+    was metered); the unmatched lists report losses within fully-known
+    connections and among datagrams; ``clocks[event.index]`` is the
+    event's dense vector clock (it stops at its last nonzero component).
+    """
 
     def __init__(self, trace):
         self.trace = trace
-        self.connections = self._find_connections()
-        self._endpoint_conn = {}
-        for conn in self.connections:
-            self._endpoint_conn[conn.initiator] = conn
-            self._endpoint_conn[conn.acceptor] = conn
+        events = trace.events
         self.pairs = []
-        self.unmatched_sends = []
-        self.unmatched_recvs = []
-        self._match_streams()
-        self._match_datagrams()
-
-    # -- connection discovery -------------------------------------------
-
-    def _find_connections(self):
-        """Hash join of accepts against connects on the name pair.
-
-        Connect events are bucketed by ``(sockName, peerName)``; each
-        accept pops the earliest unmatched connect whose names mirror
-        its own.  Same pairing as the old nested scan (first matching
-        connect in trace order), in O(accepts + connects).
-        """
-        connects_by_names = defaultdict(deque)
-        for conn in self.trace.by_type("connect"):
-            key = (conn.name("sockName"), conn.name("peerName"))
-            connects_by_names[key].append(conn)
-        connections = []
-        for acc in self.trace.by_type("accept"):
-            acc_name = acc.name("sockName")
-            acc_peer = acc.name("peerName")
-            queue = connects_by_names.get((acc_peer, acc_name))
-            if queue:
-                conn = queue.popleft()
-                connections.append(
-                    Connection(
-                        initiator=(conn.machine, conn.sock),
-                        acceptor=(acc.machine, acc["newSock"]),
-                        initiator_name=acc_peer,
-                        acceptor_name=acc_name,
-                    )
-                )
-            else:
-                # One-sided trace (e.g. only the server was metered):
-                # still record the acceptor end so its traffic groups.
-                connections.append(
-                    Connection(
-                        initiator=None,
-                        acceptor=(acc.machine, acc["newSock"]),
-                        initiator_name=acc_peer,
-                        acceptor_name=acc_name,
-                    )
-                )
-        return connections
-
-    # -- stream matching -------------------------------------------------
-
-    def _match_streams(self):
-        # Cumulative byte ranges per direction of each connection.
-        sends_by_endpoint = defaultdict(list)
-        recvs_by_endpoint = defaultdict(list)
-        for event in self.trace:
-            endpoint = (event.machine, event.sock)
-            conn = self._endpoint_conn.get(endpoint)
-            if conn is None:
-                continue
-            if event.event == "send" and not event.name("destName"):
-                sends_by_endpoint[endpoint].append(event)
-            elif event.event == "receive":
-                recvs_by_endpoint[endpoint].append(event)
-        for conn in self.connections:
-            if conn.initiator is None:
-                continue
-            for src, dst in (
-                (conn.initiator, conn.acceptor),
-                (conn.acceptor, conn.initiator),
-            ):
-                self._match_byte_ranges(
-                    sends_by_endpoint.get(src, []), recvs_by_endpoint.get(dst, [])
-                )
-
-    def _match_byte_ranges(self, sends, recvs):
-        """Overlap cumulative byte ranges of sends and receives."""
-        send_spans = []
-        offset = 0
-        for event in sends:
-            send_spans.append((offset, offset + event.msg_length, event))
-            offset += event.msg_length
-        recv_spans = []
-        offset = 0
-        for event in recvs:
-            recv_spans.append((offset, offset + event.msg_length, event))
-            offset += event.msg_length
-        si = 0
-        matched_sends = set()
-        matched_recvs = set()
-        for rstart, rend, recv in recv_spans:
-            while si < len(send_spans) and send_spans[si][1] <= rstart:
-                si += 1
-            sj = si
-            while sj < len(send_spans) and send_spans[sj][0] < rend:
-                sstart, send_end, send = send_spans[sj]
-                overlap = min(send_end, rend) - max(sstart, rstart)
-                if overlap > 0:
-                    self.pairs.append(MessagePair(send, recv, overlap))
-                    matched_sends.add(send.index)
-                    matched_recvs.add(recv.index)
-                sj += 1
-        for __, __, event in send_spans:
-            if event.index not in matched_sends:
-                self.unmatched_sends.append(event)
-        for __, __, event in recv_spans:
-            if event.index not in matched_recvs:
-                self.unmatched_recvs.append(event)
-
-    # -- datagram matching -------------------------------------------------
-
-    def _match_datagrams(self):
-        """FIFO-match datagram sends (which carry a destName) against
-        datagram receives (which carry a sourceName).
-
-        The trace's ``machine`` header is a numeric host id while names
-        display literal host names, so a literal->id map is first built
-        from events whose ``sockName`` is the recording machine's own
-        bound name (connect/accept), then refined as matches are made.
-        """
-        host_ids = {}  # literal host name -> machine id
-        for event in self.trace:
-            if event.event in ("connect", "accept"):
-                host = _host_of(event.name("sockName"))
-                if host is not None:
-                    host_ids[host] = event.machine
-
-        dgram_recvs = [
-            event
-            for event in self.trace.by_type("receive")
-            if (event.machine, event.sock) not in self._endpoint_conn
+        self.clocks = [()] * len(events)
+        fold = CausalFold(on_pair=self._paired, on_clock=self._clock_resolved)
+        # The one thing a finished log knows that a live stream cannot:
+        # every host's machine id, before the first datagram is routed.
+        for event in trace.by_type("connect") + trace.by_type("accept"):
+            fold.matcher.learn_host(event.name("sockName"), event.machine)
+        folded = [fold.update(event.record) for event in events]
+        fold.finalize()
+        self.pairs.sort(key=lambda pair: (pair.send.index, pair.recv.index))
+        self.connections = [
+            Connection(
+                initiator=(
+                    (state.peer.event.machine, state.peer.event.sock)
+                    if state.peer is not None
+                    else None
+                ),
+                acceptor=(state.event.machine, state.event.new_sock),
+                initiator_name=state.event.peer_name,
+                acceptor_name=state.event.sock_name,
+            )
+            for state in fold.matcher.accepted
         ]
-        # Two FIFO indexes over the same receives: by (machine, length)
-        # for sends whose destination host is known, by bare length for
-        # sends naming an unknown host.  Consumption is shared through
-        # the ``consumed`` set, so a receive claimed via one index is
-        # skipped by the other.
-        by_machine_length = defaultdict(_RecvQueue)
-        by_length = defaultdict(_RecvQueue)
-        for recv in dgram_recvs:
-            by_machine_length[(recv.machine, recv.msg_length)].append(recv)
-            by_length[recv.msg_length].append(recv)
-        consumed = set()
-        for send in self.trace.by_type("send"):
-            dest = send.name("destName")
-            if not dest:
-                continue  # stream send, handled by _match_streams
-            dest_id = host_ids.get(_host_of(dest))
-            if dest_id is not None:
-                queue = by_machine_length.get((dest_id, send.msg_length))
-            else:
-                queue = by_length.get(send.msg_length)
-            recv = (
-                queue.claim(consumed, send.machine, host_ids)
-                if queue is not None
-                else None
-            )
-            if recv is None:
-                self.unmatched_sends.append(send)
-                continue
-            consumed.add(recv.index)
-            src_host = _host_of(recv.name("sourceName"))
-            if src_host is not None:
-                host_ids.setdefault(src_host, send.machine)
-            self.pairs.append(
-                MessagePair(send, recv, min(send.msg_length, recv.msg_length))
-            )
-        for recv in dgram_recvs:
-            if recv.index not in consumed:
-                self.unmatched_recvs.append(recv)
+        unmatched = [
+            events[event.index]
+            for event in folded
+            if event.in_matching and not event.matched
+        ]
+        self.unmatched_sends = [e for e in unmatched if e.event == "send"]
+        self.unmatched_recvs = [e for e in unmatched if e.event == "receive"]
 
-    # ------------------------------------------------------------------
+    def _paired(self, send, recv, nbytes):
+        events = self.trace.events
+        self.pairs.append(
+            MessagePair(events[send.index], events[recv.index], nbytes)
+        )
+
+    def _clock_resolved(self, event, clock):
+        self.clocks[event.index] = clock
 
     def matched_fraction(self):
         sends = self.trace.by_type("send")

@@ -7,22 +7,22 @@ message must be sent before it may be received, the times of sending
 and receiving a message can always be ordered relative to one another.
 Given these constraints, much of the global ordering can be deduced."
 
-:class:`HappensBefore` deduces the Lamport partial order (program
-order per process plus matched send->receive edges) with per-process
-**vector clocks**, computed in one linear pass over the trace.  A
-clock comparison answers ordering queries in O(1) and the whole
-ordered-fraction study in O(events x processes) -- no transitive
-closure is ever materialized, so memory stays linear in the trace.
-The happens-before DAG itself is still available (built lazily) for
-:meth:`HappensBefore.consistent_global_order`'s topological sort and
-for callers that want graph algorithms.
+:class:`HappensBefore` is a view over per-event **vector clocks** of
+the Lamport partial order (program order per process plus matched
+send->receive edges), resolved by the fold run that pairs the messages
+(:class:`~repro.analysis.matching.MessageMatcher`).  A clock comparison
+answers ordering queries in O(1) and the whole ordered-fraction study
+in O(events x processes) -- no transitive closure is ever materialized,
+so memory stays linear in the trace.  The happens-before DAG itself is
+still available (built lazily) for :meth:`HappensBefore.
+consistent_global_order`'s topological sort and for graph algorithms.
 
 :func:`estimate_clock_skews` recovers approximate relative clock
 offsets from the send/receive pairs, in the spirit of TEMPO (Gusella
 & Zatti 83).
 """
 
-from collections import Counter, deque
+from collections import Counter
 
 import networkx as nx
 
@@ -34,88 +34,16 @@ class HappensBefore:
         self.trace = trace
         self.matcher = matcher or trace.matcher()
         self._graph = None
-        self._clock_state = None
-
-    # -- the vector-clock engine ---------------------------------------
-
-    def _predecessors(self):
-        """Immediate-predecessor lists by event index: the previous
-        event of the same process plus any matched sends.  O(N + E)."""
-        preds = [[] for __ in self.trace.events]
-        for process in self.trace.processes():
-            events = self.trace.events_for(process)
-            for earlier, later in zip(events, events[1:]):
-                preds[later.index].append(earlier.index)
-        for pair in self.matcher.pairs:
-            if pair.send.index != pair.recv.index:
-                preds[pair.recv.index].append(pair.send.index)
-        return preds
-
-    def _merge_clock(self, clock, preds, clocks, nproc):
-        for earlier in preds:
-            other = clocks[earlier]
-            if other is None:
-                continue
-            for i in range(nproc):
-                if other[i] > clock[i]:
-                    clock[i] = other[i]
-
-    def _clocks(self):
-        """(clocks by event index, process -> clock component index).
-
-        An event's clock component for process p counts the events of
-        p that happen before it (or at it, for its own process), so
-        ``a -> b`` iff b's component for a's process has reached a's
-        own value.  Computed with one Kahn pass over the edges.
-        """
-        if self._clock_state is None:
-            events = self.trace.events
-            processes = self.trace.processes()
-            proc_index = {p: i for i, p in enumerate(processes)}
-            nproc = len(processes)
-            preds = self._predecessors()
-            succs = [[] for __ in events]
-            indegree = [0] * len(events)
-            for later, earlier_list in enumerate(preds):
-                indegree[later] = len(earlier_list)
-                for earlier in earlier_list:
-                    succs[earlier].append(later)
-            clocks = [None] * len(events)
-            ready = deque(i for i, d in enumerate(indegree) if d == 0)
-            done = 0
-            while ready:
-                index = ready.popleft()
-                clock = [0] * nproc
-                self._merge_clock(clock, preds[index], clocks, nproc)
-                event = events[index]
-                clock[proc_index[event.process]] = event.proc_seq + 1
-                clocks[index] = clock
-                done += 1
-                for later in succs[index]:
-                    indegree[later] -= 1
-                    if indegree[later] == 0:
-                        ready.append(later)
-            if done < len(events):
-                # Cyclic "evidence" (a garbage or corrupted trace):
-                # finish best-effort in file order so queries stay
-                # answerable instead of crashing.
-                for index, clock in enumerate(clocks):
-                    if clock is not None:
-                        continue
-                    clock = [0] * nproc
-                    self._merge_clock(clock, preds[index], clocks, nproc)
-                    event = events[index]
-                    clock[proc_index[event.process]] = event.proc_seq + 1
-                    clocks[index] = clock
-            self._clock_state = (clocks, proc_index)
-        return self._clock_state
+        #: process -> clock component index (first-appearance order,
+        #: the order the fold assigned them in).
+        self._component = {p: i for i, p in enumerate(trace.processes())}
 
     def vector_clock(self, event):
         """The event's vector clock as a tuple: component i counts the
         events of the i-th process (in ``trace.processes()`` order)
         that happen before (or at) this event."""
-        clocks, __ = self._clocks()
-        return tuple(clocks[event.index])
+        clock = self.matcher.clocks[event.index]
+        return clock + (0,) * (len(self._component) - len(clock))
 
     @property
     def graph(self):
@@ -123,11 +51,14 @@ class HappensBefore:
         built on first use; ordering queries never need it."""
         if self._graph is None:
             graph = nx.DiGraph()
-            for event in self.trace:
-                graph.add_node(event.index)
-            for later, earlier_list in enumerate(self._predecessors()):
-                for earlier in earlier_list:
-                    graph.add_edge(earlier, later)
+            graph.add_nodes_from(range(len(self.trace)))
+            for process in self.trace.processes():
+                indices = [e.index for e in self.trace.events_for(process)]
+                graph.add_edges_from(zip(indices, indices[1:]))
+            graph.add_edges_from(
+                (pair.send.index, pair.recv.index)
+                for pair in self.matcher.pairs
+            )
             self._graph = graph
         return self._graph
 
@@ -138,11 +69,14 @@ class HappensBefore:
         clock-component comparison."""
         if event_a.index == event_b.index:
             return False
-        clocks, proc_index = self._clocks()
-        component = proc_index[event_a.process]
+        # a -> b iff b's component for a's process has reached a's own
+        # value; a dense clock too short to have that component has
+        # seen nothing of a's process.
+        clock_b = self.matcher.clocks[event_b.index]
+        component = self._component[event_a.process]
         return (
-            clocks[event_b.index][component]
-            >= clocks[event_a.index][component]
+            component < len(clock_b)
+            and clock_b[component] >= event_a.proc_seq + 1
         )
 
     def concurrent(self, event_a, event_b):
@@ -163,7 +97,7 @@ class HappensBefore:
         every ordered cross-machine pair exactly once, at its later
         event.
         """
-        clocks, __ = self._clocks()
+        clocks = self.matcher.clocks
         events = self.trace.events
         per_machine = Counter(event.machine for event in events)
         n = len(events)

@@ -171,13 +171,13 @@ def _check_fast_lane_equiv(run, baseline):
 
 def _check_streaming_digests(run, baseline):
     """PR 8's twin oracle: the incremental streaming fold over the
-    committed stream must agree with the reference batch analyses."""
+    committed stream must agree with the naive reference analyses."""
+    from repro.analysis.reference import reference_digest
     from repro.analysis.trace import Trace
-    from repro.streaming.twins import batch_digest, diff_digests, replay_engine
+    from repro.streaming.twins import diff_digests, replay_engine
 
     online = replay_engine(run.records).finalize().digest()
-    batch = batch_digest(Trace(list(run.records)))
-    return diff_digests(online, batch)
+    return diff_digests(online, reference_digest(Trace(list(run.records))))
 
 
 def _check_monotone_clocks(run, baseline):

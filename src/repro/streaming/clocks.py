@@ -1,26 +1,23 @@
-"""Online vector clocks: the :class:`~repro.analysis.ordering.
-HappensBefore` computation as a fold.
+"""Online vector clocks: Section 4.1's ordering deduction as a fold.
 
-The batch engine runs one Kahn pass over the finished trace; here the
-same clocks are produced as records arrive.  An event's clock cannot
-be emitted until every predecessor's clock is known: the previous
-event of its process, plus -- for a receive -- every matched send.
-Sends are paired with receives by the online matcher, possibly *after*
-the receive arrived, so receive nodes are added "open" and stay
-unresolved until the matcher declares their send dependencies complete
-(stream bytes fully covered, datagram claimed, or session finalized).
-Everything else resolves as soon as its program-order predecessor has.
+An event's clock cannot be emitted until every predecessor's clock is
+known: the previous event of its process, plus -- for a receive --
+every matched send.  Sends are paired with receives by the online
+matcher, possibly *after* the receive arrived, so receive nodes are
+added "open" and stay unresolved until the matcher declares their send
+dependencies complete (stream bytes fully covered, datagram claimed, or
+session finalized).  Everything else resolves as soon as its
+program-order predecessor has.
 
-Equivalence with the batch pass: component ``i`` of a clock counts the
-events of the ``i``-th process (first-appearance order, identical to
-``Trace.processes()``) that happen before or at the event, and the
-event's own component is forced to ``proc_seq + 1`` after the merge --
-exactly ``HappensBefore._clocks``.  Clocks are dense tuples that stop
-at their last nonzero component (an event's own component is never
-zero, and a merge is as long as its longer operand), so they are also
-independent of how many processes eventually appear.  Tuples are
-immutable, which is what lets a program-order successor *share* its
-predecessor's clock until it resolves and writes its own component.
+Component ``i`` of a clock counts the events of the ``i``-th process
+(first-appearance order, identical to ``Trace.processes()``) that
+happen before or at the event; the event's own component is forced to
+``proc_seq + 1`` after the merge.  Clocks are dense tuples that stop at
+their last nonzero component (an event's own component is never zero,
+and a merge is as long as its longer operand), so they are independent
+of how many processes eventually appear.  Tuples are immutable, which
+is what lets a program-order successor *share* its predecessor's clock
+until it resolves and writes its own component.
 """
 
 from collections import OrderedDict, deque
@@ -49,32 +46,46 @@ class _Node:
         self.clock = None
 
 
+class Process:
+    """What the folds keep per process, found with one lookup per
+    record and carried on the event as ``proc``."""
+
+    __slots__ = ("component", "next_seq", "last", "key", "stats")
+
+    def __init__(self, component):
+        self.component = component  # vector-clock index
+        self.next_seq = 0
+        self.last = None  # most recent clock node (program order)
+        self.key = None  # "machine:pid" and WindowedStats' cumulative
+        self.stats = None  # counters: filled in by the engine
+
+
 class OnlineVectorClocks:
     """Incremental vector clocks with O(1) happens-before queries.
 
     ``on_resolve(event, clock)`` fires once per event, in dependency
     order (not arrival order -- a digest over resolutions must be
     order-independent).  The last ``history`` resolved clocks are kept
-    for :meth:`happens_before`; everything older is evicted, so memory
-    is bounded by the in-flight frontier plus that window.
+    for :meth:`happens_before` (none when ``history`` is not positive);
+    everything older is evicted, so memory is bounded by the in-flight
+    frontier plus that window.
     """
 
-    def __init__(self, on_resolve=None, history=4096):
+    def __init__(self, on_resolve, history):
         self.on_resolve = on_resolve
-        #: process -> clock component index, first-appearance order
-        #: (matches ``Trace.processes()``).
-        self.proc_index = {}
+        #: (machine, pid) -> Process; clock components are handed out
+        #: in first-appearance order (matches ``Trace.processes()``).
+        self.procs = {}
         self._ready = deque()
         self._unresolved = {}  # event index -> node, for finalize sweeps
         self.resolved = 0
         self._history_len = int(history)
         self._history = OrderedDict()  # (machine, pid, proc_seq) -> clock
 
-    def component(self, process):
-        index = self.proc_index.get(process)
-        if index is None:
-            index = self.proc_index[process] = len(self.proc_index)
-        return index
+    def admit(self, process):
+        """The slot of a ``(machine, pid)`` seen for the first time."""
+        proc = self.procs[process] = Process(len(self.procs))
+        return proc
 
     # -- building the order --------------------------------------------
 
@@ -146,12 +157,12 @@ class OnlineVectorClocks:
         node.acc = None
         del self._unresolved[event.index]
         self.resolved += 1
-        history = self._history
-        history[(event.machine, event.pid, event.proc_seq)] = clock
-        if len(history) > self._history_len:
-            history.popitem(last=False)
-        if self.on_resolve is not None:
-            self.on_resolve(event, clock)
+        if self._history_len > 0:
+            history = self._history
+            history[(event.machine, event.pid, event.proc_seq)] = clock
+            if len(history) > self._history_len:
+                history.popitem(last=False)
+        self.on_resolve(event, clock)
         succ = node.succ
         if succ:
             node.succ = None
@@ -165,8 +176,8 @@ class OnlineVectorClocks:
 
     def finalize(self):
         """Resolve any leftovers best-effort, in arrival order -- the
-        same escape hatch the batch engine uses for cyclic or truncated
-        evidence.  A correctly closed stream leaves nothing here."""
+        escape hatch for cyclic or truncated evidence.  A correctly
+        closed stream leaves nothing here."""
         self.drain()
         while self._unresolved:
             stuck = self._unresolved[min(self._unresolved)]
@@ -192,10 +203,10 @@ class OnlineVectorClocks:
         clock_b = self._history.get(b)
         if clock_b is None:
             return None
-        component = self.proc_index.get((a[0], a[1]))
-        if component is None or component >= len(clock_b):
+        proc = self.procs.get((a[0], a[1]))
+        if proc is None or proc.component >= len(clock_b):
             return False  # b's clock has seen nothing of a's process
-        return clock_b[component] >= a[2] + 1
+        return clock_b[proc.component] >= a[2] + 1
 
     def state_size(self):
         """In-flight state only: the bounded history is excluded so

@@ -8,16 +8,15 @@ replay is the post-mortem twin (:mod:`repro.streaming.twins`), and the
 equality is this subsystem's correctness oracle.
 
 Digests are order-independent (a commutative sum of scrambled CRCs):
-the online clock fold resolves events in dependency order, the batch
-pass in Kahn order, and both must hash to the same value.
+the clock fold resolves events in dependency order, the naive reference
+in file order, and both must hash to the same value.
 """
 
 import json
 import struct
 import zlib
 
-from repro.streaming.clocks import OnlineVectorClocks
-from repro.streaming.matching import OnlineMatcher
+from repro.streaming.fold import CausalFold
 from repro.streaming.queries import make_query
 from repro.streaming.windows import WindowedStats, process_key
 
@@ -42,7 +41,7 @@ def digest_add(acc, item):
 
     Commutative (a modular sum), so the emission order of clocks and
     pairs -- which legitimately differs between the online fold and the
-    batch pass -- cannot affect the result."""
+    naive reference -- cannot affect the result."""
     crc = zlib.crc32(repr(item).encode("utf-8"))
     return (acc + (crc + 1) * 2654435761) % _DIGEST_MOD
 
@@ -68,74 +67,14 @@ def clock_digest_add(acc, machine, pid, proc_seq, clock):
     return (acc + (crc + 1) * 2654435761) % _DIGEST_MOD
 
 
-class _Process:
-    """What the folds keep per process, found with one lookup per
-    record and carried on the event as ``proc``."""
-
-    __slots__ = ("component", "key", "stats", "next_seq", "last")
-
-    def __init__(self, component, key, stats):
-        self.component = component  # vector-clock index
-        self.key = key  # "machine:pid"
-        self.stats = stats  # WindowedStats' cumulative counters
-        self.next_seq = 0
-        self.last = None  # most recent clock node (program order)
-
-
-class StreamEvent:
-    """One committed record, decorated for the folds."""
-
-    __slots__ = (
-        "record",
-        "index",
-        "machine",
-        "pid",
-        "proc_seq",
-        "proc",
-        "event",
-        "time",
-        "ptime",
-        "sock",
-        "length",
-        "dest",
-        "source",
-        "dest_host",
-        "src_host",
-        "sock_name",
-        "peer_name",
-        "new_sock",
-        "node",
-        "in_matching",
-        "matched",
+def pair_digest_add(acc, send, recv, nbytes):
+    """Fold one matched pair into the commutative digest; ``send`` and
+    ``recv`` are any events with machine / pid / proc_seq."""
+    return digest_add(
+        acc,
+        ("pair", send.machine, send.pid, send.proc_seq,
+         recv.machine, recv.pid, recv.proc_seq, nbytes),
     )
-
-    def __init__(self, record, index, proc_seq, proc=None):
-        self.record = record
-        self.index = index
-        self.machine = record.get("machine")
-        self.pid = record.get("pid")
-        self.proc_seq = proc_seq
-        self.proc = proc
-        self.event = record.get("event")
-        self.time = record.get("cpuTime", 0)
-        self.ptime = record.get("procTime", 0)
-        self.sock = record.get("sock")
-        self.length = record.get("msgLength", 0) or 0
-        self.dest = record.get("destName") or None
-        self.source = record.get("sourceName") or None
-        self.dest_host = None  # literal hosts, parsed by the matcher
-        self.src_host = None
-        self.sock_name = record.get("sockName") or None
-        self.peer_name = record.get("peerName") or None
-        self.new_sock = record.get("newSock")
-        self.node = None
-        self.in_matching = False
-        self.matched = False
-
-    def __repr__(self):
-        return "StreamEvent({0}, {1}@m{2}, t={3})".format(
-            self.event, self.pid, self.machine, self.time
-        )
 
 
 class StreamEngine:
@@ -144,11 +83,8 @@ class StreamEngine:
     def __init__(self, window_ms=DEFAULT_WINDOW_MS,
                  clock_history=CLOCK_HISTORY):
         self.window_ms = float(window_ms)
-        self.clocks = OnlineVectorClocks(
-            on_resolve=self._clock_resolved, history=clock_history
-        )
-        self.matcher = OnlineMatcher(
-            on_pair=self._paired, on_recv_done=self._recv_done
+        self.fold = CausalFold(
+            self._paired, self._clock_resolved, self._admit, clock_history
         )
         self.windows = WindowedStats(self.window_ms)
         self.queries = {}
@@ -158,7 +94,6 @@ class StreamEngine:
         self.on_firing = None  # optional callback, e.g. live printing
         self.records = 0
         self.watermark = 0.0
-        self._procs = {}  # (machine, pid) -> _Process
         self.clock_digest = 0
         self.pairs_digest = 0
         self.peak_state = 0
@@ -169,35 +104,24 @@ class StreamEngine:
 
     def update(self, record):
         """Consume one committed record."""
-        process = (record.get("machine"), record.get("pid"))
-        proc = self._procs.get(process)
-        if proc is None:
-            key = process_key(*process)
-            proc = self._procs[process] = _Process(
-                self.clocks.component(process), key, self.windows.admit(key)
-            )
-        event = StreamEvent(record, self.records, proc.next_seq, proc)
-        proc.next_seq += 1
-        self.records += 1
-        if event.time > self.watermark:
-            self.watermark = event.time
-        # A receive's clock waits for the matcher to declare its send
-        # dependencies complete; everything else only waits for program
-        # order.
-        self.clocks.add(event, defer=(event.event == "receive"))
-        self.matcher.update(event)
-        self.clocks.drain()
+        # The watermark moves first: a pair this record completes is
+        # stamped with it.
+        time = record.get("cpuTime", 0)
+        if time > self.watermark:
+            self.watermark = time
+        event = self.fold.update(record)
         self.windows.update(event, self.watermark)
+        records = self.records = event.index + 1
         if self.queries:
             fire = self._fire
             for query in list(self.queries.values()):
                 query.on_event(event, self.watermark, fire)
             if (
                 self.watermark - self._last_advance >= 1.0
-                or self.records % 128 == 0
+                or records % 128 == 0
             ):
                 self._advance()
-        if self.records % _STATE_SAMPLE == 0:
+        if records % _STATE_SAMPLE == 0:
             size = self.state_size()
             if size > self.peak_state:
                 self.peak_state = size
@@ -209,9 +133,7 @@ class StreamEngine:
         twin and the CLI verbs do."""
         if self.finalized:
             return self
-        self.matcher.finalize()
-        self.clocks.drain()
-        self.clocks.finalize()
+        self.fold.finalize()
         if advance_queries:
             self._advance()
         self.windows.evict(self.watermark)
@@ -223,43 +145,24 @@ class StreamEngine:
 
     # -- fold plumbing -------------------------------------------------
 
+    def _admit(self, proc, process):
+        proc.key = process_key(*process)
+        proc.stats = self.windows.admit(proc.key)
+
     def _clock_resolved(self, event, clock):
         self.clock_digest = clock_digest_add(
             self.clock_digest, event.machine, event.pid, event.proc_seq, clock
         )
 
     def _paired(self, send, recv, nbytes):
-        # Matching can resolve *inside* the send's own update() call
-        # (its receive committed first); queries see that send only
-        # after matcher.update returns, so the matched flag -- not the
-        # on_pair callback order -- is what tells them it never was
-        # undelivered.
-        send.matched = True
-        recv.matched = True
-        if send.node is not None and recv.node is not None:
-            self.clocks.add_dep(recv.node, send.node)
-        self.pairs_digest = digest_add(
-            self.pairs_digest,
-            (
-                "pair",
-                send.machine,
-                send.pid,
-                send.proc_seq,
-                recv.machine,
-                recv.pid,
-                recv.proc_seq,
-                nbytes,
-            ),
+        self.pairs_digest = pair_digest_add(
+            self.pairs_digest, send, recv, nbytes
         )
         self.windows.on_pair(send, recv, nbytes, self.watermark)
         if self.queries:
             fire = self._fire
             for query in list(self.queries.values()):
                 query.on_pair(send, recv, self.watermark, fire)
-
-    def _recv_done(self, recv):
-        if recv.node is not None:
-            self.clocks.close(recv.node)
 
     def _advance(self):
         fire = self._fire
@@ -310,14 +213,12 @@ class StreamEngine:
     def happens_before(self, a, b):
         """a, b: (machine, pid, proc_seq).  True/False, or None when
         the needed clock is unresolved or already evicted."""
-        return self.clocks.happens_before(tuple(a), tuple(b))
+        return self.fold.clocks.happens_before(tuple(a), tuple(b))
 
     def state_size(self):
         """In-flight state that *could* grow without eviction; the
         bound the benchmark holds against trace length."""
-        size = self.matcher.state_size()
-        size += self.clocks.state_size()
-        size += self.windows.state_size()
+        size = self.fold.state_size() + self.windows.state_size()
         for query in self.queries.values():
             size += query.state_size()
         return size
@@ -329,8 +230,8 @@ class StreamEngine:
         snap["state"] = {
             "size": self.state_size(),
             "peak": self.peak_state,
-            "clocks_pending": self.clocks.state_size(),
-            "outstanding_sends": self.matcher.outstanding_sends,
+            "clocks_pending": self.fold.clocks.state_size(),
+            "outstanding_sends": self.fold.matcher.outstanding_sends,
         }
         snap["queries"] = [q.describe() for q in self.queries.values()]
         snap["firings_buffered"] = len(self.firings)
@@ -342,7 +243,7 @@ class StreamEngine:
         twins."""
         return {
             "records": self.records,
-            "clocks_resolved": self.clocks.resolved,
+            "clocks_resolved": self.fold.clocks.resolved,
             "clock_digest": self.clock_digest,
             "pairs_digest": self.pairs_digest,
             "totals": self.windows.totals(),

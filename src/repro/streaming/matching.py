@@ -1,40 +1,40 @@
-"""Online send/receive matching: :class:`~repro.analysis.matching.
-MessageMatcher` as a fold.
+"""Online send/receive matching: Section 4.1's recipient recovery as
+a fold.
 
-The batch matcher sees the whole trace at once; this one must commit
-to the same pairing from a single forward pass.  That works because
-every batch mechanism is FIFO over arrival order, which is exactly the
-order records reach the fold:
+"By examining the sockets that were paired when the connection was
+created, the recipient information can be recovered."  Every mechanism
+is FIFO over arrival order, so one forward pass commits to the pairing
+a reader of the whole trace would choose (the naive
+:mod:`repro.analysis.reference` is that reader):
 
-- **Connections**: the batch hash join pairs the k-th accept with the
-  k-th connect of the same ``(sockName, peerName)`` key, regardless of
-  which side appears first -- so two FIFO queues, pairing at the later
-  arrival, reproduce it.
-- **Streams**: cumulative byte offsets per direction depend only on
-  each endpoint's event order, so spans are matched incrementally.  A
-  send span is released once receives consume past it; a receive is
-  "complete" (all of its matched sends known) once cumulative sent
-  bytes cover its range -- later sends start past it.
-- **Datagrams**: the batch claim is "earliest compatible unconsumed
-  receive, sends in trace order".  Online, a send claims among the
-  receives that have arrived; if none fit it goes pending, indexed by
-  length.  Host-id discovery and consumption only ever *narrow* what a
-  pending send may claim, so the one thing that can become claimable
-  later is a receive that has not arrived yet: each new receive is
-  offered to the pending sends of its length, in send-arrival order,
-  and nothing else is retried.  Because FIFO position equals arrival
-  order, the first compatible receive in the full queue is claimed
-  exactly when both sides exist.
+- **Connections**: the k-th accept pairs with the k-th connect of the
+  same ``(sockName, peerName)`` key, whichever side appears first --
+  two FIFO queues, pairing at the later arrival.
+- **Streams** may coalesce or split messages, so bytes are matched by
+  cumulative offsets per direction, which depend only on each
+  endpoint's event order.  A send span is released once receives
+  consume past it; a receive is "complete" (all of its matched sends
+  known) once cumulative sent bytes cover its range.
+- **Datagrams**: a send's ``destName`` names the receiving socket, a
+  receive's ``sourceName`` the sender's host, and equal-length
+  datagrams pair "earliest compatible unconsumed receive, sends in
+  trace order".  A send claims among the receives that have arrived,
+  else goes pending; a pending send's candidates only ever *narrow*,
+  so each new receive is offered to the pending sends of its length,
+  in send-arrival order, and nothing else is retried (DESIGN 13).
 
-Known divergence corners, documented rather than papered over (the
-equivalence tests and benchmark avoid them; DESIGN 13 discusses them):
-the literal-host -> machine-id map (``host_ids``) is built from
-connect/accept events *as they arrive* instead of up front, so a
-datagram send can be routed through the bare-length index online where
-the batch pass would have known the destination id; and events on a
-``(machine, sock)`` endpoint *before* the connect/accept that
-registers it are treated as outside stream matching (program order
-makes this impossible for the endpoint's own process).
+Known divergence corners (DESIGN 13; the equivalence tests and
+benchmark avoid them).  A *live* stream learns the literal-host ->
+machine-id map (``host_ids``) from connect/accept events as they
+arrive, so a datagram send can be routed through the bare-length index
+where a reader of the finished log would have known the destination;
+the post-mortem :class:`~repro.analysis.matching.MessageMatcher` calls
+:meth:`OnlineMatcher.learn_host` for every connect/accept up front and
+has no such corner.  On every path, events on a ``(machine, sock)``
+endpoint *before* the connect/accept that registers it are outside
+stream matching (impossible for the endpoint's own process), and a host
+learned from a matched pair is learned when the match happens, not in
+send order (only inconsistent names can tell the difference).
 """
 
 from collections import defaultdict, deque
@@ -42,8 +42,9 @@ from collections import defaultdict, deque
 
 def _host_of(display_name):
     """Literal host of an "inet:host:port" display name, else None.
-    (Same rule as repro.analysis.matching, which streaming must not
-    import: that package pulls in the heavy analysis dependencies.)"""
+    (:mod:`repro.analysis` imports this; streaming must never import
+    the analysis stack back -- it runs inside the filter guest, without
+    that package's heavy dependencies.)"""
     if display_name and display_name.startswith("inet:"):
         return display_name.split(":")[1]
     return None
@@ -115,10 +116,11 @@ class _Direction:
 class _Endpoint:
     """A (machine, sock) registered by a connect or accept."""
 
-    __slots__ = ("origin", "pre", "dir_out", "dir_in")
+    __slots__ = ("event", "peer", "pre", "dir_out", "dir_in")
 
-    def __init__(self, origin):
-        self.origin = origin  # "connect" | "accept"
+    def __init__(self, event):
+        self.event = event  # the connect or accept that opened it
+        self.peer = None  # the other end, once paired
         self.pre = []  # buffered ("send"|"recv", event) until paired
         self.dir_out = None
         self.dir_in = None
@@ -182,7 +184,9 @@ class OnlineMatcher:
         self._endpoints = {}  # (machine, sock) -> _Endpoint
         self._connects = defaultdict(deque)  # names key -> _Endpoint queue
         self._accepts = defaultdict(deque)
-        self._connections = []  # (dir_i2a, dir_a2i)
+        #: Accept endpoints in arrival order; ``peer`` is the connect
+        #: end, None while (or forever, in a one-sided trace) unpaired.
+        self.accepted = []
         self._by_mlen = defaultdict(_DgramQueue)  # (machine, length)
         self._by_len = defaultdict(_DgramQueue)
         self._pending = defaultdict(deque)  # length -> unmatched dgram sends
@@ -221,50 +225,44 @@ class OnlineMatcher:
             else:
                 state.pre.append(("recv", event))
         elif kind == "connect":
-            self._register_host(event.sock_name, event.machine)
-            self._open_endpoint(
-                event,
-                (event.machine, event.sock),
-                "connect",
-                (event.sock_name, event.peer_name),
-            )
+            self.learn_host(event.sock_name, event.machine)
+            state = _Endpoint(event)
+            self._endpoints[(event.machine, event.sock)] = state
+            key = (event.sock_name, event.peer_name)
+            queue = self._accepts.get(key)
+            if queue:
+                self._pair_connection(state, queue.popleft())
+            else:
+                self._connects[key].append(state)
         elif kind == "accept":
-            self._register_host(event.sock_name, event.machine)
-            self._open_endpoint(
-                event,
-                (event.machine, event.new_sock),
-                "accept",
-                (event.peer_name, event.sock_name),
-            )
+            self.learn_host(event.sock_name, event.machine)
+            state = _Endpoint(event)
+            self._endpoints[(event.machine, event.new_sock)] = state
+            self.accepted.append(state)
+            key = (event.peer_name, event.sock_name)
+            queue = self._connects.get(key)
+            if queue:
+                self._pair_connection(queue.popleft(), state)
+            else:
+                self._accepts[key].append(state)
 
     # -- connections ---------------------------------------------------
 
-    def _register_host(self, sock_name, machine):
+    def learn_host(self, sock_name, machine):
+        """``sock_name`` is ``machine``'s own bound name (a connect's
+        or accept's sockName): its literal host is that machine.  The
+        trace's ``machine`` header is a numeric host id while names
+        display literal host names; the first claim on a host wins."""
         host = _host_of(sock_name)
         if host is not None and host not in self.host_ids:
             self.host_ids[host] = machine
 
-    def _open_endpoint(self, event, endpoint, origin, key):
-        state = _Endpoint(origin)
-        self._endpoints[endpoint] = state
-        other_side = self._accepts if origin == "connect" else self._connects
-        queue = other_side.get(key)
-        if queue:
-            peer = queue.popleft()
-            if origin == "connect":
-                self._pair_connection(state, peer)
-            else:
-                self._pair_connection(peer, state)
-        else:
-            own_side = self._connects if origin == "connect" else self._accepts
-            own_side[key].append(state)
-
     def _pair_connection(self, initiator, acceptor):
+        initiator.peer, acceptor.peer = acceptor, initiator
         dir_i2a = _Direction()
         dir_a2i = _Direction()
         initiator.dir_out, initiator.dir_in = dir_i2a, dir_a2i
         acceptor.dir_out, acceptor.dir_in = dir_a2i, dir_i2a
-        self._connections.append((dir_i2a, dir_a2i))
         # Flush traffic buffered before pairing.  Only the per-endpoint
         # order matters: each direction's sends come from one endpoint
         # and its receives from the other.
@@ -335,12 +333,14 @@ class OnlineMatcher:
     def finalize(self):
         """No more records: settle everything still open.
 
-        Mirrors the batch pass over a finished trace: receives on a
-        connect endpoint that never paired fall back to the datagram
-        pool; a one-sided accept keeps its endpoint (its traffic is
-        stream, never matched); stream receives past the sent bytes and
-        unclaimed datagram receives are sealed with the dependencies
-        they have."""
+        What a reader of the finished trace would conclude: receives on
+        a connect endpoint that never paired fall back to the datagram
+        pool; all other traffic on half a connection (only one side was
+        metered) leaves matching -- it is unknowable, not lost; stream
+        receives past the sent bytes and unclaimed datagram receives
+        are sealed with the dependencies they have.  Afterwards an
+        event with ``in_matching`` set and ``matched`` clear is an
+        unmatched send or receive."""
         if self.finalized:
             return
         self.finalized = True
@@ -349,17 +349,18 @@ class OnlineMatcher:
                 continue
             buffered, state.pre = state.pre, []
             for which, event in buffered:
-                if which != "recv":
-                    continue
-                if state.origin == "connect":
+                if which == "recv" and state.event.event == "connect":
                     self._queue_recv(event)
-                else:
+                    continue
+                event.in_matching = False
+                if which == "recv":
                     self.on_recv_done(event)
         self._retry_pending()
-        for dir_i2a, dir_a2i in self._connections:
-            for direction in (dir_i2a, dir_a2i):
-                while direction.waiting:
-                    self.on_recv_done(direction.waiting.popleft()[2])
+        for state in self.accepted:
+            if state.paired:
+                for direction in (state.dir_in, state.dir_out):
+                    while direction.waiting:
+                        self.on_recv_done(direction.waiting.popleft()[2])
         for queue in self._by_mlen.values():
             for recv in queue.unconsumed():
                 self.unmatched_recvs += 1
@@ -376,6 +377,7 @@ class OnlineMatcher:
         size = self.outstanding_sends + self._queued_recvs
         for state in self._endpoints.values():
             size += len(state.pre)
-        for dir_i2a, dir_a2i in self._connections:
-            size += dir_i2a.state_size() + dir_a2i.state_size()
+        for state in self.accepted:
+            if state.paired:
+                size += state.dir_in.state_size() + state.dir_out.state_size()
         return size

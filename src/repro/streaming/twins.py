@@ -1,26 +1,33 @@
-"""Post-mortem twins: the oracle for every online analysis.
+"""Post-mortem twins: the checks on every online analysis.
 
 The streaming engine consumes exactly the record stream the filter
 commits, in commit order; the finished log *is* that stream.  So every
-online analysis has two independent checks:
+online answer can be recomputed three ways:
 
 - **Replay twin** -- fold the finished log through a fresh
   :class:`~repro.streaming.engine.StreamEngine`.  Bit-for-bit equality
   with the live engine proves the tap fed the fold exactly the
   committed records (no drops, no double-counted replays).
-- **Batch twin** -- run the original :mod:`repro.analysis` passes over
-  the same records and digest their results the same way.  Equality
-  proves the *incremental* algorithms compute the same answers as the
-  reference batch algorithms.
+- **Batch twin** -- digest what the :mod:`repro.analysis` views report
+  for the same records.  Their matching and clocks are the same
+  :class:`~repro.streaming.fold.CausalFold`, so for those keys equality
+  checks the views' translation and the engine's plumbing, not the
+  algorithm; the statistics keys are an independent recomputation.
+- **Reference** -- :func:`repro.analysis.reference.reference_digest`,
+  naive on purpose, small traces only: the check of the algorithms.
 
-The batch analysis imports are kept inside functions: the streaming
-package itself must stay importable inside a filter guest without the
-analysis stack's heavy dependencies.
+The analysis imports are kept inside functions: the streaming package
+itself must stay importable inside a filter guest without the analysis
+stack's heavy dependencies.
 """
 
 import json
 
-from repro.streaming.engine import StreamEngine, clock_digest_add, digest_add
+from repro.streaming.engine import (
+    StreamEngine,
+    clock_digest_add,
+    pair_digest_add,
+)
 
 
 def replay_engine(records, window_ms=None, specs=None):
@@ -52,43 +59,34 @@ def replay_store(reader, window_ms=None, specs=None, salvage=False):
     )
 
 
-def batch_clock_digest(trace):
-    """Digest the batch HappensBefore clocks with the helper the online
-    fold digests its own with (it discounts the batch clocks' trailing
-    zero components)."""
-    from repro.analysis.ordering import HappensBefore
-
-    ordering = HappensBefore(trace)
+def _clock_digest(trace, clock_of):
     digest = 0
     for event in trace:
         digest = clock_digest_add(
-            digest,
-            event.machine,
-            event.pid,
-            event.proc_seq,
-            ordering.vector_clock(event),
+            digest, event.machine, event.pid, event.proc_seq, clock_of(event)
         )
     return digest
+
+
+def _pairs_digest(pairs):
+    digest = 0
+    for pair in pairs:
+        digest = pair_digest_add(digest, pair.send, pair.recv, pair.nbytes)
+    return digest
+
+
+def batch_clock_digest(trace):
+    """Digest the HappensBefore view's clocks with the helper the
+    online fold digests its own with (it discounts the padded clocks'
+    trailing zero components)."""
+    from repro.analysis.ordering import HappensBefore
+
+    return _clock_digest(trace, HappensBefore(trace).vector_clock)
 
 
 def batch_pairs_digest(trace):
-    """Digest the batch matcher's pair set the online way."""
-    digest = 0
-    for pair in trace.matcher().pairs:
-        digest = digest_add(
-            digest,
-            (
-                "pair",
-                pair.send.machine,
-                pair.send.pid,
-                pair.send.proc_seq,
-                pair.recv.machine,
-                pair.recv.pid,
-                pair.recv.proc_seq,
-                pair.nbytes,
-            ),
-        )
-    return digest
+    """Digest the MessageMatcher view's pair set the online way."""
+    return _pairs_digest(trace.matcher().pairs)
 
 
 def batch_per_process(trace, stats=None):
@@ -108,24 +106,40 @@ def batch_per_process(trace, stats=None):
     return shaped
 
 
-def batch_digest(trace):
-    """Every batch-twin answer in the engine's ``digest()`` shape."""
+def answers_digest(trace, matcher, clock_of):
+    """``matcher.pairs`` and one ``clock_of(event)`` per event, plus
+    the batch statistics, in the engine's ``digest()`` shape.  Shared
+    by :func:`batch_digest` and the reference oracle, so the two differ
+    only in who matched and who ordered."""
     from repro.analysis.stats import CommunicationStatistics
 
-    stats = CommunicationStatistics(trace)
+    stats = CommunicationStatistics(trace, matcher)
     return {
         "records": len(trace),
-        "clock_digest": batch_clock_digest(trace),
-        "pairs_digest": batch_pairs_digest(trace),
+        "clock_digest": _clock_digest(trace, clock_of),
+        "pairs_digest": _pairs_digest(matcher.pairs),
         "totals": stats.totals(),
         "per_process": batch_per_process(trace, stats),
     }
 
 
+def batch_digest(trace):
+    """The post-mortem views' answers in the engine's ``digest()``
+    shape.  ``trace.matcher()`` and HappensBefore are views over the
+    engine's own fold, so against a replayed engine this checks their
+    translation of its state (and the independent statistics) -- not
+    the matching or clock algorithms; ``reference_digest`` does that."""
+    from repro.analysis.ordering import HappensBefore
+
+    return answers_digest(
+        trace, trace.matcher(), HappensBefore(trace).vector_clock
+    )
+
+
 def batch_unmatched_dgram_sends(trace):
     """Ground truth for the ``undelivered`` query: datagram sends (they
-    carry a destName) the batch matcher could not pair.  Returned as
-    (machine, pid, proc_seq) identities, the same key firings report."""
+    carry a destName) the post-mortem matcher could not pair.  Returned
+    as (machine, pid, proc_seq) identities, the key firings report."""
     return {
         (event.machine, event.pid, event.proc_seq)
         for event in trace.matcher().unmatched_sends

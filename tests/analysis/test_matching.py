@@ -176,3 +176,64 @@ def test_datagram_with_unknown_dest_host_still_matches_fifo():
     matcher = MessageMatcher(b.build())
     assert len(matcher.pairs) == 1
     assert matcher.pairs[0].recv.index == 1
+
+
+def test_connections_follow_accept_order_whichever_side_is_logged_first():
+    """One entry per accept, in accept order: a one-sided accept, then
+    a connection whose accept reached the log before its connect."""
+    b = TraceBuilder()
+    sn = "inet:green:5000"
+    b.accept(2, 20, 100, sock=500, new_sock=510, sock_name=sn,
+             peer_name="inet:grey:77")  # the client was never metered
+    b.accept(2, 20, 101, sock=500, new_sock=511, sock_name=sn,
+             peer_name="inet:red:1024")
+    b.connect(1, 10, 102, sock=400, sock_name="inet:red:1024", peer_name=sn)
+    matcher = MessageMatcher(b.build())
+    assert [c.acceptor for c in matcher.connections] == [(2, 510), (2, 511)]
+    assert [c.initiator for c in matcher.connections] == [None, (1, 400)]
+    assert [c.initiator_name for c in matcher.connections] == [
+        "inet:grey:77", "inet:red:1024"
+    ]
+    assert {c.acceptor_name for c in matcher.connections} == {sn}
+
+
+def _datagram_before_its_hosts_accept():
+    """A datagram for "green" is logged before the accept that says
+    which machine green is; an unrelated same-length receive on a
+    third machine (its send was never logged) was committed first."""
+    b = TraceBuilder()
+    b.receive(3, 30, 90, sock=600, nbytes=64, source="inet:red:1025")
+    b.receive(2, 20, 95, sock=600, nbytes=64, source="inet:red:1025")
+    b.send(1, 10, 100, sock=301, nbytes=64, dest="inet:green:6000")
+    b.accept(2, 20, 110, sock=500, new_sock=510, sock_name="inet:green:5000",
+             peer_name="inet:grey:77")
+    return b
+
+
+def test_post_mortem_matcher_routes_by_hosts_learned_later_in_the_log():
+    from repro.analysis.reference import ReferenceAnalysis, reference_digest
+    from repro.streaming.engine import StreamEngine
+    from repro.streaming.twins import batch_digest
+
+    b = _datagram_before_its_hosts_accept()
+    trace = b.build()
+    matcher = MessageMatcher(trace)
+    # The finished log knows green is machine 2: the send pairs with
+    # the receive there, and the stray on machine 3 stays unmatched.
+    assert [(p.send.index, p.recv.index) for p in matcher.pairs] == [(2, 1)]
+    assert [e.index for e in matcher.unmatched_recvs] == [0]
+    reference = ReferenceAnalysis(trace)
+    assert [(p.send.index, p.recv.index) for p in reference.pairs] == [(2, 1)]
+    assert [e.index for e in reference.unmatched_recvs] == [0]
+    assert batch_digest(trace) == reference_digest(trace)
+    # A live stream had not seen the accept when the send arrived: it
+    # keeps the documented arrival-order answer (earliest same-length
+    # receive anywhere).
+    pairs = []
+    engine = StreamEngine()
+    engine.fold.on_pair = lambda send, recv, nbytes: pairs.append(
+        (send.index, recv.index)
+    )
+    for record in b.records:
+        engine.update(record)
+    assert pairs == [(2, 0)]

@@ -139,3 +139,28 @@ def test_skew_corrected_order_interleaves_properly():
     # Sends and receives alternate rather than clustering by machine.
     first_half = events[: len(events) // 2]
     assert "send" in first_half and "receive" in first_half
+
+
+def test_vector_clocks_are_padded_to_every_process_in_the_trace():
+    """The fold's clocks stop at their last nonzero component; the view
+    pads them to ``len(trace.processes())``, and an event whose dense
+    clock is shorter than another process's component index has simply
+    seen nothing of that process."""
+    b = TraceBuilder()
+    b.send(1, 10, 10, sock=7, nbytes=64, dest="inet:green:6000")
+    b.receive(2, 20, 20, sock=7, nbytes=64, source="inet:red:6000")
+    b.send(3, 30, 30, sock=7, nbytes=5, dest="inet:nowhere:1")
+    b.send(1, 10, 40, sock=7, nbytes=32, dest="inet:green:6000")
+    trace = b.build()
+    hb = HappensBefore(trace)
+    send, recv, late, again = trace.events
+    assert hb.matcher.clocks[recv.index] == (1, 1)  # dense: two wide
+    assert [hb.vector_clock(e) for e in trace] == [
+        (1, 0, 0), (1, 1, 0), (0, 0, 1), (2, 0, 0)
+    ]
+    assert hb.happens_before(send, recv)
+    assert not hb.happens_before(late, recv)  # component 2 >= len (1, 1)
+    assert not hb.happens_before(late, again)
+    assert not hb.happens_before(recv, late)
+    assert hb.concurrent(late, recv)
+    assert hb.ordered_fraction() == pytest.approx(1 / 5)

@@ -1,13 +1,16 @@
 """Property tests on the online datagram matcher's pending-send index.
 
-Two oracles.  The batch :class:`MessageMatcher` (and the batch clock
-digest) on traces built to stay clear of the documented divergence
-corner -- a host learned late only ever carries traffic of lengths
-nobody else uses, so what the fold does not know yet cannot change a
-pairing.  And, on traces with no such care taken, the rule the index
-replaced: every pending send retries on every receive.  The index is
-exact only if host discovery never widens what a pending send may
-claim, which is what the second oracle would catch.
+Two oracles.  The naive :mod:`repro.analysis.reference` (pairs,
+unmatched sets and clock digest): against a *live* engine on traces
+built to stay clear of the documented divergence corner -- a host
+learned late only ever carries traffic of lengths nobody else uses, so
+what the fold does not know yet cannot change a pairing -- and against
+the post-mortem view, which learns every host up front, with late hosts
+sharing everybody's lengths.  And, on traces with no care taken at all
+(lying source names included), the rule the index replaced: every
+pending send retries on every receive.  The index is exact only if host
+discovery never widens what a pending send may claim, which is what the
+second oracle would catch.
 """
 
 import random
@@ -15,8 +18,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.reference import ReferenceAnalysis, reference_digest
 from repro.analysis.trace import Trace
-from repro.streaming.engine import StreamEngine, StreamEvent
+from repro.streaming.engine import StreamEngine
+from repro.streaming.fold import StreamEvent
 from repro.streaming.matching import OnlineMatcher
 from repro.streaming.twins import batch_digest, diff_digests
 
@@ -38,7 +43,7 @@ class _TraceBuilder:
     """A causal interleaving of datagram runs between ``sources``
     source machines and ``SINKS`` sink machines, one process each."""
 
-    def __init__(self, seed, sources, late, loss, careful):
+    def __init__(self, seed, sources, late, loss, careful, lying):
         self.rng = random.Random(seed)
         self.machines = list(range(1, sources + SINKS + 1))
         self.sources = self.machines[:sources]
@@ -46,6 +51,7 @@ class _TraceBuilder:
         self.late = set(self.rng.sample(self.machines, late))
         self.loss = loss
         self.careful = careful
+        self.lying = lying
         self.records = []
         self.in_flight = {}  # (src, dst) -> lengths sent, not yet read
         self.private = {}  # (src, dst) -> a length only that pair uses
@@ -102,7 +108,7 @@ class _TraceBuilder:
             if not queue:
                 break
             source = src
-            if not self.careful and self.rng.random() < 0.2:
+            if self.lying and self.rng.random() < 0.2:
                 source = self.rng.choice(self.sources)  # a lying name
             self.emit(dst, "receive", sock=DGRAM_SOCK,
                       msgLength=queue.pop(0),
@@ -138,7 +144,7 @@ class _TraceBuilder:
 
 
 @st.composite
-def _traces(draw, careful):
+def _traces(draw, careful, lying=False):
     sources = draw(st.integers(min_value=3, max_value=5))
     builder = _TraceBuilder(
         seed=draw(st.integers(min_value=0, max_value=10**6)),
@@ -146,8 +152,18 @@ def _traces(draw, careful):
         late=draw(st.integers(min_value=1, max_value=sources + SINKS)),
         loss=draw(st.sampled_from((0.0, 0.1, 0.4))),
         careful=careful,
+        lying=lying,
     )
     return builder.build(draw(st.integers(min_value=5, max_value=80)))
+
+
+def _answers(matcher):
+    """(pairs, unmatched sends, unmatched receives) by trace index."""
+    return (
+        sorted((p.send.index, p.recv.index, p.nbytes) for p in matcher.pairs),
+        sorted(event.index for event in matcher.unmatched_sends),
+        sorted(event.index for event in matcher.unmatched_recvs),
+    )
 
 
 @given(_traces(careful=True))
@@ -155,23 +171,33 @@ def _traces(draw, careful):
 def test_online_pairs_and_clocks_equal_batch(records):
     engine = StreamEngine()
     online_pairs = []
-    fold_pair = engine.matcher.on_pair
+    fold_pair = engine.fold.on_pair
 
     def spy(send, recv, nbytes):
         online_pairs.append((send.index, recv.index, nbytes))
         fold_pair(send, recv, nbytes)
 
-    engine.matcher.on_pair = spy
+    engine.fold.on_pair = spy
     for record in records:
         engine.update(record)
     engine.finalize()
     trace = Trace(records)
-    batch_pairs = [
-        (pair.send.index, pair.recv.index, pair.nbytes)
-        for pair in trace.matcher().pairs
-    ]
-    assert sorted(online_pairs) == sorted(batch_pairs)
+    reference = ReferenceAnalysis(trace)
+    assert sorted(online_pairs) == _answers(reference)[0]
+    assert _answers(trace.matcher()) == _answers(reference)
+    assert diff_digests(engine.digest(), reference_digest(trace)) == []
     assert diff_digests(engine.digest(), batch_digest(trace)) == []
+
+
+@given(_traces(careful=False))
+@settings(max_examples=120, deadline=None)
+def test_post_mortem_view_equals_reference_with_hosts_learned_late(records):
+    """The view learns every host before folding, so -- unlike a live
+    engine -- it needs no private lengths to agree with the reference
+    when a connect/accept trails the datagrams it explains."""
+    trace = Trace(records)
+    assert _answers(trace.matcher()) == _answers(ReferenceAnalysis(trace))
+    assert batch_digest(trace) == reference_digest(trace)
 
 
 class _RetryAllMatcher(OnlineMatcher):
@@ -200,7 +226,7 @@ def _fold(matcher_class, records):
     return pairs, sizes, pending
 
 
-@given(_traces(careful=False))
+@given(_traces(careful=False, lying=True))
 @settings(max_examples=120, deadline=None)
 def test_length_index_equals_retrying_every_pending_send(records):
     """Same pairs, sealed in the same order, with the same in-flight

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.matching import MessageMatcher
 from repro.analysis.ordering import HappensBefore
+from repro.analysis.reference import ReferenceAnalysis, reference_digest
+from repro.streaming.twins import batch_digest
 from tests.analysis.harness import TraceBuilder
 
 
@@ -130,3 +132,20 @@ def test_global_order_respects_every_program_and_message_edge(session):
     assert sorted(position.values()) == list(range(len(trace)))
     for pair in hb.matcher.pairs:
         assert position[pair.send.index] < position[pair.recv.index]
+
+
+@given(_random_sessions())
+@settings(max_examples=50, deadline=None)
+def test_fold_pairs_and_clocks_equal_the_naive_reference(session):
+    procs, offsets, exchanges = session
+    trace = _build_trace(procs, offsets, exchanges)
+    reference = ReferenceAnalysis(trace)
+    hb = HappensBefore(trace)
+    assert sorted(
+        (p.send.index, p.recv.index, p.nbytes) for p in hb.matcher.pairs
+    ) == sorted(
+        (p.send.index, p.recv.index, p.nbytes) for p in reference.pairs
+    )
+    for event in trace:
+        assert hb.vector_clock(event) == reference.clocks[event.index]
+    assert batch_digest(trace) == reference_digest(trace)

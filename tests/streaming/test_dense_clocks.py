@@ -36,9 +36,9 @@ def _datagram_log():
 def test_happens_before_on_dense_clocks():
     engine = replay_engine(_datagram_log())
     send, recv, late = (1, 10, 1), (2, 20, 0), (3, 30, 0)
-    assert engine.clocks.clock_of(*send) == (2,)
-    assert engine.clocks.clock_of(*recv) == (2, 1)  # no trailing zero
-    assert engine.clocks.clock_of(*late) == (0, 0, 1)
+    assert engine.fold.clocks.clock_of(*send) == (2,)
+    assert engine.fold.clocks.clock_of(*recv) == (2, 1)  # no trailing zero
+    assert engine.fold.clocks.clock_of(*late) == (0, 0, 1)
     assert engine.happens_before(send, recv) is True
     assert engine.happens_before(recv, send) is False
     assert engine.happens_before(recv, recv) is False  # self
@@ -49,8 +49,8 @@ def test_happens_before_on_dense_clocks():
     assert engine.happens_before(send, (2, 20, 5)) is None  # unresolved
     # Program order shares the predecessor's clock, then writes its own
     # component: the first send's clock is untouched by the second.
-    assert engine.clocks.clock_of(1, 10, 2) == (3,)
-    assert engine.clocks.clock_of(*send) == (2,)
+    assert engine.fold.clocks.clock_of(1, 10, 2) == (3,)
+    assert engine.fold.clocks.clock_of(*send) == (2,)
 
 
 def test_happens_before_reports_evicted_clocks_as_unknown():
@@ -109,3 +109,25 @@ def test_replay_equals_batch_on_the_datagram_log():
     records = _datagram_log()
     online = replay_engine(records).finalize().digest()
     assert diff_digests(online, batch_digest(Trace(records))) == []
+
+
+def test_non_positive_history_keeps_no_clocks():
+    """The post-mortem view collects clocks through ``on_resolve`` and
+    wants no window: nothing may even pass through the history."""
+    from collections import OrderedDict
+
+    inserts = []
+
+    class Watched(OrderedDict):
+        def __setitem__(self, key, value):
+            inserts.append(key)
+            OrderedDict.__setitem__(self, key, value)
+
+    engine = StreamEngine(clock_history=0)
+    engine.fold.clocks._history = Watched()
+    for record in _datagram_log():
+        engine.update(record)
+    assert engine.finalize().digest()["clocks_resolved"] == 5
+    assert inserts == []
+    assert engine.fold.clocks.clock_of(1, 10, 1) is None
+    assert engine.happens_before((1, 10, 1), (2, 20, 0)) is None

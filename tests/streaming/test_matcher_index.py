@@ -2,7 +2,8 @@
 could match, not to everything outstanding (counted, never timed)."""
 
 from repro.streaming import matching
-from repro.streaming.engine import StreamEngine, StreamEvent
+from repro.streaming.engine import StreamEngine
+from repro.streaming.fold import StreamEvent
 from repro.streaming.matching import OnlineMatcher
 
 

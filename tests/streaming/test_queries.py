@@ -3,7 +3,7 @@ synthetic events (no cluster)."""
 
 import pytest
 
-from repro.streaming.engine import StreamEvent
+from repro.streaming.fold import StreamEvent
 from repro.streaming.queries import (
     DEFAULT_QUERY_WINDOW_MS,
     QUERY_KINDS,

@@ -1,12 +1,15 @@
-"""The correctness oracle: the online fold and its post-mortem twins
-must agree record for record, and the digests must be insensitive to
-the legitimate emission-order differences between them."""
+"""The correctness oracle: the online fold, its post-mortem twins and
+the naive reference must agree record for record, and the digests must
+be insensitive to the legitimate emission-order differences between
+them.  Fold vs reference is the independent comparison; live vs replay
+vs the batch view checks the plumbing around the one fold."""
 
 import json
 
 import pytest
 
 from repro.__main__ import main
+from repro.analysis.reference import ReferenceAnalysis, reference_digest
 from repro.analysis.trace import Trace
 from repro.filtering.records import parse_trace
 from repro.streaming import twins
@@ -32,10 +35,21 @@ def records(mixed_log):
 def test_replay_matches_batch_analyses(records):
     assert len(records) > 200  # the workload really ran
     online = replay_engine(records).finalize().digest()
-    batch = twins.batch_digest(Trace(list(records)))
-    assert diff_digests(online, batch) == []
-    for key in batch:
-        assert online[key] == batch[key], key
+    trace = Trace(list(records))
+    for twin in (reference_digest(trace), twins.batch_digest(trace)):
+        assert diff_digests(online, twin) == []
+        for key in twin:
+            assert online[key] == twin[key], key
+
+
+def test_view_reports_the_reference_unmatched_sets(records):
+    trace = Trace(list(records))
+    matcher, reference = trace.matcher(), ReferenceAnalysis(trace)
+    for name in ("unmatched_sends", "unmatched_recvs"):
+        assert sorted(e.index for e in getattr(matcher, name)) == sorted(
+            e.index for e in getattr(reference, name)
+        ), name
+    assert len(matcher.pairs) == len(reference.pairs) > 0
 
 
 def test_batch_per_process_takes_prebuilt_statistics(records):
@@ -117,10 +131,14 @@ def test_live_digest_equals_both_twins(records):
     __, text = session.find_filter_log("f1")
     replayed = parse_trace(text)
     online = replay_engine(replayed).finalize().digest()
-    batch = twins.batch_digest(Trace(list(replayed)))
-    # live fold == offline replay == batch analysis, bit for bit
-    # (the live engine never finalizes, so compare the pure-fold keys).
+    trace = Trace(list(replayed))
+    batch = twins.batch_digest(trace)
+    reference = reference_digest(trace)
+    # live fold == offline replay == batch view == naive reference, bit
+    # for bit (the live engine never finalizes, so compare the
+    # pure-fold keys).
     for key in ("records", "clock_digest", "pairs_digest", "totals",
                 "per_process"):
         assert live[key] == json.loads(json.dumps(online[key])), key
         assert live[key] == json.loads(json.dumps(batch[key])), key
+        assert live[key] == json.loads(json.dumps(reference[key])), key

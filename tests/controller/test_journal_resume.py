@@ -12,6 +12,10 @@ controller's notification port, and deaths that happened while nobody
 was listening are reported exactly once.
 """
 
+import ast
+import os
+
+from repro import controller
 from repro.controller import journal, states
 from repro.core.cluster import Cluster
 from repro.core.session import MeasurementSession
@@ -107,6 +111,89 @@ def test_parse_skips_torn_tail_and_junk():
     assert [e.get("op") for e in entries] == ["newjob", "process"]
     replayed = journal.replay(entries)
     assert replayed.jobs["j"].find_process("a").state == states.RUNNING
+
+
+_FILTER = ("filter", {"name": "f1", "machine": "blue", "pid": 7,
+                      "meter_host": "blue", "meter_port": 1030,
+                      "log_path": "/usr/tmp/f1.log"})
+
+
+def test_apply_filter_restart_takes_what_the_entry_names():
+    """The entry the live controller writes says which port was retired
+    and where the replacement listens and logs -- also when the
+    replacement got the old port number again (a rebooted machine hands
+    out the same ephemeral ports)."""
+    session = journal.replay(_entries(
+        _FILTER,
+        ("filter-restart", {"name": "f1", "pid": 9, "meter_port": 1042,
+                            "old_port": 1030, "meter_host": "blue2",
+                            "log_path": "/usr/tmp/x/f1.log"}),
+        ("filter-restart", {"name": "f1", "pid": 11, "meter_port": 1042,
+                            "old_port": 1042}),
+    ))
+    info = session.filters["f1"]
+    assert (info.pid, info.meter_port, info.meter_host) == (11, 1042, "blue2")
+    assert info.log_path == "/usr/tmp/x/f1.log"
+    assert info.past_ports == [1030, 1042]
+
+
+def test_apply_filter_restart_from_an_older_journal():
+    """Without ``old_port`` the retired port is the one on record; the
+    host and log path stay as created.  A repeated entry (the daemon
+    retries its notification) retires nothing twice."""
+    restart = ("filter-restart", {"name": "f1", "pid": 9, "meter_port": 1042})
+    session = journal.replay(_entries(_FILTER, restart, restart))
+    info = session.filters["f1"]
+    assert (info.pid, info.meter_port, info.meter_host) == (9, 1042, "blue")
+    assert info.log_path == "/usr/tmp/f1.log"
+    assert info.past_ports == [1030]
+
+
+def test_apply_die_resets_to_a_clean_exit_and_intent_entries_are_no_ops():
+    session = journal.SessionState()
+    for entry in _entries(
+        _FILTER,
+        ("newjob", {"name": "j", "filtername": "f1", "number": 4}),
+        ("watch", {"wid": 2, "filtername": "f1", "spec": {"kind": "rate"}}),
+    ):
+        session.apply(entry)
+    before = (dict(session.filters), dict(session.jobs), dict(session.watches))
+    session.apply({"op": "cmd", "line": "removejob j"})
+    session.apply({"op": "resume"})
+    assert (session.filters, session.jobs, session.watches) == before
+    assert (session.next_job_number, session.next_watch_id) == (5, 3)
+    session.apply({"op": "die"})
+    assert session.clean_exit
+    assert not (session.filters or session.filter_order or session.jobs)
+    assert not session.watches
+    assert (session.next_job_number, session.next_watch_id) == (1, 1)
+
+
+def test_session_state_modules_import_nothing_that_holds_a_syscall_handle():
+    """``journal``, ``model`` and ``states`` are the recoverable half of
+    the controller: within ``repro`` they may import only each other.
+    (Parsed, not imported: ``repro.controller``'s ``__init__`` pulls in
+    ``control`` and with it the whole effects stack.)"""
+    names = ("journal", "model", "states")
+    allowed = {"repro.controller." + name for name in names}
+    for name in names:
+        path = os.path.join(os.path.dirname(controller.__file__), name + ".py")
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, (name, "relative import")
+                if node.module == "repro.controller":
+                    imported.update(
+                        "repro.controller." + alias.name for alias in node.names
+                    )
+                else:
+                    imported.add(node.module)
+        leaked = {m for m in imported if m.split(".")[0] == "repro"} - allowed
+        assert not leaked, (name, sorted(leaked))
 
 
 # ----------------------------------------------------------------------

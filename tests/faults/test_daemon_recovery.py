@@ -11,6 +11,7 @@ the controller's records against what the fresh daemon reports.
 from repro.core.cluster import Cluster
 from repro.core.session import MeasurementSession
 from repro.faults import FaultInjector, FaultPlan
+from repro.metering import flags as mflags
 from repro.programs import install_all
 
 SEED = 77
@@ -51,6 +52,42 @@ def test_restarted_daemon_is_noticed_and_undegraded_automatically():
     jobs = session.command("jobs j")
     assert "degraded" not in jobs
     assert "nameserver" in jobs
+
+
+def test_recovery_noticed_through_degradation_reconciles_once():
+    """The replies to the reconcile's own RPCs carry the replacement
+    daemon's boot epoch; they must not be read as a second restart."""
+    session = _run(
+        lambda now: (
+            FaultPlan()
+            .kill_daemon(now + 20.0, "red")
+            .restart_daemon(now + 900.0, "red")
+        )
+    )
+    transcript = session.transcript()
+    assert transcript.count("is responding again") == 1
+    assert "restarted between heartbeats" not in transcript
+
+
+def test_setflags_issued_while_daemon_is_down_lands_on_recovery():
+    """``jobs`` shows the flags the user asked for, and the reconcile
+    after the outage pushes them: the kernel ends up metering what the
+    command said, although its RPC failed."""
+    session = _run(lambda now: FaultPlan().kill_daemon(now + 5.0, "red"))
+    cluster = session.cluster
+    out = session.command("setflags j send receive")
+    assert "Process 'nameserver' : flags not set" in out
+    plan = FaultPlan().restart_daemon(cluster.sim.now + 50.0, "red")
+    FaultInjector(cluster, plan, session=session).arm()
+    session.settle()
+    assert "responding again" in session.transcript()
+    (proc,) = [
+        p
+        for p in cluster.machine("red").procs.values()
+        if p.program_name == "nameserver"
+    ]
+    assert proc.meter_flags == mflags.METERSEND | mflags.METERRECEIVE
+    assert "flags: receive send" in session.command("jobs j")
 
 
 def test_daemon_that_stays_dead_probes_to_dormancy_not_forever():

@@ -44,8 +44,6 @@ def test_filter_survives_garbage_on_meter_port(session):
     info = None
     # Find the filter's meter port from the daemon's reply via a real
     # metered job (the controller knows it; we re-derive it).
-    from repro.controller.control import ControllerState  # noqa: F401
-
     # Easier: attack the only listening stream port on blue owned by
     # the filter; enumerate blue's inet bindings.
     blue = session.cluster.machine("blue")

@@ -75,6 +75,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
         self.run_queue = deque()
         self.cpu_busy = False
         self._dispatch_scheduled = False
+        self._dispatching = False
 
         # Socket namespaces.
         self.inet_ports = {}  # (sock type, port) -> Socket
@@ -339,27 +340,39 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
         if not proc.in_runq:
             proc.in_runq = True
             self.run_queue.append(proc)
-        self._kick()
-
-    def _kick(self):
-        if not self._dispatch_scheduled:
+        # A busy CPU dispatches the queue itself when it is released.
+        # An idle one is kicked through the event queue and never run
+        # from here: a woken process's retried syscall must not execute
+        # inside its waker's stack (proc_exit wakes the parent before
+        # its own bookkeeping is done, set_peer_closed wakes three
+        # queues in a row).
+        if not self.cpu_busy and not self._dispatch_scheduled:
             self._dispatch_scheduled = True
             self.sim.call_soon(self._dispatch_event)
 
     def _dispatch_event(self):
         self._dispatch_scheduled = False
-        self._maybe_dispatch()
+        self._dispatch()
 
-    def _maybe_dispatch(self):
-        if self.cpu_busy:
+    def _dispatch(self):
+        """Run-to-block: hand the CPU to runnable processes until one
+        holds it across simulated time (a trap or a compute slice) or
+        the run queue is empty.  A step that finishes without holding
+        the CPU -- a retried syscall that blocks again, an exit --
+        releases it from inside this loop, so the release returns here
+        instead of recursing."""
+        if self._dispatching:
             return
-        while self.run_queue:
-            proc = self.run_queue.popleft()
-            proc.in_runq = False
-            if proc.state != defs.PROC_RUNNABLE:
-                continue
-            self._run(proc)
-            return
+        self._dispatching = True
+        try:
+            run_queue = self.run_queue
+            while run_queue and not self.cpu_busy:
+                proc = run_queue.popleft()
+                proc.in_runq = False
+                if proc.state == defs.PROC_RUNNABLE:
+                    self._run(proc)
+        finally:
+            self._dispatching = False
 
     def _run(self, proc):
         proc.state = defs.PROC_RUNNING
@@ -497,8 +510,9 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
         self._release_cpu()
 
     def _release_cpu(self):
+        """Tail call of every step that ran on the CPU."""
         self.cpu_busy = False
-        self._kick()
+        self._dispatch()
 
     # ------------------------------------------------------------------
     # Packet layer

@@ -180,6 +180,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
             return
         proc.run_token += 1
         proc.clear_wait_state()
+        self._cancel_timeout_wake(proc)
         proc.state = defs.PROC_ZOMBIE
         proc.stopped = False
         proc.exit_status = status
@@ -254,6 +255,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
             return
         proc.run_token += 1
         proc.clear_wait_state()
+        self._cancel_timeout_wake(proc)
         proc.state = defs.PROC_ZOMBIE
         proc.stopped = False
         proc.exit_status = None

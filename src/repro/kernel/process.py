@@ -55,6 +55,11 @@ class Proc:
         self.syscall_state = {}
         #: WaitQueues this proc is currently parked on.
         self.waiting_on = []
+        #: Simulated time at which the current timed wait (sleep, select
+        #: or connect timeout, rcp) gives up; None outside one.
+        self.wake_deadline = None
+        #: (time, event) of this proc's one queued timer event, or None.
+        self.wake_timer = None
         #: True while queued on the machine's run queue.
         self.in_runq = False
 
@@ -155,6 +160,7 @@ class Proc:
         self.waiting_on = []
         self.retry = None
         self.syscall_state = {}
+        self.wake_deadline = None
 
     def is_active(self):
         return self.state not in (defs.PROC_ZOMBIE,)

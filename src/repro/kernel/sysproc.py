@@ -163,11 +163,9 @@ class ProcessCalls:
 
     def sys_sleep(self, proc, request):
         (ms,) = request.args
-        state = proc.syscall_state
-        if "deadline" not in state:
-            state["deadline"] = self.sim.now + ms
+        if proc.wake_deadline is None:
             self._schedule_timeout_wake(proc, ms)
-        if self.sim.now + 1e-9 >= state["deadline"]:
+        if self.sim.now + 1e-9 >= proc.wake_deadline:
             return 0
         return self.block(proc, request, [])
 
@@ -177,9 +175,7 @@ class ProcessCalls:
             raise SyscallError(
                 errno.EPERM, "select(want_meter_loss) is root-only"
             )
-        state = proc.syscall_state
-        if timeout_ms is not None and "deadline" not in state:
-            state["deadline"] = self.sim.now + timeout_ms
+        if timeout_ms is not None and proc.wake_deadline is None:
             self._schedule_timeout_wake(proc, timeout_ms)
 
         entries = [(fd, proc.lookup_fd(fd)) for fd in read_fds]
@@ -195,7 +191,7 @@ class ProcessCalls:
                 events.append(self.meter.lost_meters.popleft())
         if ready or events:
             return (ready, events)
-        if timeout_ms is not None and self.sim.now + 1e-9 >= state["deadline"]:
+        if timeout_ms is not None and self.sim.now + 1e-9 >= proc.wake_deadline:
             return ([], [])
 
         queues = [self._entry_read_queue(entry) for __, entry in entries]
@@ -220,15 +216,41 @@ class ProcessCalls:
         return None
 
     def _schedule_timeout_wake(self, proc, delay_ms):
-        """Arrange a retry at the deadline; stale wakes are harmless
-        because the handler re-checks its own state."""
-        token = object()
-        proc.syscall_state["timeout_token"] = token
-        self.sim.schedule(delay_ms, self._timeout_wake, proc, token)
+        """Start a timed wait: ``proc.wake_deadline`` is when the
+        blocked call gives up.  A process owns at most one queued timer
+        event; one already due at or before the deadline is left alone
+        and re-arms itself when it fires."""
+        deadline = proc.wake_deadline = self.sim.now + delay_ms
+        timer = proc.wake_timer
+        if timer is not None:
+            if timer[0] <= deadline:
+                return
+            self.sim.cancel(timer[1])
+        proc.wake_timer = (
+            deadline, self.sim.schedule(delay_ms, self._timeout_wake, proc)
+        )
 
-    def _timeout_wake(self, proc, token):
-        if proc.syscall_state.get("timeout_token") is token:
+    def _timeout_wake(self, proc):
+        proc.wake_timer = None
+        deadline = proc.wake_deadline
+        if deadline is None:
+            return  # the wait it was armed for already finished
+        remaining = deadline - self.sim.now
+        if remaining > 1e-9:
+            # Armed for an earlier wait that returned early; the
+            # process is now in a later one.
+            proc.wake_timer = (
+                deadline, self.sim.schedule(remaining, self._timeout_wake, proc)
+            )
+        else:
             self.wake(proc)
+
+    def _cancel_timeout_wake(self, proc):
+        """A dead process leaves no timer behind, so an emptied event
+        queue means the cluster is quiescent."""
+        if proc.wake_timer is not None:
+            self.sim.cancel(proc.wake_timer[1])
+            proc.wake_timer = None
 
     # ------------------------------------------------------------------
     # Remote file copy (the controller's system("rcp ...") stand-in)
@@ -237,7 +259,7 @@ class ProcessCalls:
     def sys_rcp(self, proc, request):
         src_host_name, src_path, dst_host_name, dst_path = request.args
         state = proc.syscall_state
-        if "deadline" not in state:
+        if proc.wake_deadline is None:
             src_machine = self.machine_for(src_host_name)
             node = src_machine.fs.lookup(src_path, proc.uid, want="read")
             state["payload"] = (
@@ -248,9 +270,8 @@ class ProcessCalls:
             transfer_ms = self.network.params.base_latency_ms * 2 + (
                 len(node.data) / max(self.network.params.bandwidth_bytes_per_ms, 1.0)
             )
-            state["deadline"] = self.sim.now + transfer_ms
             self._schedule_timeout_wake(proc, transfer_ms)
-        if self.sim.now + 1e-9 < state["deadline"]:
+        if self.sim.now + 1e-9 < proc.wake_deadline:
             return self.block(proc, request, [])
         dst_machine = self.machine_for(dst_host_name)
         data, program, mode = state["payload"]

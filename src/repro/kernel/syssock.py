@@ -166,7 +166,6 @@ class SocketCalls:
             sock.state = ST_CONNECTING
             state["initiated"] = True
             if timeout_ms is not None:
-                state["deadline"] = self.sim.now + float(timeout_ms)
                 self._schedule_timeout_wake(proc, float(timeout_ms))
             self.send_packet(
                 dst_host,
@@ -180,7 +179,10 @@ class SocketCalls:
                 reliable_channel=("hs", sock.endpoint_id),
                 size=64,
             )
-        elif "deadline" in state and self.sim.now + 1e-9 >= state["deadline"]:
+        elif (
+            proc.wake_deadline is not None
+            and self.sim.now + 1e-9 >= proc.wake_deadline
+        ):
             # Handshake timed out (the SYN or its reply is marooned on a
             # severed path, or the peer machine is down): abandon the
             # embryo endpoint so a late reply cannot resurrect it.

@@ -113,15 +113,15 @@ def _run(drive, seed, log_format):
     "drive, seed, log_format, events_run, now, records, sha256",
     [
         (
-            _pingpong, 7, "text", 1071, 2858.8367957458177, 45,
+            _pingpong, 7, "text", 1020, 2856.16140663868, 45,
             "3aa848876c8d11ec6c8ea1c350b1c9d5590bc04805299e307d323eb89e61f441",
         ),
         (
-            _dgram_burst, 11, "text", 21136, 2939.0454654320415, 3530,
+            _dgram_burst, 11, "text", 18419, 2936.1735052518015, 3530,
             "581fe497484c0956f9c9a2ff83b73c15775c06cbf606bb62e46680beea28c39c",
         ),
         (
-            _farm, 13, "store", 4349, 2766.645284526765, 1269,
+            _farm, 13, "store", 4219, 2763.822140536895, 1269,
             "e7f25830472d5c013d7203d44728b803345926062c5f44385710e9ebbe2533be",
         ),
     ],

@@ -31,6 +31,10 @@ PROC_ZOMBIE = "zombie"  # terminated, not yet reaped
 NOFILE = 64  # descriptors per process (generous vs the historical 20)
 SOMAXCONN = 5  # default listen backlog cap
 SOCK_BUFFER_BYTES = 4096  # per-direction stream buffer (flow control)
+# A reader returns credit once it owes this much (4.2BSD's tcp_output:
+# 35% of the buffer or two segments).  Less than the buffer, so a
+# sender whose peer has read everything always holds credit.
+WINDOW_UPDATE_BYTES = SOCK_BUFFER_BYTES // 4
 DGRAM_QUEUE_BYTES = 8192  # receive queue budget for datagram sockets
 MAX_DGRAM_BYTES = 2048  # largest single datagram
 

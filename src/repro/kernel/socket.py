@@ -54,6 +54,8 @@ class Socket:
         self.endpoint_id = None
         #: Bytes we may still push to the peer before blocking.
         self.send_credit = defs.SOCK_BUFFER_BYTES
+        #: Bytes read but not yet returned to the peer as credit.
+        self.window_owed = 0
         #: Peer will send no more data (half or full close): reads EOF.
         self.peer_closed = False
         #: Peer is fully gone: our writes fail with EPIPE.

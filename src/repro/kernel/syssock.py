@@ -455,13 +455,19 @@ class SocketCalls:
         return self.block(proc, request, [sock.rd_wait])
 
     def _return_window(self, sock, nbytes):
-        """Return flow-control credit to the stream peer."""
+        """Return flow-control credit to the stream peer -- a delayed
+        window update: credit is owed until it amounts to a worthwhile
+        share of the buffer, then goes back in one packet."""
         if sock.peer is None or nbytes <= 0:
+            return
+        sock.window_owed += nbytes
+        if sock.window_owed < defs.WINDOW_UPDATE_BYTES:
             return
         peer_host, peer_eid = sock.peer
         packet = packets.Packet(
-            packets.STREAM_WINDOW, self.host, dst_eid=peer_eid, n=nbytes
+            packets.STREAM_WINDOW, self.host, dst_eid=peer_eid, n=sock.window_owed
         )
+        sock.window_owed = 0
         self.send_packet(
             peer_host,
             packet,

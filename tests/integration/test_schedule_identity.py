@@ -22,7 +22,9 @@ Re-anchored by PR 19 (ROADMAP item 5), in three commits:
 3. delayed window update -- everything but the record counts: fewer
    ``STREAM_WINDOW`` packets draw fewer jitter values from ``sim.rng``,
    so every later arrival time, and with it every committed timestamp,
-   moves.
+   moves.  (``dgram_burst`` commits 3 534 records where it committed
+   3 530: its gap-0 producers overrun the consumers' buffers, and how
+   many datagrams that loses depends on the arrival times.)
 """
 
 import hashlib
@@ -113,16 +115,16 @@ def _run(drive, seed, log_format):
     "drive, seed, log_format, events_run, now, records, sha256",
     [
         (
-            _pingpong, 7, "text", 1020, 2856.16140663868, 45,
-            "3aa848876c8d11ec6c8ea1c350b1c9d5590bc04805299e307d323eb89e61f441",
+            _pingpong, 7, "text", 932, 2854.6506356174345, 45,
+            "6b0767be203a494f457ee725b2cc9ce2413a2f4d93a048311c6f942477260710",
         ),
         (
-            _dgram_burst, 11, "text", 18419, 2936.1735052518015, 3530,
-            "581fe497484c0956f9c9a2ff83b73c15775c06cbf606bb62e46680beea28c39c",
+            _dgram_burst, 11, "text", 16705, 2936.0976885615046, 3534,
+            "fb7c0cd8ca58bc26205934514b077d3b2bb4039c0ba46b2e702c8100f5b2ca9e",
         ),
         (
-            _farm, 13, "store", 4219, 2763.822140536895, 1269,
-            "e7f25830472d5c013d7203d44728b803345926062c5f44385710e9ebbe2533be",
+            _farm, 13, "store", 3522, 2766.4782823843398, 1269,
+            "1a215207861299cea213853d996062eb5de11167f0fd7e4d927fd2e16ee9b29e",
         ),
     ],
     ids=["pingpong", "dgram_burst", "farm_store"],

@@ -76,6 +76,10 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
         self.cpu_busy = False
         self._dispatch_scheduled = False
         self._dispatching = False
+        #: The in-flight trap or compute slice of the process holding
+        #: the CPU: the one event a crash must take with it, or it
+        #: would release a CPU some later process holds.
+        self._cpu_event = None
 
         # Socket namespaces.
         self.inet_ports = {}  # (sock type, port) -> Socket
@@ -239,6 +243,8 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
             self._crash_proc(proc)
         self.procs.clear()
         self.run_queue.clear()
+        if self._cpu_event is not None:
+            self.sim.cancel(self._cpu_event)
         self.cpu_busy = False
         self.inet_ports.clear()
         self.unix_names.clear()
@@ -432,7 +438,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
         # A syscall trap: charge the trap cost, then execute.
         proc.syscall_count += 1
         proc.charge_cpu(defs.SYSCALL_COST_MS)
-        self.sim.schedule(
+        self._cpu_event = self.sim.schedule(
             defs.SYSCALL_COST_MS, self._finish_trap, proc, token, request
         )
 
@@ -492,7 +498,9 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
 
     def _compute_slice(self, proc, token):
         slice_ms = min(proc.compute_remaining, defs.QUANTUM_MS)
-        self.sim.schedule(slice_ms, self._finish_slice, proc, token, slice_ms)
+        self._cpu_event = self.sim.schedule(
+            slice_ms, self._finish_slice, proc, token, slice_ms
+        )
 
     def _finish_slice(self, proc, token, slice_ms):
         if proc.run_token != token or proc.state != defs.PROC_RUNNING:

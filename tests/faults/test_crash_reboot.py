@@ -127,3 +127,30 @@ def test_crash_and_reboot_are_idempotent():
     red.reboot()
     red.reboot()
     assert not red.crashed
+
+
+def test_reboot_inside_a_quantum_leaves_one_process_per_cpu():
+    """A crash mid-slice used to leave the victim's slice-end event
+    queued; if the machine rebooted inside that quantum the stale event
+    released a CPU a new process held, and two ran at once."""
+    cluster = Cluster(seed=5)
+    red = cluster.machine("red")
+
+    def compute(sys, argv):
+        yield sys.compute(40)
+        yield sys.exit(0)
+
+    cluster.spawn("red", compute)  # mid-slice when the machine dies
+    FaultInjector(cluster, FaultPlan().crash(3.0, "red").reboot(4.0, "red")).arm()
+    cluster.run(until_ms=4.5)
+    pair = [cluster.spawn("red", compute) for __ in range(2)]
+    most_running = 0
+    while any(proc.state != defs.PROC_ZOMBIE for proc in pair):
+        assert cluster.sim.step()
+        running = [
+            proc for proc in red.procs.values() if proc.state == defs.PROC_RUNNING
+        ]
+        most_running = max(most_running, len(running))
+    assert most_running == 1
+    # 2 x 40 ms on one CPU (both finished at 50.05 ms when they overlapped).
+    assert cluster.sim.now >= 4.5 + 80.0

@@ -624,8 +624,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
     def _on_stream_close(self, packet):
         sock = self.endpoints.get(packet.dst_eid)
         if sock is not None:
-            full = packet.fields.get("how", "full") == "full"
-            sock.set_peer_closed(full=full)
+            sock.set_peer_closed(full=packet.how == "full")
 
     def _on_dgram(self, packet):
         name = packet.dst_name

@@ -17,24 +17,60 @@ DGRAM = "dgram"
 
 
 class Packet:
-    """A transport packet: kind plus free-form fields."""
+    """A transport packet: kind, source host, and whichever of the
+    fields below its kind carries (the rest stay ``None``)."""
 
-    __slots__ = ("kind", "src_host", "fields")
+    __slots__ = (
+        "kind",
+        "src_host",
+        "dst_name",  # CONN_REQ, DGRAM
+        "src_name",  # DGRAM
+        "client_eid",  # handshake
+        "client_name",
+        "server_eid",
+        "server_name",
+        "dst_eid",  # STREAM_*
+        "data",  # STREAM_DATA, DGRAM
+        "n",  # STREAM_WINDOW: bytes of credit returned
+        "how",  # STREAM_CLOSE: "full", or "wr" for a half-close
+    )
 
-    def __init__(self, kind, src_host, **fields):
+    def __init__(
+        self,
+        kind,
+        src_host,
+        dst_name=None,
+        src_name=None,
+        client_eid=None,
+        client_name=None,
+        server_eid=None,
+        server_name=None,
+        dst_eid=None,
+        data=None,
+        n=None,
+        how="full",
+    ):
         self.kind = kind
         self.src_host = src_host
-        self.fields = fields
-
-    def __getattr__(self, name):
-        try:
-            return self.fields[name]
-        except KeyError:
-            raise AttributeError(name)
+        self.dst_name = dst_name
+        self.src_name = src_name
+        self.client_eid = client_eid
+        self.client_name = client_name
+        self.server_eid = server_eid
+        self.server_name = server_name
+        self.dst_eid = dst_eid
+        self.data = data
+        self.n = n
+        self.how = how
 
     def __repr__(self):
+        fields = {
+            name: getattr(self, name)
+            for name in self.__slots__[2:]
+            if getattr(self, name) is not None
+        }
         return "Packet({0}, from={1}, {2})".format(
-            self.kind, self.src_host.name, self.fields
+            self.kind, self.src_host.name, fields
         )
 
 

@@ -276,6 +276,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
         proc.meter_entry = None
         proc.meter_buffer = []
         proc.meter_window.clear()
+        proc.meter_unsent = 0
         proc.meter_pending_dest = None
 
     def reboot(self):

@@ -83,8 +83,11 @@ class Proc:
         # retransmitted and dedups on its side.  ``meter_pending_dest``
         # remembers the filter's socket name while the connection is
         # down so a replacement connection can be recognised.
+        # ``meter_unsent`` counts the window entries whose sent flag is
+        # clear, so a flush with nothing to resend skips the walk.
         self.meter_seq = 0
         self.meter_window = deque()
+        self.meter_unsent = 0
         self.meter_pending_dest = None
 
         # Parent/child bookkeeping.

@@ -165,6 +165,7 @@ class MeterSubsystem:
                 # seq), so redelivery is harmless and gaps are closed.
                 for went in target.meter_window:
                     went[3] = False
+                target.meter_unsent = len(target.meter_window)
                 self._pump_window(target)
         return 0
 
@@ -220,7 +221,7 @@ class MeterSubsystem:
 
     def flush(self, proc):
         """Ship any buffered messages over the meter connection."""
-        if proc.meter_window:
+        if proc.meter_unsent:
             # Older stamped batches first, so the stream stays in
             # sequence order across a reconnect.
             self._pump_window(proc)
@@ -322,9 +323,12 @@ class MeterSubsystem:
         """Append a [seq, wire bytes, record count, sent] entry, rolling
         the window; an entry that never reached any filter is loss."""
         proc.meter_window.append(entry)
+        if not entry[3]:
+            proc.meter_unsent += 1
         while len(proc.meter_window) > WINDOW_BATCHES:
             old = proc.meter_window.popleft()
             if not old[3]:
+                proc.meter_unsent -= 1
                 self._count_dropped(proc.pid, old[2])
 
     def _pump_window(self, proc):
@@ -340,6 +344,7 @@ class MeterSubsystem:
                 self.wire_sends += 1
                 self.wire_bytes += len(entry[1])
                 entry[3] = True
+                proc.meter_unsent -= 1
             elif sock.closed or sock.peer_gone or sock.error is not None:
                 self._disconnect(proc, sock)
                 return
@@ -351,6 +356,7 @@ class MeterSubsystem:
             if not entry[3]:
                 self._count_dropped(proc.pid, entry[2])
         proc.meter_window.clear()
+        proc.meter_unsent = 0
 
     def _spool_orphans(self, proc, dest):
         """Keep an exited process's window for the filter at ``dest``;
@@ -363,6 +369,7 @@ class MeterSubsystem:
             if not old[3]:
                 self._count_dropped(old[4], old[2])
         proc.meter_window.clear()
+        proc.meter_unsent = 0
 
     # ------------------------------------------------------------------
     # Hooks called by the syscall layer

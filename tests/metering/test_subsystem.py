@@ -4,6 +4,7 @@ import pytest
 
 from repro.kernel import defs
 from repro.metering import flags as mf
+from repro.metering.messages import parse_batch_marker, peek_size
 from tests.metering.harness import metered_spawn, start_collector
 
 
@@ -368,3 +369,62 @@ def test_metering_cost_is_charged_to_the_process(cluster):
     assert metered.cpu_ms > bare.cpu_ms
     # ... but only slightly (transparency).
     assert metered.cpu_ms < bare.cpu_ms * 1.5
+
+
+def test_reconnect_resends_the_window_in_sequence_order(cluster):
+    """The first filter connection dies after three batches; the next
+    ones are stamped into the resend window unsent.  A replacement
+    meter socket gets the whole window again, oldest first, and later
+    flushes follow it in order."""
+    seqs = {}  # connection index -> batch sequence numbers, as received
+
+    def filter_stub(sys, argv):
+        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.bind(fd, ("", 4400))
+        yield sys.listen(fd, defs.SOMAXCONN)
+        for index in range(2):
+            conn, __ = yield sys.accept(fd)
+            got = seqs.setdefault(index, [])
+            buf = b""
+            while index == 1 or len(got) < 3:  # hang up on the first one
+                data = yield sys.read(conn, 8192)
+                if not data:
+                    break
+                buf += data
+                while len(buf) >= 4 and len(buf) >= peek_size(buf):
+                    marker = parse_batch_marker(buf)
+                    if marker is not None:
+                        got.append(marker[2])
+                    buf = buf[peek_size(buf):]
+            yield sys.close(conn)
+        yield sys.exit(0)
+
+    def meter_socket(sys):
+        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.connect(fd, ("blue", 4400))
+        return fd
+
+    def guest(sys, argv):
+        data_fd = yield sys.socket(defs.AF_INET, defs.SOCK_DGRAM)
+        first = yield from meter_socket(sys)
+        yield sys.setmeter(mf.SELF, mf.METERSEND | mf.M_IMMEDIATE, first)
+        yield sys.close(first)  # the kernel keeps its own reference
+        for __ in range(3):
+            yield sys.sendto(data_fd, b"x", ("red", 6000))
+        yield sys.sleep(20)  # the stub's close arrives
+        for __ in range(20):
+            yield sys.sendto(data_fd, b"x", ("red", 6000))
+        second = yield from meter_socket(sys)
+        yield sys.setmeter(mf.SELF, mf.NO_CHANGE, second)
+        for __ in range(4):
+            yield sys.sendto(data_fd, b"x", ("red", 6000))
+        yield sys.exit(0)
+
+    stub = cluster.spawn("blue", filter_stub, uid=0)
+    proc = cluster.spawn("red", guest, uid=100)
+    cluster.run_until_exit([proc, stub])
+    assert seqs[0] == [0, 1, 2]
+    # Everything the window held, from the start, then the new flushes.
+    assert seqs[1] == list(range(len(seqs[1]))) and len(seqs[1]) > 7
+    assert cluster.machine("red").meter.events_dropped == 0
+    assert proc.meter_unsent == 0

@@ -20,7 +20,13 @@ Blocking CI gate for the filter's fast lane:
 5. push 100k no-op events through the simulator's event queue and
    through an object heap ordered by a Python ``__lt__`` (the queue's
    representation before PR 15): same events run, and the tuple-keyed
-   queue at least 1.5x faster.  A ratio only -- no ev/s floor.
+   queue at least 1.5x faster.  A ratio only -- no ev/s floor;
+6. count simulator events, no timing: a syscall loop runs in at most
+   1.05 events per call, and the pinned ``dgram_burst`` session of
+   ``tests/integration/test_schedule_identity.py`` in at most 18 000
+   (32 729 before PR 19) -- so a later change cannot quietly bring
+   back the per-syscall dispatch trampoline, the stale timers or the
+   per-read window update.
 
 Numbers are printed, not stored: ``python3 -m ledger`` is where
 results are recorded.
@@ -30,6 +36,7 @@ import heapq
 import time
 
 from benchmarks.conftest import HOSTS
+from repro.core.cluster import Cluster
 from repro.filtering.descriptions import DescriptionSet, default_description_set
 from repro.filtering.filterlib import MAX_METER_MESSAGE, MeterInbox
 from repro.filtering.records import format_record
@@ -39,6 +46,7 @@ from repro.metering import flags as mf
 from repro.metering.messages import HEADER_BYTES, MessageCodec, peek_size
 from repro.sim.simulator import Simulator
 from repro.tracestore.batchscan import message_select
+from tests.integration import test_schedule_identity as pinned
 from tests.metering.harness import metered_spawn, start_collector
 
 N_EVENTS = 50_000
@@ -48,6 +56,11 @@ N_EVENTS = 50_000
 #: CI -- while still leaving 2x headroom for slow shared runners.
 MIN_COMPILED_EPS = 100_000.0
 MIN_SPEEDUP = 2.0
+
+#: Count ceilings (exact per seed, so they gate on any runner).
+N_SYSCALLS = 5000
+MAX_EVENTS_PER_SYSCALL = 1.05
+MAX_DGRAM_BURST_EVENTS = 18_000
 
 #: Dense rule file: type-pinned selections with reductions plus range
 #: conditions, the shape Figure 3.4 shows -- every record walks rules.
@@ -457,3 +470,23 @@ def test_hotpath_event_queue_ratio(benchmark):
         )
     )
     assert old_s / new_s >= MIN_QUEUE_SPEEDUP
+
+
+def test_hotpath_event_counts():
+    cluster = Cluster(seed=7)
+
+    def guest(sys, argv):
+        for __ in range(N_SYSCALLS):
+            yield sys.getpid()
+        yield sys.exit(0)
+
+    cluster.run_until_exit([cluster.spawn("red", guest)])
+    per_syscall = cluster.sim.events_run / N_SYSCALLS
+    burst = pinned._run(pinned._dgram_burst, 11, "text").cluster.sim.events_run
+    print(
+        "\n[hotpath] events: {0:.4f} per syscall, dgram_burst session {1}".format(
+            per_syscall, burst
+        )
+    )
+    assert per_syscall <= MAX_EVENTS_PER_SYSCALL
+    assert burst <= MAX_DGRAM_BURST_EVENTS

@@ -2,9 +2,9 @@
 
 Composes the syscall handler mixins with:
 
-- a round-robin scheduler (10 ms quantum, one CPU per machine) that
-  drives guest generators and charges CPU time at the granularity the
-  paper reports (``procTime``, 10 ms ticks);
+- a round-robin, run-to-block scheduler (10 ms quantum, one CPU per
+  machine) that drives guest generators and charges CPU time at the
+  granularity the paper reports (``procTime``, 10 ms ticks);
 - signal delivery (stop/continue/kill) -- the mechanism the daemons use
   for process control (Section 3.5.1);
 - the packet layer connecting the socket code to the internetwork.

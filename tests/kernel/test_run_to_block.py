@@ -56,7 +56,8 @@ _WAKER_FRAMES = ("wake_all", "proc_exit", "socket_closed", "set_peer_closed")
 
 
 def _frames_beneath(names):
-    """How often each of ``names`` is on the caller's Python stack."""
+    """The frames called one of ``names`` on the caller's Python
+    stack, innermost first."""
     found = []
     frame = pysys._getframe(1)
     while frame is not None:

@@ -25,7 +25,7 @@ def test_any_write_and_read_sizes_deliver_every_byte(seed, remote, writes, reads
         bytes([65 + index % 26]) * size for index, size in enumerate(writes)
     )
     got = []
-    socks = {}
+    writer_socks = []  # the writer's end, once connected
 
     def reader(sys, argv):
         fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
@@ -44,7 +44,7 @@ def test_any_write_and_read_sizes_deliver_every_byte(seed, remote, writes, reads
     def writer(sys, argv):
         fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
         yield sys.connect(fd, ("red", _PORT))
-        socks["writer"] = writer_proc.lookup_socket(fd).obj
+        writer_socks.append(writer_proc.lookup_socket(fd).obj)
         offset = 0
         for size in writes:
             yield sys.write(fd, sent[offset:offset + size])
@@ -77,9 +77,9 @@ def test_any_write_and_read_sizes_deliver_every_byte(seed, remote, writes, reads
     for __ in range(200_000):
         if not cluster.sim.step():
             break
-        wsock = socks.get("writer")
-        if wsock is None or wsock.peer is None:
+        if not writer_socks:
             continue
+        (wsock,) = writer_socks
         rsock = cluster.machine("red").endpoints.get(wsock.peer[1])
         if rsock is None:
             continue

@@ -12,6 +12,7 @@ import pathlib
 import sys
 import time
 
+from repro.cliflags import parse_flags, truthy
 from repro.filtering.records import format_record, parse_trace
 from repro.metering.messages import record_fields
 from repro.streaming.engine import format_firing, format_snapshot
@@ -72,9 +73,6 @@ usage: python -m repro trace <subcommand>
                      --repair, write a clean copy at BASE (default
                      <storebase>.repaired) keeping only verified frames"""
 
-_TRUTHY = ("yes", "true", "1", "on")
-
-
 def _available():
     if not EXAMPLES_DIR.is_dir():
         return []
@@ -86,34 +84,14 @@ def _available():
 # ----------------------------------------------------------------------
 
 
-def _parse_flags(args, spec):
-    """Tiny ``--flag value`` parser; spec maps flag -> coercion."""
-    positional, flags = [], {}
-    i = 0
-    while i < len(args):
-        token = args[i]
-        if token.startswith("--"):
-            name = token[2:]
-            if name not in spec:
-                raise ValueError("unknown option --{0}".format(name))
-            if i + 1 >= len(args):
-                raise ValueError("option --{0} needs a value".format(name))
-            flags[name] = spec[name](args[i + 1])
-            i += 2
-        else:
-            positional.append(token)
-            i += 1
-    return positional, flags
-
-
 def _trace_pack(args):
-    positional, flags = _parse_flags(args, {"segment-bytes": int, "compress": str})
+    positional, flags = parse_flags(args, {"segment-bytes": int, "compress": truthy})
     if len(positional) != 2:
         print(TRACE_USAGE)
         return 1
     logfile, base = positional
     text = pathlib.Path(logfile).read_text(encoding="ascii")
-    compress = flags.get("compress", "").lower() in _TRUTHY
+    compress = flags.get("compress", False)
     __, writer = pack_text(
         text,
         base,
@@ -216,14 +194,13 @@ def _trace_inspect(args):
 
 
 def _trace_fsck(args):
-    positional, flags = _parse_flags(args, {"repair": str, "out": str})
+    positional, flags = parse_flags(args, {"repair": truthy, "out": str})
     if len(positional) != 1:
         print(TRACE_USAGE)
         return 1
     base = positional[0]
     reader = StoreReader.from_files(base)
-    repair = flags.get("repair", "").lower() in ("yes", "true", "1", "on")
-    if repair:
+    if flags.get("repair"):
         out_base = flags.get("out", base + ".repaired")
         __, writer, report = repair_store(
             reader, out_base, writer_driver=flush_to_files
@@ -250,9 +227,9 @@ def _trace_cat(args):
         "event": str,
         "since": int,
         "until": int,
-        "salvage": str,
+        "salvage": truthy,
     }
-    positional, flags = _parse_flags(args, spec)
+    positional, flags = parse_flags(args, spec)
     if len(positional) != 1:
         print(TRACE_USAGE)
         return 1
@@ -262,7 +239,7 @@ def _trace_cat(args):
         "events": [flags["event"]] if "event" in flags else None,
         "t_min": flags.get("since"),
         "t_max": flags.get("until"),
-        "salvage": flags.get("salvage", "").lower() in _TRUTHY,
+        "salvage": flags.get("salvage", False),
     }
     if "pid" in flags:
         if "machine" not in flags:
@@ -336,18 +313,15 @@ usage: python -m repro stats <log-or-storebase> [--window MS] [--digest yes]
 
 
 def stats_main(args):
-    spec = {"window": float, "digest": str, "salvage": str}
-    positional, flags = _parse_flags(args, spec)
+    spec = {"window": float, "digest": truthy, "salvage": truthy}
+    positional, flags = parse_flags(args, spec)
     if len(positional) != 1:
         print(STATS_USAGE)
         return 1
-    truthy = ("yes", "true", "1", "on")
-    records = _load_records(
-        positional[0], salvage=flags.get("salvage", "").lower() in truthy
-    )
+    records = _load_records(positional[0], salvage=flags.get("salvage", False))
     engine = replay_engine(records, window_ms=flags.get("window"))
     engine.finalize()
-    if flags.get("digest", "").lower() in truthy:
+    if flags.get("digest"):
         print(json.dumps(engine.digest(), sort_keys=True))
     else:
         for line in format_snapshot(engine.snapshot()):
@@ -369,14 +343,14 @@ def watch_main(args):
         "count": int,
         "threshold": int,
         "event": str,
-        "salvage": str,
+        "salvage": truthy,
     }
-    positional, flags = _parse_flags(args, spec_flags)
+    positional, flags = parse_flags(args, spec_flags)
     if len(positional) != 2 or positional[1] not in QUERY_KINDS:
         print(WATCH_USAGE)
         return 1
     path, kind = positional
-    salvage = flags.pop("salvage", "").lower() in ("yes", "true", "1", "on")
+    salvage = flags.pop("salvage", False)
     spec = {"kind": kind}
     spec.update(flags)
     engine = replay_engine(

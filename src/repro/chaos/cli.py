@@ -34,6 +34,7 @@ from repro.chaos.profiles import PROFILES
 from repro.chaos.scenario import SCENARIOS, make_scenario, run_scenario
 from repro.chaos.search import format_report, search
 from repro.chaos.shrink import shrink_plan
+from repro.cliflags import parse_flags, truthy
 
 CHAOS_USAGE = """\
 usage: python -m repro chaos <subcommand>
@@ -56,29 +57,6 @@ usage: python -m repro chaos <subcommand>
   profiles:  {1}""".format(
     " ".join(sorted(SCENARIOS)), " ".join(sorted(PROFILES))
 )
-
-_TRUTHY = ("yes", "true", "1", "on")
-
-
-def _parse_flags(args, spec):
-    """Tiny ``--flag value`` parser; spec maps flag -> coercion."""
-    positional, flags = [], {}
-    i = 0
-    while i < len(args):
-        token = args[i]
-        if token.startswith("--"):
-            name = token[2:]
-            if name not in spec:
-                raise ValueError("unknown option --{0}".format(name))
-            if i + 1 >= len(args):
-                raise ValueError("option --{0} needs a value".format(name))
-            flags[name] = spec[name](args[i + 1])
-            i += 2
-        else:
-            positional.append(token)
-            i += 1
-    return positional, flags
-
 
 def _parse_seeds(text):
     """``A:B`` -> range(A, B); ``a,b,c`` -> those seeds; ``N`` -> [N]."""
@@ -118,10 +96,10 @@ def _chaos_run(args):
         "cluster-seed": int,
         "artifacts": str,
         "bench": str,
-        "shrink": str,
+        "shrink": truthy,
         "sends": int,
     }
-    positional, flags = _parse_flags(args, spec)
+    positional, flags = parse_flags(args, spec)
     if positional:
         print(CHAOS_USAGE)
         return 1
@@ -134,7 +112,7 @@ def _chaos_run(args):
         profiles=profiles,
         seeds=flags.get("seeds", list(range(5))),
         cluster_seed=flags.get("cluster-seed", 7),
-        shrink_failures=flags.get("shrink", "yes").lower() in _TRUTHY,
+        shrink_failures=flags.get("shrink", True),
         artifact_dir=flags.get("artifacts"),
         log=print,
     )
@@ -154,7 +132,7 @@ def _chaos_soak(args):
         "bench": str,
         "sends": int,
     }
-    positional, flags = _parse_flags(args, spec)
+    positional, flags = parse_flags(args, spec)
     if positional:
         print(CHAOS_USAGE)
         return 1
@@ -179,7 +157,7 @@ def _chaos_soak(args):
 
 
 def _chaos_replay(args):
-    positional, __ = _parse_flags(args, {})
+    positional, __ = parse_flags(args, {})
     if len(positional) != 1:
         print(CHAOS_USAGE)
         return 1
@@ -199,7 +177,7 @@ def _chaos_replay(args):
 
 
 def _chaos_shrink(args):
-    positional, flags = _parse_flags(
+    positional, flags = parse_flags(
         args, {"out": str, "max-probes": int}
     )
     if len(positional) != 1:

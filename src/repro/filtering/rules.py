@@ -19,21 +19,21 @@ Field name ``type`` is accepted as an alias for the header's
 ``traceType``, matching the figures' spelling, and may also be compared
 against event names ("type=send").
 
-Dict-shaped callers (the filter's lane for edited descriptions, watch
-queries, store-scan fallbacks) run :meth:`RuleSet.apply` once per
-record, so the set is compiled at parse time: every condition becomes
-a closure, every rule a tuple of closures, and rules pinned to one
-event type by a ``type=`` equality condition go into a dispatch table
-keyed by ``traceType`` so only candidate rules are consulted per
-record.  (On the shipped descriptions the live filter and the store
-scan go one step further and run the same candidate lists as generated
-column programs -- :mod:`repro.tracestore.batchscan`.)  The
-interpreted path (:meth:`Rule.matches` walking conditions) is kept both
-as the semantic reference for the property tests and as the
-``compiled=False`` baseline for the hot-path benchmark.
+There are two evaluators and one meaning.  Dict-shaped callers (the
+filter's lane for edited descriptions, watch queries, store-scan
+fallbacks, the offline CLI) run :meth:`RuleSet.apply`: rules pinned to
+one event type by a ``type=`` equality condition are filed in a
+dispatch table keyed by ``traceType`` so only candidate rules are
+consulted per record, and each candidate is decided by
+:meth:`Rule.matches` walking its conditions.  The shipped descriptions'
+live filter and the store scan lower the same candidate lists to
+generated column programs (:mod:`repro.tracestore.batchscan`).
+:meth:`RuleSet.apply_interpreted` -- the same first-match walk over
+every rule in file order, no dispatch -- is the reference both are
+tested against and the ``compiled=False`` baseline of the hot-path
+benchmark.  A field a reduction discarded is *absent*: no condition on
+it holds, the wildcard included.
 """
-
-import operator
 
 from repro.metering.messages import EVENT_NAMES, EVENT_TYPES
 
@@ -41,22 +41,12 @@ _OPERATORS = ("<=", ">=", "!=", "<", ">", "=")
 
 _ALIASES = {"type": "traceType"}
 
-_OP_FUNCS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    ">": operator.gt,
-    "<=": operator.le,
-    ">=": operator.ge,
-}
-
-_MISSING = object()
-
 
 class Condition:
-    """One ``field OP value`` clause."""
+    """One ``field OP value`` clause.  ``ref`` is the record field a
+    cross-field reference names (alias resolved), None for a literal."""
 
-    __slots__ = ("field", "op", "value", "discard", "is_wildcard", "is_field_ref")
+    __slots__ = ("field", "op", "value", "discard", "is_wildcard", "ref")
 
     def __init__(self, field, op, value):
         self.field = _ALIASES.get(field, field)
@@ -66,7 +56,7 @@ class Condition:
             self.discard = True
             value = value[1:]
         self.is_wildcard = value == "*"
-        self.is_field_ref = False
+        self.ref = None
         if not self.is_wildcard:
             value = self._coerce(value)
         self.value = value
@@ -81,22 +71,19 @@ class Condition:
         # A bare identifier naming another record field is a cross-field
         # reference; anything else is a literal string (e.g. a name).
         if isinstance(value, str) and value.isidentifier():
-            self.is_field_ref = True
+            self.ref = _ALIASES.get(value, value)
         return value
 
     def matches(self, record):
         if self.field not in record:
             return False
-        actual = record[self.field]
         if self.is_wildcard:
             return True
         expected = self.value
-        if self.is_field_ref:
-            ref = _ALIASES.get(expected, expected)
-            if ref in record:
-                expected = record[ref]
-            # else: treat as a literal string and fall through.
-        return self._compare(actual, expected)
+        if self.ref is not None:
+            # A reference the record lacks compares as the literal string.
+            expected = record.get(self.ref, expected)
+        return self._compare(record[self.field], expected)
 
     def _compare(self, actual, expected):
         # Numbers compare numerically; mixed types compare as strings.
@@ -113,52 +100,6 @@ class Condition:
         if self.op == "<=":
             return actual <= expected
         return actual >= expected  # ">="
-
-    def compile(self):
-        """Return a ``record -> bool`` closure equivalent to
-        :meth:`matches`."""
-        field = self.field
-        if self.is_wildcard:
-            return lambda record: field in record
-        op = _OP_FUNCS[self.op]
-        if self.is_field_ref:
-            ref = _ALIASES.get(self.value, self.value)
-            literal = self.value
-
-            def check_ref(record):
-                actual = record.get(field, _MISSING)
-                if actual is _MISSING:
-                    return False
-                expected = record.get(ref, _MISSING)
-                if expected is _MISSING:
-                    expected = literal
-                if isinstance(actual, int) and isinstance(expected, int):
-                    return op(actual, expected)
-                return op(str(actual), str(expected))
-
-            return check_ref
-        if isinstance(self.value, int):
-            value = self.value
-            text = str(value)
-
-            def check_int(record):
-                actual = record.get(field, _MISSING)
-                if actual is _MISSING:
-                    return False
-                if isinstance(actual, int):
-                    return op(actual, value)
-                return op(str(actual), text)
-
-            return check_int
-        value = str(self.value)
-
-        def check_str(record):
-            actual = record.get(field, _MISSING)
-            if actual is _MISSING:
-                return False
-            return op(str(actual), value)
-
-        return check_str
 
     def to_text(self):
         value = self.value
@@ -177,12 +118,19 @@ class Rule:
 
     def __init__(self, conditions):
         self.conditions = list(conditions)
+        #: Fields dropped from a record this rule accepts.
+        self.discards = frozenset(
+            cond.field for cond in self.conditions if cond.discard
+        )
 
     def matches(self, record):
-        return all(cond.matches(record) for cond in self.conditions)
+        for cond in self.conditions:
+            if not cond.matches(record):
+                return False
+        return True
 
     def discard_fields(self):
-        return {cond.field for cond in self.conditions if cond.discard}
+        return self.discards
 
     def pinned_trace_types(self):
         """Integer ``traceType`` values this rule requires via equality
@@ -193,13 +141,10 @@ class Rule:
             if cond.field == "traceType"
             and cond.op == "="
             and not cond.is_wildcard
-            and not cond.is_field_ref
+            and cond.ref is None
             and isinstance(cond.value, int)
         }
         return pins or None
-
-    def compile(self):
-        return _CompiledRule(self)
 
     def __repr__(self):
         return "Rule({0})".format(
@@ -207,65 +152,20 @@ class Rule:
         )
 
 
-#: Header fields present in every record the filter decodes; a rule
-#: whose conditions are all wildcards over these fields accepts every
-#: live record, so its compiled form can skip the checks entirely.
-_ALWAYS_PRESENT = frozenset(
-    ("size", "machine", "cpuTime", "procTime", "traceType", "event")
-)
-
-
-class _CompiledRule:
-    """A :class:`Rule` lowered to closures.
-
-    ``accepts_all`` marks the wildcard-only fast path: every condition
-    is a wildcard over an always-present header field and nothing is
-    discarded, so :meth:`RuleSet.apply` can accept the record without
-    calling any check.
-
-    ``matches`` is an instance attribute, not a method: a one-condition
-    rule *is* its check closure (no extra call frame), a conjunction
-    gets a closure walking the checks.
-    """
-
-    __slots__ = ("checks", "discards", "accepts_all", "matches", "rule")
-
-    def __init__(self, rule):
-        #: The source :class:`Rule`, kept so column-oriented planners
-        #: (the trace store's batch pre-screen) can recompile the same
-        #: conditions against a record layout instead of a dict.
-        self.rule = rule
-        self.discards = frozenset(rule.discard_fields())
-        wildcard_only = all(cond.is_wildcard for cond in rule.conditions)
-        self.accepts_all = (
-            wildcard_only
-            and not self.discards
-            and all(
-                cond.field in _ALWAYS_PRESENT for cond in rule.conditions
-            )
-        )
-        if wildcard_only:
-            # Collapse the conjunction into one membership sweep.
-            fields = tuple({cond.field: None for cond in rule.conditions})
-            self.checks = (
-                lambda record: all(field in record for field in fields),
-            )
-        else:
-            self.checks = tuple(cond.compile() for cond in rule.conditions)
-        if len(self.checks) == 1:
-            self.matches = self.checks[0]
-        else:
-            self.matches = self._conjunction(self.checks)
-
-    @staticmethod
-    def _conjunction(checks):
-        def matches(record):
-            for check in checks:
-                if not check(record):
-                    return False
-            return True
-
-        return matches
+def _first_match(rules, record):
+    """``record`` as the first of ``rules`` that matches it saves it
+    (reduced by that rule's discards), or None if none does."""
+    for rule in rules:
+        if rule.matches(record):
+            discards = rule.discards
+            if not discards:
+                return record
+            return {
+                key: value
+                for key, value in record.items()
+                if key not in discards
+            }
+    return None
 
 
 class RuleSet:
@@ -275,14 +175,15 @@ class RuleSet:
     None if no rule accepts it.  An empty rule set accepts everything
     unreduced (a filter with no templates just logs the full trace).
 
-    With ``compiled=True`` (the default) the rules are lowered once at
-    construction: conditions become closures and rules pinned to one
-    event type by a ``type=`` equality condition are filed in a
-    dispatch table keyed by ``traceType``, so a record is only tested
-    against rules that could possibly accept it.  First-matching-rule
-    semantics are preserved by merging pinned and generic rules in
-    their original file order.  ``compiled=False`` keeps the
-    interpreted per-condition walk (the benchmark baseline).
+    With ``compiled=True`` (the default) rules pinned to one event
+    type by a ``type=`` equality condition are filed once, at
+    construction, in a dispatch table keyed by ``traceType``, so a
+    record is only tested against rules that could possibly accept it
+    (and the batch lane may lower those lists to column programs).
+    First-matching-rule semantics are preserved by merging pinned and
+    generic rules in their original file order.  ``compiled=False`` is
+    the reference lane end to end: no dispatch table, no column
+    program, every rule walked in file order (the benchmark baseline).
     """
 
     def __init__(self, rules, compiled=True):
@@ -294,7 +195,7 @@ class RuleSet:
             self._build_dispatch()
 
     def _build_dispatch(self):
-        """Partition compiled rules into per-traceType candidate lists.
+        """Partition the rules into per-traceType candidate lists.
 
         A pinned rule can only accept records whose ``traceType``
         equals its pin numerically (int records) or textually (string
@@ -303,28 +204,27 @@ class RuleSet:
         -- every candidate rule still runs its own checks -- but a rule
         must never be *excluded* from a type it could match.
         """
-        generic = []  # (index, compiled) pairs, original file order
-        pinned = {}  # dispatch key -> [(index, compiled), ...]
+        generic = []  # (index, rule) pairs, original file order
+        pinned = {}  # dispatch key -> [(index, rule), ...]
         for index, rule in enumerate(self.rules):
-            compiled = rule.compile()
             pins = rule.pinned_trace_types()
             if pins is None:
-                generic.append((index, compiled))
+                generic.append((index, rule))
             elif len(pins) == 1:
                 (pin,) = pins
                 for key in (pin, str(pin)):
-                    pinned.setdefault(key, []).append((index, compiled))
+                    pinned.setdefault(key, []).append((index, rule))
             # Contradictory pins (type=1, type=2) can never both hold:
             # the rule matches nothing and is filed nowhere.
-        self._generic = tuple(compiled for __, compiled in generic)
+        self._generic = tuple(rule for __, rule in generic)
         self._dispatch = {}
         for key, entries in pinned.items():
             merged = sorted(entries + generic, key=lambda pair: pair[0])
-            self._dispatch[key] = tuple(compiled for __, compiled in merged)
+            self._dispatch[key] = tuple(rule for __, rule in merged)
 
     def candidates(self, trace_type):
-        """The compiled rules :meth:`apply` would consult for a record
-        of ``trace_type``, in first-match order.  This is the dispatch
+        """The rules :meth:`apply` would consult for a record of
+        ``trace_type``, in first-match order.  This is the dispatch
         the batch pre-screen compiles column programs from, so screen
         and apply can never disagree about rule order."""
         return self._dispatch.get(trace_type, self._generic)
@@ -349,35 +249,14 @@ class RuleSet:
         trace_type = record.get("traceType")
         if not isinstance(trace_type, int):
             trace_type = str(trace_type)
-        candidates = self._dispatch.get(trace_type, self._generic)
-        for rule in candidates:
-            if rule.accepts_all or rule.matches(record):
-                discards = rule.discards
-                if not discards:
-                    return record
-                return {
-                    key: value
-                    for key, value in record.items()
-                    if key not in discards
-                }
-        return None
+        return _first_match(self.candidates(trace_type), record)
 
     def apply_interpreted(self, record):
-        """The original per-condition interpretation of the rule file
-        (reference semantics; also the benchmark baseline)."""
+        """Every rule walked in file order, no dispatch (reference
+        semantics; also the benchmark baseline)."""
         if not self.rules:
             return record
-        for rule in self.rules:
-            if rule.matches(record):
-                discards = rule.discard_fields()
-                if not discards:
-                    return record
-                return {
-                    key: value
-                    for key, value in record.items()
-                    if key not in discards
-                }
-        return None
+        return _first_match(self.rules, record)
 
     def __len__(self):
         return len(self.rules)

@@ -54,8 +54,6 @@ from repro.tracestore.writer import segment_path
 
 PROGRAM_NAME = "filter"
 DEFAULT_LOG_DIRECTORY = "/usr/tmp"
-#: Backward-compatible module alias (prefer the per-session setting).
-LOG_DIRECTORY = DEFAULT_LOG_DIRECTORY
 
 TEXT_SUFFIX = ".log"
 STORE_SUFFIX = ".store"
@@ -72,7 +70,9 @@ LOG_IDLE_FLUSH_MS = 5.0
 
 def log_path_for(filtername, directory=None, log_format=LOG_FORMAT_TEXT):
     suffix = STORE_SUFFIX if log_format == LOG_FORMAT_STORE else TEXT_SUFFIX
-    return "{0}/{1}{2}".format(directory or LOG_DIRECTORY, filtername, suffix)
+    return "{0}/{1}{2}".format(
+        directory or DEFAULT_LOG_DIRECTORY, filtername, suffix
+    )
 
 
 # ----------------------------------------------------------------------

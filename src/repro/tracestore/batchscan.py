@@ -51,7 +51,6 @@ import heapq
 import struct
 import zlib
 
-from repro.filtering.rules import _ALIASES
 from repro.metering.messages import (
     BATCH_MARKER_TYPE,
     EVENT_TYPES,
@@ -185,10 +184,10 @@ def _condition_expr(cond, info, masks):
     if cond.is_wildcard:
         return True, bits
     op = _OP_TEXT[cond.op]
-    if not cond.is_field_ref:
-        return _finish(cond, op, actual, ("const", cond.value)), bits
-    ref = _ALIASES.get(cond.value, cond.value)
+    ref = cond.ref
     literal = ("const", cond.value)
+    if ref is None:
+        return _finish(cond, op, actual, literal), bits
     if ref == "event":
         expected = ("const", info.event)
     elif ref == "traceType":
@@ -216,16 +215,10 @@ def _compile_screen(candidates, info, masks):
     (no rule can match -- the record is never materialized)."""
     body = []
     namespace = {}
-    for index, crule in enumerate(candidates):
+    for index, rule in enumerate(candidates):
         token = "A%d" % index
-        if crule.accepts_all:
-            # apply() accepts without any check (even masked fields).
-            namespace[token] = _Accept(info, crule.discards)
-            body.append("    return %s" % token)
-            break
         lowered = [
-            _condition_expr(cond, info, masks)
-            for cond in crule.rule.conditions
+            _condition_expr(cond, info, masks) for cond in rule.conditions
         ]
         if any(expr is False for expr, __ in lowered):
             continue  # this rule can never match this traceType
@@ -235,7 +228,7 @@ def _compile_screen(candidates, info, masks):
             required |= bits
         if required and masks:
             parts.insert(0, "not (m & %d)" % required)
-        namespace[token] = _Accept(info, crule.discards)
+        namespace[token] = _Accept(info, rule.discards)
         if parts:
             body.append("    if %s:" % " and ".join(parts))
             body.append("        return %s" % token)

@@ -36,6 +36,7 @@ from repro.metering.messages import MessageCodec, is_batch_marker
 from repro.tracestore import format as sformat
 from repro.tracestore.errors import (
     BadSegmentHeaderError,
+    CorruptFrameError,
     CorruptSegmentError,
 )
 from repro.tracestore.writer import SEGMENT_SUFFIX
@@ -176,11 +177,22 @@ class Segment:
         """Damage-tolerant walk: ("frame", offset, mask, payload) /
         ("gap", start, end) / ("torn", start, end) items."""
         if not self.valid:
-            return iter(())
+            return
         data, start, end = self.frame_region(best_effort=True)
-        return sformat.salvage_frames(
+        lost_from = end
+        for item in sformat.salvage_frames(
             data, start, end, version=self.version
-        )
+        ):
+            if self._region_damaged and item[0] == "torn":
+                lost_from = item[1]
+            else:
+                yield item
+        if self._region_damaged:
+            # A sealed region has no torn tail: whatever the blob did
+            # not inflate, up to the footer's size, is quarantined.
+            sealed_end = start + self.footer["raw_bytes"]
+            if lost_from < sealed_end:
+                yield "gap", lost_from, sealed_end
 
     def committed_frames(self):
         """Frames whose batch the writing filter actually committed.

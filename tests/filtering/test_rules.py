@@ -3,6 +3,8 @@
 import pytest
 
 from repro.filtering.rules import RuleSet, parse_rules
+from repro.metering.messages import EVENT_TYPES, MessageCodec
+from repro.tracestore.batchscan import message_select
 
 SEND_RECORD = {
     "event": "send",
@@ -201,19 +203,30 @@ def test_contradictory_type_pins_match_nothing():
 
 def test_wildcard_only_rule_takes_accept_all_fast_path():
     rules = parse_rules("machine=*\n")
-    (rule,) = (rules._generic)
-    assert rule.accepts_all
     assert rules.apply(SEND_RECORD) == SEND_RECORD
+    # "Matches any value" of a field the record has: one that lost
+    # machine to a reduction is rejected, on both walks.
+    reduced = {k: v for k, v in SEND_RECORD.items() if k != "machine"}
+    assert rules.apply(reduced) is None
+    assert rules.apply_interpreted(reduced) is None
+    # Every well-formed wire message carries the header, so the live
+    # lane still accepts them all, unreduced.
+    hosts = {1: "red"}
+    codec = MessageCodec(hosts)
+    select = message_select(rules, hosts)
+    for event in sorted(EVENT_TYPES):
+        raw = codec.encode(event, machine=1, cpu_time=7, proc_time=0)
+        saved, mask, __, name = select(raw)
+        assert (saved, mask, name) == (codec.decode(raw), 0, event)
 
 
 def test_wildcard_over_body_field_is_not_accept_all():
     # msgLength only exists on send/receive records, so the wildcard
     # must still test presence.
     rules = parse_rules("msgLength=*\n")
-    (rule,) = rules._generic
-    assert not rule.accepts_all
     assert rules.apply(SEND_RECORD) == SEND_RECORD
     assert rules.apply(ACCEPT_RECORD) is None
+    assert rules.apply_interpreted(ACCEPT_RECORD) is None
 
 
 def test_wildcard_with_discard_still_reduces():

@@ -4,7 +4,11 @@ For any record stream, any store flavour (v1, v2, v2-compressed), any
 predicate pushdown, and any compiled rule file,
 :func:`~repro.tracestore.scan_fast` / :func:`~repro.tracestore.select`
 must produce record-for-record (and key-order-for-key-order) exactly
-what :meth:`StoreReader.scan` + ``RuleSet.apply`` produce.  A damaged
+what :meth:`StoreReader.scan` + ``RuleSet.apply_interpreted`` (and
+``RuleSet.apply``) produce.  Frames carry discard masks over the header
+fields and ``pid`` -- a reduction may have dropped any of them -- and
+rule files include wildcard-only rules over those fields, so "``*``
+does not match a discarded field" is covered on every lane.  A damaged
 store must agree in salvage mode too.
 
 The same compiled program runs the live filter's record lane:
@@ -78,10 +82,21 @@ def _wire_messages(draw):
     )
 
 
+#: A frame's discard mask: bits 0-4 are the header fields, bit 5 is
+#: ``pid`` (first in every Appendix-A body).
+_masks = st.one_of(st.just(0), st.integers(min_value=0, max_value=63))
+
+_frames = st.tuples(_wire_messages(), _masks)
+
 #: Condition fragments a rule line is assembled from: column compares,
-#: NAME compares (literal and cross-field), wildcards, discards, and a
-#: field no event carries.
+#: NAME compares (literal and cross-field), wildcards (alone they make
+#: wildcard-only rules over maskable fields), discards, and a field no
+#: event carries.
 _CONDITIONS = [
+    "machine=*",
+    "cpuTime=*",
+    "type=*",
+    "pid=*",
     "type=send",
     "type=accept",
     "type=fork",
@@ -138,15 +153,15 @@ _predicates = st.fixed_dictionaries(
 _flavours = st.sampled_from(["v1", "v2", "zlib"])
 
 
-def _build(raws, flavour, segment_bytes):
+def _build(frames, flavour, segment_bytes):
     kwargs = {"segment_bytes": segment_bytes}
     if flavour == "v1":
         kwargs["version"] = FORMAT_VERSION_V1
     elif flavour == "zlib":
         kwargs["compress"] = True
     writer = StoreWriter("/p/s.store", host_names=HOSTS, **kwargs)
-    for raw in raws:
-        writer.append(raw)
+    for raw, mask in frames:
+        writer.append(raw, mask)
     writer.close()
     sink = {}
     collect_ops(sink, writer)
@@ -154,7 +169,7 @@ def _build(raws, flavour, segment_bytes):
 
 
 @given(
-    raws=st.lists(_wire_messages(), min_size=1, max_size=30),
+    frames=st.lists(_frames, min_size=1, max_size=30),
     flavour=_flavours,
     segment_bytes=st.sampled_from([400, 4096]),
     predicates=_predicates,
@@ -162,9 +177,9 @@ def _build(raws, flavour, segment_bytes):
 )
 @settings(max_examples=120, deadline=None)
 def test_fast_lane_equals_interpreted_lane(
-    raws, flavour, segment_bytes, predicates, rule_text
+    frames, flavour, segment_bytes, predicates, rule_text
 ):
-    store = _build(raws, flavour, segment_bytes)
+    store = _build(frames, flavour, segment_bytes)
     reader = StoreReader.from_bytes(store)
 
     oracle_scan = list(reader.scan(**predicates))
@@ -174,17 +189,18 @@ def test_fast_lane_equals_interpreted_lane(
 
     rules = parse_rules(rule_text)
     oracle_sel = [
-        s
-        for s in (rules.apply(r) for r in reader.scan(**predicates))
-        if s is not None
+        s for s in map(rules.apply_interpreted, oracle_scan) if s is not None
     ]
+    assert [
+        s for s in map(rules.apply, oracle_scan) if s is not None
+    ] == oracle_sel
     fast_sel = select(reader, rules, **predicates)
     assert fast_sel == oracle_sel
     assert [list(r) for r in fast_sel] == [list(r) for r in oracle_sel]
 
 
 @given(
-    raws=st.lists(_wire_messages(), min_size=4, max_size=30),
+    frames=st.lists(_frames, min_size=4, max_size=30),
     flavour=_flavours,
     damage=st.tuples(
         st.integers(min_value=0, max_value=10**6),
@@ -194,9 +210,9 @@ def test_fast_lane_equals_interpreted_lane(
 )
 @settings(max_examples=80, deadline=None)
 def test_salvage_fast_lane_equals_interpreted_lane(
-    raws, flavour, damage, rule_text
+    frames, flavour, damage, rule_text
 ):
-    store = _build(raws, flavour, 400)
+    store = _build(frames, flavour, 400)
     path = sorted(store)[len(store) // 2]
     offset, bit = damage
     blob = bytearray(store[path])

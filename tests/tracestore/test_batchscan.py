@@ -14,7 +14,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.filtering.records import format_record
-from repro.filtering.rules import parse_rules
+from repro.filtering.rules import DEFAULT_TEMPLATES_TEXT, parse_rules
 from repro.metering.messages import (
     BODY_FIELDS,
     EVENT_TYPES,
@@ -26,6 +26,7 @@ from repro.tracestore import (
     StoreReader,
     StoreWriter,
     collect_ops,
+    pack_records,
     scan_fast,
     select,
 )
@@ -178,6 +179,43 @@ def test_cross_field_name_comparison_matches_oracle():
     oracle = [r for r in reader.scan() if rules.apply(r) is not None]
     assert select(reader, rules) == oracle
     assert oracle  # _wire_for gives accept equal sockName/peerName
+
+
+@pytest.mark.parametrize("reduction, lost", [
+    ("type=1, machine=#*\n", "machine"),
+    ("type=accept, cpuTime=#*\n", "cpuTime"),
+])
+@pytest.mark.parametrize("text", [
+    DEFAULT_TEMPLATES_TEXT,
+    "machine=*, cpuTime=*\n",
+    "machine=*, pid=*\n",
+])
+def test_wildcard_does_not_match_a_discarded_header_field(
+    reduction, lost, text
+):
+    """A reduction may discard a *header* field; what is left of the
+    record no longer has it, so ``field=*`` ("matches any value") does
+    not hold -- on the column program (a presence-bit guard), on the
+    dispatch walk and on the file-order reference alike."""
+    codec, wire = _all_type_wire()
+    reduce = parse_rules(reduction + "size=*\n")
+    store, __ = pack_records(
+        [reduce.apply(codec.decode(raw)) for raw in wire],
+        "/t/r.store", host_names=HOSTS,
+    )
+    reader = StoreReader.from_bytes(store)
+    scanned = list(reader.scan())
+    assert sum(lost not in record for record in scanned) == 5
+    rules = parse_rules(text)
+    (rule,) = rules.rules
+    reference = [
+        s for s in map(rules.apply_interpreted, scanned) if s is not None
+    ]
+    assert reference == [
+        r for r in scanned if all(c.field in r for c in rule.conditions)
+    ]
+    assert select(reader, rules) == reference
+    assert [s for s in map(rules.apply, scanned) if s is not None] == reference
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.tracestore import (
     collect_ops,
     fsck_store,
     repair_store,
+    scan_fast,
 )
 from repro.tracestore import format as sformat
 from repro.tracestore.errors import CorruptFrameError
@@ -240,6 +241,36 @@ def test_v1_undecodable_payload_counted_not_raised():
     assert stats.frames_corrupt == 1
     assert stats.bytes_quarantined == len(junk)
     assert not stats.loss_free()
+
+
+@pytest.mark.parametrize("where", ["head", "middle", "tail"])
+def test_damaged_deflate_blob_is_typed_and_accounted(where):
+    """One flipped byte inside a sealed compressed segment's deflate
+    blob: strict scans (both lanes) raise the typed store error, and
+    salvage keeps what still inflates and quarantines the rest of the
+    sealed region -- every lost byte accounted."""
+    codec = _codec()
+    wire = _wire(codec, 800)
+    store, __ = _store_from(wire, compress=True)
+    (path,) = store
+    stored = sformat.parse_footer(store[path])["stored_bytes"]
+    at = sformat.SEGMENT_HEADER_BYTES + {
+        "head": 2, "middle": stored // 2, "tail": stored - 3,
+    }[where]
+    damaged = _flip_data_byte(store, path, at=at)
+    for scan in (StoreReader.records, lambda reader: list(scan_fast(reader))):
+        with pytest.raises(CorruptFrameError) as exc:
+            scan(StoreReader.from_bytes(damaged))
+        assert exc.value.path == path
+    reader = StoreReader.from_bytes(damaged)
+    records = reader.records(salvage=True)
+    stats = reader.last_stats
+    baseline = iter([codec.decode(raw) for raw in wire])
+    assert all(record in baseline for record in records)  # in order
+    assert bool(records) == (where != "head")
+    frame_bytes = len(wire[0]) + sformat.frame_overhead(FORMAT_VERSION)
+    assert stats.bytes_quarantined == (len(wire) - len(records)) * frame_bytes
+    assert stats.bytes_quarantined and not stats.loss_free()
 
 
 # ----------------------------------------------------------------------

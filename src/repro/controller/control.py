@@ -388,25 +388,6 @@ class Controller:
     # RPC to meterdaemons
     # ------------------------------------------------------------------
 
-    def _exchange(self, machine, request, deadline_ms):
-        """One request/reply over a fresh connection to ``machine``'s
-        meterdaemon.  Returns ``(payload, None)`` -- payload None when
-        the daemon hung up without answering -- or ``(None, error)``
-        for the SyscallError that ended the attempt."""
-        sys = self.sys
-        payload = error = None
-        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
-        try:
-            yield sys.connect(fd, (machine, METERDAEMON_PORT), deadline_ms)
-            yield from guestlib.send_frame(sys, fd, request)
-            payload = yield from guestlib.recv_frame_timeout(sys, fd, deadline_ms)
-        except SyscallError as err:
-            error = err
-        # Not in a ``finally``: the kernel close()s a killed guest's
-        # generator, and a yield while it unwinds is an error.
-        yield sys.close(fd)
-        return payload, error
-
     def _daemon_answered(self, machine, body):
         """Record a successful exchange (RPC or probe) and reconcile
         session state with the daemon when it is not the one we knew:
@@ -480,8 +461,8 @@ class Controller:
         delay = RPC_BACKOFF_MS
         last_status = None
         for attempt in range(attempts):
-            payload, err = yield from self._exchange(
-                machine, request, RPC_DEADLINE_MS
+            payload, err = yield from protocol.exchange(
+                self.sys, (machine, METERDAEMON_PORT), request, RPC_DEADLINE_MS
             )
             if err is not None:
                 last_status = "no meterdaemon on '{0}' ({1})".format(
@@ -517,8 +498,8 @@ class Controller:
             control_host=self.hostname,
             control_port=self.notify_port,
         )
-        payload, __ = yield from self._exchange(
-            machine, request, health.PROBE_DEADLINE_MS
+        payload, __ = yield from protocol.exchange(
+            self.sys, (machine, METERDAEMON_PORT), request, health.PROBE_DEADLINE_MS
         )
         if payload is None:
             yield from self._note_failure(machine)

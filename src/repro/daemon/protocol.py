@@ -16,6 +16,10 @@ see DESIGN.md, substitutions).
 
 import json
 
+from repro import guestlib
+from repro.kernel import defs
+from repro.kernel.errno import SyscallError
+
 # Request types (Figure 3.6 numbers create requests from 11).
 CREATE_REQ = 11
 CREATE_FILTER_REQ = 12
@@ -98,16 +102,27 @@ def error_reply(reason):
     return encode(ERROR_REPLY, status=str(reason))
 
 
-def stamp(payload, **fields):
-    """Add body fields to an already-encoded message (existing fields
-    win).  Lets the daemon's serve loop annotate every reply -- e.g.
-    its boot epoch -- without threading the fields through each
-    handler."""
-    message = json.loads(payload.decode("ascii"))
-    for key, value in fields.items():
-        message["body"].setdefault(key, value)
-    return json.dumps(message).encode("ascii")
-
-
 def is_ok(body):
     return body.get("status") == OK
+
+
+def exchange(sys, address, request, deadline_ms, reply=True):
+    """One frame out and, unless ``reply`` is false (a notification),
+    one frame back, over a fresh stream connection to ``address``: the
+    single socket/connect/send/[recv]/close both ends of the protocol
+    use.  Returns ``(payload, None)`` -- payload None when no reply was
+    asked for or the peer hung up without answering -- or
+    ``(None, error)`` for the SyscallError that ended the attempt."""
+    payload = error = None
+    fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+    try:
+        yield sys.connect(fd, address, deadline_ms)
+        yield from guestlib.send_frame(sys, fd, request)
+        if reply:
+            payload = yield from guestlib.recv_frame_timeout(sys, fd, deadline_ms)
+    except SyscallError as err:
+        error = err
+    # Not in a ``finally``: the kernel close()s a killed guest's
+    # generator, and a yield while it unwinds is an error.
+    yield sys.close(fd)
+    return payload, error

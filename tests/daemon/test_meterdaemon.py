@@ -91,6 +91,29 @@ class _Rig:
         self.cluster.run_until_exit([proc])
         return result["reply"]
 
+    def frames(self, machine, payload):
+        """Send one raw frame to the daemon; returns every frame it
+        answered with before hanging up."""
+        got = []
+
+        def client(sys, argv):
+            from repro import guestlib
+
+            fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+            yield sys.connect(fd, (machine, METERDAEMON_PORT))
+            yield from guestlib.send_frame(sys, fd, payload)
+            while True:
+                frame = yield from guestlib.recv_frame(sys, fd)
+                if frame is None:
+                    break
+                got.append(protocol.decode(frame))
+            yield sys.close(fd)
+            yield sys.exit(0)
+
+        proc = self.cluster.spawn("yellow", client, uid=100, program_name="rawclient")
+        self.cluster.run_until_exit([proc])
+        return got
+
     def create_filter(self, machine="blue", name="f1", uid=100):
         reply_type, body = self.rpc(
             machine,
@@ -346,3 +369,19 @@ def test_setflags_changes_meter_mask(rig):
 def test_unknown_request_type_errors(rig):
     reply_type, body = rig.rpc("red", 999)
     assert reply_type == protocol.ERROR_REPLY
+
+
+def test_handler_table_is_total(rig):
+    """Every request type has a handler, a malformed (empty) body is
+    survived, and every reply -- ok or error -- is stamped with the
+    daemon's boot epoch."""
+    for request_type, reply_type in sorted(protocol.REPLY_FOR.items()):
+        frames = rig.frames("red", protocol.encode(request_type))
+        assert len(frames) == 1, request_type
+        got_type, body = frames[0]
+        assert got_type in (reply_type, protocol.ERROR_REPLY), request_type
+        assert "unknown request" not in body["status"], request_type
+        assert "boot" in body, request_type
+        ping_type, ping = rig.rpc("red", protocol.PING_REQ)
+        assert ping_type == protocol.PING_REPLY and ping["status"] == protocol.OK
+        assert ping["boot"] == body["boot"]

@@ -174,17 +174,10 @@ class Daemon:
                 yield from guestlib.backoff_sleep(self.sys, delay)
                 delay = min(delay * 2.0, NOTIFY_BACKOFF_CAP_MS)
 
-    def _notify_termination(self, control, pid, reason, status, jobname, procname):
+    def _report(self, control, msg_type, **fields):
+        """Notify ``control`` of something that happened on this machine."""
         hostname = yield self.sys.hostname()
-        payload = protocol.encode(
-            protocol.TERMINATION_NOTIFY,
-            pid=pid,
-            machine=hostname,
-            reason=reason,
-            status=status,
-            jobname=jobname,
-            procname=procname,
-        )
+        payload = protocol.encode(msg_type, machine=hostname, **fields)
         yield from self._notify(control, payload)
 
     def _report_termination(self, event):
@@ -216,13 +209,14 @@ class Daemon:
                 )
                 return
             reason = "{0} (filter restart budget exhausted)".format(reason)
-        yield from self._notify_termination(
+        yield from self._report(
             child["control"],
-            event["pid"],
-            reason,
-            event["status"],
-            child.get("jobname"),
-            child.get("procname"),
+            protocol.TERMINATION_NOTIFY,
+            pid=event["pid"],
+            reason=reason,
+            status=event["status"],
+            jobname=child.get("jobname"),
+            procname=child.get("procname"),
         )
 
     def _forward_output(self, fd):
@@ -232,15 +226,13 @@ class Daemon:
         child = self.children.get(pid)
         if child is None:
             return
-        hostname = yield self.sys.hostname()
-        payload = protocol.encode(
+        yield from self._report(
+            child["control"],
             protocol.OUTPUT_NOTIFY,
             pid=pid,
-            machine=hostname,
             procname=child.get("procname"),
             data=data.decode("ascii", "replace"),
         )
-        yield from self._notify(child["control"], payload)
 
     # ------------------------------------------------------------------
     # Filter supervision
@@ -307,13 +299,14 @@ class Daemon:
         except SyscallError as err:
             # Relaunch impossible (program file gone, no ports): give up
             # and report the filter dead so the controller can react.
-            yield from self._notify_termination(
+            yield from self._report(
                 spec["control"],
-                old_pid,
-                "filter relaunch failed: {0}".format(err),
-                -1,
-                None,
-                spec["filtername"],
+                protocol.TERMINATION_NOTIFY,
+                pid=old_pid,
+                reason="filter relaunch failed: {0}".format(err),
+                status=-1,
+                jobname=None,
+                procname=spec["filtername"],
             )
             return
         hostname = yield self.sys.hostname()

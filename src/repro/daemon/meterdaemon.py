@@ -278,14 +278,16 @@ class Daemon:
         yield sys.bind(meter_fd, ("", 0))
         yield sys.listen(meter_fd, defs.SOMAXCONN)
         name = yield sys.getsockname(meter_fd)
-        pid = yield sys.forkexec(
-            spec["filterfile"],
-            argv=spec["argv"],
-            stdio_fd=meter_fd,
-            start=True,
-            uid=spec["uid"],
-        )
-        yield sys.close(meter_fd)
+        try:
+            pid = yield sys.forkexec(
+                spec["filterfile"],
+                argv=spec["argv"],
+                stdio_fd=meter_fd,
+                start=True,
+                uid=spec["uid"],
+            )
+        finally:
+            yield sys.close(meter_fd)  # the filter holds its own reference
         self._supervise(spec, pid, name.port)
 
     def _relaunch_filter(self, spec):
@@ -395,11 +397,11 @@ class Daemon:
             # deliver: the episode is over.
             self.pending_redials.pop(job["key"], None)
             return
-        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
         try:
-            yield sys.connect(fd, (host, port), METER_REDIAL_CONNECT_TIMEOUT_MS)
+            fd = yield from self._dial_meter(
+                host, port, METER_REDIAL_CONNECT_TIMEOUT_MS
+            )
         except SyscallError as err:
-            yield sys.close(fd)
             job["attempts_left"] -= 1
             if (
                 err.errno in guestlib.TRANSIENT_ERRNOS
@@ -476,20 +478,27 @@ class Daemon:
                 1, "process %d belongs to uid %d" % (pid, stat["uid"])
             )
 
-    def _dial_meter(self, host, port):
+    def _dial_meter(self, host, port, timeout_ms=None):
         """Create the kernel end of a meter connection: a stream socket in
-        the Internet domain, connected to the filter (Section 4.1)."""
+        the Internet domain, connected to the filter (Section 4.1).  A
+        failed connect costs the daemon no descriptor."""
         fd = yield self.sys.socket(defs.AF_INET, defs.SOCK_STREAM)
-        yield self.sys.connect(fd, (host, port))
+        try:
+            yield self.sys.connect(fd, (host, port), timeout_ms)
+        except SyscallError:
+            yield self.sys.close(fd)
+            raise
         return fd
 
     def _meter(self, pid, flags, body):
         """Point ``pid``'s meter at the filter a request names.  The
         kernel keeps its own reference to the connection, so the
-        daemon's descriptor is closed at once."""
+        daemon's descriptor is closed at once -- installed or not."""
         fd = yield from self._dial_meter(body["filter_host"], body["filter_port"])
-        yield self.sys.setmeter(pid, flags, fd)
-        yield self.sys.close(fd)
+        try:
+            yield self.sys.setmeter(pid, flags, fd)
+        finally:
+            yield self.sys.close(fd)
 
     def _handle_create(self, body):
         """Type 11: create a (suspended) metered process."""
@@ -497,29 +506,35 @@ class Daemon:
         uid = body["uid"]
         yield from self._check_account(uid)
         filename = body["filename"]
+        control = (body["control_host"], body["control_port"])
 
         # The I/O gateway: a local datagram pair, one end the child's stdio
         # (Section 3.5.2: datagrams "are reliable when used within a single
         # machine").
         gw_daemon, gw_child = yield sys.socketpair(defs.AF_UNIX, defs.SOCK_DGRAM)
-        pid = yield sys.forkexec(
-            filename,
-            argv=body.get("params", []),
-            stdio_fd=gw_child,
-            start=False,
-            uid=uid,
-        )
-        yield sys.close(gw_child)
+        pid = None
+        try:
+            try:
+                pid = yield sys.forkexec(
+                    filename,
+                    argv=body.get("params", []),
+                    stdio_fd=gw_child,
+                    start=False,
+                    uid=uid,
+                )
+            finally:
+                yield sys.close(gw_child)
+            if body.get("filter_host"):
+                yield from self._meter(pid, body.get("meter_flags", 0), body)
+        except SyscallError:
+            # The reply will say "not created", so nothing may be left
+            # behind: no gateway, no suspended child nobody can name.
+            yield sys.close(gw_daemon)
+            if pid is not None:
+                yield sys.kill(pid, defs.SIGKILL)
+            raise
 
-        if body.get("filter_host"):
-            yield from self._meter(pid, body.get("meter_flags", 0), body)
-
-        self._adopt_child(
-            pid,
-            (body["control_host"], body["control_port"]),
-            body.get("jobname"),
-            body.get("procname"),
-        )
+        self._adopt_child(pid, control, body.get("jobname"), body.get("procname"))
         self.gateways[gw_daemon] = pid
         return {"pid": pid}
 

@@ -385,3 +385,104 @@ def test_handler_table_is_total(rig):
         ping_type, ping = rig.rpc("red", protocol.PING_REQ)
         assert ping_type == protocol.PING_REPLY and ping["status"] == protocol.OK
         assert ping["boot"] == body["boot"]
+
+
+#: A port on blue that no filter listens on.
+_DEAD_PORT = 4999
+
+
+def _daemon_proc(rig, machine):
+    return next(
+        proc
+        for proc in rig.cluster.machine(machine).procs.values()
+        if proc.program_name == "meterdaemon"
+    )
+
+
+def _live_pids(rig, machine):
+    return {
+        pid
+        for pid, proc in rig.cluster.machine(machine).procs.items()
+        if proc.state != defs.PROC_ZOMBIE
+    }
+
+
+def test_failed_create_leaves_no_process_and_no_descriptor_behind(rig):
+    """'Not created' means not left behind: a CREATE whose meter
+    connection is refused kills the suspended child it forked and
+    closes both the meter socket and the gateway."""
+    _install_workload(rig.cluster, "chatty", _chatty)
+    daemon = _daemon_proc(rig, "red")
+    fds_before = len(daemon.fds)
+    live_before = _live_pids(rig, "red")
+    for __ in range(3):
+        reply_type, body = rig.rpc(
+            "red",
+            protocol.CREATE_REQ,
+            filename="chatty",
+            params=[],
+            filter_host="blue",
+            filter_port=_DEAD_PORT,
+            meter_flags=mf.M_ALL,
+            jobname="j",
+            procname="chatty",
+        )
+        assert reply_type == protocol.ERROR_REPLY
+        assert "ECONNREFUSED" in body["status"]
+    rig.settle(100)
+    assert _live_pids(rig, "red") == live_before
+    assert len(daemon.fds) == fds_before
+    assert not rig.notifications  # a process never created is never reported
+
+
+def test_failed_remeter_reports_dead_and_leaks_no_descriptor(rig):
+    def forever(sys, argv):
+        while True:
+            yield sys.sleep(10)
+
+    targets = [
+        rig.cluster.spawn("red", forever, uid=100, program_name="server")
+        for __ in range(4)
+    ]
+    rig.settle(5)
+    daemon = _daemon_proc(rig, "red")
+    fds_before = len(daemon.fds)
+    reply_type, body = rig.rpc(
+        "red",
+        protocol.REMETER_REQ,
+        filter_host="blue",
+        filter_port=_DEAD_PORT,
+        records=[{"pid": proc.pid, "flags": mf.M_ALL} for proc in targets],
+    )
+    assert reply_type == protocol.REMETER_REPLY
+    assert body["dead"] == [proc.pid for proc in targets]
+    assert body["remetered"] == []
+    assert len(daemon.fds) == fds_before
+    assert all(proc.state != defs.PROC_ZOMBIE for proc in targets)
+
+
+def test_failed_create_filter_leaks_no_listening_socket(rig):
+    daemon = _daemon_proc(rig, "blue")
+    fds_before = len(daemon.fds)
+    for __ in range(3):
+        reply_type, body = rig.rpc(
+            "blue",
+            protocol.CREATE_FILTER_REQ,
+            filtername="f1",
+            filterfile="no_such_filter",
+        )
+        assert reply_type == protocol.ERROR_REPLY
+        assert "ENOENT" in body["status"]
+    assert len(daemon.fds) == fds_before
+
+
+def test_create_of_a_missing_executable_leaks_no_gateway(rig):
+    daemon = _daemon_proc(rig, "red")
+    fds_before = len(daemon.fds)
+    for __ in range(3):
+        reply_type, body = rig.rpc(
+            "red", protocol.CREATE_REQ, filename="no_such_file", params=[]
+        )
+        assert reply_type == protocol.ERROR_REPLY
+        assert "ENOENT" in body["status"]
+    assert len(daemon.fds) == fds_before

@@ -12,6 +12,7 @@ and the message framing, handing complete raw meter messages to the
 filter body.
 """
 
+from repro.kernel import errno
 from repro.kernel.errno import SyscallError
 from repro.metering.messages import (
     HEADER_BYTES,
@@ -48,6 +49,13 @@ class MeterInbox:
         #: conn fd -> reassembly buffer
         self.buffers = {}
         self.connections_accepted = 0
+        #: accept() calls refused with EMFILE.  One connection per metered
+        #: process means a filter runs out of descriptors at about 60
+        #: meters; it then stops selecting on the listening socket (the
+        #: connections wait in the backlog, further ones are refused at
+        #: the connecting end) until one of its connections closes.
+        self.accepts_refused = 0
+        self._accepting = True
         self.messages_received = 0
         #: Child events from the most recent :meth:`wait`; defined (and
         #: empty) before the first wait so callers may always read it.
@@ -93,7 +101,8 @@ class MeterInbox:
         return queries
 
     def fds(self):
-        return [self.listen_fd] + list(self.buffers)
+        listening = [self.listen_fd] if self._accepting else []
+        return listening + list(self.buffers)
 
     def wait(self, sys, timeout_ms=None, want_children=False):
         """Block until meter messages arrive; returns a list of raw
@@ -109,7 +118,14 @@ class MeterInbox:
         raw_messages = []
         for fd in ready:
             if fd == self.listen_fd:
-                conn, __ = yield sys.accept(self.listen_fd)
+                try:
+                    conn, __ = yield sys.accept(self.listen_fd)
+                except SyscallError as err:
+                    if err.errno != errno.EMFILE:
+                        raise
+                    self.accepts_refused += 1
+                    self._accepting = False
+                    continue
                 self.buffers[conn] = b""
                 self._unclassified.add(conn)
                 self.connections_accepted += 1
@@ -136,6 +152,7 @@ class MeterInbox:
 
     def _drop(self, fd):
         del self.buffers[fd]
+        self._accepting = True  # a descriptor is free again
         self._query_fds.discard(fd)
         self._unclassified.discard(fd)
 

@@ -201,6 +201,11 @@ class SocketCalls:
             raise SyscallError(errno.EINVAL, "accept before listen")
         if not sock.pending:
             return self.block(proc, request, [sock.conn_wait, sock.rd_wait])
+        if len(proc.fds) >= defs.NOFILE:
+            # 4.2BSD's falloc() precedes the dequeue: a caller out of
+            # descriptors leaves the connection pending, to be accepted
+            # once it has closed something.
+            raise SyscallError(errno.EMFILE)
         conn = sock.pending.popleft()
         conn_entry = self.file_table.allocate(conn)
         newfd = proc.alloc_fd(conn_entry)

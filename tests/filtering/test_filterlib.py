@@ -18,6 +18,56 @@ def test_fds_lists_listener_then_connections():
     assert inbox.fds() == [3, 7, 9]
 
 
+def test_inbox_out_of_descriptors_stops_accepting_until_a_connection_closes(cluster):
+    """accept()'s EMFILE must not kill the filter: the inbox counts the
+    refusal, leaves the listening socket out of its select set while
+    it has no descriptor to give, and accepts the waiting connection
+    once one of its own closes."""
+    from repro.kernel import defs
+    from tests.conftest import run_guests
+
+    inbox = MeterInbox(listen_fd=3)
+    snapshots = []
+
+    def filter_guest(sys, argv):
+        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        assert fd == inbox.listen_fd
+        yield sys.bind(fd, ("", 5000))
+        yield sys.listen(fd, 2)
+        for __ in range(defs.NOFILE - 5):  # room for one connection only
+            yield sys.socket(defs.AF_INET, defs.SOCK_DGRAM)
+        while inbox.connections_accepted < 2:
+            yield from inbox.wait(sys)
+            snapshots.append(
+                (inbox.connections_accepted, inbox.accepts_refused, inbox.fds()[0])
+            )
+        yield sys.exit(0)
+
+    def meter(hold_ms):
+        def main(sys, argv):
+            yield sys.sleep(10)
+            fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+            yield sys.connect(fd, ("red", 5000))
+            yield sys.sleep(hold_ms)
+            yield sys.exit(0)
+
+        return main
+
+    run_guests(
+        cluster,
+        ("red", filter_guest, ()),
+        ("green", meter(100), ()),
+        ("blue", meter(300), ()),
+    )
+    first_conn = 3 + defs.NOFILE - 5 + 1
+    assert snapshots == [
+        (1, 0, 3),  # first meter accepted
+        (1, 1, first_conn),  # second refused: listener out of the set
+        (1, 1, 3),  # first meter hung up: listening again
+        (2, 1, 3),  # the waiting connection is accepted after all
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Framing: _feed reassembles meter messages from arbitrary stream chunks.
 # ---------------------------------------------------------------------------

@@ -483,3 +483,46 @@ def test_unix_names_do_not_cross_machines(cluster):
 
     run_guests(cluster, ("red", server, ()), ("green", client, ()))
     assert outcomes == ["refused"]
+
+
+def test_accept_out_of_descriptors_leaves_the_connection_pending(cluster):
+    """EMFILE from accept() neither accepts nor refuses: the connection
+    stays queued (and no file-table entry leaks), so the same accept
+    succeeds once the caller has closed something."""
+    from repro.kernel import errno
+
+    seen = {}
+    table = cluster.machine("red").file_table
+
+    def server(sys, argv):
+        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.bind(fd, ("", 5000))
+        yield sys.listen(fd, 2)
+        fillers = []
+        while True:
+            try:
+                fillers.append((yield sys.socket(defs.AF_INET, defs.SOCK_DGRAM)))
+            except SyscallError as err:
+                assert err.errno == errno.EMFILE
+                break
+        yield sys.select([fd])  # the client is in the backlog
+        entries = table.live_count()
+        try:
+            yield sys.accept(fd)
+        except SyscallError as err:
+            seen["errno"] = err.errno
+        seen["leaked"] = table.live_count() - entries
+        yield sys.close(fillers.pop())
+        conn, __ = yield sys.accept(fd)
+        seen["data"] = yield sys.read(conn, 16)
+        yield sys.exit(0)
+
+    def client(sys, argv):
+        yield sys.sleep(10)
+        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.connect(fd, ("red", 5000))
+        yield sys.write(fd, b"hello")
+        yield sys.exit(0)
+
+    run_guests(cluster, ("red", server, ()), ("green", client, ()))
+    assert seen == {"errno": errno.EMFILE, "leaked": 0, "data": b"hello"}

@@ -13,7 +13,7 @@ pipeline:
    250k fallback otherwise so slow shared CI runners gate real
    regressions without flaking;
 2. prove the fast lane record-identical to the interpreted oracle scan
-   on every store flavour: v1, v2, v2-compressed, and a damaged copy
+   on every store flavour: plain, compressed, and a damaged copy
    read in salvage mode;
 3. prove the *merged* multi-store output byte-stable: the sha256 of
    the formatted record stream from :func:`merge_scan_fast` equals the
@@ -36,7 +36,6 @@ from repro.filtering.rules import parse_rules
 from repro.metering.messages import MessageCodec, record_fields
 from repro.net.addresses import InternetName
 from repro.tracestore import (
-    FORMAT_VERSION_V1,
     StoreReader,
     StoreWriter,
     merge_scan,
@@ -175,7 +174,6 @@ def stores(tmp_path_factory):
     wire = _bursty_wire()
     bases = {
         "v2": _write_store(wire, root / "v2"),
-        "v1": _write_store(wire, root / "v1", version=FORMAT_VERSION_V1),
         "zlib": _write_store(wire, root / "zlib", compress=True),
     }
     # A damaged copy for the salvage lane: flip bytes inside a frame of
@@ -238,7 +236,7 @@ def test_batchscan_full_scan_throughput(stores):
     print("\n[batchscan] full fast scan: {0:.0f} ev/s".format(eps))
 
 
-@pytest.mark.parametrize("flavour", ["v2", "v1", "zlib"])
+@pytest.mark.parametrize("flavour", ["v2", "zlib"])
 def test_fast_lane_record_identical(stores, flavour):
     reader = StoreReader.from_files(stores[flavour])
     fast = list(scan_fast(reader))

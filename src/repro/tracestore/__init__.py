@@ -19,10 +19,11 @@ index footer, so analyses can stream exactly the records they need:
 - :mod:`repro.tracestore.fsck` -- offline store checking and repair
   (the ``trace fsck`` CLI).
 
-Durability: segments are written in format v2 -- every frame carries a
-CRC32 over its length, mask, and payload -- so corruption anywhere in
-the data region is *detectable*, not just at the sealed footer.  v1
-segments (pre-CRC) remain fully readable.  Reads are strict by default
+Durability: there is one segment format (version 2) -- every frame
+carries a CRC32 over its length, mask, and payload -- so corruption
+anywhere in the data region is *detectable*, not just at the sealed
+footer.  Any other version in a header is a bad header, reported and
+skipped like a foreign file.  Reads are strict by default
 (a corrupt frame raises :class:`CorruptSegmentError`); salvage mode
 (``scan(salvage=True)``) resynchronizes past damage and accounts every
 quarantined byte in :class:`ScanStats`.
@@ -31,7 +32,6 @@ quarantined byte in :class:`ScanStats`.
 from repro.tracestore.format import (
     DEFAULT_SEGMENT_BYTES,
     FORMAT_VERSION,
-    FORMAT_VERSION_V1,
     discard_mask,
     masked_fields,
     zero_masked_bytes,
@@ -64,7 +64,6 @@ from repro.tracestore.writer import (
 __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "FORMAT_VERSION",
-    "FORMAT_VERSION_V1",
     "discard_mask",
     "masked_fields",
     "zero_masked_bytes",

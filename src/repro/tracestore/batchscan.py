@@ -27,16 +27,17 @@ this module compiles the same semantics down to batch-shaped work:
   NAME blobs decode through a per-scan cache keyed on their raw bytes.
   (The layouts, materializers and NAME cache live beside the codec in
   :mod:`repro.metering.messages`, the wire format's one owner.)
-- **Checksum hoisting.**  Segments whose footer carries ``data_crc32``
-  are verified with one CRC32 sweep over the whole frame region
-  instead of one per frame; a mismatch falls back to the per-frame
-  oracle walk so the error surfaces at the exact offset.
+- **Checksum hoisting.**  A sealed segment is verified with one CRC32
+  sweep over the whole frame region (the footer's ``data_crc32``)
+  instead of one per frame; a mismatch, or a footer without the field,
+  falls back to the per-frame oracle walk so an error surfaces at the
+  exact offset.
 
 Anything the fused path cannot prove equivalent -- unsealed tails
 (commit truncation), salvage mode, frames whose length or size field
 does not match a known message layout, damaged regions -- drops to the
 oracle (per frame or per segment), so the fast lane is record-identical
-to ``scan`` + ``RuleSet.apply`` on v1, v2, compressed and mixed stores.
+to ``scan`` + ``RuleSet.apply`` on plain, compressed and mixed stores.
 One documented difference: the fast lane buffers a sealed segment's
 records before yielding them, so in strict mode a corruption error in
 segment N surfaces *before* N's earlier records instead of after them
@@ -67,14 +68,10 @@ from repro.tracestore.reader import ScanStats
 
 _U32 = struct.Struct(">I")
 
-#: Struct codes of the frame header per segment version: v2 frames
-#: prefix the message with (length, mask, crc32), v1 with (length,
-#: mask).  The live filter's bare wire messages have no prefix.
-_PREFIX = {sformat.FORMAT_VERSION_V1: "II", sformat.FORMAT_VERSION: "III"}
-_OVERHEADS = {
-    sformat.FORMAT_VERSION_V1: sformat.FRAME_OVERHEAD_BYTES_V1,
-    sformat.FORMAT_VERSION: sformat.FRAME_OVERHEAD_BYTES,
-}
+#: Struct codes of the frame header: a stored frame prefixes the
+#: message with (length, mask, crc32).  The live filter's bare wire
+#: messages have no prefix.
+_PREFIX = "III"
 
 _OP_TEXT = {"=": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
@@ -245,20 +242,19 @@ def _compile_screen(candidates, info, masks):
 
 
 class _Program:
-    """Per-(frame version, rule set) compilation state: layouts plus
-    per-traceType screens, resolved lazily by payload length."""
+    """Per-rule-set compilation state: layouts plus per-traceType
+    screens, resolved lazily by payload length."""
 
-    __slots__ = ("version", "ruleset", "by_length")
+    __slots__ = ("ruleset", "by_length")
 
-    def __init__(self, version, ruleset):
-        self.version = version
+    def __init__(self, ruleset):
         self.ruleset = ruleset
         self.by_length = {}
 
     def entry(self, length):
         """(fused unpack_from, {traceType: (layout, screen or None)})
         for frames with a ``length``-byte payload."""
-        unpack, infos = frame_layout(_PREFIX[self.version], length)
+        unpack, infos = frame_layout(_PREFIX, length)
         if unpack is None:
             entry = (None, None)
         else:
@@ -281,33 +277,32 @@ class _Program:
 
 
 def _walk_segment(path, buf, start, end, out_append, program, ruleset,
-                  codec, look, stats, check_crc, machine_set, pid_set,
-                  event_set, t_min, t_max):
+                  codec, look, stats, machine_set, pid_set, event_set,
+                  t_min, t_max):
     """Walk one sealed segment's frame region, appending final records
     (predicates, masks and rules applied) to ``out_append``.  Exactly
     :meth:`StoreReader._segment_records` + ``RuleSet.apply``, lowered.
+    The caller has verified the region's CRC, so frames are not
+    checksummed again one by one.
     """
-    version = program.version
-    overhead = _OVERHEADS[version]
-    base = len(_PREFIX[version])
+    overhead = sformat.FRAME_OVERHEAD_BYTES
+    base = len(_PREFIX)
     size_ix, machine_ix, cpu_ix, tt_ix = base, base + 1, base + 2, base + 4
     filtered = not (
         machine_set is None and pid_set is None and event_set is None
         and t_min is None and t_max is None
     )
     u32 = _U32.unpack_from
-    frame_crc = sformat.frame_crc
     struct_error = struct.error
     by_length = program.by_length
     resolve = program.entry
     marker_type = BATCH_MARKER_TYPE
-    decoded = yielded = prescreened = salvaged = 0
-    damaged = False
+    decoded = yielded = prescreened = 0
 
     def fallback(off, nxt):
         """Per-frame oracle: the codec decodes (or faults on) frames
         the fused path cannot prove it understands."""
-        nonlocal decoded, yielded, salvaged, damaged
+        nonlocal decoded, yielded
         payload = buf[off + overhead : nxt]
         if is_batch_marker(payload):
             return
@@ -315,23 +310,12 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
         try:
             record = codec.decode(payload)
         except ValueError as err:
-            # v2 frames are CRC-verified, so this is real damage (the
-            # strict scan raises); v1 has no checksum to consult, so
-            # the loss is counted, exactly like the oracle.
-            if version == sformat.FORMAT_VERSION_V1:
-                stats.frames_corrupt += 1
-                stats.bytes_quarantined += len(payload) + overhead
-                stats.segment_errors.append(
-                    (path, "undecodable frame: %s" % err)
-                )
-                damaged = True
-                return
+            # The region is CRC-verified, so this is real damage: the
+            # strict scan raises, exactly like the oracle.
             raise CorruptSegmentError(
                 "undecodable frame payload: %s" % err, path=path
             )
         decoded += 1
-        if damaged:
-            salvaged += 1
         if event_set is not None and record["event"] not in event_set:
             return
         if machine_set is not None and record["machine"] not in machine_set:
@@ -396,13 +380,6 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
                     % off,
                     path=path, offset=off,
                 )
-        if check_crc and frame_crc(
-            cur_len, t[1], buf[off + overhead : nxt]
-        ) != t[2]:
-            raise CorruptFrameError(
-                "frame CRC mismatch at offset %d" % off,
-                path=path, offset=off,
-            )
         tt = t[tt_ix]
         if tt != last_tt:
             last_tt = tt
@@ -417,8 +394,6 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
             continue
         info, screen = pair
         decoded += 1
-        if damaged:
-            salvaged += 1
         if filtered:
             if event_set is not None and info.event not in event_set:
                 off = nxt
@@ -458,7 +433,6 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
     stats.records_decoded += decoded
     stats.records_yielded += yielded
     stats.records_prescreened += prescreened
-    stats.records_salvaged += salvaged
 
 
 # ----------------------------------------------------------------------
@@ -479,7 +453,7 @@ def _iter_fast(reader, ruleset, machines, pids, events, t_min, t_max):
     rule_events = ruleset.pinned_events() if ruleset is not None else None
     codec = reader.codec
     look = name_lookup(codec.host_names)
-    programs = {}
+    program = _Program(ruleset)
 
     def oracle_walk(segment):
         return _selected(
@@ -521,28 +495,20 @@ def _iter_fast(reader, ruleset, machines, pids, events, t_min, t_max):
             # oracle walk is authoritative (and tails are small).
             yield from oracle_walk(segment)
             continue
-        version = segment.version
-        program = programs.get(version)
-        if program is None:
-            program = programs[version] = _Program(version, ruleset)
         buf, start, end = segment.frame_region()
-        check_crc = False
-        if version == sformat.FORMAT_VERSION:
-            region_crc = segment.footer.get("data_crc32")
-            if region_crc is None:
-                check_crc = True  # old v2 segment: verify per frame
-            elif zlib.crc32(
-                memoryview(buf)[start:end]
-            ) & 0xFFFFFFFF != region_crc:
-                # One region sweep failed: re-walk with the oracle so
-                # the error carries the exact frame offset.
-                yield from oracle_walk(segment)
-                continue
+        region_crc = segment.footer.get("data_crc32")
+        if region_crc is None or (
+            zlib.crc32(memoryview(buf)[start:end]) & 0xFFFFFFFF != region_crc
+        ):
+            # No region checksum, or the one sweep failed: the oracle
+            # verifies per frame, so an error carries the exact offset.
+            yield from oracle_walk(segment)
+            continue
         out = []
         _walk_segment(
             segment.path, buf, start, end, out.append, program, ruleset,
-            codec, look, stats, check_crc, machine_set, pid_set,
-            event_set, t_min, t_max,
+            codec, look, stats, machine_set, pid_set, event_set,
+            t_min, t_max,
         )
         yield from out
 

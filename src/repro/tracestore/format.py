@@ -15,15 +15,10 @@ Each segment is::
 
 - header (8 bytes): magic "RTS1", version u16, flags u16 (bit 0:
   the data region is one zlib-compressed blob, see below);
-- frame (version 2, the current format): payload length u32, discard
-  mask u32, crc32 u32, payload -- the CRC covers length, mask, *and*
-  payload, so a flipped bit anywhere in the frame (including its own
-  length field) is detectable; the payload is the record's Appendix-A
-  wire message, byte for byte;
-- frame (version 1, still readable): payload length u32, discard mask
-  u32, payload -- no per-frame CRC; only the footer blob was
-  checksummed, so v1 data-region corruption is detectable only where
-  the payload fails structural validation;
+- frame: payload length u32, discard mask u32, crc32 u32, payload --
+  the CRC covers length, mask, *and* payload, so a flipped bit anywhere
+  in the frame (including its own length field) is detectable; the
+  payload is the record's Appendix-A wire message, byte for byte;
 - footer: a JSON index of the segment (record count, min/max header
   cpuTime, per-machine / per-(machine,pid) / per-event-type record
   counts, per-event first/last byte offsets, the host-name map used to
@@ -43,14 +38,17 @@ frame that overruns the sealed data region is corruption, not a torn
 tail; only *unsealed* segments may legitimately end mid-frame.
 :func:`iter_frames` enforces that distinction, and
 :func:`salvage_frames` resynchronizes past damage to the next frame
-whose CRC verifies (v2) or whose payload is a structurally plausible
-meter message (v1), reporting every skipped byte range.
+whose CRC verifies, reporting every skipped byte range.
+
+There is one format, version 2.  Version 1 (no per-frame CRC) existed
+for two days and no store of it outlived its process; a version-1
+header is rejected like any other unsupported version.
 
 A sealed segment's footer also carries ``data_crc32``: one CRC32 over
 the whole frame region as written.  One region checksum pass (C speed)
 replaces per-frame CRC verification on the batch scan's fast lane; a
 mismatch drops the segment back to the per-frame walk, which localizes
-the damage exactly as before.
+the damage exactly as before, and so does a footer without the field.
 
 Compressed segments (header flag bit 0x1, ``trace pack --compress``):
 the data region on disk is a single zlib blob holding the frame bytes
@@ -75,33 +73,22 @@ import json
 import struct
 import zlib
 
-from repro.metering.messages import (
-    EVENT_NAMES,
-    HEADER_BYTES,
-    field_layout,
-    is_batch_marker,
-    message_length,
-    record_fields,
-)
+from repro.metering.messages import HEADER_BYTES, field_layout, record_fields
 from repro.tracestore.errors import BadSegmentHeaderError, CorruptFrameError
 
 SEGMENT_MAGIC = b"RTS1"
 TRAILER_MAGIC = b"RTSX"
-#: Current segment format (v2: per-frame CRC32).
+#: The segment format (per-frame CRC32); the only one read or written.
 FORMAT_VERSION = 2
-#: The pre-CRC format; still fully readable.
-FORMAT_VERSION_V1 = 1
-SUPPORTED_VERSIONS = (FORMAT_VERSION_V1, FORMAT_VERSION)
 
 #: Header flag bit: the data region is one zlib-compressed blob.
 FLAG_COMPRESSED = 0x1
 
 _HEADER_STRUCT = struct.Struct(">4sHH")
 SEGMENT_HEADER_BYTES = _HEADER_STRUCT.size  # 8
-_FRAME_STRUCT_V1 = struct.Struct(">II")
-_FRAME_STRUCT_V2 = struct.Struct(">III")
-FRAME_OVERHEAD_BYTES_V1 = _FRAME_STRUCT_V1.size  # 8
-FRAME_OVERHEAD_BYTES = _FRAME_STRUCT_V2.size  # 12 (current format)
+_FRAME_STRUCT = struct.Struct(">III")
+_FRAME_CRC_HEAD = struct.Struct(">II")  # the header bytes the CRC covers
+FRAME_OVERHEAD_BYTES = _FRAME_STRUCT.size  # 12
 _TRAILER_STRUCT = struct.Struct(">II4s")
 TRAILER_BYTES = _TRAILER_STRUCT.size  # 12
 
@@ -122,8 +109,8 @@ _MASKABLE_HEADER_OFFSETS = {
 }
 
 
-def segment_header(version=FORMAT_VERSION, flags=0):
-    return _HEADER_STRUCT.pack(SEGMENT_MAGIC, version, flags)
+def segment_header(flags=0):
+    return _HEADER_STRUCT.pack(SEGMENT_MAGIC, FORMAT_VERSION, flags)
 
 
 def segment_flags(data):
@@ -147,14 +134,9 @@ def parse_segment_header(data, path=None):
             path=path,
             foreign=True,
         )
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise BadSegmentHeaderError(
             "unsupported segment version %d" % version, path=path
-        )
-    flags = _HEADER_STRUCT.unpack_from(data, 0)[2]
-    if flags & FLAG_COMPRESSED and version == FORMAT_VERSION_V1:
-        raise BadSegmentHeaderError(
-            "compressed data region requires format v2", path=path
         )
     return version
 
@@ -164,77 +146,50 @@ def parse_segment_header(data, path=None):
 # ----------------------------------------------------------------------
 
 
-def frame_overhead(version=FORMAT_VERSION):
-    return FRAME_OVERHEAD_BYTES_V1 if version == FORMAT_VERSION_V1 else FRAME_OVERHEAD_BYTES
-
-
 def frame_crc(length, mask, payload):
-    """The v2 per-frame checksum: covers length, mask, and payload."""
-    head = _FRAME_STRUCT_V1.pack(length, mask)
+    """The per-frame checksum: covers length, mask, and payload."""
+    head = _FRAME_CRC_HEAD.pack(length, mask)
     return zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
 
 
-def encode_frame(payload, mask=0, version=FORMAT_VERSION):
-    if version == FORMAT_VERSION_V1:
-        return _FRAME_STRUCT_V1.pack(len(payload), mask) + payload
+def encode_frame(payload, mask=0):
     return (
-        _FRAME_STRUCT_V2.pack(len(payload), mask, frame_crc(len(payload), mask, payload))
+        _FRAME_STRUCT.pack(len(payload), mask, frame_crc(len(payload), mask, payload))
         + payload
     )
 
 
-def plausible_record_payload(payload):
-    """Structural validity check used to resynchronize v1 salvage scans
-    (v2 frames carry a CRC and need no heuristics): the payload must be
-    a whole Appendix-A meter message or a batch marker."""
-    if len(payload) < HEADER_BYTES:
-        return False
-    if is_batch_marker(payload):
-        return True
-    size, trace_type = struct.unpack(">i16xi", payload[:HEADER_BYTES])
-    event = EVENT_NAMES.get(trace_type)
-    if event is None or size != len(payload):
-        return False
-    return message_length(event) == len(payload)
-
-
-def _read_frame(data, offset, end, version):
+def _read_frame(data, offset, end):
     """Parse one frame at ``offset``; returns (mask, payload, next
     offset, error) where error is None, "torn" (incomplete tail bytes)
-    or "crc" (v2 checksum mismatch)."""
-    overhead = frame_overhead(version)
-    if offset + overhead > end:
+    or "crc" (checksum mismatch)."""
+    if offset + FRAME_OVERHEAD_BYTES > end:
         return None, None, end, "torn"
-    if version == FORMAT_VERSION_V1:
-        length, mask = _FRAME_STRUCT_V1.unpack_from(data, offset)
-        crc = None
-    else:
-        length, mask, crc = _FRAME_STRUCT_V2.unpack_from(data, offset)
-    body_start = offset + overhead
+    length, mask, crc = _FRAME_STRUCT.unpack_from(data, offset)
+    body_start = offset + FRAME_OVERHEAD_BYTES
     if body_start + length > end:
         return None, None, end, "torn"
     payload = bytes(data[body_start : body_start + length])
-    if crc is not None and frame_crc(length, mask, payload) != crc:
+    if frame_crc(length, mask, payload) != crc:
         return None, None, body_start + length, "crc"
     return mask, payload, body_start + length, None
 
 
-def iter_frames(data, start, end, version=FORMAT_VERSION, sealed=False,
-                path=None):
+def iter_frames(data, start, end, sealed=False, path=None):
     """Yield (offset, mask, payload) for each complete frame in
     ``data[start:end]``.
 
     A truncated trailing frame normally ends the iteration (a crash
     mid-append is expected on unsealed tails); with ``sealed=True`` the
     region is known to end on a frame boundary, so a trailing overrun
-    is corruption and raises.  A v2 frame whose CRC does not match its
+    is corruption and raises.  A frame whose CRC does not match its
     bytes always raises :class:`CorruptFrameError`.
     """
     offset = start
     while offset < end:
-        mask, payload, next_offset, error = _read_frame(data, offset, end, version)
+        mask, payload, next_offset, error = _read_frame(data, offset, end)
         if error == "torn":
-            if sealed and offset + frame_overhead(version) <= end:
+            if sealed and offset + FRAME_OVERHEAD_BYTES <= end:
                 raise CorruptFrameError(
                     "frame at offset %d overruns the sealed data region"
                     % offset,
@@ -252,7 +207,7 @@ def iter_frames(data, start, end, version=FORMAT_VERSION, sealed=False,
         offset = next_offset
 
 
-def salvage_frames(data, start, end, version=FORMAT_VERSION):
+def salvage_frames(data, start, end):
     """Best-effort frame walk that survives data-region corruption.
 
     Yields ``("frame", offset, mask, payload)`` for every verifiable
@@ -261,19 +216,15 @@ def salvage_frames(data, start, end, version=FORMAT_VERSION):
     most one trailing ``("torn", tail_start, end)`` when the region
     ends with an ordinary torn tail frame (crash mid-append: expected
     loss, not corruption).  After a bad frame, the scan resynchronizes
-    by sliding forward one byte at a time until a candidate frame
-    verifies (v2: CRC match; v1: payload passes
-    :func:`plausible_record_payload`).  A trailing region with no
-    verifiable frame is quarantined in full.
+    by sliding forward one byte at a time until a candidate frame's CRC
+    verifies.  A trailing region with no verifiable frame is
+    quarantined in full.
     """
     offset = start
     gap_start = None
     while offset < end:
-        mask, payload, next_offset, error = _read_frame(data, offset, end, version)
-        ok = error is None
-        if ok and version == FORMAT_VERSION_V1:
-            ok = plausible_record_payload(payload)
-        if ok:
+        mask, payload, next_offset, error = _read_frame(data, offset, end)
+        if error is None:
             if gap_start is not None:
                 yield "gap", gap_start, offset
                 gap_start = None
@@ -379,10 +330,9 @@ class SegmentStats:
         else:
             span[1] = offset
 
-    def footer(self, data_start, data_end, version=FORMAT_VERSION,
-               data_crc32=None, stored_bytes=None):
+    def footer(self, data_start, data_end, data_crc32=None, stored_bytes=None):
         footer = {
-            "version": version,
+            "version": FORMAT_VERSION,
             "records": self.records,
             "data_start": data_start,
             "data_end": data_end,
@@ -430,7 +380,7 @@ def parse_footer(data):
         footer = json.loads(blob.decode("ascii"))
     except (UnicodeDecodeError, ValueError):
         return None
-    if footer.get("version") not in SUPPORTED_VERSIONS:
+    if footer.get("version") != FORMAT_VERSION:
         return None
     return footer
 

@@ -56,10 +56,10 @@ def fsck_store(reader):
                 try:
                     reader.codec.decode(payload)
                 except ValueError:
-                    # Counts as damage even where the frame structure
-                    # verified (possible on v1: no frame CRC).
-                    report["quarantined_bytes"] += len(payload) + (
-                        sformat.frame_overhead(segment.version)
+                    # Counts as damage even though the frame's CRC
+                    # verified: what was written is no meter message.
+                    report["quarantined_bytes"] += (
+                        len(payload) + sformat.FRAME_OVERHEAD_BYTES
                     )
                     if report["status"] in (
                         sreader.SEALED_CLEAN,
@@ -96,9 +96,9 @@ def repair_store(reader, out_base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
     """Write a repaired copy of ``reader``'s store at ``out_base``.
 
     Every verified, decodable record frame is re-appended (discard
-    masks preserved) through a fresh current-version writer, so the
-    copy carries per-frame CRCs and rebuilt footers even when the
-    source was v1 or had damaged footers.  ``writer_driver(writer)``
+    masks preserved) through a fresh writer, so the copy carries
+    rebuilt footers even when the source's were damaged or missing.
+    ``writer_driver(writer)``
     applies the ops to a medium (e.g. ``flush_to_files``); without one
     the copy is returned as a dict path -> bytes.  Returns
     ``(result, writer, report)`` where report is the source store's

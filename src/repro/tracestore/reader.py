@@ -169,8 +169,7 @@ class Segment:
             return iter(())
         data, start, end = self.frame_region()
         return sformat.iter_frames(
-            data, start, end,
-            version=self.version, sealed=self.sealed, path=self.path,
+            data, start, end, sealed=self.sealed, path=self.path
         )
 
     def salvage_frames(self):
@@ -180,9 +179,7 @@ class Segment:
             return
         data, start, end = self.frame_region(best_effort=True)
         lost_from = end
-        for item in sformat.salvage_frames(
-            data, start, end, version=self.version
-        ):
+        for item in sformat.salvage_frames(data, start, end):
             if self._region_damaged and item[0] == "torn":
                 lost_from = item[1]
             else:
@@ -261,7 +258,7 @@ class Segment:
                 if is_batch_marker(payload):
                     report["markers"] += 1
                 report["committed_bytes"] += (
-                    len(payload) + sformat.frame_overhead(self.version)
+                    len(payload) + sformat.FRAME_OVERHEAD_BYTES
                 )
             elif item[0] == "torn":
                 report["torn_bytes"] += item[2] - item[1]
@@ -535,14 +532,13 @@ class StoreReader:
                 record = self.codec.decode(payload)
             except ValueError as err:
                 # A frame that parses but whose payload is not a
-                # meter message.  v2 frames are CRC-verified, so
-                # this is real damage; v1 has no frame checksum to
-                # consult.  Either way the loss is accounted (or,
-                # strict, surfaced) -- never silently dropped.
-                if salvage or segment.version == sformat.FORMAT_VERSION_V1:
+                # meter message.  Frames are CRC-verified, so this is
+                # real damage: the loss is accounted (or, strict,
+                # surfaced) -- never silently dropped.
+                if salvage:
                     stats.frames_corrupt += 1
-                    stats.bytes_quarantined += len(payload) + (
-                        sformat.frame_overhead(segment.version)
+                    stats.bytes_quarantined += (
+                        len(payload) + sformat.FRAME_OVERHEAD_BYTES
                     )
                     stats.segment_errors.append(
                         (segment.path, "undecodable frame: %s" % err)

@@ -43,6 +43,9 @@ def segment_path(base, index):
 class StoreWriter:
     """Append records (Appendix-A wire messages) to a segmented store."""
 
+    #: The segment format written (there is one).
+    version = sformat.FORMAT_VERSION
+
     def __init__(
         self,
         base,
@@ -51,23 +54,14 @@ class StoreWriter:
         start_index=0,
         host_names=None,
         auto_seal=True,
-        version=sformat.FORMAT_VERSION,
         compress=False,
     ):
         self.base = base
-        #: Segment format version to write.  Defaults to the current
-        #: (v2, per-frame CRC32); v1 exists for compatibility tests and
-        #: for producing stores an old reader must accept.
-        if version not in sformat.SUPPORTED_VERSIONS:
-            raise ValueError("unsupported segment version %r" % (version,))
-        self.version = version
         #: Compressed segments hold their whole frame region in memory
         #: until seal (one zlib blob per segment on disk), so the
         #: bounded crash-loss guarantee does not apply: this mode is
         #: for offline packing (``trace pack --compress``), not for a
         #: live filter's log.
-        if compress and version != sformat.FORMAT_VERSION:
-            raise ValueError("compressed segments require format v2")
         self.compress = compress
         #: With auto_seal off, a full segment is sealed only when the
         #: caller says so (:meth:`maybe_seal`), letting the standard
@@ -105,7 +99,7 @@ class StoreWriter:
             # Every Appendix-A body starts with the pid long.
             pid = struct.unpack_from(">i", payload, messages.HEADER_BYTES)[0]
         self._stats.add(event, machine, pid, cpu_time, self._offset)
-        frame = sformat.encode_frame(payload, mask, self.version)
+        frame = sformat.encode_frame(payload, mask)
         self._offset += len(frame)
         self._data_crc = zlib.crc32(frame, self._data_crc)
         self._buffer.append(frame)
@@ -123,7 +117,7 @@ class StoreWriter:
         ``records_appended``, and readers skip them."""
         if self._path is None:
             self._begin_segment()
-        frame = sformat.encode_frame(payload, 0, self.version)
+        frame = sformat.encode_frame(payload, 0)
         self._offset += len(frame)
         self._data_crc = zlib.crc32(frame, self._data_crc)
         self._buffer.append(frame)
@@ -163,7 +157,7 @@ class StoreWriter:
         flags = sformat.FLAG_COMPRESSED if self.compress else 0
         self._ops.append(("open", self._path))
         self._ops.append(
-            ("write", self._path, sformat.segment_header(self.version, flags))
+            ("write", self._path, sformat.segment_header(flags))
         )
 
     def _drain_buffer(self):
@@ -187,7 +181,6 @@ class StoreWriter:
         footer = self._stats.footer(
             sformat.SEGMENT_HEADER_BYTES,
             self._offset,
-            self.version,
             data_crc32=self._data_crc,
             stored_bytes=stored_bytes,
         )

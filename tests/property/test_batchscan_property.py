@@ -1,6 +1,6 @@
 """Property tests: the batch fast lane is the interpreted scan.
 
-For any record stream, any store flavour (v1, v2, v2-compressed), any
+For any record stream, any store flavour (plain, compressed), any
 predicate pushdown, and any compiled rule file,
 :func:`~repro.tracestore.scan_fast` / :func:`~repro.tracestore.select`
 must produce record-for-record (and key-order-for-key-order) exactly
@@ -32,7 +32,6 @@ from repro.metering import messages
 from repro.metering.messages import EVENT_TYPES, MessageCodec
 from repro.net.addresses import InternetName, PairName, UnixName
 from repro.tracestore import (
-    FORMAT_VERSION_V1,
     StoreReader,
     StoreWriter,
     collect_ops,
@@ -150,14 +149,12 @@ _predicates = st.fixed_dictionaries(
     },
 )
 
-_flavours = st.sampled_from(["v1", "v2", "zlib"])
+_flavours = st.sampled_from(["v2", "zlib"])
 
 
 def _build(frames, flavour, segment_bytes):
     kwargs = {"segment_bytes": segment_bytes}
-    if flavour == "v1":
-        kwargs["version"] = FORMAT_VERSION_V1
-    elif flavour == "zlib":
+    if flavour == "zlib":
         kwargs["compress"] = True
     writer = StoreWriter("/p/s.store", host_names=HOSTS, **kwargs)
     for raw, mask in frames:

@@ -1,4 +1,4 @@
-"""Durability: v2 CRC frames, salvage reads, fsck, and v1 compat."""
+"""Durability: CRC frames, salvage reads, fsck, and rejected versions."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.metering.messages import MessageCodec
 from repro.net.addresses import InternetName
 from repro.tracestore import (
     FORMAT_VERSION,
-    FORMAT_VERSION_V1,
     BadSegmentHeaderError,
     CorruptSegmentError,
     StoreError,
@@ -20,6 +19,7 @@ from repro.tracestore import (
 from repro.tracestore import format as sformat
 from repro.tracestore.errors import CorruptFrameError
 from repro.tracestore.reader import (
+    BAD_HEADER,
     CORRUPT_FRAME,
     FOREIGN,
     SEALED_CLEAN,
@@ -94,30 +94,35 @@ def test_writer_defaults_to_v2_with_per_frame_crc():
     assert reader.records() == [codec.decode(raw) for raw in _wire(codec, 6)]
 
 
-def test_v1_store_still_reads_record_for_record():
-    codec = _codec()
-    wire = _wire(codec, 12)
-    v1_store, writer = _store_from(wire, version=FORMAT_VERSION_V1)
-    assert writer.version == FORMAT_VERSION_V1
-    (data,) = v1_store.values()
-    assert sformat.parse_segment_header(data) == FORMAT_VERSION_V1
-    reader = StoreReader.from_bytes(v1_store)
-    assert reader.records() == [codec.decode(raw) for raw in wire]
-    assert reader.last_stats.loss_free()
-    # v2 spends exactly 4 extra bytes (the CRC) per frame.
-    v2_store, __ = _store_from(wire)
-    v1_size = sum(len(d) for d in v1_store.values())
-    v2_size = sum(len(d) for d in v2_store.values())
-    assert v2_size - v1_size >= 4 * len(wire)
-
-
 def test_unsupported_version_rejected_by_writer_and_reader():
-    with pytest.raises(ValueError):
-        StoreWriter("/t/s.store", version=3)
-    header = sformat.segment_header(FORMAT_VERSION)
+    header = sformat.segment_header()
     bad = header[:4] + b"\x00\x09" + header[6:]  # version field = 9
     with pytest.raises(BadSegmentHeaderError):
         sformat.parse_segment_header(bad + b"rest")
+
+
+def test_version_1_segment_is_a_bad_header_everywhere():
+    """The retired pre-CRC format fails loudly through the path every
+    unsupported version takes: a typed error from the parser, a counted
+    and skipped segment in both scan lanes, ``bad-header`` in fsck."""
+    codec = _codec()
+    store, __ = _store_from(_wire(codec, 8), segment_bytes=300)
+    first = sorted(store)[0]
+    retired = dict(store)
+    retired[first] = store[first][:4] + b"\x00\x01" + store[first][6:]
+    with pytest.raises(BadSegmentHeaderError, match="unsupported segment version 1"):
+        sformat.parse_segment_header(retired[first], path=first)
+    survivors = StoreReader.from_bytes(
+        {path: data for path, data in store.items() if path != first}
+    ).records()
+    for scan in (StoreReader.records, lambda reader: list(scan_fast(reader))):
+        reader = StoreReader.from_bytes(retired)
+        assert scan(reader) == survivors
+        assert reader.last_stats.segments_bad_header == 1
+        assert not reader.last_stats.loss_free()
+    report = fsck_store(StoreReader.from_bytes(retired))
+    statuses = {seg["path"]: seg["status"] for seg in report["segments"]}
+    assert statuses[first] == BAD_HEADER and not report["clean"]
 
 
 # ----------------------------------------------------------------------
@@ -212,37 +217,6 @@ def test_torn_tail_is_expected_loss_not_corruption():
     assert report["quarantined_bytes"] == 0
 
 
-def test_v1_sealed_segment_overrun_is_corruption():
-    codec = _codec()
-    store, __ = _store_from(_wire(codec, 5), version=FORMAT_VERSION_V1)
-    (path,) = store
-    data = bytearray(store[path])
-    footer = sformat.parse_footer(data)
-    # Stretch the first frame's length field: the frame now overruns
-    # the sealed data region, which cannot happen on a clean seal.
-    data[footer["data_start"]] = 0x7F
-    reader = StoreReader.from_bytes({path: bytes(data)})
-    with pytest.raises(CorruptFrameError):
-        reader.records()
-
-
-def test_v1_undecodable_payload_counted_not_raised():
-    # v1 has no frame CRC: garbage that passes framing but fails decode
-    # is quarantined with the loss accounted even in strict mode.
-    codec = _codec()
-    wire = _wire(codec, 3)
-    good = [sformat.encode_frame(raw, 0, FORMAT_VERSION_V1) for raw in wire]
-    junk = sformat.encode_frame(b"\x00" * len(wire[0]), 0, FORMAT_VERSION_V1)
-    data = sformat.segment_header(FORMAT_VERSION_V1) + good[0] + junk + good[1] + good[2]
-    reader = StoreReader.from_bytes({"/t/s.store.seg00000": data}, host_names=HOSTS)
-    records = reader.records()
-    stats = reader.last_stats
-    assert records == [codec.decode(raw) for raw in wire]
-    assert stats.frames_corrupt == 1
-    assert stats.bytes_quarantined == len(junk)
-    assert not stats.loss_free()
-
-
 @pytest.mark.parametrize("where", ["head", "middle", "tail"])
 def test_damaged_deflate_blob_is_typed_and_accounted(where):
     """One flipped byte inside a sealed compressed segment's deflate
@@ -268,7 +242,7 @@ def test_damaged_deflate_blob_is_typed_and_accounted(where):
     baseline = iter([codec.decode(raw) for raw in wire])
     assert all(record in baseline for record in records)  # in order
     assert bool(records) == (where != "head")
-    frame_bytes = len(wire[0]) + sformat.frame_overhead(FORMAT_VERSION)
+    frame_bytes = len(wire[0]) + sformat.FRAME_OVERHEAD_BYTES
     assert stats.bytes_quarantined == (len(wire) - len(records)) * frame_bytes
     assert stats.bytes_quarantined and not stats.loss_free()
 
@@ -332,16 +306,3 @@ def test_repair_produces_a_store_that_rereads_clean():
     assert writer.records_appended == len(salvaged) == len(wire) - 1
     # The repaired copy is current-format: every frame CRC-protected.
     assert all(seg.version == FORMAT_VERSION for seg in repaired.segments)
-
-
-def test_repair_upgrades_v1_to_v2():
-    codec = _codec()
-    wire = _wire(codec, 10)
-    v1_store, __ = _store_from(wire, version=FORMAT_VERSION_V1)
-    copy, __, report = repair_store(
-        StoreReader.from_bytes(v1_store), "/t/up.store"
-    )
-    assert report["clean"]
-    repaired = StoreReader.from_bytes(copy)
-    assert all(seg.version == FORMAT_VERSION for seg in repaired.segments)
-    assert repaired.records() == [codec.decode(raw) for raw in wire]

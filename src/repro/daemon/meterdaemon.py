@@ -278,16 +278,14 @@ class Daemon:
         yield sys.bind(meter_fd, ("", 0))
         yield sys.listen(meter_fd, defs.SOMAXCONN)
         name = yield sys.getsockname(meter_fd)
-        try:
-            pid = yield sys.forkexec(
-                spec["filterfile"],
-                argv=spec["argv"],
-                stdio_fd=meter_fd,
-                start=True,
-                uid=spec["uid"],
-            )
-        finally:
-            yield sys.close(meter_fd)  # the filter holds its own reference
+        launch = sys.forkexec(
+            spec["filterfile"],
+            argv=spec["argv"],
+            stdio_fd=meter_fd,
+            start=True,
+            uid=spec["uid"],
+        )
+        pid = yield from self._then_close(meter_fd, launch)
         self._supervise(spec, pid, name.port)
 
     def _relaunch_filter(self, spec):
@@ -347,9 +345,7 @@ class Daemon:
         controller->daemon intact.  Queue a redial; a repeat loss for the
         same pid re-targets and re-arms the existing job."""
         now = yield self.sys.gettimeofday()
-        self._arm_redial(
-            now, event["pid"], event["pid"], event["host"], event["port"]
-        )
+        self._arm_redial(now, event["pid"], event["pid"], event["host"], event["port"])
 
     def _sweep_meter_state(self):
         """Seed redial jobs from kernel meter state: live processes on a
@@ -389,9 +385,7 @@ class Daemon:
             pid is not None
             and stats.get("disconnected", {}).get(pid) == [host, port]
         )
-        parked = stats.get("orphans_parked", {}).get(
-            "{0}:{1}".format(host, port), 0
-        )
+        parked = stats.get("orphans_parked", {}).get("{0}:{1}".format(host, port), 0)
         if not still_wanted and not parked:
             # Re-aimed elsewhere (REMETER won the race) or nothing left to
             # deliver: the episode is over.
@@ -403,10 +397,7 @@ class Daemon:
             )
         except SyscallError as err:
             job["attempts_left"] -= 1
-            if (
-                err.errno in guestlib.TRANSIENT_ERRNOS
-                and job["attempts_left"] > 0
-            ):
+            if err.errno in guestlib.TRANSIENT_ERRNOS and job["attempts_left"] > 0:
                 job["backoff_ms"] = min(
                     job["backoff_ms"] * 2.0, METER_REDIAL_BACKOFF_CAP_MS
                 )
@@ -474,9 +465,7 @@ class Daemon:
     def _require_same_user(self, uid, pid):
         stat = yield self.sys.procstat(pid)
         if uid != 0 and stat["uid"] != uid:
-            raise SyscallError(
-                1, "process %d belongs to uid %d" % (pid, stat["uid"])
-            )
+            raise SyscallError(1, "process %d belongs to uid %d" % (pid, stat["uid"]))
 
     def _dial_meter(self, host, port, timeout_ms=None):
         """Create the kernel end of a meter connection: a stream socket in
@@ -490,15 +479,23 @@ class Daemon:
             raise
         return fd
 
-    def _meter(self, pid, flags, body):
-        """Point ``pid``'s meter at the filter a request names.  The
-        kernel keeps its own reference to the connection, so the
-        daemon's descriptor is closed at once -- installed or not."""
-        fd = yield from self._dial_meter(body["filter_host"], body["filter_port"])
+    def _then_close(self, fd, request):
+        """Make one syscall that hands ``fd`` to the kernel or a child,
+        then close the daemon's copy whether it succeeded or not.  Not a
+        ``finally``: the kernel close()s a killed guest's generator, and
+        a yield while it unwinds is an error."""
         try:
-            yield self.sys.setmeter(pid, flags, fd)
-        finally:
+            result = yield request
+        except SyscallError:
             yield self.sys.close(fd)
+            raise
+        yield self.sys.close(fd)
+        return result
+
+    def _meter(self, pid, flags, body):
+        """Point ``pid``'s meter at the filter a request names."""
+        fd = yield from self._dial_meter(body["filter_host"], body["filter_port"])
+        yield from self._then_close(fd, self.sys.setmeter(pid, flags, fd))
 
     def _handle_create(self, body):
         """Type 11: create a (suspended) metered process."""
@@ -514,16 +511,14 @@ class Daemon:
         gw_daemon, gw_child = yield sys.socketpair(defs.AF_UNIX, defs.SOCK_DGRAM)
         pid = None
         try:
-            try:
-                pid = yield sys.forkexec(
-                    filename,
-                    argv=body.get("params", []),
-                    stdio_fd=gw_child,
-                    start=False,
-                    uid=uid,
-                )
-            finally:
-                yield sys.close(gw_child)
+            fork = sys.forkexec(
+                filename,
+                argv=body.get("params", []),
+                stdio_fd=gw_child,
+                start=False,
+                uid=uid,
+            )
+            pid = yield from self._then_close(gw_child, fork)
             if body.get("filter_host"):
                 yield from self._meter(pid, body.get("meter_flags", 0), body)
         except SyscallError:
@@ -773,8 +768,10 @@ class Daemon:
             payload = yield from guestlib.recv_frame_timeout(
                 sys, fd, QUERY_REPLY_TIMEOUT_MS
             )
-        finally:
+        except SyscallError:
             yield sys.close(fd)
+            raise
+        yield sys.close(fd)
         return {"result": streamproto.parse_reply(payload)}
 
     #: Request type -> handler(self, body) returning the reply body.

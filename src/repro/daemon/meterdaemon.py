@@ -502,6 +502,7 @@ class Daemon:
         sys = self.sys
         uid = body["uid"]
         yield from self._check_account(uid)
+        # Read what the body must carry before anything exists to roll back.
         filename = body["filename"]
         control = (body["control_host"], body["control_port"])
 

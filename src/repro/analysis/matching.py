@@ -63,12 +63,15 @@ class MessageMatcher:
         events = trace.events
         self.pairs = []
         self.clocks = [()] * len(events)
+        # The fold runs over the trace's own events: its pairs, clocks
+        # and matching flags land on them, nothing is translated back.
         fold = CausalFold(on_pair=self._paired, on_clock=self._clock_resolved)
         # The one thing a finished log knows that a live stream cannot:
         # every host's machine id, before the first datagram is routed.
         for event in trace.by_type("connect") + trace.by_type("accept"):
-            fold.matcher.learn_host(event.name("sockName"), event.machine)
-        folded = [fold.update(event.record) for event in events]
+            fold.matcher.learn_host(event.sock_name, event.machine)
+        for event in events:
+            fold.feed(event)
         fold.finalize()
         self.pairs.sort(key=lambda pair: (pair.send.index, pair.recv.index))
         self.connections = [
@@ -85,18 +88,14 @@ class MessageMatcher:
             for state in fold.matcher.accepted
         ]
         unmatched = [
-            events[event.index]
-            for event in folded
+            event for event in events
             if event.in_matching and not event.matched
         ]
         self.unmatched_sends = [e for e in unmatched if e.event == "send"]
         self.unmatched_recvs = [e for e in unmatched if e.event == "receive"]
 
     def _paired(self, send, recv, nbytes):
-        events = self.trace.events
-        self.pairs.append(
-            MessagePair(events[send.index], events[recv.index], nbytes)
-        )
+        self.pairs.append(MessagePair(send, recv, nbytes))
 
     def _clock_resolved(self, event, clock):
         self.clocks[event.index] = clock

@@ -98,22 +98,30 @@ class HappensBefore:
         event.
         """
         clocks = self.matcher.clocks
-        events = self.trace.events
-        per_machine = Counter(event.machine for event in events)
-        n = len(events)
+        trace = self.trace
+        per_machine = Counter(event.machine for event in trace.events)
+        n = len(trace)
         total = n * (n - 1) // 2 - sum(
             count * (count - 1) // 2 for count in per_machine.values()
         )
         if total == 0:
             return 1.0
-        machine_of = [machine for machine, __pid in self.trace.processes()]
         ordered = 0
-        for event in events:
-            clock = clocks[event.index]
-            machine = event.machine
-            for component, count in enumerate(clock):
-                if machine_of[component] != machine:
-                    ordered += count
+        processes = trace.processes()
+        for process in processes:
+            # The components to leave out are the same for every event
+            # of a process: those of its own machine's processes.
+            same = [
+                component
+                for component, (machine, __pid) in enumerate(processes)
+                if machine == process[0]
+            ]
+            for event in trace.events_for(process):
+                clock = clocks[event.index]
+                ordered += sum(clock)
+                for component in same:
+                    if component < len(clock):
+                        ordered -= clock[component]
         return ordered / total
 
     def consistent_global_order(self):

@@ -22,15 +22,14 @@ class ParallelismProfile:
         #: process -> (first, last) corrected activity times
         self.spans = {}
         for process in trace.processes():
-            events = trace.events_for(process)
-            times = [self._corrected(event) for event in events]
-            self.spans[process] = (min(times), max(times))
+            # One machine per process, so one skew: correct the two
+            # extremes, not every event.
+            skew = self.skews.get(process[0], 0.0)
+            times = [e.local_time for e in trace.events_for(process)]
+            self.spans[process] = (min(times) - skew, max(times) - skew)
         self.start = min((span[0] for span in self.spans.values()), default=0.0)
         self.end = max((span[1] for span in self.spans.values()), default=0.0)
         self.buckets = self._fill_buckets()
-
-    def _corrected(self, event):
-        return event.local_time - self.skews.get(event.machine, 0.0)
 
     def _fill_buckets(self):
         if self.end <= self.start:

@@ -36,20 +36,22 @@ class CommunicationStatistics:
         self.trace = trace
         self.matcher = matcher or trace.matcher()
         self.per_process = {}
-        for event in trace:
-            stats = self.per_process.setdefault(
-                event.process, ProcessStats(event.process)
-            )
-            stats.event_counts[event.event] += 1
-            stats.cpu_ms = max(stats.cpu_ms, event.proc_time)
-            if event.event == "send":
-                stats.bytes_sent += event.msg_length
-                stats.messages_sent += 1
-            elif event.event == "receive":
-                stats.bytes_received += event.msg_length
-                stats.messages_received += 1
-            elif event.event == "socket":
-                stats.sockets_created += 1
+        for process in trace.processes():
+            stats = self.per_process[process] = ProcessStats(process)
+            counts = stats.event_counts
+            for event in trace.events_for(process):
+                kind = event.event
+                counts[kind] += 1
+                if event.proc_time > stats.cpu_ms:
+                    stats.cpu_ms = event.proc_time
+                if kind == "send":
+                    stats.bytes_sent += event.msg_length
+                    stats.messages_sent += 1
+                elif kind == "receive":
+                    stats.bytes_received += event.msg_length
+                    stats.messages_received += 1
+                elif kind == "socket":
+                    stats.sockets_created += 1
         #: (sender process, receiver process) -> [message count, bytes]
         self.pair_traffic = defaultdict(lambda: [0, 0])
         for pair in self.matcher.pairs:

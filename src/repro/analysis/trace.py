@@ -1,71 +1,7 @@
 """Trace model: events as read back from a filter log file."""
 
 from repro.filtering.records import parse_trace
-
-
-class Event:
-    """One event record, with convenience accessors.
-
-    A process is identified by ``(machine, pid)``: pids are only unique
-    per machine (Section 3.5.1), and sockets ("sock") only unique
-    within a machine (Section 4.1).
-    """
-
-    __slots__ = ("record", "index", "proc_seq")
-
-    def __init__(self, record, index):
-        self.record = record
-        self.index = index  # position in the trace file
-        self.proc_seq = None  # position within the process, set by Trace
-
-    @property
-    def event(self):
-        return self.record.get("event")
-
-    @property
-    def machine(self):
-        return self.record.get("machine")
-
-    @property
-    def pid(self):
-        return self.record.get("pid")
-
-    @property
-    def process(self):
-        return (self.machine, self.pid)
-
-    @property
-    def local_time(self):
-        """The machine's local clock at the event (header cpuTime)."""
-        return self.record.get("cpuTime", 0)
-
-    @property
-    def proc_time(self):
-        """CPU time charged to the process (10 ms granularity)."""
-        return self.record.get("procTime", 0)
-
-    @property
-    def sock(self):
-        return self.record.get("sock")
-
-    @property
-    def msg_length(self):
-        return self.record.get("msgLength", 0)
-
-    def name(self, field):
-        value = self.record.get(field, "")
-        return value if value else None
-
-    def __getitem__(self, key):
-        return self.record[key]
-
-    def get(self, key, default=None):
-        return self.record.get(key, default)
-
-    def __repr__(self):
-        return "Event({0}, {1}@m{2}, t={3})".format(
-            self.event, self.pid, self.machine, self.local_time
-        )
+from repro.streaming.fold import Event  # the one event class, re-exported
 
 
 class Trace:
@@ -83,7 +19,12 @@ class Trace:
         self._by_process = {}
         self._by_type = {}
         for event in self.events:
-            seq = self._by_process.setdefault(event.process, [])
+            seq = self._by_process.get(event.process)
+            if seq is None:
+                seq = self._by_process[event.process] = []
+            else:
+                # One tuple per process, not per event.
+                event.process = seq[0].process
             event.proc_seq = len(seq)
             seq.append(event)
             self._by_type.setdefault(event.event, []).append(event)

@@ -18,6 +18,11 @@ def format_record(record, field_order=None):
     return " ".join("{0}={1}".format(key, record[key]) for key in keys)
 
 
+#: No base-10 ``int`` literal starts with one of these, so such a value
+#: (``event=send`` on every line) is a string without raising to find out.
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
 def parse_record_line(line):
     """Parse a log line back into a record dict (ints where possible)."""
     record = {}
@@ -25,10 +30,12 @@ def parse_record_line(line):
         key, sep, value = chunk.partition("=")
         if not sep:
             continue
-        try:
-            record[key] = int(value)
-        except ValueError:
-            record[key] = value
+        if value[:1] not in _LETTERS:
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+        record[key] = value
     return record
 
 

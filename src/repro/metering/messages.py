@@ -152,6 +152,9 @@ _EVENT_STRUCTS = {
     for event, fields in BODY_FIELDS.items()
 }
 _HEADER_DECODE = struct.Struct(_HEADER_FMT)
+#: The header and the pid long every Appendix-A body starts with: all
+#: the store writer's footer index reads of a record.
+HEADER_PID = struct.Struct(_HEADER_FMT + "i")
 
 # Batch marker: header + pid + seq.  Shares the standard header so the
 # filter's size-based framing carries it like any meter message.

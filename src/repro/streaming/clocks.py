@@ -50,10 +50,11 @@ class Process:
     """What the folds keep per process, found with one lookup per
     record and carried on the event as ``proc``."""
 
-    __slots__ = ("component", "next_seq", "last", "key", "stats")
+    __slots__ = ("component", "process", "next_seq", "last", "key", "stats")
 
-    def __init__(self, component):
+    def __init__(self, component, process):
         self.component = component  # vector-clock index
+        self.process = process  # the (machine, pid) its events share
         self.next_seq = 0
         self.last = None  # most recent clock node (program order)
         self.key = None  # "machine:pid" and WindowedStats' cumulative
@@ -84,13 +85,13 @@ class OnlineVectorClocks:
 
     def admit(self, process):
         """The slot of a ``(machine, pid)`` seen for the first time."""
-        proc = self.procs[process] = Process(len(self.procs))
+        proc = self.procs[process] = Process(len(self.procs), process)
         return proc
 
     # -- building the order --------------------------------------------
 
     def add(self, event, defer=False):
-        """Admit ``event`` (a StreamEvent whose ``proc`` slot carries
+        """Admit ``event`` (an Event whose ``proc`` slot carries
         this process's ``component`` and ``last`` node); returns its
         node, also stored on ``event.node``.  With ``defer`` the node
         waits for :meth:`close` before it may resolve."""

@@ -35,6 +35,9 @@ _STATE_SAMPLE = 256
 
 _DIGEST_MOD = 1 << 64
 
+#: clock width -> ``pack`` of the compiled "<(3 + width)q" struct.
+_CLOCK_PACK = {}
+
 
 def digest_add(acc, item):
     """Fold ``item`` into an order-independent 64-bit digest.
@@ -55,10 +58,11 @@ def clock_digest_add(acc, machine, pid, proc_seq, clock):
     eventually appear.  A record whose machine/pid are not integers (a
     garbage or salvaged trace) contributes their ``repr`` instead."""
     width = len(clock)
+    pack = _CLOCK_PACK.get(width)
+    if pack is None:
+        pack = _CLOCK_PACK[width] = struct.Struct("<%dq" % (3 + width)).pack
     try:
-        data = struct.pack(
-            "<%dq" % (3 + width), machine, pid, proc_seq, *clock
-        )
+        data = pack(machine, pid, proc_seq, *clock)
     except struct.error:
         data = repr((machine, pid)).encode("utf-8") + struct.pack(
             "<%dq" % (1 + width), proc_seq, *clock

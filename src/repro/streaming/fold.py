@@ -13,47 +13,70 @@ from repro.streaming.clocks import OnlineVectorClocks
 from repro.streaming.matching import OnlineMatcher
 
 
-class StreamEvent:
-    """One committed record, decorated for the folds."""
+class Event:
+    """One event record, decorated once for every fold and analysis.
+
+    A process is identified by ``(machine, pid)``: pids are only unique
+    per machine (Section 3.5.1), and sockets ("sock") only unique
+    within a machine (Section 4.1).  The slots are a snapshot taken at
+    construction: ``name()``, ``get()`` and ``[]`` read the record
+    itself, the attributes do not see a later change to it.  It lives
+    here, not in :mod:`repro.analysis.trace` (which re-exports it),
+    because the filter guest runs the fold and must not import the
+    analysis stack.
+    """
 
     __slots__ = (
-        "record", "index", "machine", "pid", "proc_seq", "proc", "event",
-        "time", "ptime", "sock", "length", "dest", "source", "dest_host",
-        "src_host", "sock_name", "peer_name", "new_sock", "node",
-        "in_matching", "matched",
+        "record", "index", "proc_seq", "event", "machine", "pid", "process",
+        "local_time", "proc_time", "sock", "msg_length", "dest", "source",
+        "dest_host", "src_host", "sock_name", "peer_name", "new_sock",
+        "proc", "node", "in_matching", "matched",
     )
 
-    def __init__(self, record, index, proc_seq, proc=None):
+    def __init__(self, record, index):
+        get = record.get
         self.record = record
-        self.index = index
-        self.machine = record.get("machine")
-        self.pid = record.get("pid")
-        self.proc_seq = proc_seq
-        self.proc = proc
-        self.event = record.get("event")
-        self.time = record.get("cpuTime", 0)
-        self.ptime = record.get("procTime", 0)
-        self.sock = record.get("sock")
-        self.length = record.get("msgLength", 0) or 0
-        self.dest = record.get("destName") or None
-        self.source = record.get("sourceName") or None
+        self.index = index  # position in the trace file / commit order
+        self.proc_seq = None  # position within the process: Trace, feed
+        self.event = get("event")
+        machine = self.machine = get("machine")
+        pid = self.pid = get("pid")
+        self.process = (machine, pid)
+        self.local_time = get("cpuTime", 0)  # the machine's own clock
+        self.proc_time = get("procTime", 0)  # CPU charged, 10 ms grain
+        self.sock = get("sock")
+        self.msg_length = get("msgLength", 0) or 0
+        self.dest = get("destName") or None
+        self.source = get("sourceName") or None
         self.dest_host = None  # literal hosts, parsed by the matcher
         self.src_host = None
-        self.sock_name = record.get("sockName") or None
-        self.peer_name = record.get("peerName") or None
-        self.new_sock = record.get("newSock")
+        self.sock_name = get("sockName") or None
+        self.peer_name = get("peerName") or None
+        self.new_sock = get("newSock")
+        self.proc = None  # the fold's per-process slot
         self.node = None
         self.in_matching = False
         self.matched = False
 
+    def name(self, field):
+        value = self.record.get(field, "")
+        return value if value else None
+
+    def __getitem__(self, key):
+        return self.record[key]
+
+    def get(self, key, default=None):
+        return self.record.get(key, default)
+
     def __repr__(self):
-        return "StreamEvent({0}, {1}@m{2}, t={3})".format(
-            self.event, self.pid, self.machine, self.time
+        return "Event({0}, {1}@m{2}, t={3})".format(
+            self.event, self.pid, self.machine, self.local_time
         )
 
 
 class CausalFold:
-    """Online matching + vector clocks behind one ``update(record)``.
+    """Online matching + vector clocks behind one ``feed(event)``
+    (``update(record)`` decorates the record first).
 
     ``on_pair(send, recv, nbytes)`` fires per matched pair,
     ``on_clock(event, clock)`` once per event in dependency order, and
@@ -70,14 +93,20 @@ class CausalFold:
         self.records = 0
 
     def update(self, record):
-        """Consume one record; returns its :class:`StreamEvent`."""
-        process = (record.get("machine"), record.get("pid"))
-        proc = self.clocks.procs.get(process)
+        """Consume one record; returns its :class:`Event`."""
+        return self.feed(Event(record, self.records))
+
+    def feed(self, event):
+        """Consume one decorated event, in stream order (its ``index``
+        is its position); assigns its ``proc`` and ``proc_seq``."""
+        proc = self.clocks.procs.get(event.process)
         if proc is None:
-            proc = self.clocks.admit(process)
+            proc = self.clocks.admit(event.process)
             if self.on_process is not None:
-                self.on_process(proc, process)
-        event = StreamEvent(record, self.records, proc.next_seq, proc)
+                self.on_process(proc, event.process)
+        event.proc = proc
+        event.process = proc.process  # one tuple per process, not per event
+        event.proc_seq = proc.next_seq
         proc.next_seq += 1
         self.records += 1
         # A receive's clock waits for the matcher to declare its send

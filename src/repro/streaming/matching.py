@@ -74,7 +74,7 @@ class _Direction:
 
     def add_send(self, event, matcher):
         s0 = self.send_off
-        s1 = s0 + event.length
+        s1 = s0 + event.msg_length
         self.send_off = s1
         if s1 > s0:
             for r0, r1, recv in self.waiting:
@@ -91,7 +91,7 @@ class _Direction:
 
     def add_recv(self, event, matcher):
         r0 = self.recv_off
-        r1 = r0 + event.length
+        r1 = r0 + event.msg_length
         self.recv_off = r1
         spans = self.spans
         while spans and spans[0][1] <= r0:
@@ -204,7 +204,7 @@ class OnlineMatcher:
                 event.in_matching = True
                 event.dest_host = _host_of(event.dest)
                 if not self._try_claim(event):
-                    self._pending[event.length].append(event)
+                    self._pending[event.msg_length].append(event)
                     self.outstanding_sends += 1
                 return
             state = self._endpoints.get((event.machine, event.sock))
@@ -279,8 +279,8 @@ class OnlineMatcher:
     def _queue_recv(self, event):
         event.src_host = _host_of(event.source)
         cell = [event, False]
-        self._by_mlen[(event.machine, event.length)].append(cell)
-        self._by_len[event.length].append(cell)
+        self._by_mlen[(event.machine, event.msg_length)].append(cell)
+        self._by_len[event.msg_length].append(cell)
         self._queued_recvs += 1
         return cell
 
@@ -288,7 +288,7 @@ class OnlineMatcher:
         """A newly arrived receive goes to the earliest pending send
         that can claim it -- the only claim its arrival can enable."""
         recv = cell[0]
-        pending = self._pending.get(recv.length)
+        pending = self._pending.get(recv.msg_length)
         if not pending:
             return
         host_ids = self.host_ids
@@ -304,15 +304,15 @@ class OnlineMatcher:
         finalize, where the fallback receives all land at once."""
         for send in self.pending_send_events():
             if self._try_claim(send):
-                self._pending[send.length].remove(send)
+                self._pending[send.msg_length].remove(send)
                 self.outstanding_sends -= 1
 
     def _try_claim(self, send):
         dest_id = self.host_ids.get(send.dest_host)
         if dest_id is not None:
-            queue = self._by_mlen.get((dest_id, send.length))
+            queue = self._by_mlen.get((dest_id, send.msg_length))
         else:
-            queue = self._by_len.get(send.length)
+            queue = self._by_len.get(send.msg_length)
         cell = queue.claim(send, self.host_ids) if queue is not None else None
         if cell is None:
             return False
@@ -325,7 +325,7 @@ class OnlineMatcher:
         recv = cell[0]
         if recv.src_host is not None:
             self.host_ids.setdefault(recv.src_host, send.machine)
-        self.on_pair(send, recv, min(send.length, recv.length))
+        self.on_pair(send, recv, min(send.msg_length, recv.msg_length))
         self.on_recv_done(recv)
 
     # -- end of stream -------------------------------------------------

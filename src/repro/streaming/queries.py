@@ -90,7 +90,7 @@ class UndeliveredQuery(Query):
         expired = [
             key
             for key, event in self.pending.items()
-            if event.time <= cutoff
+            if event.local_time <= cutoff
         ]
         for key in expired:
             event = self.pending.pop(key)
@@ -99,8 +99,8 @@ class UndeliveredQuery(Query):
                 {
                     "process": process_key(event.machine, event.pid),
                     "proc_seq": event.proc_seq,
-                    "sent_at": event.time,
-                    "length": event.length,
+                    "sent_at": event.local_time,
+                    "length": event.msg_length,
                     "dest": event.dest or "",
                 },
             )
@@ -134,7 +134,7 @@ class PatternQuery(Query):
         if self.ruleset.apply(event.record) is None:
             self._evict(watermark)
             return
-        self.times.append(event.time)
+        self.times.append(event.local_time)
         self._evict(watermark)
         if self.armed and len(self.times) >= self.count:
             self.armed = False
@@ -161,7 +161,7 @@ class QuietQuery(Query):
             self.last.pop(key, None)
             self.armed.pop(key, None)
             return
-        self.last[key] = event.time
+        self.last[key] = event.local_time
         self.armed[key] = True
 
     def advance(self, watermark, fire):
@@ -200,7 +200,7 @@ class RateQuery(Query):
         if self.event_kind and event.event != self.event_kind:
             return
         times = self.times.setdefault(event.machine, deque())
-        times.append(event.time)
+        times.append(event.local_time)
         count = self._evict(event.machine, watermark)
         if count >= self.threshold and self.armed.get(event.machine, True):
             self.armed[event.machine] = False

@@ -143,7 +143,7 @@ def batch_unmatched_dgram_sends(trace):
     return {
         (event.machine, event.pid, event.proc_seq)
         for event in trace.matcher().unmatched_sends
-        if event.name("destName")
+        if event.dest
     }
 
 

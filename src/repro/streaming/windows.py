@@ -30,6 +30,7 @@ class WindowedStats:
         self.per_process = {}  # "machine:pid" -> counter dict
         self.matched_pairs = 0
         self.pair_traffic = {}  # "sm:spid->rm:rpid" -> [count, bytes]
+        self._pair_keys = {}  # (send.proc, recv.proc) -> that key
         # -- windowed --------------------------------------------------
         self.win_events = deque()  # (time, key, kind, length, machine)
         self.win_pairs = deque()  # (stamp, lag_ms, nbytes, pair key)
@@ -57,26 +58,31 @@ class WindowedStats:
         stats = event.proc.stats
         kind = event.event
         stats["events"][kind] += 1
-        if event.ptime > stats["cpu_ms"]:
-            stats["cpu_ms"] = event.ptime
+        if event.proc_time > stats["cpu_ms"]:
+            stats["cpu_ms"] = event.proc_time
         if kind == "send":
-            stats["bytes_sent"] += event.length
+            stats["bytes_sent"] += event.msg_length
             stats["messages_sent"] += 1
         elif kind == "receive":
-            stats["bytes_received"] += event.length
+            stats["bytes_received"] += event.msg_length
             stats["messages_received"] += 1
         elif kind == "socket":
             stats["sockets_created"] += 1
         self.machines.add(event.machine)
         self.events += 1
         self.win_events.append(
-            (event.time, key, kind, event.length, event.machine)
+            (event.local_time, key, kind, event.msg_length, event.machine)
         )
         self.evict(watermark)
 
     def on_pair(self, send, recv, nbytes, watermark):
         self.matched_pairs += 1
-        pair_key = "{0}->{1}".format(send.proc.key, recv.proc.key)
+        procs = (send.proc, recv.proc)
+        pair_key = self._pair_keys.get(procs)
+        if pair_key is None:
+            pair_key = self._pair_keys[procs] = "{0}->{1}".format(
+                send.proc.key, recv.proc.key
+            )
         entry = self.pair_traffic.get(pair_key)
         if entry is None:
             entry = self.pair_traffic[pair_key] = [0, 0]
@@ -87,7 +93,7 @@ class WindowedStats:
         # arrived.  The raw lag keeps the skew in -- that *is* the
         # measurement.
         self.win_pairs.append(
-            (watermark, recv.time - send.time, nbytes, pair_key)
+            (watermark, recv.local_time - send.local_time, nbytes, pair_key)
         )
 
     def evict(self, watermark):

@@ -22,7 +22,6 @@ restarted writer picks a fresh segment index and never rewrites bytes
 it already flushed.
 """
 
-import struct
 import zlib
 
 from repro.kernel import errno
@@ -89,15 +88,14 @@ class StoreWriter:
         any reduction already applied); ``mask`` its discard bitmap."""
         if self._path is None:
             self._begin_segment()
-        header = payload[: messages.HEADER_BYTES]
-        machine = struct.unpack_from(">h", header, 4)[0]
-        cpu_time = struct.unpack_from(">i", header, 8)[0]
-        trace_type = struct.unpack_from(">i", header, 20)[0]
+        head = payload
+        if len(head) < messages.HEADER_PID.size:
+            # A bare header has no pid: it indexes as pid 0.
+            head = bytes(head[: messages.HEADER_BYTES]) + b"\0\0\0\0"
+        __, machine, cpu_time, __, trace_type, pid = (
+            messages.HEADER_PID.unpack_from(head)
+        )
         event = messages.EVENT_NAMES.get(trace_type, str(trace_type))
-        pid = 0
-        if len(payload) >= messages.HEADER_BYTES + 4:
-            # Every Appendix-A body starts with the pid long.
-            pid = struct.unpack_from(">i", payload, messages.HEADER_BYTES)[0]
         self._stats.add(event, machine, pid, cpu_time, self._offset)
         frame = sformat.encode_frame(payload, mask)
         self._offset += len(frame)

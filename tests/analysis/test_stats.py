@@ -54,3 +54,22 @@ def test_report_is_readable():
     report = CommunicationStatistics(two_process_stream_trace()).report()
     assert "2 processes" in report
     assert "->" in report
+
+
+def test_one_process_stats_object_per_process(monkeypatch):
+    """Not one built (and all but the first dropped) per event."""
+    from repro.analysis import stats as stats_module
+
+    built = []
+    base = stats_module.ProcessStats
+
+    class Counting(base):
+        def __init__(self, process):
+            built.append(process)
+            base.__init__(self, process)
+
+    monkeypatch.setattr(stats_module, "ProcessStats", Counting)
+    trace = two_process_stream_trace()
+    stats = CommunicationStatistics(trace)
+    assert len(trace) > len(built)
+    assert built == trace.processes() == list(stats.per_process)

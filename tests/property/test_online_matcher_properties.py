@@ -18,12 +18,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.matching import MessagePair
 from repro.analysis.reference import ReferenceAnalysis, reference_digest
 from repro.analysis.trace import Trace
 from repro.streaming.engine import StreamEngine
-from repro.streaming.fold import StreamEvent
+from repro.streaming.fold import CausalFold, Event
 from repro.streaming.matching import OnlineMatcher
-from repro.streaming.twins import batch_digest, diff_digests
+from repro.streaming.twins import answers_digest, batch_digest, diff_digests
 
 SINKS = 2
 SHARED_LENGTHS = (32, 64, 200)
@@ -200,6 +201,49 @@ def test_post_mortem_view_equals_reference_with_hosts_learned_late(records):
     assert batch_digest(trace) == reference_digest(trace)
 
 
+class _FoldAnswers:
+    """One ``CausalFold`` run to the end, fed the trace's own events
+    (``feed``) or their records (``update``), shaped for
+    ``answers_digest``."""
+
+    def __init__(self, trace, decorated):
+        self.pairs, self.clocks = [], {}
+        fold = CausalFold(on_pair=self._paired, on_clock=self._resolved)
+        for event in trace:
+            if decorated:
+                assert fold.feed(event) is event
+            else:
+                fold.update(event.record)
+        fold.finalize()
+
+    def _paired(self, send, recv, nbytes):
+        self.pairs.append(MessagePair(send, recv, nbytes))
+
+    def _resolved(self, event, clock):
+        self.clocks[event.index] = clock
+
+    def answers(self):
+        return (
+            sorted((p.send.index, p.recv.index, p.nbytes) for p in self.pairs),
+            self.clocks,
+        )
+
+
+@given(_traces(careful=True))
+@settings(max_examples=120, deadline=None)
+def test_fold_fed_events_equals_fold_fed_records(records):
+    """``feed`` is the one way in and ``update`` only decorates first:
+    same pairs, same clocks, and the reference's digest either way."""
+    trace = Trace(records)
+    fed, updated = _FoldAnswers(trace, True), _FoldAnswers(trace, False)
+    assert fed.answers() == updated.answers()
+    reference = reference_digest(trace)
+    for run in (fed, updated):
+        assert reference == answers_digest(
+            trace, run, lambda event: run.clocks[event.index]
+        )
+
+
 class _RetryAllMatcher(OnlineMatcher):
     """The rule the length index replaced: every receive lets every
     pending send retry, in arrival order."""
@@ -218,7 +262,7 @@ def _fold(matcher_class, records):
     )
     sizes = []
     for index, record in enumerate(records):
-        matcher.update(StreamEvent(record, index, 0))
+        matcher.update(Event(record, index))
         sizes.append((matcher.state_size(), matcher.outstanding_sends))
     matcher.finalize()
     sizes.append((matcher.state_size(), matcher.outstanding_sends))

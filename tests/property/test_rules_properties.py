@@ -87,6 +87,37 @@ def test_log_line_round_trip(record):
     assert parse_record_line(line) == record
 
 
+def _int_else_string(line):
+    """``parse_record_line``'s rule before it stopped trying ``int`` on
+    values that start with a letter."""
+    record = {}
+    for chunk in line.split():
+        key, sep, value = chunk.partition("=")
+        if sep:
+            try:
+                record[key] = int(value)
+            except ValueError:
+                record[key] = value
+    return record
+
+
+_values = st.one_of(
+    st.sampled_from(
+        ["+5", "-5", "1_0", "_1", "-", "+", "", " 7", "\u0663\u0664", "0x10",
+         "send", "e5", "inf", "nan", "Infinity", "\u00e9t\u00e9", "7 ", "1e3"]
+    ),
+    st.text(max_size=6),
+    st.integers().map(str),
+)
+
+
+@given(st.lists(st.tuples(st.text(alphabet="abk=", max_size=3), _values)))
+@settings(max_examples=500)
+def test_letter_shortcut_parses_what_int_else_string_parsed(tokens):
+    line = " ".join("{0}={1}".format(key, value) for key, value in tokens)
+    assert parse_record_line(line) == _int_else_string(line)
+
+
 @given(_records, _rule_texts())
 @settings(max_examples=200)
 def test_rules_survive_serialization(record, rule_text):

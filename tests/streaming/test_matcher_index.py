@@ -3,7 +3,7 @@ could match, not to everything outstanding (counted, never timed)."""
 
 from repro.streaming import matching
 from repro.streaming.engine import StreamEngine
-from repro.streaming.fold import StreamEvent
+from repro.streaming.fold import Event
 from repro.streaming.matching import OnlineMatcher
 
 
@@ -56,7 +56,7 @@ def test_receives_of_another_length_do_not_retry_outstanding_sends(
     n_sends, n_recvs = 300, 200
     records = [_send(64)] * n_sends + [_recv(128)] * n_recvs
     for index, record in enumerate(records):
-        matcher.update(StreamEvent(record, index, index))
+        matcher.update(Event(record, index))
     # One attempt per send on arrival, none per receive: the old
     # rotate-everything drain made n_sends * n_recvs more.
     assert calls["try_claim"] + calls["compatible"] <= n_sends + n_recvs
@@ -81,7 +81,7 @@ def test_a_receive_goes_to_the_earliest_pending_send_of_its_length(
         [_send(64)] * 50 + [_send(128)] * 3 + [_recv(128)] * 2 + [_recv(64)]
     )
     for index, record in enumerate(records):
-        matcher.update(StreamEvent(record, index, index))
+        matcher.update(Event(record, index))
     assert pairs == [(50, 53), (51, 54), (0, 55)]
     assert calls["compatible"] == 3  # each receive: first candidate fits
     assert matcher.outstanding_sends == 50

@@ -3,7 +3,7 @@ synthetic events (no cluster)."""
 
 import pytest
 
-from repro.streaming.fold import StreamEvent
+from repro.streaming.fold import Event
 from repro.streaming.queries import (
     DEFAULT_QUERY_WINDOW_MS,
     QUERY_KINDS,
@@ -22,7 +22,8 @@ def _event(event="send", machine=1, pid=10, proc_seq=0, time=0.0,
         "msgLength": length,
         "destName": dest,
     }
-    ev = StreamEvent(record, index, proc_seq)
+    ev = Event(record, index)
+    ev.proc_seq = proc_seq
     ev.in_matching = in_matching
     return ev
 

@@ -18,11 +18,6 @@ def format_record(record, field_order=None):
     return " ".join("{0}={1}".format(key, record[key]) for key in keys)
 
 
-#: No base-10 ``int`` literal starts with one of these, so such a value
-#: (``event=send`` on every line) is a string without raising to find out.
-_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-
 def parse_record_line(line):
     """Parse a log line back into a record dict (ints where possible)."""
     record = {}
@@ -30,7 +25,9 @@ def parse_record_line(line):
         key, sep, value = chunk.partition("=")
         if not sep:
             continue
-        if value[:1] not in _LETTERS:
+        # No base-10 int literal starts with a letter (``event=send`` on
+        # every line): such a value is a string without raising to find out.
+        if not value[:1].isalpha():
             try:
                 value = int(value)
             except ValueError:

@@ -98,7 +98,9 @@ class CausalFold:
 
     def feed(self, event):
         """Consume one decorated event, in stream order (its ``index``
-        is its position); assigns its ``proc`` and ``proc_seq``."""
+        is its position); assigns its ``proc`` and ``proc_seq``.  What
+        an earlier fold left on the event (a trace's events outlive the
+        matcher that fed them) is overwritten, not read."""
         proc = self.clocks.procs.get(event.process)
         if proc is None:
             proc = self.clocks.admit(event.process)
@@ -107,6 +109,7 @@ class CausalFold:
         event.proc = proc
         event.process = proc.process  # one tuple per process, not per event
         event.proc_seq = proc.next_seq
+        event.in_matching = event.matched = False
         proc.next_seq += 1
         self.records += 1
         # A receive's clock waits for the matcher to declare its send

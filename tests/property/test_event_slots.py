@@ -4,7 +4,10 @@ returned, however the trace was built and whatever the records hold.
 ``Event`` used to read its record on every attribute access (eight
 ``@property`` getters) and the fold kept a second, slotted object per
 record.  The one class fills its slots once; ``_deleted_accessors`` is
-the old reading, kept here as the specification."""
+the old reading, kept here as the specification.  One slot differs on
+purpose: a falsy ``msgLength`` (``None``, ``""``) used to come through
+``Event.msg_length`` unchanged and now reads 0, as the fold's event
+always read it."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +22,6 @@ from tests.property.test_store_properties import HOSTS, _wire_messages
 _FIELDS = (
     "event", "machine", "pid", "cpuTime", "procTime", "sock", "msgLength",
     "destName", "sourceName", "sockName", "peerName", "newSock", "pc",
-)
-_SLOTS = (
-    "event", "machine", "pid", "process", "local_time", "proc_time", "sock",
-    "msg_length", "dest", "source", "sock_name", "peer_name", "new_sock",
 )
 
 _garbage = st.one_of(
@@ -43,9 +42,7 @@ def _deleted_accessors(record):
         "local_time": get("cpuTime", 0),
         "proc_time": get("procTime", 0),
         "sock": get("sock"),
-        # The analysis getter passed a falsy msgLength (None, "")
-        # through and the fold's read it as 0: the fold's is kept.
-        "msg_length": get("msgLength", 0) or 0,
+        "msg_length": get("msgLength", 0),
         "dest": get("destName") or None,
         "source": get("sourceName") or None,
         "sock_name": get("sockName") or None,
@@ -58,9 +55,10 @@ def _check(trace, records):
     assert [event.record for event in trace] == records
     seen = {}
     for index, event in enumerate(trace):
-        assert {
-            slot: getattr(event, slot) for slot in _SLOTS
-        } == _deleted_accessors(event.record)
+        old = _deleted_accessors(event.record)
+        # The deliberate difference: the old getter's None or "" is 0.
+        assert event.msg_length == (old.pop("msg_length") or 0)
+        assert {slot: getattr(event, slot) for slot in old} == old
         assert event.index == index
         first = seen.setdefault(event.process, event)
         # One tuple per process, and the per-process sequence.
@@ -120,6 +118,17 @@ def test_slots_of_a_trace_built_from_a_store(raws):
         records, "/p/s.store", segment_bytes=512, host_names=HOSTS
     )
     _check(Trace.from_store(StoreReader.from_bytes(store)), records)
+
+
+def test_a_falsy_msg_length_reads_zero():
+    """Not what the deleted getter returned (the value itself, which
+    ``CommunicationStatistics`` then failed to add up): garbage and
+    salvaged records count for no bytes."""
+    records = [
+        {"event": "send", "machine": 1, "pid": 2, "msgLength": length}
+        for length in (None, "", 0, 7)
+    ] + [{"event": "send", "machine": 1, "pid": 2}]
+    assert [e.msg_length for e in Trace(records)] == [0, 0, 0, 7, 0]
 
 
 def test_a_slot_is_a_snapshot_of_the_record():

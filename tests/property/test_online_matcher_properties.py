@@ -18,7 +18,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.matching import MessagePair
+from repro.analysis.matching import MessageMatcher, MessagePair
 from repro.analysis.reference import ReferenceAnalysis, reference_digest
 from repro.analysis.trace import Trace
 from repro.streaming.engine import StreamEngine
@@ -215,6 +215,11 @@ class _FoldAnswers:
             else:
                 fold.update(event.record)
         fold.finalize()
+        # Read now: the flags are this fold's only until the next one.
+        self.unmatched = [
+            event.index for event in trace
+            if decorated and event.in_matching and not event.matched
+        ]
 
     def _paired(self, send, recv, nbytes):
         self.pairs.append(MessagePair(send, recv, nbytes))
@@ -242,6 +247,25 @@ def test_fold_fed_events_equals_fold_fed_records(records):
         assert reference == answers_digest(
             trace, run, lambda event: run.clocks[event.index]
         )
+
+
+@given(_traces(careful=False, lying=True))
+@settings(max_examples=120, deadline=None)
+def test_a_fold_reads_nothing_an_earlier_fold_left_on_the_events(records):
+    """A trace's events outlive the fold that was fed them.  The view
+    (hosts learned up front) and a bare fold (hosts learned as they
+    appear) pair differently here; each, run after the other or after
+    itself, answers what it answers on a fresh trace."""
+    view = _answers(MessageMatcher(Trace(records)))
+    bare = _FoldAnswers(Trace(records), True)
+    trace = Trace(records)
+    for __ in range(2):
+        assert _answers(MessageMatcher(trace)) == view
+    for __ in range(2):
+        again = _FoldAnswers(trace, True)
+        assert (again.answers(), again.unmatched) == (
+            bare.answers(), bare.unmatched)
+    assert _answers(MessageMatcher(trace)) == view
 
 
 class _RetryAllMatcher(OnlineMatcher):

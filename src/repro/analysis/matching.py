@@ -11,7 +11,9 @@ of the finished trace; :class:`MessageMatcher` is a view over its final
 state (:mod:`repro.streaming.matching` documents the rules,
 :mod:`repro.analysis.reference` is their naive oracle).  The same run
 resolves every event's vector clock, which
-:class:`~repro.analysis.ordering.HappensBefore` reads from here.
+:class:`~repro.analysis.ordering.HappensBefore` reads from here, and
+counts the communication statistics the views in
+:mod:`repro.analysis.stats`, ``structure`` and ``parallelism`` read.
 """
 
 from repro.streaming.fold import CausalFold
@@ -55,7 +57,10 @@ class MessageMatcher:
     accept, in accept order (``initiator`` None when only the server
     was metered); the unmatched lists report losses within fully-known
     connections and among datagrams; ``clocks[event.index]`` is the
-    event's dense vector clock (it stops at its last nonzero component).
+    event's dense vector clock (it stops at its last nonzero component);
+    ``fold`` is the finished run, whose counters ``totals()`` and
+    ``per_process()`` report in the engine's ``digest()`` shape (the
+    statistics views read its per-process slots and ``pair_traffic``).
     """
 
     def __init__(self, trace):
@@ -65,7 +70,8 @@ class MessageMatcher:
         self.clocks = [()] * len(events)
         # The fold runs over the trace's own events: its pairs, clocks
         # and matching flags land on them, nothing is translated back.
-        fold = CausalFold(on_pair=self._paired, on_clock=self._clock_resolved)
+        fold = self.fold = CausalFold(self._paired, self._clock_resolved)
+        self.totals, self.per_process = fold.totals, fold.per_process
         # The one thing a finished log knows that a live stream cannot:
         # every host's machine id, before the first datagram is routed.
         for event in trace.by_type("connect") + trace.by_type("accept"):

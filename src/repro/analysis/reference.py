@@ -1,14 +1,18 @@
-"""Reference matching and clocks: deliberately naive, kept as the oracle.
+"""Reference matching, clocks and counters: deliberately naive, kept as
+the oracle.
 
 Section 4.1's two deductions written the obvious way over a whole
 trace, no index and no incremental state: a nested accept x connect
 scan, all-pairs byte-range overlap, a linear scan for the first
-compatible receive, vector clocks by relaxation to a fixpoint.  Every
-step is quadratic or worse, so it only runs on small traces -- in the
-twin tests, the hypothesis properties and the chaos oracles (hence its
-place under ``src/``) -- to check :class:`~repro.streaming.fold.
-CausalFold`, with which it shares only the host-name parser.
+compatible receive, vector clocks by relaxation to a fixpoint; and
+[Miller 84]'s communication counters summed per process.  The
+deductions are quadratic or worse, so it only runs on small traces --
+in the twin tests, the hypothesis properties and the chaos oracles
+(hence its place under ``src/``) -- to check :class:`~repro.streaming.
+fold.CausalFold`, with which it shares only the host-name parser.
 """
+
+from collections import Counter
 
 from repro.analysis.matching import MessagePair
 from repro.streaming.matching import _host_of
@@ -16,8 +20,9 @@ from repro.streaming.twins import answers_digest
 
 
 class ReferenceAnalysis:
-    """``pairs``, ``unmatched_sends`` and ``unmatched_recvs`` shaped like
-    MessageMatcher's, and full-width clocks as ``clocks[event.index]``."""
+    """``pairs``, ``unmatched_sends``, ``unmatched_recvs``, ``totals()``
+    and ``per_process()`` shaped like MessageMatcher's, and full-width
+    clocks as ``clocks[event.index]``."""
 
     def __init__(self, trace):
         self.trace = trace
@@ -111,6 +116,35 @@ class ReferenceAnalysis:
                             clock[i] = count
                             moved = True
         return [tuple(clock) for clock in clocks]
+
+    def per_process(self):
+        """[Miller 84]'s counters, one process at a time from its events."""
+        counters = {}
+        for machine, pid in self.trace.processes():
+            events = self.trace.events_for((machine, pid))
+            sent = [e.msg_length for e in events if e.event == "send"]
+            received = [e.msg_length for e in events if e.event == "receive"]
+            counters["{0}:{1}".format(machine, pid)] = {
+                "events": dict(Counter(e.event for e in events)),
+                "bytes_sent": sum(sent),
+                "bytes_received": sum(received),
+                "messages_sent": len(sent),
+                "messages_received": len(received),
+                "sockets_created": sum(e.event == "socket" for e in events),
+                "cpu_ms": max([0] + [e.proc_time for e in events]),
+            }
+        return counters
+
+    def totals(self):
+        counters = self.per_process().values()
+        return {
+            "events": len(self.trace),
+            "processes": len(self.trace.processes()),
+            "machines": len(self.trace.machines()),
+            "messages_sent": sum(c["messages_sent"] for c in counters),
+            "bytes_sent": sum(c["bytes_sent"] for c in counters),
+            "matched_pairs": len(self.pairs),
+        }
 
 
 def reference_digest(trace):

@@ -17,13 +17,11 @@ class CommunicationGraph:
         self.graph = nx.DiGraph()
         for process in trace.processes():
             self.graph.add_node(process)
-        for pair in self.matcher.pairs:
-            src, dst = pair.send.process, pair.recv.process
-            if self.graph.has_edge(src, dst):
-                self.graph[src][dst]["messages"] += 1
-                self.graph[src][dst]["bytes"] += pair.nbytes
-            else:
-                self.graph.add_edge(src, dst, messages=1, bytes=pair.nbytes, kind="message")
+        # The fold already summed the pairs per process pair.
+        traffic = self.matcher.fold.pair_traffic
+        for (send, recv), (count, nbytes) in traffic.items():
+            self.graph.add_edge(send.process, recv.process, messages=count,
+                                bytes=nbytes, kind="message")
         for event in trace.by_type("fork"):
             child = (event.machine, event["newPid"])
             self.graph.add_node(child)

@@ -120,10 +120,12 @@ class Trace:
         return list(self._by_type.get(event_name, []))
 
     def machines(self):
+        """Every machine id seen: integers in numeric order, then any
+        other value (a garbage or salvaged record's) ordered by repr."""
         if self._machines is None:
-            self._machines = sorted(
-                {event.machine for event in self.events}
-            )
+            seen = {event.machine for event in self.events}
+            ids = sorted(m for m in seen if isinstance(m, int))
+            self._machines = ids + sorted(seen.difference(ids), key=repr)
         return list(self._machines)
 
     def matcher(self):

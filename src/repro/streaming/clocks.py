@@ -20,7 +20,11 @@ is what lets a program-order successor *share* its predecessor's clock
 until it resolves and writes its own component.
 """
 
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
+
+
+def process_key(machine, pid):
+    return "{0}:{1}".format(machine, pid)
 
 
 def _merge(acc, other):
@@ -48,17 +52,43 @@ class _Node:
 
 class Process:
     """What the folds keep per process, found with one lookup per
-    record and carried on the event as ``proc``."""
+    record and carried on the event as ``proc``: its clock state and
+    its [Miller 84] communication counters (``CausalFold.feed`` counts,
+    ``CommunicationStatistics.per_process`` and the live ``stats`` reply
+    read them)."""
 
-    __slots__ = ("component", "process", "next_seq", "last", "key", "stats")
+    __slots__ = (
+        "component", "process", "next_seq", "last", "key", "event_counts",
+        "bytes_sent", "bytes_received", "messages_sent", "messages_received",
+        "sockets_created", "cpu_ms",
+    )
 
     def __init__(self, component, process):
         self.component = component  # vector-clock index
         self.process = process  # the (machine, pid) its events share
         self.next_seq = 0
         self.last = None  # most recent clock node (program order)
-        self.key = None  # "machine:pid" and WindowedStats' cumulative
-        self.stats = None  # counters: filled in by the engine
+        self.key = process_key(*process)  # its name in JSON answers
+        self.event_counts = Counter()
+        self.bytes_sent = 0
+        self.bytes_received = 0
+        self.messages_sent = 0
+        self.messages_received = 0
+        self.sockets_created = 0
+        self.cpu_ms = 0  # the largest procTime seen
+
+    def counters(self):
+        """The counters, JSON-native (one ``per_process`` entry of the
+        engine's ``digest()``)."""
+        return {
+            "events": dict(self.event_counts),
+            "bytes_sent": self.bytes_sent,
+            "bytes_received": self.bytes_received,
+            "messages_sent": self.messages_sent,
+            "messages_received": self.messages_received,
+            "sockets_created": self.sockets_created,
+            "cpu_ms": self.cpu_ms,
+        }
 
 
 class OnlineVectorClocks:

@@ -18,7 +18,7 @@ import zlib
 
 from repro.streaming.fold import CausalFold
 from repro.streaming.queries import make_query
-from repro.streaming.windows import WindowedStats, process_key
+from repro.streaming.windows import WindowedStats
 
 #: Default sliding-window width for windowed aggregates.
 DEFAULT_WINDOW_MS = 500.0
@@ -88,7 +88,7 @@ class StreamEngine:
                  clock_history=CLOCK_HISTORY):
         self.window_ms = float(window_ms)
         self.fold = CausalFold(
-            self._paired, self._clock_resolved, self._admit, clock_history
+            self._paired, self._clock_resolved, clock_history
         )
         self.windows = WindowedStats(self.window_ms)
         self.queries = {}
@@ -148,10 +148,6 @@ class StreamEngine:
         return self
 
     # -- fold plumbing -------------------------------------------------
-
-    def _admit(self, proc, process):
-        proc.key = process_key(*process)
-        proc.stats = self.windows.admit(proc.key)
 
     def _clock_resolved(self, event, clock):
         self.clock_digest = clock_digest_add(
@@ -228,18 +224,26 @@ class StreamEngine:
         return size
 
     def snapshot(self):
-        snap = self.windows.snapshot(self.watermark)
-        snap["records"] = self.records
-        snap["watermark"] = round(self.watermark, 3)
-        snap["state"] = {
-            "size": self.state_size(),
-            "peak": self.peak_state,
-            "clocks_pending": self.fold.clocks.state_size(),
-            "outstanding_sends": self.fold.matcher.outstanding_sends,
+        fold = self.fold
+        return {
+            "totals": fold.totals(),
+            "per_process": fold.per_process(),
+            "pair_traffic": {
+                self.windows.pair_key(procs): list(entry)
+                for procs, entry in fold.pair_traffic.items()
+            },
+            "window": self.windows.snapshot(self.watermark),
+            "records": self.records,
+            "watermark": round(self.watermark, 3),
+            "state": {
+                "size": self.state_size(),
+                "peak": self.peak_state,
+                "clocks_pending": fold.clocks.state_size(),
+                "outstanding_sends": fold.matcher.outstanding_sends,
+            },
+            "queries": [q.describe() for q in self.queries.values()],
+            "firings_buffered": len(self.firings),
         }
-        snap["queries"] = [q.describe() for q in self.queries.values()]
-        snap["firings_buffered"] = len(self.firings)
-        return snap
 
     def digest(self):
         """The oracle surface: order-independent digests plus the
@@ -250,8 +254,8 @@ class StreamEngine:
             "clocks_resolved": self.fold.clocks.resolved,
             "clock_digest": self.clock_digest,
             "pairs_digest": self.pairs_digest,
-            "totals": self.windows.totals(),
-            "per_process": self.windows.per_process_dict(),
+            "totals": self.fold.totals(),
+            "per_process": self.fold.per_process(),
             "peak_state": self.peak_state,
             "state_size": self.state_size(),
         }

@@ -25,7 +25,7 @@ Kinds:
 from collections import deque
 
 from repro.filtering.rules import parse_rules
-from repro.streaming.windows import process_key
+from repro.streaming.clocks import process_key
 
 DEFAULT_QUERY_WINDOW_MS = 500.0
 

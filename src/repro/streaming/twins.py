@@ -9,12 +9,13 @@ online answer can be recomputed three ways:
   with the live engine proves the tap fed the fold exactly the
   committed records (no drops, no double-counted replays).
 - **Batch twin** -- digest what the :mod:`repro.analysis` views report
-  for the same records.  Their matching and clocks are the same
-  :class:`~repro.streaming.fold.CausalFold`, so for those keys equality
-  checks the views' translation and the engine's plumbing, not the
-  algorithm; the statistics keys are an independent recomputation.
+  for the same records.  Their matching, clocks and communication
+  counters are the same :class:`~repro.streaming.fold.CausalFold`, so
+  equality checks the views' translation and the engine's plumbing,
+  not the algorithms.
 - **Reference** -- :func:`repro.analysis.reference.reference_digest`,
-  naive on purpose, small traces only: the check of the algorithms.
+  naive on purpose, small traces only: the check of the algorithms,
+  statistics included.
 
 The analysis imports are kept inside functions: the streaming package
 itself must stay importable inside a filter guest without the analysis
@@ -89,37 +90,17 @@ def batch_pairs_digest(trace):
     return _pairs_digest(trace.matcher().pairs)
 
 
-def batch_per_process(trace, stats=None):
-    """CommunicationStatistics per-process counters, keyed and shaped
-    like the engine's (JSON-native)."""
-    from repro.analysis.stats import CommunicationStatistics
-
-    if stats is None:
-        stats = CommunicationStatistics(trace)
-    shaped = {}
-    for (machine, pid), pstats in stats.per_process.items():
-        as_dict = pstats.as_dict()
-        as_dict.pop("process")
-        shaped["{0}:{1}".format(machine, pid)] = dict(
-            as_dict, events=dict(as_dict["events"])
-        )
-    return shaped
-
-
-def answers_digest(trace, matcher, clock_of):
-    """``matcher.pairs`` and one ``clock_of(event)`` per event, plus
-    the batch statistics, in the engine's ``digest()`` shape.  Shared
-    by :func:`batch_digest` and the reference oracle, so the two differ
-    only in who matched and who ordered."""
-    from repro.analysis.stats import CommunicationStatistics
-
-    stats = CommunicationStatistics(trace, matcher)
+def answers_digest(trace, analysis, clock_of):
+    """``analysis.pairs``, its ``totals()`` and ``per_process()``, and
+    one ``clock_of(event)`` per event, in the engine's ``digest()``
+    shape.  Shared by :func:`batch_digest` and the reference oracle, so
+    the two differ only in who matched, ordered and counted."""
     return {
         "records": len(trace),
         "clock_digest": _clock_digest(trace, clock_of),
-        "pairs_digest": _pairs_digest(matcher.pairs),
-        "totals": stats.totals(),
-        "per_process": batch_per_process(trace, stats),
+        "pairs_digest": _pairs_digest(analysis.pairs),
+        "totals": analysis.totals(),
+        "per_process": analysis.per_process(),
     }
 
 
@@ -127,8 +108,8 @@ def batch_digest(trace):
     """The post-mortem views' answers in the engine's ``digest()``
     shape.  ``trace.matcher()`` and HappensBefore are views over the
     engine's own fold, so against a replayed engine this checks their
-    translation of its state (and the independent statistics) -- not
-    the matching or clock algorithms; ``reference_digest`` does that."""
+    translation of its state -- not the matching, clock or counting
+    algorithms; ``reference_digest`` does that."""
     from repro.analysis.ordering import HappensBefore
 
     return answers_digest(

@@ -32,6 +32,31 @@ def test_machines():
     assert trace.machines() == [1, 2]
 
 
+def test_machines_puts_ids_that_are_not_integers_after_the_integers():
+    records = [{"machine": m} for m in ("red", 10, None, 2, "blue", 2)]
+    assert Trace(records).machines() == [2, 10, "blue", "red", None]
+
+
+def test_a_log_line_without_machine_runs_every_analysis():
+    """A line with no ``machine=`` used to make ``Trace.machines()``
+    compare None with an int, and every analysis that asks it raise."""
+    from repro.analysis.delays import MessageDelays
+    from repro.analysis.parallelism import ParallelismProfile
+    from repro.analysis.report import measurement_report
+    from repro.streaming.twins import batch_digest
+
+    trace = Trace.from_text(
+        "event=send machine=1 pid=10 cpuTime=5 msgLength=4 "
+        "destName=inet:x:1\n"
+        "event=send cpuTime=15 msgLength=8\n"
+    )
+    assert trace.machines() == [1, None]
+    assert ParallelismProfile(trace).total_cpu_ms() == 0
+    assert MessageDelays(trace).count() == 0
+    assert "2 processes on 2 machines" in measurement_report(trace)
+    assert batch_digest(trace)["totals"]["machines"] == 2
+
+
 def test_from_text_round_trip():
     from repro.filtering.records import format_record
 

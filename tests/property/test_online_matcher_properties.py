@@ -20,11 +20,18 @@ from hypothesis import strategies as st
 
 from repro.analysis.matching import MessageMatcher, MessagePair
 from repro.analysis.reference import ReferenceAnalysis, reference_digest
+from repro.analysis.stats import CommunicationStatistics
+from repro.analysis.structure import CommunicationGraph
 from repro.analysis.trace import Trace
 from repro.streaming.engine import StreamEngine
 from repro.streaming.fold import CausalFold, Event
 from repro.streaming.matching import OnlineMatcher
-from repro.streaming.twins import answers_digest, batch_digest, diff_digests
+from repro.streaming.twins import (
+    answers_digest,
+    batch_digest,
+    diff_digests,
+    replay_engine,
+)
 
 SINKS = 2
 SHARED_LENGTHS = (32, 64, 200)
@@ -204,11 +211,12 @@ def test_post_mortem_view_equals_reference_with_hosts_learned_late(records):
 class _FoldAnswers:
     """One ``CausalFold`` run to the end, fed the trace's own events
     (``feed``) or their records (``update``), shaped for
-    ``answers_digest``."""
+    ``answers_digest``: its counters are its own fold's."""
 
     def __init__(self, trace, decorated):
         self.pairs, self.clocks = [], {}
         fold = CausalFold(on_pair=self._paired, on_clock=self._resolved)
+        self.totals, self.per_process = fold.totals, fold.per_process
         for event in trace:
             if decorated:
                 assert fold.feed(event) is event
@@ -247,6 +255,32 @@ def test_fold_fed_events_equals_fold_fed_records(records):
         assert reference == answers_digest(
             trace, run, lambda event: run.clocks[event.index]
         )
+
+
+@given(_traces(careful=True))
+@settings(max_examples=120, deadline=None)
+def test_pair_traffic_equals_a_naive_sum_over_the_reference_pairs(records):
+    """Pair traffic is in no digest: the statistics view, the graph's
+    message edges and a replayed engine's ``stats`` reply each against
+    the reference's pairs, summed per (sender, receiver) process."""
+    trace = Trace(records)
+    want = {}
+    for pair in ReferenceAnalysis(trace).pairs:
+        entry = want.setdefault((pair.send.process, pair.recv.process), [0, 0])
+        entry[0] += 1
+        entry[1] += pair.nbytes
+    assert CommunicationStatistics(trace).pair_traffic == want
+    graph = CommunicationGraph(trace)
+    assert {
+        (src, dst): [data["messages"], data["bytes"]]
+        for src, dst, data in graph.edges()
+        if data["kind"] == "message"
+    } == want
+    engine = replay_engine(records).finalize()
+    assert engine.snapshot()["pair_traffic"] == {
+        "{0}:{1}->{2}:{3}".format(*send, *recv): entry
+        for (send, recv), entry in want.items()
+    }
 
 
 @given(_traces(careful=False, lying=True))

@@ -1,5 +1,6 @@
 """Happens-before answers and clock digests on dense tuple clocks."""
 
+from repro.analysis.reference import reference_digest
 from repro.analysis.trace import Trace
 from repro.streaming.engine import StreamEngine, clock_digest_add, serve_query
 from repro.streaming.twins import (
@@ -98,11 +99,11 @@ def test_records_without_machine_or_pid_fold_like_the_batch_twin():
     online = replay_engine(records).finalize().digest()
     assert online["clocks_resolved"] == len(records)
     assert "None:None" in online["per_process"]
-    # (Trace.machines() cannot sort None among ints, so the statistics
-    # half of batch_digest is out of reach for such a log.)
     trace = Trace(records)
     assert online["clock_digest"] == batch_clock_digest(trace)
     assert online["pairs_digest"] == batch_pairs_digest(trace)
+    assert diff_digests(online, batch_digest(trace)) == []
+    assert diff_digests(online, reference_digest(trace)) == []
 
 
 def test_replay_equals_batch_on_the_datagram_log():

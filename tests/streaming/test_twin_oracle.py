@@ -52,17 +52,6 @@ def test_view_reports_the_reference_unmatched_sets(records):
     assert len(matcher.pairs) == len(reference.pairs) > 0
 
 
-def test_batch_per_process_takes_prebuilt_statistics(records):
-    from repro.analysis.stats import CommunicationStatistics
-
-    trace = Trace(list(records))
-    alone = twins.batch_per_process(trace)
-    assert alone == twins.batch_per_process(
-        trace, CommunicationStatistics(trace)
-    )
-    assert alone == twins.batch_digest(trace)["per_process"]
-
-
 def test_digest_survives_commit_order_permutation(records):
     """Interleaving across processes is arbitrary in the committed log;
     the digests must not depend on it.  Replaying the per-process

@@ -1,7 +1,7 @@
 """Trace model: events as read back from a filter log file."""
 
 from repro.filtering.records import parse_trace
-from repro.streaming.fold import Event  # the one event class, re-exported
+from repro.streaming.fold import Event, sorted_machines  # re-exports Event
 
 
 class Trace:
@@ -120,12 +120,11 @@ class Trace:
         return list(self._by_type.get(event_name, []))
 
     def machines(self):
-        """Every machine id seen: integers in numeric order, then any
-        other value (a garbage or salvaged record's) ordered by repr."""
+        """Every machine id seen, in ``sorted_machines`` order."""
         if self._machines is None:
-            seen = {event.machine for event in self.events}
-            ids = sorted(m for m in seen if isinstance(m, int))
-            self._machines = ids + sorted(seen.difference(ids), key=repr)
+            self._machines = sorted_machines(
+                {event.machine for event in self.events}
+            )
         return list(self._machines)
 
     def matcher(self):

@@ -3,11 +3,12 @@
 An event's clock cannot be emitted until every predecessor's clock is
 known: the previous event of its process, plus -- for a receive --
 every matched send.  Sends are paired with receives by the online
-matcher, possibly *after* the receive arrived, so receive nodes are
-added "open" and stay unresolved until the matcher declares their send
+matcher, possibly *after* the receive arrived, so receives are added
+"open" and stay unresolved until the matcher declares their send
 dependencies complete (stream bytes fully covered, datagram claimed, or
 session finalized).  Everything else resolves as soon as its
-program-order predecessor has.
+program-order predecessor has: on arrival, if that one already has.
+What an event waits with lives in its own slots (``fold.Event``).
 
 Component ``i`` of a clock counts the events of the ``i``-th process
 (first-appearance order, identical to ``Trace.processes()``) that
@@ -17,7 +18,7 @@ their last nonzero component (an event's own component is never zero,
 and a merge is as long as its longer operand), so they are independent
 of how many processes eventually appear.  Tuples are immutable, which
 is what lets a program-order successor *share* its predecessor's clock
-until it resolves and writes its own component.
+until it resolves and writes its own component into a copy.
 """
 
 from collections import Counter, OrderedDict, deque
@@ -28,26 +29,15 @@ def process_key(machine, pid):
 
 
 def _merge(acc, other):
-    """Componentwise max of two dense clocks; ``acc`` may be None."""
+    """Componentwise max of two dense clocks (an ``acc``: tuple or
+    list); ``acc`` may be None."""
     if acc is None:
         return other
     if len(acc) < len(other):
         acc, other = other, acc
-    return tuple(map(max, acc, other)) + acc[len(other):]
-
-
-class _Node:
-    """One event awaiting (or holding) its clock."""
-
-    __slots__ = ("event", "acc", "wait", "open", "succ", "clock")
-
-    def __init__(self, event, open):
-        self.event = event
-        self.acc = None  # merged clocks of already-resolved predecessors
-        self.wait = 0  # unresolved predecessors
-        self.open = open  # matcher may still add send dependencies
-        self.succ = None  # nodes waiting on this clock (lazy list)
-        self.clock = None
+    merged = [a if a > b else b for a, b in zip(acc, other)]
+    merged += acc[len(other):]
+    return merged
 
 
 class Process:
@@ -67,7 +57,7 @@ class Process:
         self.component = component  # vector-clock index
         self.process = process  # the (machine, pid) its events share
         self.next_seq = 0
-        self.last = None  # most recent clock node (program order)
+        self.last = None  # most recent event (program order)
         self.key = process_key(*process)  # its name in JSON answers
         self.event_counts = Counter()
         self.bytes_sent = 0
@@ -108,7 +98,7 @@ class OnlineVectorClocks:
         #: in first-appearance order (matches ``Trace.processes()``).
         self.procs = {}
         self._ready = deque()
-        self._unresolved = {}  # event index -> node, for finalize sweeps
+        self._unresolved = {}  # event index -> queued event, for finalize
         self.resolved = 0
         self._history_len = int(history)
         self._history = OrderedDict()  # (machine, pid, proc_seq) -> clock
@@ -121,72 +111,64 @@ class OnlineVectorClocks:
     # -- building the order --------------------------------------------
 
     def add(self, event, defer=False):
-        """Admit ``event`` (an Event whose ``proc`` slot carries
-        this process's ``component`` and ``last`` node); returns its
-        node, also stored on ``event.node``.  With ``defer`` the node
-        waits for :meth:`close` before it may resolve."""
-        node = _Node(event, defer)
+        """Admit ``event`` (its clock slots reset by ``feed``, its
+        ``proc`` carrying the process's ``component`` and ``last``
+        event).  It resolves here if no ``defer`` and no unresolved
+        predecessor hold it; else it waits in ``_unresolved``."""
         proc = event.proc
         prev = proc.last
-        if prev is not None:
-            if prev.clock is not None:
-                node.acc = prev.clock
-            else:
-                node.wait = 1
-                if prev.succ is None:
-                    prev.succ = []
-                prev.succ.append(node)
-        proc.last = node
-        self._unresolved[event.index] = node
-        event.node = node
-        if not defer and node.wait == 0:
-            self._ready.append(node)
-        return node
-
-    def add_dep(self, node, send_node):
-        """A matched send happens before ``node`` (a receive)."""
-        if send_node is node or node.clock is not None:
-            return
-        if send_node.clock is not None:
-            node.acc = _merge(node.acc, send_node.clock)
+        proc.last = event
+        if prev is None or prev.clock is not None:
+            acc = None if prev is None else prev.clock
+            if not defer:
+                self._stamp(event, acc)
+                return
+            event.acc = acc
         else:
-            node.wait += 1
-            if send_node.succ is None:
-                send_node.succ = []
-            send_node.succ.append(node)
+            event.wait = 1
+            if prev.succ is None:
+                prev.succ = []
+            prev.succ.append(event)
+        event.open = defer
+        self._unresolved[event.index] = event
 
-    def close(self, node):
-        """The matcher declares all of ``node``'s send deps added."""
-        if not node.open:
+    def add_dep(self, event, send):
+        """A matched send happens before ``event`` (a receive)."""
+        if send is event or event.clock is not None:
             return
-        node.open = False
-        if node.wait == 0 and node.clock is None:
-            self._ready.append(node)
+        if send.clock is not None:
+            event.acc = _merge(event.acc, send.clock)
+        else:
+            event.wait += 1
+            if send.succ is None:
+                send.succ = []
+            send.succ.append(event)
+
+    def close(self, event):
+        """The matcher declares all of ``event``'s send deps added."""
+        if not event.open:
+            return
+        event.open = False
+        if event.wait == 0 and event.clock is None:
+            self._ready.append(event)
 
     def drain(self):
-        """Resolve every node whose predecessors are all resolved."""
+        """Resolve every queued event whose predecessors are resolved."""
         ready = self._ready
         while ready:
-            node = ready.popleft()
-            if node.clock is not None:
-                continue
-            self._resolve(node)
+            event = ready.popleft()
+            if event.clock is None:
+                self._resolve(event)
 
-    def _resolve(self, node):
-        event = node.event
-        acc = node.acc or ()
+    def _stamp(self, event, acc):
+        """``event``'s clock: a copy of ``acc`` (its predecessors'
+        merged clocks, or None) with its own component written."""
         own = event.proc.component
-        # One component written into the shared predecessor clock; the
-        # zero padding is empty unless this process is new to ``acc``.
-        clock = (
-            acc[:own]
-            + (0,) * (own - len(acc))
-            + (event.proc_seq + 1,)
-            + acc[own + 1:]
-        )
-        node.clock = clock
-        node.acc = None
-        del self._unresolved[event.index]
+        clock = list(acc or ())
+        if own >= len(clock):  # the process is new to ``acc``
+            clock += [0] * (own + 1 - len(clock))
+        clock[own] = event.proc_seq + 1
+        clock = event.clock = tuple(clock)
         self.resolved += 1
         if self._history_len > 0:
             history = self._history
@@ -194,13 +176,19 @@ class OnlineVectorClocks:
             if len(history) > self._history_len:
                 history.popitem(last=False)
         self.on_resolve(event, clock)
-        succ = node.succ
+
+    def _resolve(self, event):
+        """Resolve a queued event and release what waited on it."""
+        del self._unresolved[event.index]
+        acc, event.acc = event.acc, None
+        self._stamp(event, acc)
+        succ = event.succ
         if succ:
-            node.succ = None
+            event.succ = None
             for later in succ:
                 if later.clock is not None:
                     continue
-                later.acc = _merge(later.acc, clock)
+                later.acc = _merge(later.acc, event.clock)
                 later.wait -= 1
                 if later.wait == 0 and not later.open:
                     self._ready.append(later)

@@ -16,6 +16,13 @@ from repro.streaming.clocks import OnlineVectorClocks
 from repro.streaming.matching import OnlineMatcher
 
 
+def sorted_machines(machines):
+    """Machine ids in answer order: integers in numeric order, then any
+    other value (a garbage or salvaged record's) ordered by repr."""
+    ids = sorted(m for m in machines if isinstance(m, int))
+    return ids + sorted(set(machines).difference(ids), key=repr)
+
+
 class Event:
     """One event record, decorated once for every fold and analysis.
 
@@ -26,14 +33,17 @@ class Event:
     itself, the attributes do not see a later change to it.  It lives
     here, not in :mod:`repro.analysis.trace` (which re-exports it),
     because the filter guest runs the fold and must not import the
-    analysis stack.
+    analysis stack.  The last five slots are the clock fold's (its
+    clock; its resolved predecessors' merged clocks, and how many are
+    unresolved; whether a send may still be added; who waits on it).
     """
 
     __slots__ = (
         "record", "index", "proc_seq", "event", "machine", "pid", "process",
         "local_time", "proc_time", "sock", "msg_length", "dest", "source",
         "dest_host", "src_host", "sock_name", "peer_name", "new_sock",
-        "proc", "node", "in_matching", "matched",
+        "proc", "in_matching", "matched",
+        "clock", "acc", "wait", "open", "succ",
     )
 
     def __init__(self, record, index):
@@ -57,7 +67,6 @@ class Event:
         self.peer_name = get("peerName") or None
         self.new_sock = get("newSock")
         self.proc = None  # the fold's per-process slot
-        self.node = None
         self.in_matching = False
         self.matched = False
 
@@ -94,7 +103,7 @@ class CausalFold:
         #: (machine, pid) -> its ``clocks.Process`` slot, counters included
         self.procs = self.clocks.procs
         self.matcher = OnlineMatcher(
-            on_pair=self._paired, on_recv_done=self._recv_done
+            on_pair=self._paired, on_recv_done=self.clocks.close
         )
         self.records = 0
         #: (send.proc, recv.proc) -> [matched pairs, bytes]
@@ -115,7 +124,9 @@ class CausalFold:
         event.proc = proc
         event.process = proc.process  # one tuple per process, not per event
         event.proc_seq = proc.next_seq
-        event.in_matching = event.matched = False
+        event.in_matching = event.matched = event.open = False
+        event.clock = event.acc = event.succ = None
+        event.wait = 0
         proc.next_seq += 1
         self.records += 1
         kind = event.event
@@ -132,7 +143,7 @@ class CausalFold:
             proc.sockets_created += 1
         # A receive's clock waits for the matcher to declare its send
         # dependencies complete; everything else only waits for program
-        # order.
+        # order, and most of it resolves inside add().
         self.clocks.add(event, defer=(kind == "receive"))
         self.matcher.update(event)
         self.clocks.drain()
@@ -152,7 +163,7 @@ class CausalFold:
         # undelivered.
         send.matched = True
         recv.matched = True
-        self.clocks.add_dep(recv.node, send.node)
+        self.clocks.add_dep(recv, send)
         procs = (send.proc, recv.proc)
         entry = self.pair_traffic.get(procs)
         if entry is None:
@@ -160,9 +171,6 @@ class CausalFold:
         entry[0] += 1
         entry[1] += nbytes
         self.on_pair(send, recv, nbytes)
-
-    def _recv_done(self, recv):
-        self.clocks.close(recv.node)
 
     # -- answers -------------------------------------------------------
 

@@ -14,6 +14,8 @@ the query RPC round-trip unchanged.
 
 from collections import Counter, deque
 
+from repro.streaming.fold import sorted_machines
+
 
 class WindowedStats:
     """A sliding window of recent events and matched pairs."""
@@ -109,8 +111,8 @@ class WindowedStats:
             "rate_per_s": round(w_count / seconds, 3),
             "active_processes": len(active),
             "per_machine": {
-                str(machine): count
-                for machine, count in sorted(per_machine.items())
+                str(machine): per_machine[machine]
+                for machine in sorted_machines(per_machine)
             },
             "messages_sent": w_sends,
             "bytes_sent": w_send_bytes,

@@ -335,3 +335,128 @@ def test_length_index_equals_retrying_every_pending_send(records):
     state after every record -- lying source names, shared lengths and
     hosts learned mid-stream included."""
     assert _fold(OnlineMatcher, records) == _fold(_RetryAllMatcher, records)
+
+
+class _CausalRun:
+    """A causal execution of ``procs`` processes (one per machine)
+    trading stream bytes and datagrams, committed in a random merge of
+    the per-process logs: a receive often lands before its send, as a
+    filter sees it when the receiver's meter message wins the race.
+    Every datagram has a length of its own, so its pairing is the same
+    in any commit order, and the trace is acyclic in any of them."""
+
+    def __init__(self, seed, procs, steps):
+        rng = self.rng = random.Random(seed)
+        self.logs = [[] for __ in range(procs)]
+        self.links = []  # [src, dst, src sock, dst sock, bytes in flight]
+        self.datagrams = []  # (src, dst, length) sent, not yet received
+        self.lengths = iter(range(1000, 10**6))  # one per datagram
+        for proc in range(procs):
+            self.emit(proc, "socket", sock=DGRAM_SOCK)
+        for port, (src, dst) in enumerate(
+            rng.sample([(a, b) for a in range(procs) for b in range(procs)
+                        if a != b], rng.randrange(1, procs))
+        ):
+            names = ("inet:%s:%d" % (_host(src + 1), 6100 + port),
+                     "inet:%s:5000" % _host(dst + 1))
+            self.emit(src, "connect", sock=20 + port, sockName=names[0],
+                      peerName=names[1])
+            self.emit(dst, "accept", sock=STREAM_SOCK, newSock=40 + port,
+                      sockName=names[1], peerName=names[0])
+            self.links.append([src, dst, 20 + port, 40 + port, 0])
+        for __ in range(steps):
+            self.step(procs)
+
+    def emit(self, proc, event, **body):
+        self.logs[proc].append(dict(
+            event=event, machine=proc + 1, pid=100 + proc, procTime=0,
+            **body))
+
+    def step(self, procs):
+        rng = self.rng
+        roll = rng.random()
+        link = rng.choice(self.links)
+        if roll < 0.3:
+            length = rng.randrange(1, 40)
+            self.emit(link[0], "send", sock=link[2], msgLength=length)
+            link[4] += length
+        elif roll < 0.6 and link[4]:
+            length = rng.randrange(1, link[4] + 1)  # coalesce or split
+            self.emit(link[1], "receive", sock=link[3], msgLength=length)
+            link[4] -= length
+        elif roll < 0.75:
+            src, dst = rng.sample(range(procs), 2)
+            length = next(self.lengths)
+            self.datagrams.append((src, dst, length))
+            self.emit(src, "send", sock=DGRAM_SOCK, msgLength=length,
+                      destName=_dgram_name(dst + 1))
+        elif roll < 0.9 and self.datagrams:
+            src, dst, length = self.datagrams.pop(
+                rng.randrange(len(self.datagrams)))
+            self.emit(dst, "receive", sock=DGRAM_SOCK, msgLength=length,
+                      sourceName=_dgram_name(src + 1))
+        else:
+            self.emit(rng.randrange(procs), "fork")
+
+    def committed(self):
+        logs = [list(log) for log in self.logs]
+        records = []
+        while any(logs):
+            log = self.rng.choice([log for log in logs if log])
+            records.append(log.pop(0))
+            records[-1]["cpuTime"] = 10 * len(records)
+        return records
+
+
+@st.composite
+def _committed_out_of_causal_order(draw):
+    run = _CausalRun(
+        seed=draw(st.integers(min_value=0, max_value=10**6)),
+        procs=draw(st.integers(min_value=2, max_value=4)),
+        steps=draw(st.integers(min_value=1, max_value=60)),
+    )
+    return run.committed()
+
+
+@given(_committed_out_of_causal_order())
+@settings(max_examples=150, deadline=None)
+def test_each_clock_fires_once_after_its_predecessors(records):
+    """``OnlineVectorClocks``' contract, whichever path an event takes
+    (resolved on arrival, or queued behind a receive or its sends):
+    ``on_clock`` fires exactly once per event, after its program-order
+    predecessor's and after the clock and the pair of every send
+    paired with it; and the clocks are the reference's."""
+    fired = []  # ("clock", index) and ("pair", send index, recv index)
+    clocks = {}
+
+    def on_clock(event, clock):
+        fired.append(("clock", event.index))
+        clocks[event.index] = clock
+
+    fold = CausalFold(
+        on_pair=lambda send, recv, nbytes: fired.append(
+            ("pair", send.index, recv.index)),
+        on_clock=on_clock,
+    )
+    for record in records:
+        fold.update(record)
+    fold.finalize()
+    at = {entry: position for position, entry in enumerate(fired)}
+    assert len(at) == len(fired)  # nothing fires twice
+    pairs = [entry for entry in fired if entry[0] == "pair"]
+    assert len(fired) - len(pairs) == len(records) == fold.clocks.resolved
+    assert fold.clocks.state_size() == 0
+    trace = Trace(records)
+    for process in trace.processes():
+        events = trace.events_for(process)
+        for before, after in zip(events, events[1:]):
+            assert at[("clock", before.index)] < at[("clock", after.index)]
+    for __, send, recv in pairs:
+        assert at[("clock", send)] < at[("clock", recv)]
+        assert at[("pair", send, recv)] < at[("clock", recv)]
+    reference = ReferenceAnalysis(trace)
+    assert sorted(pairs) == sorted(
+        ("pair", pair.send.index, pair.recv.index) for pair in reference.pairs)
+    width = len(trace.processes())
+    assert [clocks[event.index] + (0,) * (width - len(clocks[event.index]))
+            for event in trace] == reference.clocks

@@ -1,8 +1,11 @@
 """Happens-before answers and clock digests on dense tuple clocks."""
 
+from collections import deque
+
 from repro.analysis.reference import reference_digest
 from repro.analysis.trace import Trace
 from repro.streaming.engine import StreamEngine, clock_digest_add, serve_query
+from repro.streaming.fold import CausalFold
 from repro.streaming.twins import (
     batch_clock_digest,
     batch_digest,
@@ -132,3 +135,57 @@ def test_non_positive_history_keeps_no_clocks():
     assert inserts == []
     assert engine.fold.clocks.clock_of(1, 10, 1) is None
     assert engine.happens_before((1, 10, 1), (2, 20, 0)) is None
+
+
+def _counted_fold():
+    """A fold whose clock queue and unresolved map record every event
+    put in them (counted, never timed)."""
+    queued, readied = [], []
+
+    class Unresolved(dict):
+        def __setitem__(self, index, event):
+            queued.append(index)
+            dict.__setitem__(self, index, event)
+
+    class Ready(deque):
+        def append(self, event):
+            readied.append(event.index)
+            deque.append(self, event)
+
+    fold = CausalFold(on_pair=lambda *pair: None, on_clock=lambda *ev: None)
+    fold.clocks._unresolved = Unresolved()
+    fold.clocks._ready = Ready()
+    return fold, queued, readied
+
+
+def test_an_event_behind_a_resolved_predecessor_resolves_inside_feed():
+    fold, queued, readied = _counted_fold()
+    kinds = ("socket", "fork", "send", "dup")
+    for index in range(200):
+        proc = 1 + index % 3
+        event = fold.update(_record(
+            kinds[index % 4], proc, 10 * proc, index, sock=7, msgLength=8,
+            destName="inet:blue:6000"))
+        assert event.clock is not None
+    assert queued == readied == []
+    assert fold.clocks.resolved == 200
+
+
+def test_only_receives_and_what_waits_behind_them_are_queued():
+    fold, queued, readied = _counted_fold()
+    fold.update(_record("socket", 1, 10, 0, sock=7))
+    # The receive is committed before its send: it waits for the
+    # matcher, and its process's next events wait for it.
+    recv = fold.update(_record("receive", 2, 20, 1, sock=7, msgLength=64,
+                               sourceName="inet:red:6000"))
+    behind = [fold.update(_record("fork", 2, 20, 2 + i)) for i in range(3)]
+    other = fold.update(_record("fork", 3, 30, 5))
+    assert recv.clock is None and [e.clock for e in behind] == [None] * 3
+    assert other.clock is not None
+    send = fold.update(_record("send", 1, 10, 6, sock=7, msgLength=64,
+                               destName="inet:green:6000"))
+    assert send.clock == (2,) and recv.clock == (2, 1)
+    assert behind[-1].clock == (2, 4)
+    expect = [recv.index] + [event.index for event in behind]
+    assert queued == readied == expect
+    assert fold.clocks.state_size() == 0

@@ -3,6 +3,8 @@ synthetic events (no cluster)."""
 
 import pytest
 
+from repro.analysis.trace import Trace
+from repro.streaming.engine import StreamEngine, serve_query
 from repro.streaming.fold import Event
 from repro.streaming.queries import (
     DEFAULT_QUERY_WINDOW_MS,
@@ -150,3 +152,24 @@ def test_query_kinds_constant_matches_factories():
         q = make_query(1, {"kind": kind})
         assert q.kind == kind
         assert q.describe()["kind"] == kind
+
+
+def test_live_stats_orders_machines_like_the_trace_does():
+    """A record without ``machine`` (a template that discards it) in
+    the window beside one with it: sorting the window's machines raised
+    ``TypeError``, and the ``stats`` reply was ``status: error``."""
+    records = [
+        {"event": "send", "machine": 10, "pid": 1, "cpuTime": 5},
+        {"event": "send", "pid": 1, "cpuTime": 6},
+        {"event": "send", "machine": 2, "pid": 1, "cpuTime": 7},
+    ]
+    engine = StreamEngine()
+    for record in records:
+        engine.update(record)
+    reply = serve_query(engine, {"op": "stats"})
+    assert reply["status"] == "ok"
+    per_machine = reply["result"]["window"]["per_machine"]
+    assert list(per_machine) == ["2", "10", "None"] == [
+        str(machine) for machine in Trace(records).machines()
+    ]
+    assert sum(per_machine.values()) == 3

@@ -20,20 +20,7 @@ def format_record(record, field_order=None):
 
 def parse_record_line(line):
     """Parse a log line back into a record dict (ints where possible)."""
-    record = {}
-    for chunk in line.split():
-        key, sep, value = chunk.partition("=")
-        if not sep:
-            continue
-        # No base-10 int literal starts with a letter (``event=send`` on
-        # every line): such a value is a string without raising to find out.
-        if not value[:1].isalpha():
-            try:
-                value = int(value)
-            except ValueError:
-                pass
-        record[key] = value
-    return record
+    return _parse_line(line, {})
 
 
 def parse_trace(text):
@@ -42,8 +29,42 @@ def parse_trace(text):
     Lines starting with ``#`` are filter metadata (batch-commit
     markers such as ``#batch <machine> <pid> <seq>``), not records.
     """
+    chunks = {}
     return [
-        parse_record_line(line)
+        _parse_line(line, chunks)
         for line in text.splitlines()
         if line.strip() and not line.lstrip().startswith("#")
     ]
+
+
+_MISS = object()
+
+
+def _parse_line(line, chunks):
+    """The one line parser.  ``chunks`` memoises chunk -> ``(key,
+    value)`` (None for a chunk with no ``=``) for one parse: a log
+    repeats a few thousand distinct ``key=value`` chunks endlessly, and
+    keys and values are immutable strs and ints, so records may share
+    them."""
+    record = {}
+    for chunk in line.split():
+        pair = chunks.get(chunk, _MISS)
+        if pair is _MISS:
+            pair = chunks[chunk] = _parse_chunk(chunk)
+        if pair is not None:
+            record[pair[0]] = pair[1]
+    return record
+
+
+def _parse_chunk(chunk):
+    key, sep, value = chunk.partition("=")
+    if not sep:
+        return None
+    # No base-10 int literal starts with a letter (``event=send`` on
+    # every line): such a value is a string without raising to find out.
+    if not value[:1].isalpha():
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    return key, value

@@ -442,6 +442,9 @@ class MessageCodec:
     def __init__(self, host_names=None):
         self.host_names = dict(host_names or {})
         self._host_ids = None  # reverse map, built on first encode_record
+        # Display string -> wire bytes: traces repeat a few names
+        # endlessly, and the host map above is fixed for the codec.
+        self._name_bytes = {}
 
     # -- encoding -------------------------------------------------------
 
@@ -499,14 +502,22 @@ class MessageCodec:
 
     def _name_wire_bytes(self, value):
         """Wire form of a NAME field value that may be a SocketName, a
-        display string, or missing.  Display strings drop the wire host
-        id, so Internet names recover it from the host-name map (or the
-        literal digits when the decoder had no map either)."""
+        display string, or missing."""
         if value is None or value == "":
             return NO_NAME
         if isinstance(value, SocketName):
             return value.wire_bytes()
-        name = parse_name(str(value))
+        text = str(value)
+        wire = self._name_bytes.get(text)
+        if wire is None:
+            wire = self._name_bytes[text] = self._display_wire_bytes(text)
+        return wire
+
+    def _display_wire_bytes(self, text):
+        """Display strings drop the wire host id, so Internet names
+        recover it from the host-name map (or the literal digits when
+        the decoder had no map either)."""
+        name = parse_name(text)
         if name is None:
             return NO_NAME
         if isinstance(name, InternetName) and name.host_id == 0:

@@ -33,12 +33,18 @@ _MASK_BITS = {
 }
 
 
+def record_event(record):
+    """The event a text-log record describes: its ``event`` field, or
+    failing that the name of its ``traceType`` (None when neither)."""
+    return record.get("event") or EVENT_NAMES.get(record.get("traceType"))
+
+
 def host_names_from_records(records):
     """Assign stable host ids to every Internet host name that appears
     in a record's NAME-field display strings."""
     hosts = set()
     for record in records:
-        event = record.get("event")
+        event = record_event(record)
         if event not in BODY_FIELDS:
             continue
         for name, kind in BODY_FIELDS[event]:
@@ -55,8 +61,7 @@ def wire_pairs(records, codec):
     encoded as zero and flagged in the mask."""
     pairs = []
     for record in records:
-        event = record.get("event") or EVENT_NAMES.get(record.get("traceType"))
-        bits = _MASK_BITS.get(event)
+        bits = _MASK_BITS.get(record_event(record))
         if bits is None:
             continue  # not an Appendix-A record; text logs may hold anything
         mask = 0

@@ -309,7 +309,7 @@ class SegmentStats:
         self.t_min = None
         self.t_max = None
         self.machines = {}
-        self.pids = {}
+        self.pids = {}  # (machine, pid) -> records; "m:pid" in the footer
         self.events = {}
         self.event_offsets = {}
         self.host_names = dict(host_names or {})
@@ -321,7 +321,7 @@ class SegmentStats:
         if self.t_max is None or cpu_time > self.t_max:
             self.t_max = cpu_time
         self.machines[machine] = self.machines.get(machine, 0) + 1
-        key = "{0}:{1}".format(machine, pid)
+        key = (machine, pid)
         self.pids[key] = self.pids.get(key, 0) + 1
         self.events[event] = self.events.get(event, 0) + 1
         span = self.event_offsets.get(event)
@@ -339,7 +339,7 @@ class SegmentStats:
             "t_min": self.t_min,
             "t_max": self.t_max,
             "machines": {str(m): n for m, n in self.machines.items()},
-            "pids": self.pids,
+            "pids": {"%s:%s" % key: n for key, n in self.pids.items()},
             "events": self.events,
             "event_offsets": self.event_offsets,
             "hosts": {str(i): name for i, name in self.host_names.items()},

@@ -1,5 +1,8 @@
 """Packing legacy text logs into stores, and the trace CLI."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.__main__ import main
@@ -7,6 +10,12 @@ from repro.core.cluster import Cluster
 from repro.core.session import MeasurementSession
 from repro.filtering.records import format_record, parse_trace
 from repro.kernel import defs
+from repro.metering.messages import (
+    BODY_FIELDS,
+    EVENT_TYPES,
+    MessageCodec,
+    message_length,
+)
 from repro.tracestore import StoreReader, pack_text
 from repro.tracestore.convert import host_names_from_records
 
@@ -175,3 +184,95 @@ def test_cli_trace_usage_and_errors(tmp_path, capsys):
     assert main(["trace", "inspect", str(tmp_path / "missing.store")]) == 1
     assert "inspect" in capsys.readouterr().out
     assert main(["trace", "cat", str(tmp_path / "x"), "--bogus", "1"]) == 1
+
+
+def test_traceType_only_record_keeps_its_host_name():
+    """A record typed only by ``traceType`` contributes its Internet
+    host names to the pack's host table, as one with ``event`` does."""
+    line = (
+        "size=0 machine=1 cpuTime=5 procTime=0 traceType=1 pid=7 pc=1 "
+        "sock=3 msgLength=10 destNameLen=16 destName=inet:red:5100"
+    )
+    for text in (line, "event=send " + line):
+        store, __ = pack_text(text, "/t/tt.store")
+        (record,) = StoreReader.from_bytes(store).records()
+        assert record["destName"] == "inet:red:5100"
+
+
+_HOSTS = ["red", "green", "blue", "yellow", "12"]
+
+
+def _name(rng):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return ""
+    if kind == 1:
+        return "unix:/tmp/s%d" % rng.randrange(4)
+    if kind == 2:
+        return "pair:%d" % rng.randrange(1, 6)
+    return "inet:%s:%d" % (rng.choice(_HOSTS), 5100 + rng.randrange(6))
+
+
+def _generated_log(seed=27, lines=3000):
+    """A fixed text log over every Appendix-A event: repeated names,
+    reduced (missing) fields and ``#batch`` marker lines."""
+    rng = random.Random(seed)
+    events = sorted(BODY_FIELDS)
+    out = []
+    for i in range(lines):
+        if i % 50 == 49:
+            out.append("#batch %d %d %d" % (rng.randrange(1, 5), 100, i))
+            continue
+        event = rng.choice(events)
+        record = {
+            "event": event,
+            "size": message_length(event),
+            "machine": rng.randrange(1, 5),
+            "cpuTime": 1000 + i * 3 + rng.randrange(3),
+            "procTime": rng.randrange(50),
+            "traceType": EVENT_TYPES[event],
+        }
+        for name, kind in BODY_FIELDS[event]:
+            if name != "pid" and rng.random() < 0.05:
+                continue  # discarded by a reduction rule
+            if kind == "name":
+                record[name] = _name(rng)
+            else:
+                record[name] = rng.randrange(-3, 200)
+        out.append(format_record(record))
+    return "\n".join(out) + "\n"
+
+
+def test_pack_text_bytes_are_pinned():
+    """The packed store of a fixed generated log, byte for byte.  The
+    pin was read off the pack before the parser and NAME memos."""
+    text = _generated_log()
+    store, writer = pack_text(text, "/t/pin.store", segment_bytes=8192)
+    digest = hashlib.sha256()
+    for path in sorted(store):
+        digest.update(path.encode("ascii"))
+        digest.update(store[path])
+    assert len(store) == writer.segments_sealed == 23
+    assert digest.hexdigest() == (
+        "22b93000d27be55567320582b18fb99256971122c3c202e2841b92f55d1adae2"
+    )
+    assert StoreReader.from_bytes(store).records() == parse_trace(text)
+
+
+@pytest.mark.parametrize(
+    "display", ["inet:red:5100", "inet:7:5100", "inet:blue:5100"],
+    ids=["mapped-host", "digit-host", "unknown-host"],
+)
+def test_encode_record_repeats_a_fresh_codec(display):
+    """The NAME memo returns what parsing the display string returns,
+    on the first use and every later one (host map: red=1, green=2)."""
+    hosts = {1: "red", 2: "green"}
+    records = [
+        {"event": "send", "machine": 1, "cpuTime": t, "procTime": 0,
+         "pid": 9, "pc": 1, "sock": 3, "msgLength": 10, "destNameLen": 16,
+         "destName": name}
+        for t, name in enumerate([display, "inet:green:6100", display, display])
+    ]
+    codec = MessageCodec(hosts)
+    for record in records:
+        assert codec.encode_record(record) == MessageCodec(hosts).encode_record(record)

@@ -18,7 +18,7 @@ from repro.metering.messages import record_fields
 from repro.streaming.engine import format_firing, format_snapshot
 from repro.streaming.queries import QUERY_KINDS
 from repro.streaming.twins import replay_engine
-from repro.tracestore import StoreReader, pack_text, scan_fast
+from repro.tracestore import StoreReader, pack_records, scan_fast
 from repro.tracestore.errors import StoreError
 from repro.tracestore.fsck import format_report, fsck_store, repair_store
 from repro.tracestore.format import DEFAULT_SEGMENT_BYTES
@@ -90,21 +90,24 @@ def _trace_pack(args):
         print(TRACE_USAGE)
         return 1
     logfile, base = positional
-    text = pathlib.Path(logfile).read_text(encoding="ascii")
+    records = parse_trace(pathlib.Path(logfile).read_text(encoding="ascii"))
     compress = flags.get("compress", False)
-    __, writer = pack_text(
-        text,
+    __, writer = pack_records(
+        records,
         base,
         segment_bytes=flags.get("segment-bytes", DEFAULT_SEGMENT_BYTES),
         writer_driver=flush_to_files,
         compress=compress,
     )
+    skipped = len(records) - writer.records_appended
     print(
-        "packed {0} records into {1}{2} segment(s) at {3}.seg*".format(
+        "packed {0} records into {1}{2} segment(s) at {3}.seg*{4}".format(
             writer.records_appended,
             writer.segments_sealed,
             " compressed" if compress else "",
             base,
+            " ({0} skipped: not an Appendix-A event)".format(skipped)
+            if skipped else "",
         )
     )
     return 0

@@ -240,6 +240,7 @@ def field_layout(event):
 _EVENT_LAYOUTS = {}
 _FRAME_LAYOUTS = {}
 _MATERIALIZERS = {}
+_ENCODERS = {}
 
 
 def name_lookup(host_names):
@@ -299,6 +300,55 @@ def _materializer(prefix, event, discards):
     exec(source, namespace)
     mat = _MATERIALIZERS[key] = namespace["mat"]
     return mat
+
+
+def record_event(record):
+    """The event a decoded record describes: its ``event`` field, or
+    failing that the name of its ``traceType`` (None when neither)."""
+    return record.get("event") or EVENT_NAMES.get(record.get("traceType"))
+
+
+def record_encoder(event):
+    """The generated ``enc(record, name) -> (payload, mask)`` of
+    ``event``, the twin of :func:`_materializer`: one ``.get`` per
+    field and one ``Struct.pack`` for the whole message.
+
+    Longs encode as ``int(v or 0)``; NAME fields as ``name(v)``, which
+    maps a SocketName, display string or None to its 16 wire bytes.
+    ``mask`` is the discard bitmap over :func:`record_fields` of the
+    fields absent from ``record`` (``size`` is always recomputed, so it
+    is never masked); a field present with the value None is not
+    absent.  Built on first use and cached; ValueError for anything
+    but an Appendix-A event."""
+    enc = _ENCODERS.get(event)
+    if enc is not None:
+        return enc
+    if event not in BODY_FIELDS:
+        raise ValueError("not an Appendix-A record: event %r" % (event,))
+    kinds = dict(BODY_FIELDS[event])
+    lines = ["def enc(record, name):", "    get = record.get", "    mask = 0"]
+    args = ["%d" % message_length(event)]
+    for bit, field in enumerate(record_fields(event)):
+        if field == "size":
+            continue
+        if field == "traceType":
+            lines.append("    if 'traceType' not in record: mask |= %d" % (1 << bit))
+            args.append("%d" % EVENT_TYPES[event])
+            continue
+        lines.append("    v%d = get(%r)" % (bit, field))
+        lines.append(
+            "    if v%d is None and %r not in record: mask |= %d"
+            % (bit, field, 1 << bit)
+        )
+        if kinds.get(field) == "name":
+            args.append("name(v%d)" % bit)
+        else:
+            args.append("int(v%d or 0)" % bit)
+    lines.append("    return pack(%s), mask" % ", ".join(args))
+    namespace = {"pack": _EVENT_STRUCTS[event].pack}
+    exec("\n".join(lines) + "\n", namespace)
+    enc = _ENCODERS[event] = namespace["enc"]
+    return enc
 
 
 class EventLayout:
@@ -441,7 +491,7 @@ class MessageCodec:
 
     def __init__(self, host_names=None):
         self.host_names = dict(host_names or {})
-        self._host_ids = None  # reverse map, built on first encode_record
+        self._host_ids = None  # reverse map, built on first display-string NAME
         # Display string -> wire bytes: traces repeat a few names
         # endlessly, and the host map above is fixed for the codec.
         self._name_bytes = {}
@@ -451,21 +501,10 @@ class MessageCodec:
     def encode(self, event, machine, cpu_time, proc_time, **body):
         """Build one wire message.  NAME-kind fields take SocketName
         objects (or None for "name not available", length zero)."""
-        packer = _EVENT_STRUCTS[event]
-        values = [
-            packer.size,
-            int(machine),
-            int(cpu_time),
-            int(proc_time),
-            EVENT_TYPES[event],
-        ]
-        for name, kind in BODY_FIELDS[event]:
-            value = body.get(name)
-            if kind == "long":
-                values.append(int(value or 0))
-            else:
-                values.append(value.wire_bytes() if value is not None else NO_NAME)
-        return packer.pack(*values)
+        body["machine"] = machine
+        body["cpuTime"] = cpu_time
+        body["procTime"] = proc_time
+        return record_encoder(event)(body, self.name_wire_bytes)[0]
 
     def name_lengths(self, **names):
         """Helper: wire_len of each given name (0 when unavailable)."""
@@ -482,31 +521,20 @@ class MessageCodec:
         encode as zero (the trace store marks them in its discard
         mask).  ``encode(decode(raw)) == raw`` holds for every
         Appendix-A message, which is what lets the trace store keep
-        records in the wire encoding without loss.
+        records in the wire encoding without loss.  ValueError when the
+        record names no Appendix-A event.
         """
-        event = record.get("event") or EVENT_NAMES[record["traceType"]]
-        packer = _EVENT_STRUCTS[event]
-        values = [
-            packer.size,
-            int(record.get("machine") or 0),
-            int(record.get("cpuTime") or 0),
-            int(record.get("procTime") or 0),
-            EVENT_TYPES[event],
-        ]
-        for name, kind in BODY_FIELDS[event]:
-            if kind == "long":
-                values.append(int(record.get(name) or 0))
-            else:
-                values.append(self._name_wire_bytes(record.get(name)))
-        return packer.pack(*values)
+        return record_encoder(record_event(record))(record, self.name_wire_bytes)[0]
 
-    def _name_wire_bytes(self, value):
+    def name_wire_bytes(self, value):
         """Wire form of a NAME field value that may be a SocketName, a
         display string, or missing."""
-        if value is None or value == "":
+        if value is None:
             return NO_NAME
         if isinstance(value, SocketName):
             return value.wire_bytes()
+        if value == "":
+            return NO_NAME
         text = str(value)
         wire = self._name_bytes.get(text)
         if wire is None:

@@ -73,7 +73,12 @@ import json
 import struct
 import zlib
 
-from repro.metering.messages import HEADER_BYTES, field_layout, record_fields
+from repro.metering.messages import (
+    EVENT_NAMES,
+    HEADER_BYTES,
+    field_layout,
+    record_fields,
+)
 from repro.tracestore.errors import BadSegmentHeaderError, CorruptFrameError
 
 SEGMENT_MAGIC = b"RTS1"
@@ -88,6 +93,7 @@ _HEADER_STRUCT = struct.Struct(">4sHH")
 SEGMENT_HEADER_BYTES = _HEADER_STRUCT.size  # 8
 _FRAME_STRUCT = struct.Struct(">III")
 _FRAME_CRC_HEAD = struct.Struct(">II")  # the header bytes the CRC covers
+_CRC_STRUCT = struct.Struct(">I")
 FRAME_OVERHEAD_BYTES = _FRAME_STRUCT.size  # 12
 _TRAILER_STRUCT = struct.Struct(">II4s")
 TRAILER_BYTES = _TRAILER_STRUCT.size  # 12
@@ -146,17 +152,12 @@ def parse_segment_header(data, path=None):
 # ----------------------------------------------------------------------
 
 
-def frame_crc(length, mask, payload):
-    """The per-frame checksum: covers length, mask, and payload."""
-    head = _FRAME_CRC_HEAD.pack(length, mask)
-    return zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
-
-
 def encode_frame(payload, mask=0):
-    return (
-        _FRAME_STRUCT.pack(len(payload), mask, frame_crc(len(payload), mask, payload))
-        + payload
-    )
+    """One record frame.  The per-frame checksum is spelled here and
+    only here: CRC32 over the length and mask words as stored, then the
+    payload.  A reader verifies a frame by re-encoding it."""
+    head = _FRAME_CRC_HEAD.pack(len(payload), mask)
+    return head + _CRC_STRUCT.pack(zlib.crc32(payload, zlib.crc32(head))) + payload
 
 
 def _read_frame(data, offset, end):
@@ -165,12 +166,12 @@ def _read_frame(data, offset, end):
     or "crc" (checksum mismatch)."""
     if offset + FRAME_OVERHEAD_BYTES > end:
         return None, None, end, "torn"
-    length, mask, crc = _FRAME_STRUCT.unpack_from(data, offset)
+    length, mask, __ = _FRAME_STRUCT.unpack_from(data, offset)
     body_start = offset + FRAME_OVERHEAD_BYTES
     if body_start + length > end:
         return None, None, end, "torn"
     payload = bytes(data[body_start : body_start + length])
-    if frame_crc(length, mask, payload) != crc:
+    if encode_frame(payload, mask) != data[offset : body_start + length]:
         return None, None, body_start + length, "crc"
     return mask, payload, body_start + length, None
 
@@ -302,35 +303,41 @@ def zero_masked_bytes(raw, event, mask):
 
 
 class SegmentStats:
-    """Accumulates the footer index while a segment is written."""
+    """Accumulates the footer index while a segment is written: one
+    counter per ``(traceType, machine, pid)`` and the first/last frame
+    offset per traceType; :meth:`footer` derives the per-machine,
+    per-pid and per-event views from them."""
 
     def __init__(self, host_names=None):
         self.records = 0
         self.t_min = None
         self.t_max = None
-        self.machines = {}
-        self.pids = {}  # (machine, pid) -> records; "m:pid" in the footer
-        self.events = {}
-        self.event_offsets = {}
+        self.counts = {}  # (traceType, machine, pid) -> records
+        self.offsets = {}  # traceType -> [first, last] frame offset
         self.host_names = dict(host_names or {})
 
-    def add(self, event, machine, pid, cpu_time, offset):
+    def add(self, trace_type, machine, pid, cpu_time, offset):
         self.records += 1
         if self.t_min is None or cpu_time < self.t_min:
             self.t_min = cpu_time
         if self.t_max is None or cpu_time > self.t_max:
             self.t_max = cpu_time
-        self.machines[machine] = self.machines.get(machine, 0) + 1
-        key = (machine, pid)
-        self.pids[key] = self.pids.get(key, 0) + 1
-        self.events[event] = self.events.get(event, 0) + 1
-        span = self.event_offsets.get(event)
+        key = (trace_type, machine, pid)
+        self.counts[key] = self.counts.get(key, 0) + 1
+        span = self.offsets.get(trace_type)
         if span is None:
-            self.event_offsets[event] = [offset, offset]
+            self.offsets[trace_type] = [offset, offset]
         else:
             span[1] = offset
 
     def footer(self, data_start, data_end, data_crc32=None, stored_bytes=None):
+        machines = {}
+        pids = {}
+        events = {}
+        for (trace_type, machine, pid), n in self.counts.items():
+            machines[machine] = machines.get(machine, 0) + n
+            pids[machine, pid] = pids.get((machine, pid), 0) + n
+            events[trace_type] = events.get(trace_type, 0) + n
         footer = {
             "version": FORMAT_VERSION,
             "records": self.records,
@@ -338,10 +345,12 @@ class SegmentStats:
             "data_end": data_end,
             "t_min": self.t_min,
             "t_max": self.t_max,
-            "machines": {str(m): n for m, n in self.machines.items()},
-            "pids": {"%s:%s" % key: n for key, n in self.pids.items()},
-            "events": self.events,
-            "event_offsets": self.event_offsets,
+            "machines": {str(m): n for m, n in machines.items()},
+            "pids": {"%s:%s" % key: n for key, n in pids.items()},
+            "events": {_event_name(t): n for t, n in events.items()},
+            "event_offsets": {
+                _event_name(t): span for t, span in self.offsets.items()
+            },
             "hosts": {str(i): name for i, name in self.host_names.items()},
         }
         if data_crc32 is not None:
@@ -351,6 +360,12 @@ class SegmentStats:
             footer["raw_bytes"] = data_end - data_start
             footer["stored_bytes"] = stored_bytes
         return footer
+
+
+def _event_name(trace_type):
+    """A footer's name for a traceType (the digits when it is not an
+    Appendix-A event)."""
+    return EVENT_NAMES.get(trace_type, str(trace_type))
 
 
 def encode_footer(footer):

@@ -79,7 +79,7 @@ class StoreWriter:
         self._path = None
         self._stats = None
         self._offset = 0  # next frame offset within the open segment
-        self._data_crc = 0  # running CRC32 over the open frame region
+        self._data_crc = 0  # CRC32 over the open segment's drained frames
 
     # ------------------------------------------------------------------
 
@@ -95,11 +95,9 @@ class StoreWriter:
         __, machine, cpu_time, __, trace_type, pid = (
             messages.HEADER_PID.unpack_from(head)
         )
-        event = messages.EVENT_NAMES.get(trace_type, str(trace_type))
-        self._stats.add(event, machine, pid, cpu_time, self._offset)
+        self._stats.add(trace_type, machine, pid, cpu_time, self._offset)
         frame = sformat.encode_frame(payload, mask)
         self._offset += len(frame)
-        self._data_crc = zlib.crc32(frame, self._data_crc)
         self._buffer.append(frame)
         self._buffered += len(frame)
         self.records_appended += 1
@@ -117,7 +115,6 @@ class StoreWriter:
             self._begin_segment()
         frame = sformat.encode_frame(payload, 0)
         self._offset += len(frame)
-        self._data_crc = zlib.crc32(frame, self._data_crc)
         self._buffer.append(frame)
         self._buffered += len(frame)
         if self._buffered >= self.flush_bytes:
@@ -138,6 +135,11 @@ class StoreWriter:
         """Seal the open segment, if any records reached it."""
         if self._path is not None:
             self._seal_segment()
+
+    def has_pending_ops(self):
+        """True when driver ops are queued (a driver call would do
+        something)."""
+        return bool(self._ops)
 
     def pending_ops(self):
         """Drain the queued driver ops."""
@@ -162,14 +164,18 @@ class StoreWriter:
         if self.compress:
             return  # the whole frame region compresses as one blob at seal
         if self._buffer:
-            self._ops.append(("write", self._path, b"".join(self._buffer)))
+            chunk = b"".join(self._buffer)
+            self._data_crc = zlib.crc32(chunk, self._data_crc)
+            self._ops.append(("write", self._path, chunk))
             self._buffer = []
             self._buffered = 0
 
     def _seal_segment(self):
         stored_bytes = None
         if self.compress:
-            blob = sformat.compress_region(b"".join(self._buffer))
+            region = b"".join(self._buffer)
+            self._data_crc = zlib.crc32(region)
+            blob = sformat.compress_region(region)
             self._buffer = []
             self._buffered = 0
             stored_bytes = len(blob)

@@ -244,3 +244,14 @@ def test_precompiled_structs_agree_with_field_tables():
     for event in EVENT_TYPES:
         assert _EVENT_STRUCTS[event].size == HEADER_BYTES + body_length(event)
         assert message_length(event) == _EVENT_STRUCTS[event].size
+
+
+@pytest.mark.parametrize(
+    "record",
+    [{"event": "bogus", "pid": 1}, {"pid": 1}, {"traceType": 42, "pid": 1}],
+    ids=["unknown-event", "no-type", "unknown-traceType"],
+)
+def test_encode_record_rejects_a_non_appendix_a_record(codec, record):
+    """Like decode and wire_layout: ValueError, not a bare KeyError."""
+    with pytest.raises(ValueError, match="not an Appendix-A record"):
+        codec.encode_record(record)

@@ -79,6 +79,7 @@ def test_cli_pack_inspect_cat(tmp_path, capsys, log_text):
                  "--segment-bytes", "256"]) == 0
     packed = capsys.readouterr().out
     assert "packed" in packed and "segment(s)" in packed
+    assert "skipped" not in packed
 
     assert main(["trace", "inspect", base]) == 0
     inspected = capsys.readouterr().out
@@ -95,6 +96,25 @@ def test_cli_pack_inspect_cat(tmp_path, capsys, log_text):
 
     assert main(["trace", "cat", base, "--machine", "999"]) == 0
     assert capsys.readouterr().out.strip() == ""
+
+
+def test_cli_pack_reports_records_it_skips(tmp_path, capsys):
+    """A log line that names no Appendix-A event has no wire form:
+    pack leaves it out and says so."""
+    logfile = tmp_path / "mixed.log"
+    logfile.write_text(
+        "event=send size=60 machine=1 cpuTime=30 procTime=10 traceType=1 "
+        "pid=77 pc=1 sock=3 msgLength=512 destNameLen=0 destName=\n"
+        "note=hello\n"
+        "event=frobnicate pid=2\n",
+        encoding="ascii",
+    )
+    base = str(tmp_path / "mixed.store")
+    assert main(["trace", "pack", str(logfile), base]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("packed 1 records into 1 segment(s)")
+    assert out.rstrip().endswith("(2 skipped: not an Appendix-A event)")
+    assert len(StoreReader.from_files(base).records()) == 1
 
 
 def test_cli_cat_text_lines_match_original(tmp_path, capsys, log_text):

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.metering.messages import MessageCodec, record_fields
+from repro.metering.messages import EVENT_TYPES, MessageCodec, record_fields
 from repro.tracestore import format as sformat
 
 HOSTS = {1: "red", 2: "green"}
+SEND = EVENT_TYPES["send"]
+RECEIVE = EVENT_TYPES["receive"]
 
 
 def _send(codec, i=0, machine=1, cpu_time=100):
@@ -57,7 +59,7 @@ def test_footer_round_trip():
     offset = sformat.SEGMENT_HEADER_BYTES
     for i in range(5):
         raw = _send(codec, i, machine=1 + i % 2, cpu_time=50 + i)
-        stats.add("send", 1 + i % 2, 42, 50 + i, offset)
+        stats.add(SEND, 1 + i % 2, 42, 50 + i, offset)
         offset += len(sformat.encode_frame(raw))
     footer = stats.footer(sformat.SEGMENT_HEADER_BYTES, offset)
     blob = sformat.encode_footer(footer)
@@ -73,7 +75,7 @@ def test_footer_round_trip():
 
 def test_corrupt_footer_reads_as_unsealed():
     stats = sformat.SegmentStats()
-    stats.add("send", 1, 42, 10, 8)
+    stats.add(SEND, 1, 42, 10, 8)
     blob = sformat.encode_footer(stats.footer(8, 40))
     data = bytearray(sformat.segment_header() + b"\x00" * 32 + blob)
     data[-20] ^= 0xFF  # flip a footer byte: crc must catch it
@@ -84,8 +86,8 @@ def test_corrupt_footer_reads_as_unsealed():
 
 def test_footer_matches_pushdown_predicates():
     stats = sformat.SegmentStats()
-    stats.add("send", 1, 42, 100, 8)
-    stats.add("receive", 2, 7, 200, 60)
+    stats.add(SEND, 1, 42, 100, 8)
+    stats.add(RECEIVE, 2, 7, 200, 60)
     footer = stats.footer(8, 120)
     assert sformat.footer_matches(footer)
     assert sformat.footer_matches(footer, machines=[1])

@@ -5,10 +5,9 @@ trace yields end-to-end message delays -- the communication costs a
 performance study needs (one of the "communications statistics" of
 [Miller 84]).  Raw local timestamps would make cross-machine delays
 meaningless (even negative); delays here are computed on
-skew-corrected times.
+skew-corrected times.  numpy is imported by the statistics that use
+it, not with the package.
 """
-
-import numpy as np
 
 from repro.analysis.ordering import estimate_clock_skews
 
@@ -39,15 +38,23 @@ class MessageDelays:
         return len(self.delays)
 
     def mean(self):
+        import numpy as np
+
         return float(np.mean(self.delays)) if self.delays else 0.0
 
     def minimum(self):
+        import numpy as np
+
         return float(np.min(self.delays)) if self.delays else 0.0
 
     def maximum(self):
+        import numpy as np
+
         return float(np.max(self.delays)) if self.delays else 0.0
 
     def percentile(self, q):
+        import numpy as np
+
         return float(np.percentile(self.delays, q)) if self.delays else 0.0
 
     def negative_fraction(self):
@@ -58,6 +65,8 @@ class MessageDelays:
         return sum(1 for d in self.delays if d < 0) / len(self.delays)
 
     def pair_means(self):
+        import numpy as np
+
         return {
             key: float(np.mean(values)) for key, values in self.by_pair.items()
         }

@@ -15,7 +15,8 @@ answers ordering queries in O(1) and the whole ordered-fraction study
 in O(events x processes) -- no transitive closure is ever materialized,
 so memory stays linear in the trace.  The happens-before DAG itself is
 still available (built lazily) for :meth:`HappensBefore.
-consistent_global_order`'s topological sort and for graph algorithms.
+consistent_global_order`'s topological sort and for graph algorithms;
+only those two import networkx.
 
 :func:`estimate_clock_skews` recovers approximate relative clock
 offsets from the send/receive pairs, in the spirit of TEMPO (Gusella
@@ -23,8 +24,6 @@ offsets from the send/receive pairs, in the spirit of TEMPO (Gusella
 """
 
 from collections import Counter
-
-import networkx as nx
 
 
 class HappensBefore:
@@ -50,6 +49,8 @@ class HappensBefore:
         """The happens-before DAG (program order + message edges),
         built on first use; ordering queries never need it."""
         if self._graph is None:
+            import networkx as nx
+
             graph = nx.DiGraph()
             graph.add_nodes_from(range(len(self.trace)))
             for process in self.trace.processes():
@@ -127,6 +128,8 @@ class HappensBefore:
     def consistent_global_order(self):
         """One total order consistent with happens-before, breaking
         ties by (skew-corrected) local timestamps."""
+        import networkx as nx
+
         skews = estimate_clock_skews(self.trace, self.matcher)
 
         def key(index):
@@ -223,31 +226,33 @@ def estimate_clock_skews(trace, matcher=None, reference=None):
         if key not in deltas or delta < deltas[key]:
             deltas[key] = delta
 
-    graph = nx.Graph()
+    # The undirected offset graph: machine -> {neighbour: edge}, both
+    # ends sharing one ``(offset_ab, a)`` edge.  Neighbours keep their
+    # first-link order and a later write of an edge replaces it.
+    adjacent = {}
     for (a, b), fwd in deltas.items():
         rev = deltas.get((b, a))
         if rev is None:
             continue
         # local_B - local_A ~ (fwd - rev) / 2
-        offset = (fwd - rev) / 2.0
-        graph.add_edge(a, b, offset_ab=offset, a=a)
+        edge = ((fwd - rev) / 2.0, a)
+        adjacent.setdefault(a, {})[b] = edge
+        adjacent.setdefault(b, {})[a] = edge
 
     machines = trace.machines()
     if reference is None:
         reference = machines[0] if machines else None
     skews = {machine: 0.0 for machine in machines}
-    if reference is None or reference not in graph:
+    if reference is None or reference not in adjacent:
         return skews
     seen = {reference}
     frontier = [reference]
     while frontier:
         current = frontier.pop()
-        for neighbor in graph.neighbors(current):
+        for neighbor, (offset, a) in adjacent[current].items():
             if neighbor in seen:
                 continue
-            data = graph.edges[current, neighbor]
-            offset = data["offset_ab"]
-            if data["a"] != current:
+            if a != current:
                 offset = -offset
             skews[neighbor] = skews[current] + offset
             seen.add(neighbor)

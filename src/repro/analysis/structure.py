@@ -2,16 +2,17 @@
 
 Who talks to whom: a weighted directed graph over the processes of a
 computation, built from matched message pairs, plus fork edges (a
-parent "creates" its child).  networkx supplies the graph algorithms.
+parent "creates" its child).  networkx supplies the graph algorithms;
+it is imported here, where a graph is built, not with the package.
 """
-
-import networkx as nx
 
 
 class CommunicationGraph:
     """The process-interaction structure of a computation."""
 
     def __init__(self, trace, matcher=None):
+        import networkx as nx
+
         self.trace = trace
         self.matcher = matcher or trace.matcher()
         self.graph = nx.DiGraph()
@@ -51,11 +52,15 @@ class CommunicationGraph:
         return ranked[:n]
 
     def is_connected(self):
+        import networkx as nx
+
         if self.graph.number_of_nodes() == 0:
             return True
         return nx.is_weakly_connected(self.graph)
 
     def components(self):
+        import networkx as nx
+
         return [sorted(c) for c in nx.weakly_connected_components(self.graph)]
 
     def shape(self):
@@ -66,6 +71,8 @@ class CommunicationGraph:
         (in/out degree at most 1 everywhere), since a 3-node path and a
         3-node star are the same undirected graph.
         """
+        import networkx as nx
+
         undirected = self.graph.to_undirected()
         n = undirected.number_of_nodes()
         if n <= 1:

@@ -21,7 +21,7 @@ is what lets a program-order successor *share* its predecessor's clock
 until it resolves and writes its own component into a copy.
 """
 
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 
 
 def process_key(machine, pid):
@@ -82,7 +82,7 @@ class Process:
 
 
 class OnlineVectorClocks:
-    """Incremental vector clocks with O(1) happens-before queries.
+    """Incremental vector clocks with happens-before queries.
 
     ``on_resolve(event, clock)`` fires once per event, in dependency
     order (not arrival order -- a digest over resolutions must be
@@ -97,11 +97,16 @@ class OnlineVectorClocks:
         #: (machine, pid) -> Process; clock components are handed out
         #: in first-appearance order (matches ``Trace.processes()``).
         self.procs = {}
-        self._ready = deque()
+        #: Events whose predecessors have all resolved, to be resolved
+        #: by :meth:`drain` (the fold calls it only when this is not
+        #: empty).
+        self.ready = deque()
         self._unresolved = {}  # event index -> queued event, for finalize
         self.resolved = 0
         self._history_len = int(history)
-        self._history = OrderedDict()  # (machine, pid, proc_seq) -> clock
+        #: The last ``history`` resolved clocks, oldest first:
+        #: (machine, pid, proc_seq, clock).
+        self._history = deque(maxlen=max(self._history_len, 0))
 
     def admit(self, process):
         """The slot of a ``(machine, pid)`` seen for the first time."""
@@ -150,11 +155,11 @@ class OnlineVectorClocks:
             return
         event.open = False
         if event.wait == 0 and event.clock is None:
-            self._ready.append(event)
+            self.ready.append(event)
 
     def drain(self):
         """Resolve every queued event whose predecessors are resolved."""
-        ready = self._ready
+        ready = self.ready
         while ready:
             event = ready.popleft()
             if event.clock is None:
@@ -171,10 +176,9 @@ class OnlineVectorClocks:
         clock = event.clock = tuple(clock)
         self.resolved += 1
         if self._history_len > 0:
-            history = self._history
-            history[(event.machine, event.pid, event.proc_seq)] = clock
-            if len(history) > self._history_len:
-                history.popitem(last=False)
+            self._history.append(
+                (event.machine, event.pid, event.proc_seq, clock)
+            )
         self.on_resolve(event, clock)
 
     def _resolve(self, event):
@@ -191,7 +195,7 @@ class OnlineVectorClocks:
                 later.acc = _merge(later.acc, event.clock)
                 later.wait -= 1
                 if later.wait == 0 and not later.open:
-                    self._ready.append(later)
+                    self.ready.append(later)
 
     def finalize(self):
         """Resolve any leftovers best-effort, in arrival order -- the
@@ -209,17 +213,26 @@ class OnlineVectorClocks:
     def clock_of(self, machine, pid, proc_seq):
         """The (dense) clock of one event, or None if it has not yet
         resolved or has left the history window."""
-        return self._history.get((machine, pid, proc_seq))
+        return self._clock((machine, pid, proc_seq))
+
+    def _clock(self, key):
+        """A scan from the newest end: queries are rare, resolutions
+        happen once per event."""
+        for entry in reversed(self._history):
+            if entry[:3] == key:
+                return entry[3]
+        return None
 
     def happens_before(self, a, b):
         """Whether a -> b is deducible; a and b are (machine, pid,
-        proc_seq) triples.  O(1): one clock-component lookup.  Returns
-        None when b's clock is unavailable (unresolved or evicted)."""
+        proc_seq) triples.  One clock-component compare, after finding
+        b's clock in the history.  Returns None when b's clock is
+        unavailable (unresolved or evicted)."""
         a = tuple(a)
         b = tuple(b)
         if a == b:
             return False
-        clock_b = self._history.get(b)
+        clock_b = self._clock(b)
         if clock_b is None:
             return None
         proc = self.procs.get((a[0], a[1]))

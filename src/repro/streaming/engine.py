@@ -16,7 +16,7 @@ import json
 import struct
 import zlib
 
-from repro.streaming.fold import CausalFold
+from repro.streaming.fold import CausalFold, Event
 from repro.streaming.queries import make_query
 from repro.streaming.windows import WindowedStats
 
@@ -27,7 +27,7 @@ DEFAULT_WINDOW_MS = 500.0
 #: reports the latest sequence number so losses are detectable).
 FIRING_BUFFER = 4096
 
-#: Resolved clocks kept for O(1) happens-before queries.
+#: Resolved clocks kept for happens-before queries.
 CLOCK_HISTORY = 4096
 
 #: How often (in records) in-flight state is sampled for ``peak_state``.
@@ -110,11 +110,11 @@ class StreamEngine:
         """Consume one committed record."""
         # The watermark moves first: a pair this record completes is
         # stamped with it.
-        time = record.get("cpuTime", 0)
-        if time > self.watermark:
-            self.watermark = time
-        event = self.fold.update(record)
-        self.windows.update(event, self.watermark)
+        event = Event(record, self.records)
+        if event.local_time > self.watermark:
+            self.watermark = event.local_time
+        self.fold.feed(event)
+        self.windows.update(event)
         records = self.records = event.index + 1
         if self.queries:
             fire = self._fire
@@ -140,7 +140,6 @@ class StreamEngine:
         self.fold.finalize()
         if advance_queries:
             self._advance()
-        self.windows.evict(self.watermark)
         size = self.state_size()
         if size > self.peak_state:
             self.peak_state = size
@@ -217,7 +216,10 @@ class StreamEngine:
 
     def state_size(self):
         """In-flight state that *could* grow without eviction; the
-        bound the benchmark holds against trace length."""
+        bound the benchmark holds against trace length.  The window is
+        evicted here, not per record, so every reader of it (this,
+        ``snapshot``, ``digest``, ``finalize``) sees it evicted."""
+        self.windows.evict(self.watermark)
         size = self.fold.state_size() + self.windows.state_size()
         for query in self.queries.values():
             size += query.state_size()

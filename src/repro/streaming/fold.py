@@ -144,9 +144,11 @@ class CausalFold:
         # A receive's clock waits for the matcher to declare its send
         # dependencies complete; everything else only waits for program
         # order, and most of it resolves inside add().
-        self.clocks.add(event, defer=(kind == "receive"))
+        clocks = self.clocks
+        clocks.add(event, defer=(kind == "receive"))
         self.matcher.update(event)
-        self.clocks.drain()
+        if clocks.ready:
+            clocks.drain()
         return event
 
     def finalize(self):

@@ -62,7 +62,9 @@ def _compatible(send, recv, host_ids):
 
 
 class _Direction:
-    """One direction of a paired connection: cumulative byte spans."""
+    """One direction of a paired connection: cumulative byte spans.
+    Every span or waiting receive added or released is counted in the
+    matcher's ``_stream_items``."""
 
     __slots__ = ("send_off", "recv_off", "spans", "waiting")
 
@@ -85,8 +87,10 @@ class _Direction:
                     matcher.on_pair(event, recv, overlap)
             if s1 > self.recv_off:
                 self.spans.append((s0, s1, event))
+                matcher._stream_items += 1
         waiting = self.waiting
         while waiting and waiting[0][1] <= s1:
+            matcher._stream_items -= 1
             matcher.on_recv_done(waiting.popleft()[2])
 
     def add_recv(self, event, matcher):
@@ -94,6 +98,7 @@ class _Direction:
         r1 = r0 + event.msg_length
         self.recv_off = r1
         spans = self.spans
+        held = len(spans)
         while spans and spans[0][1] <= r0:
             spans.popleft()
         for s0, s1, send in spans:
@@ -104,22 +109,22 @@ class _Direction:
                 matcher.on_pair(send, event, overlap)
         while spans and spans[0][1] <= r1:
             spans.popleft()
+        matcher._stream_items -= held - len(spans)
         if r1 <= self.send_off:
             matcher.on_recv_done(event)
         else:
             self.waiting.append((r0, r1, event))
-
-    def state_size(self):
-        return len(self.spans) + len(self.waiting)
+            matcher._stream_items += 1
 
 
 class _Endpoint:
     """A (machine, sock) registered by a connect or accept."""
 
-    __slots__ = ("event", "peer", "pre", "dir_out", "dir_in")
+    __slots__ = ("event", "key", "peer", "pre", "dir_out", "dir_in")
 
-    def __init__(self, event):
+    def __init__(self, event, key):
         self.event = event  # the connect or accept that opened it
+        self.key = key  # its (machine, sock) in ``_endpoints``
         self.peer = None  # the other end, once paired
         self.pre = []  # buffered ("send"|"recv", event) until paired
         self.dir_out = None
@@ -192,6 +197,10 @@ class OnlineMatcher:
         self._pending = defaultdict(deque)  # length -> unmatched dgram sends
         self.outstanding_sends = 0  # events held in _pending
         self._queued_recvs = 0  # unclaimed datagram receives
+        #: ``pre`` items of the endpoints ``_endpoints`` still lists
+        #: (one overwritten by socket reuse drops out of the count).
+        self._buffered = 0
+        self._stream_items = 0  # spans + waiting of every direction
         self.unmatched_recvs = 0  # known only after finalize
         self.finalized = False
 
@@ -215,6 +224,7 @@ class OnlineMatcher:
                 state.dir_out.add_send(event, self)
             else:
                 state.pre.append(("send", event))
+                self._buffered += 1
         elif kind == "receive":
             event.in_matching = True
             state = self._endpoints.get((event.machine, event.sock))
@@ -224,10 +234,10 @@ class OnlineMatcher:
                 state.dir_in.add_recv(event, self)
             else:
                 state.pre.append(("recv", event))
+                self._buffered += 1
         elif kind == "connect":
             self.learn_host(event.sock_name, event.machine)
-            state = _Endpoint(event)
-            self._endpoints[(event.machine, event.sock)] = state
+            state = self._register(_Endpoint(event, (event.machine, event.sock)))
             key = (event.sock_name, event.peer_name)
             queue = self._accepts.get(key)
             if queue:
@@ -236,8 +246,9 @@ class OnlineMatcher:
                 self._connects[key].append(state)
         elif kind == "accept":
             self.learn_host(event.sock_name, event.machine)
-            state = _Endpoint(event)
-            self._endpoints[(event.machine, event.new_sock)] = state
+            state = self._register(
+                _Endpoint(event, (event.machine, event.new_sock))
+            )
             self.accepted.append(state)
             key = (event.peer_name, event.sock_name)
             queue = self._connects.get(key)
@@ -257,6 +268,15 @@ class OnlineMatcher:
         if host is not None and host not in self.host_ids:
             self.host_ids[host] = machine
 
+    def _register(self, state):
+        """List ``state`` under its key, replacing (on socket reuse) the
+        endpoint listed there before."""
+        old = self._endpoints.get(state.key)
+        if old is not None:
+            self._buffered -= len(old.pre)
+        self._endpoints[state.key] = state
+        return state
+
     def _pair_connection(self, initiator, acceptor):
         initiator.peer, acceptor.peer = acceptor, initiator
         dir_i2a = _Direction()
@@ -268,6 +288,8 @@ class OnlineMatcher:
         # and its receives from the other.
         for state in (initiator, acceptor):
             buffered, state.pre = state.pre, []
+            if buffered and self._endpoints.get(state.key) is state:
+                self._buffered -= len(buffered)
             for which, event in buffered:
                 if which == "send":
                     state.dir_out.add_send(event, self)
@@ -348,6 +370,7 @@ class OnlineMatcher:
             if state.paired:
                 continue
             buffered, state.pre = state.pre, []
+            self._buffered -= len(buffered)
             for which, event in buffered:
                 if which == "recv" and state.event.event == "connect":
                     self._queue_recv(event)
@@ -360,6 +383,7 @@ class OnlineMatcher:
             if state.paired:
                 for direction in (state.dir_in, state.dir_out):
                     while direction.waiting:
+                        self._stream_items -= 1
                         self.on_recv_done(direction.waiting.popleft()[2])
         for queue in self._by_mlen.values():
             for recv in queue.unconsumed():
@@ -374,10 +398,9 @@ class OnlineMatcher:
         return sorted(sends, key=lambda send: send.index)
 
     def state_size(self):
-        size = self.outstanding_sends + self._queued_recvs
-        for state in self._endpoints.values():
-            size += len(state.pre)
-        for state in self.accepted:
-            if state.paired:
-                size += state.dir_in.state_size() + state.dir_out.state_size()
-        return size
+        """Held sends, unclaimed receives, buffered endpoint traffic and
+        open stream spans: all running counts, so O(1)."""
+        return (
+            self.outstanding_sends + self._queued_recvs
+            + self._buffered + self._stream_items
+        )

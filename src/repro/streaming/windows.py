@@ -8,8 +8,12 @@ Window state lives in two deques stamped with a monotone watermark
 position; eviction pops the left end, aggregates are computed at
 snapshot time by filtering on the cutoff, so out-of-order local
 timestamps (skewed clocks) can delay eviction but never distort an
-answer.  All snapshot keys are JSON-native: a snapshot must survive
-the query RPC round-trip unchanged.
+answer.  The fold only appends; the engine evicts before it reads the
+window's size.  The cutoff only grows and eviction pops the longest
+prefix at or below it, so evicting once before a read leaves the same
+deques as evicting after every record.  All snapshot keys are
+JSON-native: a snapshot must survive the query RPC round-trip
+unchanged.
 """
 
 from collections import Counter, deque
@@ -28,12 +32,11 @@ class WindowedStats:
 
     # -- fold ----------------------------------------------------------
 
-    def update(self, event, watermark):
+    def update(self, event):
         self.win_events.append(
             (event.local_time, event.proc.key, event.event, event.msg_length,
              event.machine)
         )
-        self.evict(watermark)
 
     def pair_key(self, procs):
         """``"sm:spid->rm:rpid"`` for ``(send.proc, recv.proc)``,

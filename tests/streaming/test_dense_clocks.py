@@ -118,14 +118,12 @@ def test_replay_equals_batch_on_the_datagram_log():
 def test_non_positive_history_keeps_no_clocks():
     """The post-mortem view collects clocks through ``on_resolve`` and
     wants no window: nothing may even pass through the history."""
-    from collections import OrderedDict
-
     inserts = []
 
-    class Watched(OrderedDict):
-        def __setitem__(self, key, value):
-            inserts.append(key)
-            OrderedDict.__setitem__(self, key, value)
+    class Watched(deque):
+        def append(self, entry):
+            inserts.append(entry)
+            deque.append(self, entry)
 
     engine = StreamEngine(clock_history=0)
     engine.fold.clocks._history = Watched()
@@ -154,7 +152,7 @@ def _counted_fold():
 
     fold = CausalFold(on_pair=lambda *pair: None, on_clock=lambda *ev: None)
     fold.clocks._unresolved = Unresolved()
-    fold.clocks._ready = Ready()
+    fold.clocks.ready = Ready()
     return fold, queued, readied
 
 

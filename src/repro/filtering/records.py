@@ -9,13 +9,15 @@ programs simple and the traces human-readable.)
 
 
 def format_record(record, field_order=None):
-    """Render a record dict to its log line."""
-    if field_order is None:
-        keys = list(record)
-    else:
-        keys = [key for key in field_order if key in record]
-        keys += [key for key in record if key not in keys]
-    return " ".join("{0}={1}".format(key, record[key]) for key in keys)
+    """Render a record dict to its log line: the keys ``field_order``
+    names, in that order and each once, then the rest in record
+    order."""
+    if field_order is not None:
+        ordered = {key: record[key] for key in field_order if key in record}
+        if len(ordered) < len(record):
+            ordered.update(record)  # known keys keep their place
+        record = ordered
+    return " ".join([f"{key}={value}" for key, value in record.items()])
 
 
 def parse_record_line(line):

@@ -243,6 +243,7 @@ def standard_filter(sys, argv):
     #: streaming engine at commit.  Committed or discarded when the
     #: batch's trailing marker arrives.
     open_batches = {}
+    field_orders = {}  # event -> its log line order, looked up once
     pending = []  # committed text lines buffered across wait batches
     pending_bytes = 0
     lines = []  # text lines committed by the current wait batch
@@ -298,7 +299,10 @@ def standard_filter(sys, argv):
             if store_mode:
                 item = (zero_masked_bytes(raw, event, mask), mask, saved)
             else:
-                item = (format_record(saved, descriptions.field_order(event)), saved)
+                order = field_orders.get(event)
+                if order is None:
+                    order = field_orders[event] = descriptions.field_order(event)
+                item = (format_record(saved, order), saved)
             open_batches.setdefault(key, []).append(item)
         for query_fd, raw_query in inbox.take_queries():
             # A live-analysis query on the meter port: answer from the

@@ -19,16 +19,13 @@ import itertools
 class FileTableEntry:
     """One open file or socket, shared by any number of descriptors."""
 
-    __slots__ = ("addr", "obj", "refcount")
+    __slots__ = ("addr", "obj", "kind", "refcount")
 
     def __init__(self, addr, obj):
         self.addr = addr
-        self.obj = obj  # Socket, OpenFile, or a tty device
+        self.obj = obj  # Socket, OpenFile, or a tty device; never replaced
+        self.kind = obj.kind
         self.refcount = 0
-
-    @property
-    def kind(self):
-        return self.obj.kind
 
     def __repr__(self):
         return "FileTableEntry(addr={0}, kind={1}, refs={2})".format(

@@ -158,11 +158,15 @@ class Proc:
 
     def clear_wait_state(self):
         """Remove this proc from every wait queue (syscall finished)."""
-        for queue in self.waiting_on:
-            queue.discard(self)
-        self.waiting_on = []
+        # Most syscalls never blocked and kept no state: leave their
+        # empty list and dict in place rather than make new ones.
+        if self.waiting_on:
+            for queue in self.waiting_on:
+                queue.discard(self)
+            self.waiting_on = []
         self.retry = None
-        self.syscall_state = {}
+        if self.syscall_state:
+            self.syscall_state = {}
         self.wake_deadline = None
 
     def is_active(self):

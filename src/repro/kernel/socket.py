@@ -37,7 +37,9 @@ class Socket:
     def __init__(self, machine, domain, type_, protocol=0):
         self.machine = machine
         self.domain = domain
-        self.type = type_
+        self.type = type_  # fixed for the socket's life
+        self.is_stream = type_ == defs.SOCK_STREAM
+        self.is_dgram = type_ == defs.SOCK_DGRAM
         self.protocol = protocol
 
         #: Bound SocketName, or None.
@@ -92,14 +94,6 @@ class Socket:
         self.messages_received = 0
 
     # ------------------------------------------------------------------
-
-    @property
-    def is_stream(self):
-        return self.type == defs.SOCK_STREAM
-
-    @property
-    def is_dgram(self):
-        return self.type == defs.SOCK_DGRAM
 
     def readable(self):
         """select() readability (also: a listener with pending conns)."""

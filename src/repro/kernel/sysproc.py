@@ -6,6 +6,9 @@ Mixin for :class:`repro.kernel.machine.Machine`.
 from repro.kernel import defs, errno
 from repro.kernel.errno import SyscallError
 
+#: Descriptor kinds whose readability select() tests and waits on.
+_WAITABLE_KINDS = ("socket", "tty")
+
 
 class ProcessCalls:
     """fork/execv/exit/kill/select/sleep and friends."""
@@ -178,10 +181,21 @@ class ProcessCalls:
         if timeout_ms is not None and proc.wake_deadline is None:
             self._schedule_timeout_wake(proc, timeout_ms)
 
-        entries = [(fd, proc.lookup_fd(fd)) for fd in read_fds]
-        ready = [
-            fd for fd, entry in entries if self._entry_readable(entry)
-        ]
+        # One pass: look up each fd (EBADF before anything returns),
+        # test it, and note the queue a block would wait on.  Plain
+        # files never block and have no queue.
+        lookup = proc.lookup_fd
+        ready = []
+        queues = []
+        for fd in read_fds:
+            entry = lookup(fd)
+            if entry.kind in _WAITABLE_KINDS:
+                obj = entry.obj
+                if obj.readable():
+                    ready.append(fd)
+                queues.append(obj.rd_wait)
+            else:
+                ready.append(fd)
         events = []
         if want_children:
             while proc.child_events:
@@ -194,26 +208,11 @@ class ProcessCalls:
         if timeout_ms is not None and self.sim.now + 1e-9 >= proc.wake_deadline:
             return ([], [])
 
-        queues = [self._entry_read_queue(entry) for __, entry in entries]
-        queues = [queue for queue in queues if queue is not None]
         if want_children:
             queues.append(proc.child_wait)
         if want_meter_loss:
             queues.append(self.meter.lost_wait)
         return self.block(proc, request, queues)
-
-    @staticmethod
-    def _entry_readable(entry):
-        obj = entry.obj
-        if entry.kind in ("socket", "tty"):
-            return obj.readable()
-        return True  # plain files never block
-
-    @staticmethod
-    def _entry_read_queue(entry):
-        if entry.kind in ("socket", "tty"):
-            return entry.obj.rd_wait
-        return None
 
     def _schedule_timeout_wake(self, proc, delay_ms):
         """Start a timed wait: ``proc.wake_deadline`` is when the

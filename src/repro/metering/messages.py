@@ -492,9 +492,11 @@ class MessageCodec:
     def __init__(self, host_names=None):
         self.host_names = dict(host_names or {})
         self._host_ids = None  # reverse map, built on first display-string NAME
-        # Display string -> wire bytes: traces repeat a few names
-        # endlessly, and the host map above is fixed for the codec.
+        # Display string -> wire bytes, and its decode twin wire bytes
+        # -> display string: traces repeat a few names endlessly, and
+        # the host map above is fixed for the codec.
         self._name_bytes = {}
+        self._name_text = name_lookup(self.host_names)
 
     # -- encoding -------------------------------------------------------
 
@@ -601,14 +603,12 @@ class MessageCodec:
             "traceType": trace_type,
             "event": event,
         }
-        host_names = self.host_names
-        fields = BODY_FIELDS[event]
-        for index, (name, kind) in enumerate(fields, 5):
+        name_text = self._name_text
+        for index, (name, kind) in enumerate(BODY_FIELDS[event], 5):
             if kind == "long":
                 record[name] = values[index]
             else:
-                decoded = decode_name(values[index], host_names)
-                record[name] = decoded.display() if decoded is not None else ""
+                record[name] = name_text(values[index])
         return record
 
 

@@ -84,7 +84,7 @@ def pack_records(records, base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
     drive = writer_driver or (lambda w: collect_ops(sink, w))
     for payload, mask in wire_pairs(records, codec):
         writer.append(payload, mask)
-        if writer.has_pending_ops():
+        if writer.ops:
             drive(writer)
     writer.close()
     drive(writer)

@@ -93,6 +93,7 @@ _HEADER_STRUCT = struct.Struct(">4sHH")
 SEGMENT_HEADER_BYTES = _HEADER_STRUCT.size  # 8
 _FRAME_STRUCT = struct.Struct(">III")
 _FRAME_CRC_HEAD = struct.Struct(">II")  # the header bytes the CRC covers
+_FRAME_CRC_HEAD_BYTES = _FRAME_CRC_HEAD.size  # 8
 _CRC_STRUCT = struct.Struct(">I")
 FRAME_OVERHEAD_BYTES = _FRAME_STRUCT.size  # 12
 _TRAILER_STRUCT = struct.Struct(">II4s")
@@ -152,28 +153,39 @@ def parse_segment_header(data, path=None):
 # ----------------------------------------------------------------------
 
 
+def _frame_crc(head, payload):
+    """The per-frame checksum, spelled here and only here: CRC32 over
+    the length and mask words as stored (``head``), then the payload."""
+    return zlib.crc32(payload, zlib.crc32(head))
+
+
 def encode_frame(payload, mask=0):
-    """One record frame.  The per-frame checksum is spelled here and
-    only here: CRC32 over the length and mask words as stored, then the
-    payload.  A reader verifies a frame by re-encoding it."""
+    """One record frame."""
     head = _FRAME_CRC_HEAD.pack(len(payload), mask)
-    return head + _CRC_STRUCT.pack(zlib.crc32(payload, zlib.crc32(head))) + payload
+    return head + _CRC_STRUCT.pack(_frame_crc(head, payload)) + payload
 
 
 def _read_frame(data, offset, end):
     """Parse one frame at ``offset``; returns (mask, payload, next
     offset, error) where error is None, "torn" (incomplete tail bytes)
-    or "crc" (checksum mismatch)."""
+    or "crc" (checksum mismatch).  The stored CRC is checked against
+    one over the stored length and mask words and payload: the same
+    verdict as re-encoding the frame and comparing bytes, since every
+    other byte of the re-encoding comes from that same slice.  A payload
+    cut short by the end of ``data`` cannot re-encode to its stored
+    length word, so it fails the check too."""
     if offset + FRAME_OVERHEAD_BYTES > end:
         return None, None, end, "torn"
-    length, mask, __ = _FRAME_STRUCT.unpack_from(data, offset)
+    length, mask, crc = _FRAME_STRUCT.unpack_from(data, offset)
     body_start = offset + FRAME_OVERHEAD_BYTES
-    if body_start + length > end:
+    next_offset = body_start + length
+    if next_offset > end:
         return None, None, end, "torn"
-    payload = bytes(data[body_start : body_start + length])
-    if encode_frame(payload, mask) != data[offset : body_start + length]:
-        return None, None, body_start + length, "crc"
-    return mask, payload, body_start + length, None
+    payload = bytes(data[body_start:next_offset])
+    head = data[offset : offset + _FRAME_CRC_HEAD_BYTES]
+    if len(payload) != length or _frame_crc(head, payload) != crc:
+        return None, None, next_offset, "crc"
+    return mask, payload, next_offset, None
 
 
 def iter_frames(data, start, end, sealed=False, path=None):
@@ -280,21 +292,31 @@ def zero_masked_bytes(raw, event, mask):
     the payload stays a decodable meter message."""
     if not mask:
         return raw
+    spans = _MASKED_SPANS.get((event, mask))
+    if spans is None:
+        spans = _masked_spans(event, mask)
     buf = bytearray(raw)
-    for i, name in enumerate(record_fields(event)):
-        if not mask & (1 << i):
-            continue
-        span = _MASKABLE_HEADER_OFFSETS.get(name)
-        if span is not None:
-            offset, length = span
-            buf[offset : offset + length] = b"\x00" * length
-            continue
-        for field_name, body_offset, length, __ in field_layout(event):
-            if field_name == name:
-                offset = HEADER_BYTES + body_offset
-                buf[offset : offset + length] = b"\x00" * length
-                break
+    for offset, end in spans:
+        buf[offset:end] = bytes(end - offset)
     return bytes(buf)
+
+
+#: (event, mask) -> the (start, end) wire spans the mask zeroes.
+_MASKED_SPANS = {}
+
+
+def _masked_spans(event, mask):
+    body = {
+        name: (HEADER_BYTES + offset, length)
+        for name, offset, length, __ in field_layout(event)
+    }
+    spans = []
+    for name in masked_fields(event, mask):
+        span = _MASKABLE_HEADER_OFFSETS.get(name) or body.get(name)
+        if span is not None:
+            spans.append((span[0], span[0] + span[1]))
+    spans = _MASKED_SPANS[(event, mask)] = tuple(spans)
+    return spans
 
 
 # ----------------------------------------------------------------------

@@ -73,7 +73,9 @@ class StoreWriter:
         self.next_index = start_index
         self.records_appended = 0
         self.segments_sealed = 0
-        self._ops = []
+        #: Driver ops queued and not yet drained by :meth:`pending_ops`;
+        #: non-empty exactly when a driver call would do something.
+        self.ops = []
         self._buffer = []
         self._buffered = 0
         self._path = None
@@ -136,14 +138,9 @@ class StoreWriter:
         if self._path is not None:
             self._seal_segment()
 
-    def has_pending_ops(self):
-        """True when driver ops are queued (a driver call would do
-        something)."""
-        return bool(self._ops)
-
     def pending_ops(self):
         """Drain the queued driver ops."""
-        ops, self._ops = self._ops, []
+        ops, self.ops = self.ops, []
         return ops
 
     # ------------------------------------------------------------------
@@ -155,8 +152,8 @@ class StoreWriter:
         self._offset = sformat.SEGMENT_HEADER_BYTES
         self._data_crc = 0
         flags = sformat.FLAG_COMPRESSED if self.compress else 0
-        self._ops.append(("open", self._path))
-        self._ops.append(
+        self.ops.append(("open", self._path))
+        self.ops.append(
             ("write", self._path, sformat.segment_header(flags))
         )
 
@@ -166,7 +163,7 @@ class StoreWriter:
         if self._buffer:
             chunk = b"".join(self._buffer)
             self._data_crc = zlib.crc32(chunk, self._data_crc)
-            self._ops.append(("write", self._path, chunk))
+            self.ops.append(("write", self._path, chunk))
             self._buffer = []
             self._buffered = 0
 
@@ -179,7 +176,7 @@ class StoreWriter:
             self._buffer = []
             self._buffered = 0
             stored_bytes = len(blob)
-            self._ops.append(("write", self._path, blob))
+            self.ops.append(("write", self._path, blob))
         else:
             self._drain_buffer()
         footer = self._stats.footer(
@@ -188,8 +185,8 @@ class StoreWriter:
             data_crc32=self._data_crc,
             stored_bytes=stored_bytes,
         )
-        self._ops.append(("write", self._path, sformat.encode_footer(footer)))
-        self._ops.append(("close", self._path))
+        self.ops.append(("write", self._path, sformat.encode_footer(footer)))
+        self.ops.append(("close", self._path))
         self.segments_sealed += 1
         self._path = None
         self._stats = None

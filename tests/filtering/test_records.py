@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.filtering.descriptions import parse_descriptions
 from repro.filtering.records import format_record, parse_record_line, parse_trace
 
 
@@ -22,6 +23,18 @@ def test_extra_fields_appended_after_ordered_ones():
     record = {"z": 26, "a": 1}
     line = format_record(record, field_order=["a", "missing"])
     assert line == "a=1 z=26"
+
+
+def test_a_key_the_order_names_twice_is_written_once():
+    # parse_descriptions accepts an edited file that lists a field
+    # twice, so its field_order names the key twice; the line still
+    # carries it once.
+    descriptions = parse_descriptions("SEND 1, pid,0,4,10 pid,0,4,10 pc,4,4,10")
+    order = descriptions.field_order("send")
+    assert order.count("pid") == 2
+    record = {"event": "send", "pc": 9, "pid": 7, "extra": 1}
+    assert format_record(record, order) == "event=send pid=7 pc=9 extra=1"
+    assert format_record(record, ["pid", "pid"]) == "pid=7 event=send pc=9 extra=1"
 
 
 def test_parse_coerces_integers_only():

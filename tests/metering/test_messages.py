@@ -134,6 +134,36 @@ def test_unix_and_pair_names_survive(codec):
         assert codec.decode(raw)["sockName"] == expect
 
 
+def test_name_memo_is_per_codec():
+    """Each codec memoises wire NAME -> display string under its own
+    host table: one wire NAME, two tables, two display strings, however
+    the decodes interleave."""
+    here = MessageCodec({1: "red"})
+    there = MessageCodec({1: "blue"})
+    cases = (
+        (InternetName("red", 5100, 1), "inet:red:5100", "inet:blue:5100"),
+        (None, "", ""),
+        (UnixName("/usr/tmp/a"), "unix:/usr/tmp/a", "unix:/usr/tmp/a"),
+        (PairName(7), "pair:7", "pair:7"),
+    )
+    for name, here_text, there_text in cases:
+        raw = here.encode(
+            "send",
+            machine=1,
+            cpu_time=0,
+            proc_time=0,
+            pid=1,
+            pc=1,
+            sock=1,
+            msgLength=4,
+            destName=name,
+            **here.name_lengths(destName=name)
+        )
+        for __ in range(2):
+            assert here.decode(raw)["destName"] == here_text
+            assert there.decode(raw)["destName"] == there_text
+
+
 def test_all_event_types_round_trip(codec):
     for event in EVENT_TYPES:
         body = {

@@ -15,12 +15,20 @@ truncation (a crash at an arbitrary byte): salvage always yields a
 prefix of the clean records, never an invented or altered record.
 """
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metering.messages import MessageCodec
 from repro.net.addresses import InternetName
 from repro.tracestore import StoreError, StoreReader, StoreWriter, collect_ops
+from repro.tracestore.format import (
+    FRAME_OVERHEAD_BYTES,
+    _FRAME_STRUCT,
+    _read_frame,
+    encode_frame,
+)
 
 HOSTS = {1: "red", 2: "green", 3: "blue"}
 
@@ -116,3 +124,79 @@ def test_truncation_yields_a_prefix_never_wrong_records(index, keep_fraction):
     reader = StoreReader.from_bytes(damaged, host_names=HOSTS)
     records = reader.records(salvage=True)
     assert records == BASELINE[: len(records)]
+
+
+def _reencode_read_frame(data, offset, end):
+    """The frame check the CRC-only one replaced, kept verbatim as its
+    oracle: re-encode the frame and compare bytes."""
+    if offset + FRAME_OVERHEAD_BYTES > end:
+        return None, None, end, "torn"
+    length, mask, __ = _FRAME_STRUCT.unpack_from(data, offset)
+    body_start = offset + FRAME_OVERHEAD_BYTES
+    if body_start + length > end:
+        return None, None, end, "torn"
+    payload = bytes(data[body_start : body_start + length])
+    if encode_frame(payload, mask) != data[offset : body_start + length]:
+        return None, None, body_start + length, "crc"
+    return mask, payload, body_start + length, None
+
+
+def _frames_region():
+    """Three frames back to back: a masked send, an unmasked one, an
+    empty payload."""
+    codec = MessageCodec(HOSTS)
+    dest = InternetName("red", 6000, 1)
+    raw = codec.encode(
+        "send",
+        machine=1,
+        cpu_time=70,
+        proc_time=10,
+        pid=100,
+        pc=3,
+        sock=4,
+        msgLength=32,
+        destName=dest,
+        **codec.name_lengths(destName=dest)
+    )
+    frames = [encode_frame(raw, 0b1010), encode_frame(raw), encode_frame(b"")]
+    starts = [0, len(frames[0]), len(frames[0]) + len(frames[1])]
+    return b"".join(frames), starts
+
+
+REGION, FRAME_STARTS = _frames_region()
+
+
+def _frame_verdict(reader, data, offset, end):
+    try:
+        return reader(data, offset, end)
+    except struct.error:
+        return "struct.error"
+
+
+@given(
+    frame=st.integers(min_value=0, max_value=len(FRAME_STARTS) - 1),
+    position=st.integers(min_value=0, max_value=len(REGION) - 1),
+    value=st.integers(min_value=0, max_value=255),
+    end_kind=st.sampled_from(["region", "frame", "past_data"]),
+)
+@settings(max_examples=400, deadline=None)
+def test_crc_only_frame_check_matches_reencode_and_compare(
+    frame, position, value, end_kind
+):
+    """Any single-byte change -- to a length, mask or CRC word or to
+    a payload byte, of this frame or a later one -- gives the CRC-only
+    check the verdict re-encoding gave, whatever ``end`` the caller
+    passes (including one past the bytes it holds)."""
+    data = bytearray(REGION)
+    data[position] = value
+    offset = FRAME_STARTS[frame]
+    if end_kind == "region":
+        end = len(data)
+    elif end_kind == "frame":
+        end = (FRAME_STARTS + [len(REGION)])[frame + 1]
+    else:
+        end = len(data) + 64
+    for view in (bytes(data), data, memoryview(data)):
+        assert _frame_verdict(_read_frame, view, offset, end) == _frame_verdict(
+            _reencode_read_frame, view, offset, end
+        )

@@ -1,5 +1,7 @@
 """Byte-level invariants of the segment format."""
 
+import struct
+
 import pytest
 
 from repro.metering.messages import EVENT_TYPES, MessageCodec, record_fields
@@ -51,6 +53,18 @@ def test_torn_tail_frame_is_dropped_not_fatal():
     data = sformat.encode_frame(b"whole") + sformat.encode_frame(b"torn-off")[:-3]
     out = list(sformat.iter_frames(data, 0, len(data)))
     assert [payload for __, __, payload in out] == [b"whole"]
+
+
+def test_a_payload_cut_short_by_the_buffer_fails_even_with_a_matching_crc():
+    # The length word promises more bytes than the buffer holds, and
+    # the CRC word was forged over the bytes that are there: the frame
+    # cannot re-encode to what is stored, so it is a CRC failure.
+    payload = b"short"
+    head = struct.pack(">II", len(payload) + 4, 0)
+    data = head + struct.pack(">I", sformat._frame_crc(head, payload)) + payload
+    end = len(data) + 4
+    __, __, next_offset, error = sformat._read_frame(data, 0, end)
+    assert (next_offset, error) == (end, "crc")
 
 
 def test_footer_round_trip():

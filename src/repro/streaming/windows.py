@@ -5,20 +5,118 @@ The cumulative counters (per process, per process pair, totals) are not
 kept here: the causal fold counts them once, for the live ``stats``
 reply and :class:`~repro.analysis.stats.CommunicationStatistics` alike.
 Window state lives in two deques stamped with a monotone watermark
-position; eviction pops the left end, aggregates are computed at
-snapshot time by filtering on the cutoff, so out-of-order local
-timestamps (skewed clocks) can delay eviction but never distort an
-answer.  The fold only appends; the engine evicts before it reads the
+position.  The fold only appends; the engine evicts before it reads the
 window's size.  The cutoff only grows and eviction pops the longest
 prefix at or below it, so evicting once before a read leaves the same
-deques as evicting after every record.  All snapshot keys are
-JSON-native: a snapshot must survive the query RPC round-trip
-unchanged.
+deques as evicting after every record.
+
+A sliding-window statistic is a fold whose step can be undone, so the
+answers are running aggregates over the deques (event, send and byte
+counts, per-process and per-machine counts, per-pair-key messages and
+bytes, the integer lag sum) rather than a rescan.  They are brought up
+to date only when the window is read: :meth:`WindowedStats.snapshot`
+counts the entries appended since the last read and
+:meth:`WindowedStats.evict` uncounts the counted entries it pops, each
+in C-level passes over the batch, so appending costs nothing more than
+the append.  Until the first read nothing is counted and eviction only
+pops.
+
+Out-of-order local timestamps (skewed clocks) can leave an event whose
+time is at or below the cutoff behind a newer head, where eviction
+cannot reach it.  Only a *late* event -- one whose time is below an
+earlier entry's -- can be stuck like that (any other event left behind
+the head is at least as late as the head, which is past the cutoff).
+A read notes the late events it counts, as sorted runs, and discounts
+the stale ones from its reply only.  Pairs are stamped with the
+watermark, which never decreases, so their eviction is exact.  The lag
+mean and maximum must be what a scan in deque order folds, floats
+included: the maximum is one C-level pass over the pair deque, and the
+sum is the running integer sum while every lag in the window is an
+integer small enough that each partial sum is exact as a float, else a
+left fold over the deque.  Byte counts are integers (the codec and the
+log parser only produce integer ``msgLength``), which makes their
+running sums exact.  All snapshot keys are JSON-native: a snapshot
+must survive the query RPC round-trip unchanged.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
+from functools import reduce
+from itertools import chain, compress, count, groupby, islice, repeat, starmap
+from operator import add, eq, is_, itemgetter, le, lt, not_
 
 from repro.streaming.fold import sorted_machines
+
+_TIME = itemgetter(0)  # an event's local time, a pair's stamp
+_KEY = itemgetter(1)
+_KIND = itemgetter(2)
+_LENGTH = itemgetter(3)
+_MACHINE = itemgetter(4)
+_LAG = itemgetter(1)
+_NBYTES = itemgetter(2)
+_PAIR_KEY = itemgetter(3)
+
+#: Integers below this in magnitude add exactly as floats.
+_EXACT = 1 << 53
+
+
+def _pop_through(entries, cutoff):
+    """Pop and return the longest prefix of ``entries`` stamped at or
+    below ``cutoff``."""
+    n = next(
+        compress(
+            count(), map(not_, map(le, map(_TIME, entries), repeat(cutoff)))
+        ),
+        len(entries),
+    )
+    return list(starmap(entries.popleft, repeat((), n)))
+
+
+def _newest(entries, n):
+    """The last ``n`` entries, oldest first, without walking the rest."""
+    tail = list(islice(reversed(entries), n))
+    tail.reverse()
+    return tail
+
+
+def _late_runs(times, high):
+    """``(start, stop)`` index ranges of the late times -- below
+    ``high`` or an earlier time in ``times`` -- and the new high.
+
+    Between two strict descents the times never decrease, so a run's
+    late times are its prefix below the high so far: one bisection per
+    run, and each range is sorted."""
+    bounds = [0]
+    bounds += compress(count(1), map(lt, islice(times, 1, None), times))
+    bounds.append(len(times))
+    runs = []
+    for start, stop in zip(bounds, islice(bounds, 1, None)):
+        late = bisect_left(times, high, start, stop)
+        if late > start:
+            runs.append((start, late))
+        if times[stop - 1] > high:
+            high = times[stop - 1]
+    return runs, high
+
+
+def _event_sums(events):
+    """(sends, bytes sent, bytes received) over window events."""
+    kinds = list(map(_KIND, events))
+    lengths = list(map(_LENGTH, events))
+    sent = list(compress(lengths, map(eq, kinds, repeat("send"))))
+    received = compress(lengths, map(eq, kinds, repeat("receive")))
+    return len(sent), sum(sent), sum(received)
+
+
+def _shift(counts, tally, sign):
+    """Add (``sign`` 1) or remove (-1) a :class:`Counter` ``tally``; a
+    count that reaches zero leaves ``counts``."""
+    for key, n in tally.items():
+        left = counts.get(key, 0) + sign * n
+        if left:
+            counts[key] = left
+        else:
+            del counts[key]
 
 
 class WindowedStats:
@@ -29,6 +127,29 @@ class WindowedStats:
         self.win_events = deque()  # (time, key, kind, length, machine)
         self.win_pairs = deque()  # (stamp, lag_ms, nbytes, pair key)
         self._pair_keys = {}  # (send.proc, recv.proc) -> "sm:spid->rm:rpid"
+        # Running aggregates over the counted entries: the leftmost
+        # ``_counted`` events and ``_pairs_counted`` pairs.
+        self._counted = 0
+        self._gone = 0  # events ever popped: the left end's position
+        self._high = float("-inf")  # latest counted event time
+        # Counted late events still in the window, one run at a time:
+        # (times, events), the times never decreasing.  Eviction takes
+        # a run whole: to reach it, it pops the earlier event whose
+        # time made the run late, so the cutoff is already past them.
+        self._late = []
+        self._late_heads = []  # each run's first time ...
+        self._late_ends = []  # ... and the position past its last
+        self._sends = 0
+        self._bytes_sent = 0
+        self._bytes_received = 0
+        self._procs = {}  # process key -> events
+        self._machines = {}  # machine -> events
+        self._pairs_counted = 0
+        self._pair_bytes = 0
+        self._pair_rates = {}  # pair key -> [messages, bytes]
+        self._lag_sum = 0  # over the integer lags ...
+        self._lag_abs = 0  # ... with the sum of their magnitudes
+        self._odd_lags = 0  # lags that are not integers
 
     # -- fold ----------------------------------------------------------
 
@@ -60,59 +181,123 @@ class WindowedStats:
 
     def evict(self, watermark):
         cutoff = watermark - self.window_ms
+        gone = _pop_through(self.win_events, cutoff)
+        if gone:
+            self._gone += len(gone)
+            counted = self._counted
+            if counted:
+                self._count_events(gone[:counted], -1)
+                self._counted = max(counted - len(gone), 0)
+        gone = _pop_through(self.win_pairs, cutoff)
+        counted = self._pairs_counted
+        if gone and counted:
+            self._count_pairs(gone[:counted], -1)
+            self._pairs_counted = max(counted - len(gone), 0)
+
+    # -- running aggregates --------------------------------------------
+
+    def _count_events(self, events, sign):
+        sends, sent, received = _event_sums(events)
+        procs = Counter(map(_KEY, events))
+        machines = Counter(map(_MACHINE, events))
+        self._sends += sign * sends
+        self._bytes_sent += sign * sent
+        self._bytes_received += sign * received
+        _shift(self._procs, procs, sign)
+        _shift(self._machines, machines, sign)
+
+    def _count_pairs(self, pairs, sign):
+        lags = list(map(_LAG, pairs))
+        exact = list(compress(lags, map(is_, map(type, lags), repeat(int))))
+        self._pair_bytes += sign * sum(map(_NBYTES, pairs))
+        self._lag_sum += sign * sum(exact)
+        self._lag_abs += sign * sum(map(abs, exact))
+        self._odd_lags += sign * (len(lags) - len(exact))
+        rates = self._pair_rates
+        for key, group in groupby(sorted(pairs, key=_PAIR_KEY), _PAIR_KEY):
+            group = list(group)
+            rate = rates.get(key)
+            if rate is None:
+                rate = rates[key] = [0, 0]
+            rate[0] += sign * len(group)
+            if rate[0]:
+                rate[1] += sign * sum(map(_NBYTES, group))
+            else:
+                del rates[key]
+
+    def _sync(self):
+        """Count the events and pairs appended since the last read,
+        keeping the runs of late events."""
         win_events = self.win_events
-        while win_events and win_events[0][0] <= cutoff:
-            win_events.popleft()
-        win_pairs = self.win_pairs
-        while win_pairs and win_pairs[0][0] <= cutoff:
-            win_pairs.popleft()
+        fresh = len(win_events) - self._counted
+        if fresh:
+            new = _newest(win_events, fresh)
+            times = list(map(_TIME, new))
+            runs, high = _late_runs(times, self._high)
+            self._count_events(new, 1)
+            self._high = high
+            base = self._gone + self._counted
+            for start, stop in runs:
+                self._late.append((times[start:stop], new[start:stop]))
+                self._late_heads.append(times[start])
+                self._late_ends.append(base + stop)
+            self._counted = len(win_events)
+        fresh = len(self.win_pairs) - self._pairs_counted
+        if fresh:
+            self._count_pairs(_newest(self.win_pairs, fresh), 1)
+            self._pairs_counted = len(self.win_pairs)
+
+    def _stale(self, cutoff):
+        """The late events still in the window at or below ``cutoff``."""
+        drop = bisect_right(self._late_ends, self._gone)
+        del self._late[:drop], self._late_heads[:drop], self._late_ends[:drop]
+        stale = []
+        for times, events in compress(
+            self._late, map(le, self._late_heads, repeat(cutoff))
+        ):
+            stale += events[:bisect_right(times, cutoff)]
+        return stale
 
     # -- answers -------------------------------------------------------
 
     def snapshot(self, watermark):
-        """The ``window`` half of the engine's ``stats`` reply."""
-        cutoff = watermark - self.window_ms
-        w_count = 0
-        w_sends = 0
-        w_send_bytes = 0
-        w_recv_bytes = 0
-        active = set()
-        per_machine = Counter()
-        for time, key, kind, length, machine in self.win_events:
-            if time <= cutoff:
-                continue
-            w_count += 1
-            active.add(key)
-            per_machine[machine] += 1
-            if kind == "send":
-                w_sends += 1
-                w_send_bytes += length
-            elif kind == "receive":
-                w_recv_bytes += length
-        p_count = 0
-        p_bytes = 0
-        lag_sum = 0.0
-        lag_max = 0.0
-        pair_rates = {}
-        for stamp, lag, nbytes, pair_key in self.win_pairs:
-            if stamp <= cutoff:
-                continue
-            p_count += 1
-            p_bytes += nbytes
-            lag_sum += lag
-            if lag > lag_max:
-                lag_max = lag
-            rate = pair_rates.setdefault(
-                pair_key, {"messages": 0, "bytes": 0}
-            )
-            rate["messages"] += 1
-            rate["bytes"] += nbytes
+        """The ``window`` half of the engine's ``stats`` reply.
+
+        Evicts first (the engine's ``state_size`` evicts at the same
+        watermark right after, so no deque ends up different), then
+        discounts the late events still stuck behind a newer head."""
+        self.evict(watermark)
+        self._sync()
+        stale = self._stale(watermark - self.window_ms)
+        w_count = len(self.win_events) - len(stale)
+        w_sends = self._sends
+        w_send_bytes = self._bytes_sent
+        w_recv_bytes = self._bytes_received
+        procs = self._procs
+        per_machine = self._machines
+        if stale:
+            sends, sent, received = _event_sums(stale)
+            w_sends -= sends
+            w_send_bytes -= sent
+            w_recv_bytes -= received
+            procs = dict(procs)
+            _shift(procs, Counter(map(_KEY, stale)), -1)
+            per_machine = dict(per_machine)
+            _shift(per_machine, Counter(map(_MACHINE, stale)), -1)
+        win_pairs = self.win_pairs
+        p_count = len(win_pairs)
+        if self._odd_lags or self._lag_abs >= _EXACT:
+            lag_sum = reduce(add, map(_LAG, win_pairs), 0.0)
+        else:
+            # The same left fold: every partial sum is an exact integer.
+            lag_sum = float(self._lag_sum)
+        lag_max = max(chain((0.0,), map(_LAG, win_pairs)))
         seconds = self.window_ms / 1000.0 if self.window_ms > 0 else 1.0
         return {
             "window_ms": self.window_ms,
             "events": w_count,
             "rate_per_s": round(w_count / seconds, 3),
-            "active_processes": len(active),
+            "active_processes": len(procs),
             "per_machine": {
                 str(machine): per_machine[machine]
                 for machine in sorted_machines(per_machine)
@@ -122,13 +307,16 @@ class WindowedStats:
             "bytes_received": w_recv_bytes,
             "pairs": {
                 "count": p_count,
-                "bytes": p_bytes,
+                "bytes": self._pair_bytes,
                 "lag_mean_ms": round(lag_sum / p_count, 3)
                 if p_count
                 else 0.0,
                 "lag_max_ms": round(lag_max, 3),
             },
-            "pair_rates": pair_rates,
+            "pair_rates": {
+                key: {"messages": messages, "bytes": nbytes}
+                for key, (messages, nbytes) in self._pair_rates.items()
+            },
         }
 
     def state_size(self):

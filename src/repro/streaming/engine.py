@@ -227,6 +227,8 @@ class StreamEngine:
 
     def snapshot(self):
         fold = self.fold
+        window = self.windows.snapshot(self.watermark)
+        size = self.state_size()
         return {
             "totals": fold.totals(),
             "per_process": fold.per_process(),
@@ -234,12 +236,14 @@ class StreamEngine:
                 self.windows.pair_key(procs): list(entry)
                 for procs, entry in fold.pair_traffic.items()
             },
-            "window": self.windows.snapshot(self.watermark),
+            "window": window,
             "records": self.records,
             "watermark": round(self.watermark, 3),
             "state": {
-                "size": self.state_size(),
-                "peak": self.peak_state,
+                "size": size,
+                # ``peak_state`` is sampled every _STATE_SAMPLE records;
+                # the reply never shows a peak below its own size.
+                "peak": max(self.peak_state, size),
                 "clocks_pending": fold.clocks.state_size(),
                 "outstanding_sends": fold.matcher.outstanding_sends,
             },

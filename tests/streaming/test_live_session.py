@@ -2,6 +2,8 @@
 daemon -> filter-engine RPC chain, watch lifecycle, firings under
 injected faults, and crash-recovery of the watch table."""
 
+import re
+
 from repro.controller import journal
 from repro.faults import FaultInjector, FaultPlan
 
@@ -24,6 +26,22 @@ def test_stats_renders_live_snapshot():
     out = session.command("stats f1")
     assert "live statistics" in out
     assert "no filter 'nope'" in session.command("stats nope")
+
+
+def test_stats_peak_is_never_below_the_size_it_prints():
+    """``peak_state`` is sampled every 256 records: a shorter session
+    never samples it, yet its reply reports a peak at least as large
+    as the in-flight size on the same line."""
+    session = build_session(seed=23)
+    start_mixed_job(session, dgram_count=5, rounds=3)
+    session.settle()
+    out = session.command("stats f1")
+    records = int(re.search(r"\((\d+) records\)", out).group(1))
+    size, peak = map(
+        int, re.search(r"(\d+) in flight \(peak (\d+)\)", out).groups()
+    )
+    assert 0 < records < 256
+    assert 0 < size <= peak
 
 
 def test_stats_digest_is_one_json_line():

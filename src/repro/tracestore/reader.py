@@ -571,8 +571,13 @@ class StoreReader:
             yield record
 
     def records(self, **predicates):
-        """Materialize a scan (convenience for small selections)."""
-        return list(self.scan(**predicates))
+        """Materialize a scan through the fused lane
+        (:func:`~repro.tracestore.batchscan.scan_fast`: the same records,
+        order, strict errors and :attr:`last_stats` as :meth:`scan`,
+        which stays its oracle)."""
+        from repro.tracestore.batchscan import scan_fast  # imports this module
+
+        return list(scan_fast(self, **predicates))
 
 
 def merge_scan(readers, **predicates):

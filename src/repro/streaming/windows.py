@@ -13,7 +13,7 @@ deques as evicting after every record.
 A sliding-window statistic is a fold whose step can be undone, so the
 answers are running aggregates over the deques (event, send and byte
 counts, per-process and per-machine counts, per-pair-key messages and
-bytes, the integer lag sum) rather than a rescan.  They are brought up
+bytes) rather than a rescan.  They are brought up
 to date only when the window is read: :meth:`WindowedStats.snapshot`
 counts the entries appended since the last read and
 :meth:`WindowedStats.evict` uncounts the counted entries it pops, each
@@ -29,11 +29,9 @@ the head is at least as late as the head, which is past the cutoff).
 A read notes the late events it counts, as sorted runs, and discounts
 the stale ones from its reply only.  Pairs are stamped with the
 watermark, which never decreases, so their eviction is exact.  The lag
-mean and maximum must be what a scan in deque order folds, floats
-included: the maximum is one C-level pass over the pair deque, and the
-sum is the running integer sum while every lag in the window is an
-integer small enough that each partial sum is exact as a float, else a
-left fold over the deque.  Byte counts are integers (the codec and the
+sum and maximum are left folds over the pair deque (C-level
+``functools.reduce`` and ``max``), so a float lag gives the bit-for-bit
+answer of a scan in deque order.  Byte counts are integers (the codec and the
 log parser only produce integer ``msgLength``), which makes their
 running sums exact.  All snapshot keys are JSON-native: a snapshot
 must survive the query RPC round-trip unchanged.
@@ -43,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from functools import reduce
 from itertools import chain, compress, count, groupby, islice, repeat, starmap
-from operator import add, eq, is_, itemgetter, le, lt, not_
+from operator import add, eq, itemgetter, le, lt, not_
 
 from repro.streaming.fold import sorted_machines
 
@@ -55,9 +53,6 @@ _MACHINE = itemgetter(4)
 _LAG = itemgetter(1)
 _NBYTES = itemgetter(2)
 _PAIR_KEY = itemgetter(3)
-
-#: Integers below this in magnitude add exactly as floats.
-_EXACT = 1 << 53
 
 
 def _pop_through(entries, cutoff):
@@ -147,9 +142,6 @@ class WindowedStats:
         self._pairs_counted = 0
         self._pair_bytes = 0
         self._pair_rates = {}  # pair key -> [messages, bytes]
-        self._lag_sum = 0  # over the integer lags ...
-        self._lag_abs = 0  # ... with the sum of their magnitudes
-        self._odd_lags = 0  # lags that are not integers
 
     # -- fold ----------------------------------------------------------
 
@@ -207,12 +199,7 @@ class WindowedStats:
         _shift(self._machines, machines, sign)
 
     def _count_pairs(self, pairs, sign):
-        lags = list(map(_LAG, pairs))
-        exact = list(compress(lags, map(is_, map(type, lags), repeat(int))))
         self._pair_bytes += sign * sum(map(_NBYTES, pairs))
-        self._lag_sum += sign * sum(exact)
-        self._lag_abs += sign * sum(map(abs, exact))
-        self._odd_lags += sign * (len(lags) - len(exact))
         rates = self._pair_rates
         for key, group in groupby(sorted(pairs, key=_PAIR_KEY), _PAIR_KEY):
             group = list(group)
@@ -286,11 +273,7 @@ class WindowedStats:
             _shift(per_machine, Counter(map(_MACHINE, stale)), -1)
         win_pairs = self.win_pairs
         p_count = len(win_pairs)
-        if self._odd_lags or self._lag_abs >= _EXACT:
-            lag_sum = reduce(add, map(_LAG, win_pairs), 0.0)
-        else:
-            # The same left fold: every partial sum is an exact integer.
-            lag_sum = float(self._lag_sum)
+        lag_sum = reduce(add, map(_LAG, win_pairs), 0.0)
         lag_max = max(chain((0.0,), map(_LAG, win_pairs)))
         seconds = self.window_ms / 1000.0 if self.window_ms > 0 else 1.0
         return {

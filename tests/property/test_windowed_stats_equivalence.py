@@ -203,8 +203,8 @@ _AT_CUTOFF = [
 
 # Float lags that cancel.  The 1e17 stamped first leaves alone, after
 # the read that counted it with the rest: a running sum (1e17 + 0.75
-# is 1e17, less 1e17 is 0), like any order but the deque's, ends at
-# another mean.
+# is 1e17, less 1e17 is 0), like a fold in any order but the deque's,
+# ends at another mean.
 _FLOAT_LAGS = [
     ("pair", 0.0, 1e17, ((1, 7), (2, 7)), 1),
     ("update", 50, (2, 7), "receive", 1),

@@ -26,8 +26,8 @@ time is at or below the cutoff behind a newer head, where eviction
 cannot reach it.  Only a *late* event -- one whose time is below an
 earlier entry's -- can be stuck like that (any other event left behind
 the head is at least as late as the head, which is past the cutoff).
-A read notes the late events it counts, as sorted runs, and discounts
-the stale ones from its reply only.  Pairs are stamped with the
+A read notes the late events it counts and discounts the stale ones
+from its reply only.  Pairs are stamped with the
 watermark, which never decreases, so their eviction is exact.  The lag
 sum and maximum are left folds over the pair deque (C-level
 ``functools.reduce`` and ``max``), so a float lag gives the bit-for-bit
@@ -37,7 +37,7 @@ running sums exact.  All snapshot keys are JSON-native: a snapshot
 must survive the query RPC round-trip unchanged.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, deque
 from functools import reduce
 from itertools import chain, compress, count, groupby, islice, repeat, starmap
@@ -80,7 +80,7 @@ def _late_runs(times, high):
 
     Between two strict descents the times never decrease, so a run's
     late times are its prefix below the high so far: one bisection per
-    run, and each range is sorted."""
+    run."""
     bounds = [0]
     bounds += compress(count(1), map(lt, islice(times, 1, None), times))
     bounds.append(len(times))
@@ -127,13 +127,9 @@ class WindowedStats:
         self._counted = 0
         self._gone = 0  # events ever popped: the left end's position
         self._high = float("-inf")  # latest counted event time
-        # Counted late events still in the window, one run at a time:
-        # (times, events), the times never decreasing.  Eviction takes
-        # a run whole: to reach it, it pops the earlier event whose
-        # time made the run late, so the cutoff is already past them.
-        self._late = []
-        self._late_heads = []  # each run's first time ...
-        self._late_ends = []  # ... and the position past its last
+        self._late_at = []  # positions of counted late events ...
+        self._late_times = []  # ... their times ...
+        self._late = []  # ... and the events, oldest first
         self._sends = 0
         self._bytes_sent = 0
         self._bytes_received = 0
@@ -225,9 +221,9 @@ class WindowedStats:
             self._high = high
             base = self._gone + self._counted
             for start, stop in runs:
-                self._late.append((times[start:stop], new[start:stop]))
-                self._late_heads.append(times[start])
-                self._late_ends.append(base + stop)
+                self._late_at += range(base + start, base + stop)
+                self._late_times += times[start:stop]
+                self._late += new[start:stop]
             self._counted = len(win_events)
         fresh = len(self.win_pairs) - self._pairs_counted
         if fresh:
@@ -236,14 +232,11 @@ class WindowedStats:
 
     def _stale(self, cutoff):
         """The late events still in the window at or below ``cutoff``."""
-        drop = bisect_right(self._late_ends, self._gone)
-        del self._late[:drop], self._late_heads[:drop], self._late_ends[:drop]
-        stale = []
-        for times, events in compress(
-            self._late, map(le, self._late_heads, repeat(cutoff))
-        ):
-            stale += events[:bisect_right(times, cutoff)]
-        return stale
+        drop = bisect_left(self._late_at, self._gone)
+        del self._late_at[:drop], self._late_times[:drop], self._late[:drop]
+        return list(compress(
+            self._late, map(le, self._late_times, repeat(cutoff))
+        ))
 
     # -- answers -------------------------------------------------------
 

@@ -13,13 +13,12 @@ deques as evicting after every record.
 A sliding-window statistic is a fold whose step can be undone, so the
 answers are running aggregates over the deques (event, send and byte
 counts, per-process and per-machine counts, per-pair-key messages and
-bytes) rather than a rescan.  They are brought up
-to date only when the window is read: :meth:`WindowedStats.snapshot`
-counts the entries appended since the last read and
-:meth:`WindowedStats.evict` uncounts the counted entries it pops, each
-in C-level passes over the batch, so appending costs nothing more than
-the append.  Until the first read nothing is counted and eviction only
-pops.
+bytes) rather than a rescan.  They are brought up to date only when
+the window is read: :meth:`WindowedStats.snapshot` counts the entries
+appended since the last read and :meth:`WindowedStats.evict` uncounts
+the counted entries it pops, each in C-level passes over the batch, so
+appending costs nothing more than the append.  Until the first read
+nothing is counted and eviction only pops.
 
 Out-of-order local timestamps (skewed clocks) can leave an event whose
 time is at or below the cutoff behind a newer head, where eviction
@@ -27,20 +26,22 @@ cannot reach it.  Only a *late* event -- one whose time is below an
 earlier entry's -- can be stuck like that (any other event left behind
 the head is at least as late as the head, which is past the cutoff).
 A read notes the late events it counts and discounts the stale ones
-from its reply only.  Pairs are stamped with the
-watermark, which never decreases, so their eviction is exact.  The lag
-sum and maximum are left folds over the pair deque (C-level
-``functools.reduce`` and ``max``), so a float lag gives the bit-for-bit
-answer of a scan in deque order.  Byte counts are integers (the codec and the
-log parser only produce integer ``msgLength``), which makes their
-running sums exact.  All snapshot keys are JSON-native: a snapshot
+from its reply only.  Pairs are stamped with the watermark, which
+never decreases, so their eviction is exact.  The lag sum and maximum
+are left folds over the pair deque (C-level ``functools.reduce`` and
+``max``), so a float lag gives the bit-for-bit answer of a scan in
+deque order.  Byte counts are integers (the codec and the log parser
+only produce integer ``msgLength``), which makes their running sums
+exact.  All snapshot keys are JSON-native: a snapshot
 must survive the query RPC round-trip unchanged.
 """
 
 from bisect import bisect_left
 from collections import Counter, deque
 from functools import reduce
-from itertools import chain, compress, count, groupby, islice, repeat, starmap
+from itertools import (
+    accumulate, chain, compress, count, groupby, islice, repeat, starmap,
+)
 from operator import add, eq, itemgetter, le, lt, not_
 
 from repro.streaming.fold import sorted_machines
@@ -72,26 +73,6 @@ def _newest(entries, n):
     tail = list(islice(reversed(entries), n))
     tail.reverse()
     return tail
-
-
-def _late_runs(times, high):
-    """``(start, stop)`` index ranges of the late times -- below
-    ``high`` or an earlier time in ``times`` -- and the new high.
-
-    Between two strict descents the times never decrease, so a run's
-    late times are its prefix below the high so far: one bisection per
-    run."""
-    bounds = [0]
-    bounds += compress(count(1), map(lt, islice(times, 1, None), times))
-    bounds.append(len(times))
-    runs = []
-    for start, stop in zip(bounds, islice(bounds, 1, None)):
-        late = bisect_left(times, high, start, stop)
-        if late > start:
-            runs.append((start, late))
-        if times[stop - 1] > high:
-            high = times[stop - 1]
-    return runs, high
 
 
 def _event_sums(events):
@@ -128,7 +109,6 @@ class WindowedStats:
         self._gone = 0  # events ever popped: the left end's position
         self._high = float("-inf")  # latest counted event time
         self._late_at = []  # positions of counted late events ...
-        self._late_times = []  # ... their times ...
         self._late = []  # ... and the events, oldest first
         self._sends = 0
         self._bytes_sent = 0
@@ -210,20 +190,18 @@ class WindowedStats:
 
     def _sync(self):
         """Count the events and pairs appended since the last read,
-        keeping the runs of late events."""
+        noting the late events."""
         win_events = self.win_events
         fresh = len(win_events) - self._counted
         if fresh:
             new = _newest(win_events, fresh)
             times = list(map(_TIME, new))
-            runs, high = _late_runs(times, self._high)
+            late = list(map(lt, times, accumulate(times, max,
+                                                  initial=self._high)))
             self._count_events(new, 1)
-            self._high = high
-            base = self._gone + self._counted
-            for start, stop in runs:
-                self._late_at += range(base + start, base + stop)
-                self._late_times += times[start:stop]
-                self._late += new[start:stop]
+            self._high = max(self._high, max(times))
+            self._late_at += compress(count(self._gone + self._counted), late)
+            self._late += compress(new, late)
             self._counted = len(win_events)
         fresh = len(self.win_pairs) - self._pairs_counted
         if fresh:
@@ -233,9 +211,9 @@ class WindowedStats:
     def _stale(self, cutoff):
         """The late events still in the window at or below ``cutoff``."""
         drop = bisect_left(self._late_at, self._gone)
-        del self._late_at[:drop], self._late_times[:drop], self._late[:drop]
+        del self._late_at[:drop], self._late[:drop]
         return list(compress(
-            self._late, map(le, self._late_times, repeat(cutoff))
+            self._late, map(le, map(_TIME, self._late), repeat(cutoff))
         ))
 
     # -- answers -------------------------------------------------------

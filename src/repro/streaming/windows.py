@@ -40,9 +40,9 @@ from bisect import bisect_left
 from collections import Counter, deque
 from functools import reduce
 from itertools import (
-    accumulate, chain, compress, count, groupby, islice, repeat, starmap,
+    accumulate, chain, compress, count, groupby, islice, repeat,
 )
-from operator import add, eq, itemgetter, le, lt, not_
+from operator import add, eq, itemgetter, le, lt
 
 from repro.streaming.fold import sorted_machines
 
@@ -54,18 +54,6 @@ _MACHINE = itemgetter(4)
 _LAG = itemgetter(1)
 _NBYTES = itemgetter(2)
 _PAIR_KEY = itemgetter(3)
-
-
-def _pop_through(entries, cutoff):
-    """Pop and return the longest prefix of ``entries`` stamped at or
-    below ``cutoff``."""
-    n = next(
-        compress(
-            count(), map(not_, map(le, map(_TIME, entries), repeat(cutoff)))
-        ),
-        len(entries),
-    )
-    return list(starmap(entries.popleft, repeat((), n)))
 
 
 def _newest(entries, n):
@@ -106,7 +94,7 @@ class WindowedStats:
         # Running aggregates over the counted entries: the leftmost
         # ``_counted`` events and ``_pairs_counted`` pairs.
         self._counted = 0
-        self._gone = 0  # events ever popped: the left end's position
+        self._seen = 0  # events ever counted: the next one's position
         self._high = float("-inf")  # latest counted event time
         self._late_at = []  # positions of counted late events ...
         self._late = []  # ... and the events, oldest first
@@ -149,14 +137,25 @@ class WindowedStats:
 
     def evict(self, watermark):
         cutoff = watermark - self.window_ms
-        gone = _pop_through(self.win_events, cutoff)
-        if gone:
-            self._gone += len(gone)
-            counted = self._counted
-            if counted:
-                self._count_events(gone[:counted], -1)
-                self._counted = max(counted - len(gone), 0)
-        gone = _pop_through(self.win_pairs, cutoff)
+        win_events = self.win_events
+        win_pairs = self.win_pairs
+        if not (self._counted or self._pairs_counted):
+            # Nothing counted (a window never read): only pop.
+            while win_events and win_events[0][0] <= cutoff:
+                win_events.popleft()
+            while win_pairs and win_pairs[0][0] <= cutoff:
+                win_pairs.popleft()
+            return
+        gone = []
+        while win_events and win_events[0][0] <= cutoff:
+            gone.append(win_events.popleft())
+        counted = self._counted
+        if gone and counted:
+            self._count_events(gone[:counted], -1)
+            self._counted = max(counted - len(gone), 0)
+        gone = []
+        while win_pairs and win_pairs[0][0] <= cutoff:
+            gone.append(win_pairs.popleft())
         counted = self._pairs_counted
         if gone and counted:
             self._count_pairs(gone[:counted], -1)
@@ -200,8 +199,9 @@ class WindowedStats:
                                                   initial=self._high)))
             self._count_events(new, 1)
             self._high = max(self._high, max(times))
-            self._late_at += compress(count(self._gone + self._counted), late)
+            self._late_at += compress(count(self._seen), late)
             self._late += compress(new, late)
+            self._seen += fresh
             self._counted = len(win_events)
         fresh = len(self.win_pairs) - self._pairs_counted
         if fresh:
@@ -209,8 +209,10 @@ class WindowedStats:
             self._pairs_counted = len(self.win_pairs)
 
     def _stale(self, cutoff):
-        """The late events still in the window at or below ``cutoff``."""
-        drop = bisect_left(self._late_at, self._gone)
+        """The late events still in the window at or below ``cutoff``.
+        Counted events leave from the left, so the first ``_seen -
+        _counted`` positions are gone."""
+        drop = bisect_left(self._late_at, self._seen - self._counted)
         del self._late_at[:drop], self._late[:drop]
         return list(compress(
             self._late, map(le, map(_TIME, self._late), repeat(cutoff))

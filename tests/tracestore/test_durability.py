@@ -67,6 +67,16 @@ def _store_from(wire, **writer_kw):
     return {path: bytes(data) for path, data in sink.items()}, writer
 
 
+def _scan(reader, **predicates):
+    """The oracle lane, :meth:`StoreReader.scan`, materialised."""
+    return list(reader.scan(**predicates))
+
+
+def _fast(reader, **predicates):
+    """The fused lane, which :meth:`StoreReader.records` reads through."""
+    return list(scan_fast(reader, **predicates))
+
+
 def _flip_data_byte(store, path, xor=0x40, at=None):
     """Flip a byte inside the sealed data region of one segment."""
     data = bytearray(store[path])
@@ -91,7 +101,8 @@ def test_writer_defaults_to_v2_with_per_frame_crc():
     assert sformat.parse_segment_header(data) == FORMAT_VERSION
     reader = StoreReader.from_bytes(store)
     assert reader.segments[0].version == FORMAT_VERSION
-    assert reader.records() == [codec.decode(raw) for raw in _wire(codec, 6)]
+    baseline = [codec.decode(raw) for raw in _wire(codec, 6)]
+    assert _scan(reader) == reader.records() == baseline
 
 
 def test_unsupported_version_rejected_by_writer_and_reader():
@@ -115,7 +126,7 @@ def test_version_1_segment_is_a_bad_header_everywhere():
     survivors = StoreReader.from_bytes(
         {path: data for path, data in store.items() if path != first}
     ).records()
-    for scan in (StoreReader.records, lambda reader: list(scan_fast(reader))):
+    for scan in (_scan, _fast):
         reader = StoreReader.from_bytes(retired)
         assert scan(reader) == survivors
         assert reader.last_stats.segments_bad_header == 1
@@ -138,16 +149,17 @@ def test_bad_header_segment_skipped_with_loss_accounting():
     first = sorted(store)[0]
     broken = dict(store)
     broken[first] = b"\x00\x00" + broken[first][2:]  # wrecked magic
-    reader = StoreReader.from_bytes(broken)
-    records = reader.records()
-    stats = reader.last_stats
-    assert stats.segments_bad_header == 1
-    assert not stats.loss_free()
-    assert stats.segment_errors and stats.segment_errors[0][0] == first
-    # Every surviving record comes from the intact segments, in order.
     baseline = [codec.decode(raw) for raw in wire]
-    assert records == baseline[len(baseline) - len(records):]
-    assert reader.record_count() == len(records)
+    for scan in (_scan, StoreReader.records):
+        reader = StoreReader.from_bytes(broken)
+        records = scan(reader)
+        stats = reader.last_stats
+        assert stats.segments_bad_header == 1
+        assert not stats.loss_free()
+        assert stats.segment_errors and stats.segment_errors[0][0] == first
+        # Every surviving record comes from the intact segments, in order.
+        assert records == baseline[len(baseline) - len(records):]
+        assert reader.record_count() == len(records)
 
 
 def test_foreign_file_flagged_not_parsed():
@@ -169,13 +181,13 @@ def test_strict_scan_raises_typed_error_on_v2_bit_flip():
     store, __ = _store_from(_wire(codec, 10))
     (path,) = store
     damaged = _flip_data_byte(store, path)
-    reader = StoreReader.from_bytes(damaged)
-    with pytest.raises(CorruptSegmentError) as exc:
-        reader.records()
-    # The hierarchy keeps old except-ValueError handlers working.
-    assert isinstance(exc.value, StoreError)
-    assert isinstance(exc.value, ValueError)
-    assert exc.value.path == path
+    for scan in (_scan, StoreReader.records):
+        with pytest.raises(CorruptSegmentError) as exc:
+            scan(StoreReader.from_bytes(damaged))
+        # The hierarchy keeps old except-ValueError handlers working.
+        assert isinstance(exc.value, StoreError)
+        assert isinstance(exc.value, ValueError)
+        assert exc.value.path == path
 
 
 def test_salvage_scan_loses_exactly_the_damaged_frame():
@@ -184,16 +196,17 @@ def test_salvage_scan_loses_exactly_the_damaged_frame():
     store, __ = _store_from(wire)
     (path,) = store
     damaged = _flip_data_byte(store, path)
-    reader = StoreReader.from_bytes(damaged)
-    records = reader.records(salvage=True)
-    stats = reader.last_stats
     baseline = [codec.decode(raw) for raw in wire]
-    assert len(records) == len(baseline) - 1
-    assert all(record in baseline for record in records)
-    assert stats.frames_corrupt == 1
-    assert stats.bytes_quarantined > 0
-    assert stats.records_salvaged == len(records)
-    assert not stats.loss_free()
+    for scan in (_scan, StoreReader.records):
+        reader = StoreReader.from_bytes(damaged)
+        records = scan(reader, salvage=True)
+        stats = reader.last_stats
+        assert len(records) == len(baseline) - 1
+        assert all(record in baseline for record in records)
+        assert stats.frames_corrupt == 1
+        assert stats.bytes_quarantined > 0
+        assert stats.records_salvaged == len(records)
+        assert not stats.loss_free()
 
 
 def test_torn_tail_is_expected_loss_not_corruption():
@@ -206,10 +219,10 @@ def test_torn_tail_is_expected_loss_not_corruption():
     collect_ops(sink, writer)  # crash: no close(), no footer
     (path,) = sink
     torn = {path: bytes(sink[path][:-5])}  # medium lost the last bytes
-    reader = StoreReader.from_bytes(torn, host_names=HOSTS)
-    records = reader.records()
-    assert records == [codec.decode(raw) for raw in wire[:-1]]
-    assert reader.last_stats.loss_free()  # torn tails are accounted free
+    for scan in (_scan, StoreReader.records):
+        reader = StoreReader.from_bytes(torn, host_names=HOSTS)
+        assert scan(reader) == [codec.decode(raw) for raw in wire[:-1]]
+        assert reader.last_stats.loss_free()  # torn tails are accounted free
     segment = Segment(path, torn[path])
     report = segment.verify()
     assert report["status"] == TORN_TAIL
@@ -232,19 +245,22 @@ def test_damaged_deflate_blob_is_typed_and_accounted(where):
         "head": 2, "middle": stored // 2, "tail": stored - 3,
     }[where]
     damaged = _flip_data_byte(store, path, at=at)
-    for scan in (StoreReader.records, lambda reader: list(scan_fast(reader))):
+    for scan in (_scan, _fast):
         with pytest.raises(CorruptFrameError) as exc:
             scan(StoreReader.from_bytes(damaged))
         assert exc.value.path == path
-    reader = StoreReader.from_bytes(damaged)
-    records = reader.records(salvage=True)
-    stats = reader.last_stats
-    baseline = iter([codec.decode(raw) for raw in wire])
-    assert all(record in baseline for record in records)  # in order
-    assert bool(records) == (where != "head")
     frame_bytes = len(wire[0]) + sformat.FRAME_OVERHEAD_BYTES
-    assert stats.bytes_quarantined == (len(wire) - len(records)) * frame_bytes
-    assert stats.bytes_quarantined and not stats.loss_free()
+    for scan in (_scan, StoreReader.records):
+        reader = StoreReader.from_bytes(damaged)
+        records = scan(reader, salvage=True)
+        stats = reader.last_stats
+        baseline = iter([codec.decode(raw) for raw in wire])
+        assert all(record in baseline for record in records)  # in order
+        assert bool(records) == (where != "head")
+        assert stats.bytes_quarantined == (
+            (len(wire) - len(records)) * frame_bytes
+        )
+        assert stats.bytes_quarantined and not stats.loss_free()
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,12 @@ def _store_from(wire_masks, **writer_kw):
     return {path: bytes(data) for path, data in sink.items()}, writer
 
 
+def _scan(reader, **predicates):
+    """The oracle lane, :meth:`StoreReader.scan`, materialised beside
+    :meth:`StoreReader.records` (the fused lane) in the checks below."""
+    return list(reader.scan(**predicates))
+
+
 def test_writer_rolls_segments_at_capacity():
     codec = _codec()
     store, writer = _store_from(
@@ -72,7 +78,8 @@ def test_reader_streams_in_append_order():
     wire = _wire(codec, 25)
     store, __ = _store_from([(raw, 0) for raw in wire], segment_bytes=500)
     reader = StoreReader.from_bytes(store)
-    assert reader.records() == [codec.decode(raw) for raw in wire]
+    baseline = [codec.decode(raw) for raw in wire]
+    assert _scan(reader) == reader.records() == baseline
 
 
 def test_unclosed_writer_leaves_recoverable_tail():
@@ -85,8 +92,9 @@ def test_unclosed_writer_leaves_recoverable_tail():
     collect_ops(sink, writer)  # note: no close() -- simulated crash
     reader = StoreReader.from_bytes(sink, host_names=HOSTS)
     assert not reader.segments[0].sealed
-    assert reader.records() == [codec.decode(raw) for raw in wire]
-    assert reader.last_stats.segments_recovered == 1
+    for scan in (_scan, StoreReader.records):
+        assert scan(reader) == [codec.decode(raw) for raw in wire]
+        assert reader.last_stats.segments_recovered == 1
 
 
 def test_buffered_tail_lost_on_crash_but_flushed_frames_survive():
@@ -101,7 +109,7 @@ def test_buffered_tail_lost_on_crash_but_flushed_frames_survive():
         writer.append(raw)  # still buffered when the machine dies
     collect_ops(sink, writer)
     reader = StoreReader.from_bytes(sink, host_names=HOSTS)
-    assert len(reader.records()) == 7
+    assert len(_scan(reader)) == len(reader.records()) == 7
 
 
 def test_pushdown_skips_whole_segments():
@@ -110,13 +118,14 @@ def test_pushdown_skips_whole_segments():
     store, writer = _store_from([(raw, 0) for raw in wire], segment_bytes=600)
     assert writer.segments_sealed >= 4
     reader = StoreReader.from_bytes(store)
-    full = reader.records()
-    full_bytes = reader.last_stats.bytes_scanned
-    narrow = reader.records(t_min=100, t_max=140)
-    stats = reader.last_stats
-    assert narrow == [r for r in full if 100 <= r["cpuTime"] <= 140]
-    assert stats.segments_skipped > 0
-    assert stats.bytes_scanned < full_bytes
+    for scan in (_scan, StoreReader.records):
+        full = scan(reader)
+        full_bytes = reader.last_stats.bytes_scanned
+        narrow = scan(reader, t_min=100, t_max=140)
+        stats = reader.last_stats
+        assert narrow == [r for r in full if 100 <= r["cpuTime"] <= 140]
+        assert stats.segments_skipped > 0
+        assert stats.bytes_scanned < full_bytes
 
 
 def test_pushdown_by_machine_pid_event():
@@ -125,14 +134,18 @@ def test_pushdown_by_machine_pid_event():
     wire = _wire(codec, 30, machine_of=lambda i: 3 if i >= 27 else (i % 2) + 1)
     store, __ = _store_from([(raw, 0) for raw in wire], segment_bytes=400)
     reader = StoreReader.from_bytes(store)
-    full = reader.records()
-    by_machine = reader.records(machines=[3])
-    assert by_machine == [r for r in full if r["machine"] == 3]
-    assert reader.last_stats.segments_skipped > 0
-    by_pid = reader.records(pids=[(1, 101)])
-    assert by_pid == [r for r in full if (r["machine"], r["pid"]) == (1, 101)]
-    assert reader.records(events=["fork"]) == []
-    assert reader.last_stats.segments_scanned == 0  # every footer excludes fork
+    for scan in (_scan, StoreReader.records):
+        full = scan(reader)
+        by_machine = scan(reader, machines=[3])
+        assert by_machine == [r for r in full if r["machine"] == 3]
+        assert reader.last_stats.segments_skipped > 0
+        by_pid = scan(reader, pids=[(1, 101)])
+        assert by_pid == [
+            r for r in full if (r["machine"], r["pid"]) == (1, 101)
+        ]
+        assert scan(reader, events=["fork"]) == []
+        # Every footer excludes fork.
+        assert reader.last_stats.segments_scanned == 0
 
 
 def test_discard_masks_drop_fields_on_read():
@@ -140,10 +153,12 @@ def test_discard_masks_drop_fields_on_read():
     raw = _wire(codec, 1)[0]
     mask = discard_mask("send", {"pc", "destName"})
     store, __ = _store_from([(zero_masked_bytes(raw, "send", mask), mask)])
-    (record,) = StoreReader.from_bytes(store).records()
-    assert "pc" not in record
-    assert "destName" not in record
-    assert record["pid"] == 100
+    reader = StoreReader.from_bytes(store)
+    for scan in (_scan, StoreReader.records):
+        (record,) = scan(reader)
+        assert "pc" not in record
+        assert "destName" not in record
+        assert record["pid"] == 100
 
 
 def test_host_names_travel_in_footers():

@@ -160,10 +160,12 @@ class MeasurementSession:
         the prompt).  Asynchronous DONE reports that arrive during the
         command are included."""
         target = self._prompt_count() + 1
-        before = len("".join(self._transcript_parts))
+        # Output arrives as whole parts appended after this index, so
+        # only this command's parts are joined, not the transcript.
+        first = len(self._transcript_parts)
         self.tty.push_line(line)
         self._wait_for_prompts(target, max_events=max_events)
-        text = "".join(self._transcript_parts)[before:]
+        text = "".join(self._transcript_parts[first:])
         # Trim the echoless input gap: output starts after our push.
         if text.endswith(PROMPT):
             text = text[: -len(PROMPT)]

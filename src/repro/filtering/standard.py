@@ -27,6 +27,8 @@ session setting (carried here through the log path argument), so
 concurrent sessions on one machine keep separate logs.
 """
 
+from operator import itemgetter
+
 from repro import guestlib
 from repro.filtering.descriptions import parse_descriptions
 from repro.filtering.filterlib import MeterInbox
@@ -66,6 +68,10 @@ LOG_FORMAT_STORE = "store"
 #: many bytes or the meter stream goes idle for the flush interval.
 LOG_FLUSH_BYTES = 32 * 1024
 LOG_IDLE_FLUSH_MS = 5.0
+
+#: A store-mode batch item is (payload, mask, saved record): the
+#: writer takes the first two.
+_PAYLOAD_MASK = itemgetter(0, 1)
 
 
 def log_path_for(filtername, directory=None, log_format=LOG_FORMAT_TEXT):
@@ -254,8 +260,7 @@ def standard_filter(sys, argv):
         marker message in store mode, its ``#batch`` line in text mode
         -- or None for a markerless flush."""
         if store_mode:
-            for payload, mask, __ in batch:
-                writer.append(payload, mask)
+            writer.append_many(map(_PAYLOAD_MASK, batch))
             if marker is not None:
                 writer.append_marker(marker)
             writer.maybe_seal()

@@ -20,6 +20,7 @@ three can never drift apart.
 """
 
 import struct
+from operator import itemgetter
 
 from repro.net.addresses import NO_NAME, InternetName, SocketName, decode_name, parse_name
 
@@ -240,6 +241,7 @@ def field_layout(event):
 _EVENT_LAYOUTS = {}
 _FRAME_LAYOUTS = {}
 _MATERIALIZERS = {}
+_FIELD_ENCODERS = {}
 _ENCODERS = {}
 
 
@@ -308,8 +310,8 @@ def record_event(record):
     return record.get("event") or EVENT_NAMES.get(record.get("traceType"))
 
 
-def record_encoder(event):
-    """The generated ``enc(record, name) -> (payload, mask)`` of
+def field_encoder(event):
+    """The per-field ``enc(record, name) -> (payload, mask)`` of
     ``event``, the twin of :func:`_materializer`: one ``.get`` per
     field and one ``Struct.pack`` for the whole message.
 
@@ -319,8 +321,9 @@ def record_encoder(event):
     fields absent from ``record`` (``size`` is always recomputed, so it
     is never masked); a field present with the value None is not
     absent.  Built on first use and cached; ValueError for anything
-    but an Appendix-A event."""
-    enc = _ENCODERS.get(event)
+    but an Appendix-A event.  :func:`record_encoder` falls back to it
+    and the property tests hold the two equal."""
+    enc = _FIELD_ENCODERS.get(event)
     if enc is not None:
         return enc
     if event not in BODY_FIELDS:
@@ -347,6 +350,65 @@ def record_encoder(event):
     lines.append("    return pack(%s), mask" % ", ".join(args))
     namespace = {"pack": _EVENT_STRUCTS[event].pack}
     exec("\n".join(lines) + "\n", namespace)
+    enc = _FIELD_ENCODERS[event] = namespace["enc"]
+    return enc
+
+
+def record_encoder(event):
+    """The generated ``enc(record, name) -> (payload, mask)`` of
+    ``event``: :func:`field_encoder`'s result, in a handful of C-level
+    calls when the record is whole.
+
+    One ``itemgetter`` fetches every field but ``size`` and
+    ``traceType``, and one ``Struct.pack`` takes them as they are, so
+    the mask is 0, or just the ``traceType`` bit when that key is
+    absent.  A record with fewer keys than those fields (a rule
+    reduced it), a missing key, a value ``pack`` refuses as it stands
+    (None, a float, a numeric string, an int out of range) or a NAME
+    ``name`` refuses goes to :func:`field_encoder`, which gives the
+    answer or raises the error, so the error is always the per-field
+    encoder's.  Every value ``pack`` takes as it stands is one
+    ``int(v or 0)`` leaves unchanged, so both give the same bytes."""
+    enc = _ENCODERS.get(event)
+    if enc is not None:
+        return enc
+    slow = field_encoder(event)
+    kinds = dict(BODY_FIELDS[event])
+    fields = [
+        field for field in record_fields(event)
+        if field not in ("size", "traceType")
+    ]
+    args = ["%d" % message_length(event)]
+    for i, field in enumerate(fields):
+        if field == "procTime":
+            args.append("a%d, %d" % (i, EVENT_TYPES[event]))
+        elif kinds.get(field) == "name":
+            args.append("name(a%d)" % i)
+        else:
+            args.append("a%d" % i)
+    trace_bit = 1 << record_fields(event).index("traceType")
+    source = (
+        "def enc(record, name):\n"
+        "    if len(record) >= %d:\n"
+        "        try:\n"
+        "            %s, = fetch(record)\n"
+        "            return pack(%s), 0 if 'traceType' in record else %d\n"
+        "        except (KeyError, TypeError, ValueError, error):\n"
+        "            pass\n"
+        "    return slow(record, name)\n"
+    ) % (
+        len(fields),
+        ", ".join("a%d" % i for i in range(len(fields))),
+        ", ".join(args),
+        trace_bit,
+    )
+    namespace = {
+        "fetch": itemgetter(*fields),
+        "pack": _EVENT_STRUCTS[event].pack,
+        "error": struct.error,
+        "slow": slow,
+    }
+    exec(source, namespace)
     enc = _ENCODERS[event] = namespace["enc"]
     return enc
 

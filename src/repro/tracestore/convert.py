@@ -30,6 +30,12 @@ _NAME_FIELDS = {
 }
 
 
+#: Records handed to the writer's batch loop between driver calls:
+#: bounds the ops queued at once, so a pack's memory does not grow with
+#: the log beyond its records.
+PACK_CHUNK_RECORDS = 256
+
+
 def host_names_from_records(records):
     """Assign stable host ids to every Internet host name that appears
     in a record's NAME-field display strings."""
@@ -68,8 +74,9 @@ def pack_records(records, base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
     """Pack decoded records into a store.
 
     ``writer_driver(writer)`` applies the writer's ops to a medium
-    (e.g. :func:`~repro.tracestore.writer.flush_to_files`) whenever
-    some are queued; without one, returns a dict path -> bytes.
+    (e.g. :func:`~repro.tracestore.writer.flush_to_files`) after each
+    chunk of records that queued some; without one, returns a dict
+    path -> bytes.
     Returns (result, writer).  ``compress=True`` writes each sealed
     segment's data region as one zlib blob (``trace pack --compress``:
     offline packing is the one place the compressed writer's weaker
@@ -82,8 +89,9 @@ def pack_records(records, base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
                          host_names=host_names, compress=compress)
     sink = {}
     drive = writer_driver or (lambda w: collect_ops(sink, w))
-    for payload, mask in wire_pairs(records, codec):
-        writer.append(payload, mask)
+    pairs = wire_pairs(records, codec)
+    for start in range(0, len(pairs), PACK_CHUNK_RECORDS):
+        writer.append_many(pairs[start:start + PACK_CHUNK_RECORDS])
         if writer.ops:
             drive(writer)
     writer.close()

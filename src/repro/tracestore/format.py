@@ -72,6 +72,7 @@ so a store round-trips exactly what the text log would have kept.
 import json
 import struct
 import zlib
+from collections import Counter
 
 from repro.metering.messages import (
     EVENT_NAMES,
@@ -154,8 +155,10 @@ def parse_segment_header(data, path=None):
 
 
 def _frame_crc(head, payload):
-    """The per-frame checksum, spelled here and only here: CRC32 over
-    the length and mask words as stored (``head``), then the payload."""
+    """The per-frame checksum: CRC32 over the length and mask words as
+    stored (``head``), then the payload.  The writer's batch loop
+    inlines the same two calls; its property test holds its frames to
+    :func:`encode_frame`'s."""
     return zlib.crc32(payload, zlib.crc32(head))
 
 
@@ -324,54 +327,56 @@ def _masked_spans(event, mask):
 # ----------------------------------------------------------------------
 
 
+#: A record's stride in ``SegmentStats.fields`` (the ints ``HEADER_PID``
+#: unpacks) and the places of the ones the footer reads.
+_STRIDE = 6
+_MACHINE, _CPU_TIME, _TRACE_TYPE, _PID = 1, 2, 4, 5
+
+
 class SegmentStats:
-    """Accumulates the footer index while a segment is written: one
-    counter per ``(traceType, machine, pid)`` and the first/last frame
-    offset per traceType; :meth:`footer` derives the per-machine,
-    per-pid and per-event views from them."""
+    """The footer index of the segment being written: each record's
+    header fields as ``HEADER_PID`` unpacks them (size, machine,
+    cpuTime, procTime, traceType, pid), six ints per record in one flat
+    list, and each record's frame offset.  The writer's batch loop
+    (:meth:`~repro.tracestore.writer.StoreWriter.append_many`) extends
+    both lists; :meth:`footer` derives, once per segment, the record
+    count, the time bounds, the first/last offset per traceType and the
+    per-machine, per-pid and per-event counts.  Flat ints, not a tuple
+    per record, so a segment's index adds nothing for the garbage
+    collector to track."""
 
     def __init__(self, host_names=None):
-        self.records = 0
-        self.t_min = None
-        self.t_max = None
-        self.counts = {}  # (traceType, machine, pid) -> records
-        self.offsets = {}  # traceType -> [first, last] frame offset
+        self.fields = []
+        self.offsets = []
         self.host_names = dict(host_names or {})
 
-    def add(self, trace_type, machine, pid, cpu_time, offset):
-        self.records += 1
-        if self.t_min is None or cpu_time < self.t_min:
-            self.t_min = cpu_time
-        if self.t_max is None or cpu_time > self.t_max:
-            self.t_max = cpu_time
-        key = (trace_type, machine, pid)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        span = self.offsets.get(trace_type)
-        if span is None:
-            self.offsets[trace_type] = [offset, offset]
-        else:
-            span[1] = offset
-
     def footer(self, data_start, data_end, data_crc32=None, stored_bytes=None):
+        fields = self.fields
+        types = fields[_TRACE_TYPE::_STRIDE]
         machines = {}
         pids = {}
         events = {}
-        for (trace_type, machine, pid), n in self.counts.items():
+        for (trace_type, machine, pid), n in Counter(
+            zip(types, fields[_MACHINE::_STRIDE], fields[_PID::_STRIDE])
+        ).items():
             machines[machine] = machines.get(machine, 0) + n
             pids[machine, pid] = pids.get((machine, pid), 0) + n
             events[trace_type] = events.get(trace_type, 0) + n
+        first = dict(zip(reversed(types), reversed(self.offsets)))
+        last = dict(zip(types, self.offsets))
+        times = fields[_CPU_TIME::_STRIDE]
         footer = {
             "version": FORMAT_VERSION,
-            "records": self.records,
+            "records": len(types),
             "data_start": data_start,
             "data_end": data_end,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
+            "t_min": min(times) if times else None,
+            "t_max": max(times) if times else None,
             "machines": {str(m): n for m, n in machines.items()},
             "pids": {"%s:%s" % key: n for key, n in pids.items()},
             "events": {_event_name(t): n for t, n in events.items()},
             "event_offsets": {
-                _event_name(t): span for t, span in self.offsets.items()
+                _event_name(t): [first[t], offset] for t, offset in last.items()
             },
             "hosts": {str(i): name for i, name in self.host_names.items()},
         }

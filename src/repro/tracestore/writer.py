@@ -29,6 +29,18 @@ from repro.kernel.errno import SyscallError
 from repro.metering import messages
 from repro.tracestore import format as sformat
 
+# The batch loop's per-record calls, bound once: the footer index
+# reads a record's header and the pid long every Appendix-A body starts
+# with, and a frame is its length and mask words, their CRC32 with the
+# payload's (format's ``encode_frame``), then the payload.
+_unpack = messages.HEADER_PID.unpack_from
+_PID_BYTES = messages.HEADER_PID.size
+_head_pack = sformat._FRAME_CRC_HEAD.pack
+_crc_pack = sformat._CRC_STRUCT.pack
+_crc32 = zlib.crc32
+_OVERHEAD = sformat.FRAME_OVERHEAD_BYTES
+_NEVER = float("inf")
+
 #: Frames buffered in memory before the writer emits a write op.
 DEFAULT_FLUSH_BYTES = 4096
 
@@ -80,33 +92,82 @@ class StoreWriter:
         self._buffered = 0
         self._path = None
         self._stats = None
+        #: What the batch loop adds to while a segment is open (None
+        #: otherwise): the ``extend`` of the segment's footer fields and
+        #: the ``append`` of their frame offsets and of the frame buffer.
+        self._index = None
+        #: Buffered bytes that drain the buffer; a compressed segment
+        #: drains only at seal.
+        self._drain_at = _NEVER if compress else self.flush_bytes
         self._offset = 0  # next frame offset within the open segment
         self._data_crc = 0  # CRC32 over the open segment's drained frames
 
     # ------------------------------------------------------------------
 
     def append(self, payload, mask=0):
-        """Queue one record.  ``payload`` is the raw wire message (with
-        any reduction already applied); ``mask`` its discard bitmap."""
-        if self._path is None:
-            self._begin_segment()
-        head = payload
-        if len(head) < messages.HEADER_PID.size:
-            # A bare header has no pid: it indexes as pid 0.
-            head = bytes(head[: messages.HEADER_BYTES]) + b"\0\0\0\0"
-        __, machine, cpu_time, __, trace_type, pid = (
-            messages.HEADER_PID.unpack_from(head)
-        )
-        self._stats.add(trace_type, machine, pid, cpu_time, self._offset)
-        frame = sformat.encode_frame(payload, mask)
-        self._offset += len(frame)
-        self._buffer.append(frame)
-        self._buffered += len(frame)
-        self.records_appended += 1
-        if self._buffered >= self.flush_bytes:
-            self._drain_buffer()
-        if self.auto_seal and self._offset >= self.segment_bytes:
-            self._seal_segment()
+        """Queue one record: :meth:`append_many` of one pair."""
+        self.append_many(((payload, mask),))
+
+    def append_many(self, pairs):
+        """Queue each ``(payload, mask)`` of ``pairs``, in order.
+        ``payload`` is the raw wire message (with any reduction already
+        applied); ``mask`` its discard bitmap.
+
+        The one place a record is framed and indexed: each frame is
+        built, counted into the open segment's footer index and
+        buffered with locals, with no helper call per record, and the
+        buffer drains and the segment seals after exactly the frames a
+        run of single appends would drain and seal after.  A payload
+        shorter than a message header is a ValueError (the records
+        before it stay queued); a bare header indexes as pid 0."""
+        drain_at = self._drain_at
+        seal_at = self.segment_bytes if self.auto_seal else _NEVER
+        index = self._index
+        if index is not None:
+            fields, offsets, buffer = index
+        offset = self._offset
+        buffered = self._buffered
+        appended = 0
+        try:
+            for payload, mask in pairs:
+                size = len(payload)
+                if size >= _PID_BYTES:
+                    header = _unpack(payload)
+                elif size >= messages.HEADER_BYTES:
+                    # A bare header has no pid: it indexes as pid 0.
+                    header = _unpack(
+                        bytes(payload[: messages.HEADER_BYTES]) + b"\0\0\0\0"
+                    )
+                else:
+                    raise ValueError(
+                        "record payload of %d bytes is shorter than the "
+                        "%d-byte message header" % (size, messages.HEADER_BYTES)
+                    )
+                if index is None:
+                    self._begin_segment()
+                    fields, offsets, buffer = index = self._index
+                    offset = self._offset
+                fields(header)
+                offsets(offset)
+                head = _head_pack(size, mask)
+                buffer(head + _crc_pack(_crc32(payload, _crc32(head))) + payload)
+                size += _OVERHEAD
+                offset += size
+                buffered += size
+                appended += 1
+                if buffered >= drain_at:
+                    self._drain_buffer()
+                    buffered = 0
+                if offset >= seal_at:
+                    self._offset = offset
+                    self._buffered = buffered
+                    self._seal_segment()
+                    index = None
+                    buffered = 0
+        finally:
+            self._offset = offset
+            self._buffered = buffered
+            self.records_appended += appended
 
     def append_marker(self, payload):
         """Queue one batch-marker frame (a kernel batch-sequence
@@ -148,7 +209,10 @@ class StoreWriter:
     def _begin_segment(self):
         self._path = segment_path(self.base, self.next_index)
         self.next_index += 1
-        self._stats = sformat.SegmentStats(self.host_names)
+        stats = self._stats = sformat.SegmentStats(self.host_names)
+        self._index = (
+            stats.fields.extend, stats.offsets.append, self._buffer.append
+        )
         self._offset = sformat.SEGMENT_HEADER_BYTES
         self._data_crc = 0
         flags = sformat.FLAG_COMPRESSED if self.compress else 0
@@ -164,7 +228,7 @@ class StoreWriter:
             chunk = b"".join(self._buffer)
             self._data_crc = zlib.crc32(chunk, self._data_crc)
             self.ops.append(("write", self._path, chunk))
-            self._buffer = []
+            self._buffer.clear()
             self._buffered = 0
 
     def _seal_segment(self):
@@ -173,7 +237,7 @@ class StoreWriter:
             region = b"".join(self._buffer)
             self._data_crc = zlib.crc32(region)
             blob = sformat.compress_region(region)
-            self._buffer = []
+            self._buffer.clear()
             self._buffered = 0
             stored_bytes = len(blob)
             self.ops.append(("write", self._path, blob))
@@ -190,6 +254,7 @@ class StoreWriter:
         self.segments_sealed += 1
         self._path = None
         self._stats = None
+        self._index = None
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ import struct
 
 import pytest
 
-from repro.metering.messages import EVENT_TYPES, MessageCodec, record_fields
+from repro.metering.messages import EVENT_TYPES, HEADER_PID, MessageCodec, record_fields
 from repro.tracestore import format as sformat
+from repro.tracestore.writer import StoreWriter
 
 HOSTS = {1: "red", 2: "green"}
 SEND = EVENT_TYPES["send"]
@@ -25,6 +26,20 @@ def _send(codec, i=0, machine=1, cpu_time=100):
         destNameLen=0,
         destName=None,
     )
+
+
+def _indexed(payloads):
+    """The open segment's footer index, and the offset after its last
+    frame, once a writer has appended ``payloads``."""
+    writer = StoreWriter("s", auto_seal=False)
+    writer.append_many((payload, 0) for payload in payloads)
+    return writer._stats, writer._offset
+
+
+def _headers(*rows):
+    """A bare header + pid message per (traceType, machine, pid, cpuTime)."""
+    return [HEADER_PID.pack(28, machine, cpu_time, 0, trace_type, pid)
+            for trace_type, machine, pid, cpu_time in rows]
 
 
 def test_segment_header_round_trip():
@@ -69,12 +84,12 @@ def test_a_payload_cut_short_by_the_buffer_fails_even_with_a_matching_crc():
 
 def test_footer_round_trip():
     codec = MessageCodec(HOSTS)
-    stats = sformat.SegmentStats(HOSTS)
-    offset = sformat.SEGMENT_HEADER_BYTES
-    for i in range(5):
-        raw = _send(codec, i, machine=1 + i % 2, cpu_time=50 + i)
-        stats.add(SEND, 1 + i % 2, 42, 50 + i, offset)
-        offset += len(sformat.encode_frame(raw))
+    sends = [_send(codec, i, machine=1 + i % 2, cpu_time=50 + i) for i in range(5)]
+    stats, offset = _indexed(sends)
+    stats.host_names = HOSTS
+    assert offset == sformat.SEGMENT_HEADER_BYTES + sum(
+        len(sformat.encode_frame(raw)) for raw in sends
+    )
     footer = stats.footer(sformat.SEGMENT_HEADER_BYTES, offset)
     blob = sformat.encode_footer(footer)
     data = sformat.segment_header() + b"\x00" * 64 + blob
@@ -88,8 +103,7 @@ def test_footer_round_trip():
 
 
 def test_corrupt_footer_reads_as_unsealed():
-    stats = sformat.SegmentStats()
-    stats.add(SEND, 1, 42, 10, 8)
+    stats, __ = _indexed(_headers((SEND, 1, 42, 10)))
     blob = sformat.encode_footer(stats.footer(8, 40))
     data = bytearray(sformat.segment_header() + b"\x00" * 32 + blob)
     data[-20] ^= 0xFF  # flip a footer byte: crc must catch it
@@ -99,9 +113,7 @@ def test_corrupt_footer_reads_as_unsealed():
 
 
 def test_footer_matches_pushdown_predicates():
-    stats = sformat.SegmentStats()
-    stats.add(SEND, 1, 42, 100, 8)
-    stats.add(RECEIVE, 2, 7, 200, 60)
+    stats, __ = _indexed(_headers((SEND, 1, 42, 100), (RECEIVE, 2, 7, 200)))
     footer = stats.footer(8, 120)
     assert sformat.footer_matches(footer)
     assert sformat.footer_matches(footer, machines=[1])

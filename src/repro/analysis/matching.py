@@ -10,9 +10,9 @@ fold the live filter runs per committed record -- run once to the end
 of the finished trace; :class:`MessageMatcher` is a view over its final
 state (:mod:`repro.streaming.matching` documents the rules,
 :mod:`repro.analysis.reference` is their naive oracle).  The same run
-resolves every event's vector clock, which
-:class:`~repro.analysis.ordering.HappensBefore` reads from here, and
-counts the communication statistics the views in
+resolves every event's vector clock (as a base shared along program
+order), which :class:`~repro.analysis.ordering.HappensBefore` reads
+from here, and counts the communication statistics the views in
 :mod:`repro.analysis.stats`, ``structure`` and ``parallelism`` read.
 """
 
@@ -57,7 +57,10 @@ class MessageMatcher:
     accept, in accept order (``initiator`` None when only the server
     was metered); the unmatched lists report losses within fully-known
     connections and among datagrams; ``clocks[event.index]`` is the
-    event's dense vector clock (it stops at its last nonzero component);
+    event's clock *base* (:mod:`repro.streaming.clocks`): its dense
+    vector clock with the own component left implicit, one tuple shared
+    by a run of program-order events (``HappensBefore.vector_clock``
+    writes the component back);
     ``fold`` is the finished run, whose counters ``totals()`` and
     ``per_process()`` report in the engine's ``digest()`` shape (the
     statistics views read its per-process slots and ``pair_traffic``).

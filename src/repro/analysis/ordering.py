@@ -10,13 +10,15 @@ Given these constraints, much of the global ordering can be deduced."
 :class:`HappensBefore` is a view over per-event **vector clocks** of
 the Lamport partial order (program order per process plus matched
 send->receive edges), resolved by the fold run that pairs the messages
-(:class:`~repro.analysis.matching.MessageMatcher`).  A clock comparison
-answers ordering queries in O(1) and the whole ordered-fraction study
-in O(events x processes) -- no transitive closure is ever materialized,
-so memory stays linear in the trace.  The happens-before DAG itself is
-still available (built lazily) for :meth:`HappensBefore.
-consistent_global_order`'s topological sort and for graph algorithms;
-only those two import networkx.
+(:class:`~repro.analysis.matching.MessageMatcher`), which stores each
+as a *base* shared along program order (:mod:`repro.streaming.clocks`).
+A clock comparison answers ordering queries in O(1) and the whole
+ordered-fraction study in O(events + receives x processes) -- no
+transitive closure is ever materialized, so memory stays linear in the
+trace.  The happens-before DAG itself is still available (built
+lazily) for :meth:`HappensBefore.consistent_global_order`'s
+topological sort and for graph algorithms; only those two import
+networkx.
 
 :func:`estimate_clock_skews` recovers approximate relative clock
 offsets from the send/receive pairs, in the spirit of TEMPO (Gusella
@@ -42,7 +44,11 @@ class HappensBefore:
         events of the i-th process (in ``trace.processes()`` order)
         that happen before (or at) this event."""
         clock = self.matcher.clocks[event.index]
-        return clock + (0,) * (len(self._component) - len(clock))
+        own = self._component[event.process]
+        return (
+            clock[:own] + (event.proc_seq + 1,) + clock[own + 1:]
+            + (0,) * (len(self._component) - len(clock))
+        )
 
     @property
     def graph(self):
@@ -66,13 +72,15 @@ class HappensBefore:
     # -- queries -------------------------------------------------------
 
     def happens_before(self, event_a, event_b):
-        """Whether ``event_a`` -> ``event_b`` is deducible.  O(1): one
-        clock-component comparison."""
+        """Whether ``event_a`` -> ``event_b`` is deducible.  O(1): program
+        order, or one clock-component comparison."""
         if event_a.index == event_b.index:
             return False
+        if event_a.process == event_b.process:
+            return event_a.proc_seq < event_b.proc_seq
         # a -> b iff b's component for a's process has reached a's own
-        # value; a dense clock too short to have that component has
-        # seen nothing of a's process.
+        # value (b's base holds b's clock there); a dense clock too
+        # short to have that component has seen nothing of a's process.
         clock_b = self.matcher.clocks[event_b.index]
         component = self._component[event_a.process]
         return (
@@ -93,10 +101,12 @@ class HappensBefore:
         """Fraction of cross-machine event pairs the trace can order.
 
         This is the paper's "much of the global ordering can be
-        deduced" made quantitative (bench P5).  O(N x P): summing an
-        event's clock components over other-machine processes counts
-        every ordered cross-machine pair exactly once, at its later
-        event.
+        deduced" made quantitative (bench P5).  Summing an event's
+        clock components over other-machine processes counts every
+        ordered cross-machine pair exactly once, at its later event.
+        Those components leave out the event's own, so they are the
+        same for every event sharing a base: each run of a shared base
+        is summed once, O(N + R x P) for R receives.
         """
         clocks = self.matcher.clocks
         trace = self.trace
@@ -117,12 +127,16 @@ class HappensBefore:
                 for component, (machine, __pid) in enumerate(processes)
                 if machine == process[0]
             ]
+            last = None
             for event in trace.events_for(process):
                 clock = clocks[event.index]
-                ordered += sum(clock)
-                for component in same:
-                    if component < len(clock):
-                        ordered -= clock[component]
+                if clock is not last:
+                    last = clock
+                    value = sum(clock)
+                    for component in same:
+                        if component < len(clock):
+                            value -= clock[component]
+                ordered += value
         return ordered / total
 
     def consistent_global_order(self):

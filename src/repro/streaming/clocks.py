@@ -12,13 +12,22 @@ What an event waits with lives in its own slots (``fold.Event``).
 
 Component ``i`` of a clock counts the events of the ``i``-th process
 (first-appearance order, identical to ``Trace.processes()``) that
-happen before or at the event; the event's own component is forced to
-``proc_seq + 1`` after the merge.  Clocks are dense tuples that stop at
-their last nonzero component (an event's own component is never zero,
-and a merge is as long as its longer operand), so they are independent
-of how many processes eventually appear.  Tuples are immutable, which
-is what lets a program-order successor *share* its predecessor's clock
-until it resolves and writes its own component into a copy.
+happen before or at the event; the event's own component is
+``proc_seq + 1``.  Clocks are dense tuples that stop at their last
+nonzero component (an event's own component is never zero, and a
+merge is as long as its longer operand), so they are independent of
+how many processes eventually appear.
+
+What an event stores (``event.clock``, and what ``on_resolve`` hands
+out) is its clock's *base*: the clock with the own component
+(``proc.component``) left implicit.  Only a process's first event and
+a receive that merged a send change any other component, so only those
+build a tuple; every other event shares its program-order
+predecessor's, and a base costs O(processes + receives) tuples for the
+whole stream rather than one per event.  A base is at least
+``component + 1`` long, is otherwise the clock itself, and holds in its
+own component a value no larger than the event's.  :func:`true_clock`
+writes the own component back (the hot readers do it inline).
 """
 
 from collections import Counter, deque
@@ -28,11 +37,20 @@ def process_key(machine, pid):
     return "{0}:{1}".format(machine, pid)
 
 
+def true_clock(event):
+    """``event``'s dense vector clock, or None while it is unresolved:
+    its base with the own component written.  For tests and rare
+    queries; the per-event readers write the component inline."""
+    clock = event.clock
+    if clock is None:
+        return None
+    own = event.proc.component
+    return clock[:own] + (event.proc_seq + 1,) + clock[own + 1:]
+
+
 def _merge(acc, other):
-    """Componentwise max of two dense clocks (an ``acc``: tuple or
-    list); ``acc`` may be None."""
-    if acc is None:
-        return other
+    """Componentwise max of two dense clocks or bases (tuples or
+    lists), as a new list."""
     if len(acc) < len(other):
         acc, other = other, acc
     merged = [a if a > b else b for a, b in zip(acc, other)]
@@ -86,10 +104,12 @@ class OnlineVectorClocks:
 
     ``on_resolve(event, clock)`` fires once per event, in dependency
     order (not arrival order -- a digest over resolutions must be
-    order-independent).  The last ``history`` resolved clocks are kept
-    for :meth:`happens_before` (none when ``history`` is not positive);
-    everything older is evicted, so memory is bounded by the in-flight
-    frontier plus that window.
+    order-independent); ``clock`` is the event's base (the module
+    docstring), the object its ``clock`` slot holds, and events that
+    share it share the object.  The last ``history`` resolved bases
+    are kept for :meth:`clock_of` and :meth:`happens_before` (none when
+    ``history`` is not positive); everything older is evicted, so
+    memory is bounded by the in-flight frontier plus that window.
     """
 
     def __init__(self, on_resolve, history):
@@ -104,8 +124,8 @@ class OnlineVectorClocks:
         self._unresolved = {}  # event index -> queued event, for finalize
         self.resolved = 0
         self._history_len = int(history)
-        #: The last ``history`` resolved clocks, oldest first:
-        #: (machine, pid, proc_seq, clock).
+        #: The last ``history`` resolved bases, oldest first:
+        #: (machine, pid, proc_seq, base).
         self._history = deque(maxlen=max(self._history_len, 0))
 
     def admit(self, process):
@@ -138,11 +158,19 @@ class OnlineVectorClocks:
         self._unresolved[event.index] = event
 
     def add_dep(self, event, send):
-        """A matched send happens before ``event`` (a receive)."""
+        """A matched send happens before ``event`` (a receive).  A
+        resolved send's clock is merged as its base, with the send's
+        own component written into the merged copy."""
         if send is event or event.clock is not None:
             return
-        if send.clock is not None:
-            event.acc = _merge(event.acc, send.clock)
+        clock = send.clock
+        if clock is not None:
+            acc = event.acc
+            acc = list(clock) if acc is None else _merge(acc, clock)
+            own = send.proc.component
+            if acc[own] <= send.proc_seq:
+                acc[own] = send.proc_seq + 1
+            event.acc = acc
         else:
             event.wait += 1
             if send.succ is None:
@@ -166,14 +194,18 @@ class OnlineVectorClocks:
                 self._resolve(event)
 
     def _stamp(self, event, acc):
-        """``event``'s clock: a copy of ``acc`` (its predecessors'
-        merged clocks, or None) with its own component written."""
-        own = event.proc.component
-        clock = list(acc or ())
-        if own >= len(clock):  # the process is new to ``acc``
-            clock += [0] * (own + 1 - len(clock))
-        clock[own] = event.proc_seq + 1
-        clock = event.clock = tuple(clock)
+        """Resolve ``event`` on ``acc``: its program-order predecessor's
+        base (a tuple, shared as ``event``'s own), its predecessors'
+        merged clocks (a list of its own, which gets the own component
+        and becomes a tuple), or None (a process's first event)."""
+        if type(acc) is not tuple:
+            own = event.proc.component
+            clock = acc or []
+            if own >= len(clock):  # the process is new to ``acc``
+                clock += [0] * (own + 1 - len(clock))
+            clock[own] = event.proc_seq + 1
+            acc = tuple(clock)
+        clock = event.clock = acc
         self.resolved += 1
         if self._history_len > 0:
             self._history.append(
@@ -189,10 +221,24 @@ class OnlineVectorClocks:
         succ = event.succ
         if succ:
             event.succ = None
+            clock = event.clock
+            proc = event.proc
             for later in succ:
                 if later.clock is not None:
                     continue
-                later.acc = _merge(later.acc, event.clock)
+                acc = later.acc
+                if later.proc is proc:
+                    # Program order: the component the base leaves
+                    # implicit is ``later``'s own as well.
+                    later.acc = clock if acc is None else _merge(acc, clock)
+                else:
+                    # A receive of another process: write the send's
+                    # own component into the merged copy.
+                    acc = list(clock) if acc is None else _merge(acc, clock)
+                    own = proc.component
+                    if acc[own] <= event.proc_seq:
+                        acc[own] = event.proc_seq + 1
+                    later.acc = acc
                 later.wait -= 1
                 if later.wait == 0 and not later.open:
                     self.ready.append(later)
@@ -213,7 +259,11 @@ class OnlineVectorClocks:
     def clock_of(self, machine, pid, proc_seq):
         """The (dense) clock of one event, or None if it has not yet
         resolved or has left the history window."""
-        return self._clock((machine, pid, proc_seq))
+        base = self._clock((machine, pid, proc_seq))
+        if base is None:
+            return None
+        own = self.procs[(machine, pid)].component
+        return base[:own] + (proc_seq + 1,) + base[own + 1:]
 
     def _clock(self, key):
         """A scan from the newest end: queries are rare, resolutions
@@ -225,9 +275,10 @@ class OnlineVectorClocks:
 
     def happens_before(self, a, b):
         """Whether a -> b is deducible; a and b are (machine, pid,
-        proc_seq) triples.  One clock-component compare, after finding
-        b's clock in the history.  Returns None when b's clock is
-        unavailable (unresolved or evicted)."""
+        proc_seq) triples.  Program order for a same-process pair, else
+        one compare against a component of b's base (which is b's
+        clock there), after finding it in the history.  Returns None
+        when b's clock is unavailable (unresolved or evicted)."""
         a = tuple(a)
         b = tuple(b)
         if a == b:
@@ -235,6 +286,8 @@ class OnlineVectorClocks:
         clock_b = self._clock(b)
         if clock_b is None:
             return None
+        if a[:2] == b[:2]:
+            return a[2] < b[2]
         proc = self.procs.get((a[0], a[1]))
         if proc is None or proc.component >= len(clock_b):
             return False  # b's clock has seen nothing of a's process

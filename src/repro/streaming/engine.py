@@ -149,6 +149,13 @@ class StreamEngine:
     # -- fold plumbing -------------------------------------------------
 
     def _clock_resolved(self, event, clock):
+        # ``clock`` is the event's base: its own component goes back in
+        # first (a base the event shares with its predecessor has it
+        # too low).
+        own = event.proc.component
+        if clock[own] <= event.proc_seq:
+            clock = list(clock)
+            clock[own] = event.proc_seq + 1
         self.clock_digest = clock_digest_add(
             self.clock_digest, event.machine, event.pid, event.proc_seq, clock
         )

@@ -34,8 +34,10 @@ class Event:
     here, not in :mod:`repro.analysis.trace` (which re-exports it),
     because the filter guest runs the fold and must not import the
     analysis stack.  The last five slots are the clock fold's (its
-    clock; its resolved predecessors' merged clocks, and how many are
-    unresolved; whether a send may still be added; who waits on it).
+    clock's base, shared with its program-order neighbours -- see
+    :mod:`repro.streaming.clocks`; its resolved predecessors' merged
+    clocks, and how many are unresolved; whether a send may still be
+    added; who waits on it).
     """
 
     __slots__ = (
@@ -92,7 +94,12 @@ class CausalFold:
     the record first).
 
     ``on_pair(send, recv, nbytes)`` fires per matched pair and
-    ``on_clock(event, clock)`` once per event in dependency order.
+    ``on_clock(event, clock)`` once per event in dependency order,
+    with the clock's base: the event's dense vector clock with its own
+    component (``event.proc.component``, worth ``proc_seq + 1``) left
+    implicit, one tuple per process's first event and per receive
+    that merged a send, shared by the events after it
+    (``clocks.true_clock`` writes the component back).
     The counters live on the per-process slots (``procs``) and in
     ``pair_traffic``; :meth:`totals` and :meth:`per_process` answer
     from them."""

@@ -13,6 +13,8 @@ travel in each sealed segment's footer and the reader's codec maps
 them back to the same display strings.
 """
 
+from itertools import islice
+
 from repro.filtering.records import parse_trace
 from repro.metering.messages import (
     BODY_FIELDS,
@@ -30,9 +32,9 @@ _NAME_FIELDS = {
 }
 
 
-#: Records handed to the writer's batch loop between driver calls:
-#: bounds the ops queued at once, so a pack's memory does not grow with
-#: the log beyond its records.
+#: Records encoded and handed to the writer's batch loop between driver
+#: calls: bounds the wire pairs and the ops held at once, so a pack's
+#: memory does not grow with the log beyond its records.
 PACK_CHUNK_RECORDS = 256
 
 
@@ -52,11 +54,14 @@ def host_names_from_records(records):
     return {i + 1: host for i, host in enumerate(sorted(hosts))}
 
 
-def wire_pairs(records, codec):
+def wire_pairs(records, codec, encoders=None):
     """(payload, mask) per record; fields missing from the record are
-    encoded as zero and flagged in the mask."""
+    encoded as zero and flagged in the mask.  ``encoders`` (event ->
+    generated encoder) is the cache to fill, shared by the calls that
+    encode one log a chunk at a time."""
     name = codec.name_wire_bytes
-    encoders = {}
+    if encoders is None:
+        encoders = {}
     pairs = []
     for record in records:
         event = record_event(record)
@@ -89,11 +94,16 @@ def pack_records(records, base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
                          host_names=host_names, compress=compress)
     sink = {}
     drive = writer_driver or (lambda w: collect_ops(sink, w))
-    pairs = wire_pairs(records, codec)
-    for start in range(0, len(pairs), PACK_CHUNK_RECORDS):
-        writer.append_many(pairs[start:start + PACK_CHUNK_RECORDS])
+    # Each chunk is encoded just before it is appended, in one pass of
+    # ``records``' own iterator.
+    encoders = {}
+    remaining = iter(records)
+    chunk = list(islice(remaining, PACK_CHUNK_RECORDS))
+    while chunk:
+        writer.append_many(wire_pairs(chunk, codec, encoders))
         if writer.ops:
             drive(writer)
+        chunk = list(islice(remaining, PACK_CHUNK_RECORDS))
     writer.close()
     drive(writer)
     if writer_driver is None:

@@ -23,6 +23,7 @@ from repro.analysis.reference import ReferenceAnalysis, reference_digest
 from repro.analysis.stats import CommunicationStatistics
 from repro.analysis.structure import CommunicationGraph
 from repro.analysis.trace import Trace
+from repro.streaming.clocks import true_clock
 from repro.streaming.engine import StreamEngine
 from repro.streaming.fold import CausalFold, Event
 from repro.streaming.matching import OnlineMatcher
@@ -233,7 +234,7 @@ class _FoldAnswers:
         self.pairs.append(MessagePair(send, recv, nbytes))
 
     def _resolved(self, event, clock):
-        self.clocks[event.index] = clock
+        self.clocks[event.index] = true_clock(event)
 
     def answers(self):
         return (
@@ -431,7 +432,7 @@ def test_each_clock_fires_once_after_its_predecessors(records):
 
     def on_clock(event, clock):
         fired.append(("clock", event.index))
-        clocks[event.index] = clock
+        clocks[event.index] = true_clock(event)
 
     fold = CausalFold(
         on_pair=lambda send, recv, nbytes: fired.append(

@@ -19,6 +19,7 @@ from collections import OrderedDict
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.streaming.clocks import true_clock
 from repro.streaming.engine import StreamEngine
 from repro.streaming.fold import Event
 from repro.streaming.matching import OnlineMatcher
@@ -223,7 +224,8 @@ def test_history_ring_equals_a_bounded_ordered_dict(records, history):
     resolve = clocks.on_resolve
 
     def on_resolve(event, clock):
-        reference[(event.machine, event.pid, event.proc_seq)] = clock
+        reference[(event.machine, event.pid, event.proc_seq)] = true_clock(
+            event)
         if len(reference) > history:
             reference.popitem(last=False)
         resolve(event, clock)

@@ -16,8 +16,14 @@ from repro.metering.messages import (
     MessageCodec,
     message_length,
 )
-from repro.tracestore import StoreReader, pack_text
-from repro.tracestore.convert import host_names_from_records
+from repro.tracestore import StoreReader, convert, pack_text
+from repro.tracestore.convert import (
+    PACK_CHUNK_RECORDS,
+    host_names_from_records,
+    pack_records,
+    wire_pairs,
+)
+from repro.tracestore.writer import StoreWriter
 
 
 def _talker(sys, argv):
@@ -277,6 +283,44 @@ def test_pack_text_bytes_are_pinned():
         "22b93000d27be55567320582b18fb99256971122c3c202e2841b92f55d1adae2"
     )
     assert StoreReader.from_bytes(store).records() == parse_trace(text)
+
+
+def test_pack_encodes_each_chunk_just_before_appending_it(monkeypatch):
+    """The pack holds one chunk's wire pairs at a time and builds each
+    event's encoder once, yet queues exactly the ops -- so the bytes
+    and footers -- of appending the whole log's pairs in one batch.
+    Records that are not Appendix-A messages are skipped mid-chunk."""
+    records = parse_trace(_generated_log(lines=2000))
+    for at in range(7, len(records), 301):
+        records.insert(at, {"event": "bogus", "machine": 1})
+    hosts = host_names_from_records(records)
+    oracle = StoreWriter("/t/chunk.store", segment_bytes=8192,
+                         host_names=hosts)
+    oracle.append_many(wire_pairs(records, MessageCodec(hosts)))
+    oracle.close()
+
+    encoded, built = [], []
+    real_pairs, real_encoder = convert.wire_pairs, convert.record_encoder
+
+    def counted_pairs(chunk, *args):
+        encoded.append(len(chunk))
+        return real_pairs(chunk, *args)
+
+    def counted_encoder(event):
+        built.append(event)
+        return real_encoder(event)
+
+    monkeypatch.setattr(convert, "wire_pairs", counted_pairs)
+    monkeypatch.setattr(convert, "record_encoder", counted_encoder)
+    ops = []
+    __, writer = pack_records(
+        records, "/t/chunk.store", segment_bytes=8192, host_names=hosts,
+        writer_driver=lambda w: ops.extend(w.pending_ops()),
+    )
+    assert ops == oracle.pending_ops()
+    assert writer.records_appended == oracle.records_appended
+    assert max(encoded) == PACK_CHUNK_RECORDS and sum(encoded) == len(records)
+    assert sorted(built) == sorted(set(built)) == sorted(BODY_FIELDS)
 
 
 @pytest.mark.parametrize(

@@ -26,17 +26,6 @@ have been in 1984.
 from repro.metering import messages
 from repro.net.addresses import decode_name
 
-HEADER_FIELDS = ("size", "machine", "cpuTime", "procTime", "traceType")
-
-# Header layout (offset, length) within the 24-byte header.
-_HEADER_LAYOUT = {
-    "size": (0, 4),
-    "machine": (4, 2),
-    "cpuTime": (8, 4),
-    "procTime": (16, 4),
-    "traceType": (20, 4),
-}
-
 
 class FieldDescription:
     """One ``name,offset,length,base`` entry."""
@@ -73,26 +62,18 @@ class EventDescription:
     def field_names(self):
         return [field.name for field in self.fields]
 
-    def decode_body(self, body, host_names, offset=0):
-        if offset:
-            body = body[offset:]
-        return {
-            field.name: field.decode(body, host_names)
-            for field in self.fields
-        }
-
 
 class DescriptionSet:
     """A parsed description file: header + per-event descriptions.
 
     Two decode lanes, chosen once at construction.  A set that
     describes exactly the Appendix-A formats (the shipped default)
-    decodes through the codec tables' generated columnar decoder
-    (:func:`repro.metering.messages.wire_decoder`); an edited set --
-    renamed or subset fields, other offsets, extra event types -- is a
-    different protocol and decodes field by field as written.  The
-    per-field walk is also the reference the generated lane is tested
-    against (:meth:`decode_per_field`, like
+    decodes through the codec, whose decoder is generated from its
+    tables (:class:`repro.metering.messages.EventLayout`); an edited
+    set -- renamed or subset fields, other offsets, extra event types
+    -- is a different protocol and decodes field by field as written.
+    The per-field walk is also the reference the generated lane is
+    tested against (:meth:`decode_per_field`, like
     ``RuleSet.apply_interpreted``).
     """
 
@@ -102,10 +83,9 @@ class DescriptionSet:
         self.by_type = {event.type_code: event for event in events}
         self.by_name = {event.event.lower(): event for event in events}
         self.appendix_a = matches_appendix_a(self)
-        # The generated decoder caches NAME display strings, so it is
-        # built per host table (and rebuilt if the table changes).
-        self._decoder = None
-        self._decoder_hosts = None
+        # The codec caches NAME display strings, so it is built per
+        # host table (and rebuilt if the table changes).
+        self._codec = messages.MessageCodec()
 
     def decode_message(self, raw, host_names=None):
         """Decode one complete meter message into a flat record dict;
@@ -113,10 +93,9 @@ class DescriptionSet:
         host_names = host_names or {}
         if not self.appendix_a:
             return self.decode_per_field(raw, host_names)
-        if host_names != self._decoder_hosts:
-            self._decoder_hosts = dict(host_names)
-            self._decoder = messages.wire_decoder(self._decoder_hosts)
-        return self._decoder(raw)
+        if host_names != self._codec.host_names:
+            self._codec = messages.MessageCodec(host_names)
+        return self._codec.decode(raw)
 
     def decode_per_field(self, raw, host_names=None):
         """The description file interpreted literally, one slice per
@@ -124,7 +103,7 @@ class DescriptionSet:
         host_names = host_names or {}
         record = {}
         for name in self.header_fields:
-            offset, length = _HEADER_LAYOUT[name]
+            offset, length = messages.HEADER_OFFSETS[name]
             record[name] = int.from_bytes(
                 raw[offset : offset + length], "big", signed=True
             )
@@ -132,9 +111,9 @@ class DescriptionSet:
         if event is None:
             raise ValueError("no description for traceType %d" % record["traceType"])
         record["event"] = event.event.lower()
-        record.update(
-            event.decode_body(raw, host_names, offset=messages.HEADER_BYTES)
-        )
+        body = raw[messages.HEADER_BYTES :]
+        for field in event.fields:
+            record[field.name] = field.decode(body, host_names)
         return record
 
     def field_order(self, event_name):
@@ -145,7 +124,7 @@ class DescriptionSet:
 
 def parse_descriptions(text):
     """Parse a description file (Figure 3.2 format)."""
-    header_fields = list(HEADER_FIELDS)
+    header_fields = list(messages.HEADER_FIELDS)
     events = []
     for line in text.splitlines():
         line = line.strip()
@@ -157,6 +136,8 @@ def parse_descriptions(text):
             header_fields = words[1:]
             continue
         # "SEND 1, pid,0,4,10 pc,4,4,10 ..."
+        if len(words) < 2:
+            raise ValueError("no type code in %r" % line)
         type_token = words[1].rstrip(",")
         fields = []
         for spec in words[2:]:
@@ -175,12 +156,12 @@ def matches_appendix_a(descriptions):
     lengths and bases, and no event type of its own.
 
     This is the precondition for running code generated from the codec
-    layouts (the columnar decoder, and the live filter's
+    layouts (the codec's decoder, and the live filter's
     :func:`repro.tracestore.batchscan.message_select`): a filter with
     *edited* descriptions speaks a different protocol, so it must
     decode and select by its own file, field by field.
     """
-    if tuple(descriptions.header_fields) != tuple(HEADER_FIELDS):
+    if descriptions.header_fields != messages.HEADER_FIELDS:
         return False
     if set(descriptions.by_type) != set(messages.EVENT_TYPES.values()):
         return False
@@ -199,7 +180,7 @@ def matches_appendix_a(descriptions):
 
 def default_descriptions_text():
     """Generate the canonical description file from the codec tables."""
-    lines = ["HEADER " + " ".join(HEADER_FIELDS)]
+    lines = ["HEADER " + " ".join(messages.HEADER_FIELDS)]
     for event, type_code in sorted(
         messages.EVENT_TYPES.items(), key=lambda item: item[1]
     ):

@@ -137,14 +137,35 @@ BODY_FIELDS = {
 
 _KIND_BYTES = {"long": 4, "name": _NAME_BYTES}
 
-HEADER_FIELDS = ["size", "machine", "cpuTime", "procTime", "traceType"]
+# The header's words in wire order, as (label, struct code): the short
+# is padded to a long, and the Dummy long is a ``4x`` pad (pack writes
+# zeros).  This table is the one spelling of the header in ``src/``.
+_HEADER_WORDS = [
+    ("size", "i"), ("machine", "h"), ("(pad)", "2x"), ("cpuTime", "i"),
+    ("Dummy", "4x"), ("procTime", "i"), ("traceType", "i"),
+]
+_HEADER_FMT = ">" + "".join(code for __, code in _HEADER_WORDS)
+HEADER_FIELDS = [label for label, code in _HEADER_WORDS if "x" not in code]
+#: (label, offset, length) of every header word, the pads included.
+HEADER_SPANS = [
+    (
+        label,
+        struct.calcsize(">" + "".join(c for __, c in _HEADER_WORDS[:i])),
+        struct.calcsize(">" + code),
+    )
+    for i, (label, code) in enumerate(_HEADER_WORDS)
+]
+#: Header field -> (offset, length) within the 24-byte header.
+HEADER_OFFSETS = {
+    label: (offset, length)
+    for label, offset, length in HEADER_SPANS
+    if label in HEADER_FIELDS
+}
 
 # Precompiled whole-message structs: one ``struct.Struct`` per
 # Appendix-A format so encode/decode are single pack/unpack calls on
-# the hot path instead of per-field loops.  The header's Dummy word is
-# the ``4x`` pad (pack writes it as zeros, matching the per-field
-# encoder); body longs are ``i`` and NAME fields ``16s``.
-_HEADER_FMT = ">ih2xi4xii"
+# the hot path instead of per-field loops; body longs are ``i`` and
+# NAME fields ``16s``.
 _EVENT_STRUCTS = {
     event: struct.Struct(
         _HEADER_FMT
@@ -152,7 +173,8 @@ _EVENT_STRUCTS = {
     )
     for event, fields in BODY_FIELDS.items()
 }
-_HEADER_DECODE = struct.Struct(_HEADER_FMT)
+#: The header alone: (size, machine, cpuTime, procTime, traceType).
+HEADER = struct.Struct(_HEADER_FMT)
 #: The header and the pid long every Appendix-A body starts with: all
 #: the store writer's footer index reads of a record.
 HEADER_PID = struct.Struct(_HEADER_FMT + "i")
@@ -225,7 +247,7 @@ def field_layout(event):
 
 
 # ----------------------------------------------------------------------
-# Columnar layouts: the one compiled decode lane
+# Columnar layouts: the one Appendix-A decoder
 # ----------------------------------------------------------------------
 #
 # Every Appendix-A body is longs first, then 16-byte NAME blobs, so the
@@ -234,9 +256,11 @@ def field_layout(event):
 # them.  The layouts below are that observation, compiled once per
 # ``(prefix, event)``: ``prefix`` is the string of one-character struct
 # codes for whatever frames the message ("" for a bare wire message,
-# "II"/"III" for the trace store's v1/v2 frame headers), so the live
+# "III" for the trace store's frame header), so the codec, the live
 # filter and the store scan run the same generated code over the same
-# tuple shape, shifted by ``len(prefix)``.
+# tuple shape, shifted by ``len(prefix)``.  Its reference is the
+# description file read field by field
+# (:meth:`repro.filtering.descriptions.DescriptionSet.decode_per_field`).
 
 _EVENT_LAYOUTS = {}
 _FRAME_LAYOUTS = {}
@@ -269,8 +293,8 @@ def name_column(slot):
 
 
 def _materializer(prefix, event, discards):
-    """Generate ``mat(t, buf, noff, look) -> record dict`` with keys in
-    exactly :meth:`MessageCodec.decode`'s order, omitting ``discards``
+    """Generate ``mat(t, buf, noff, look) -> record dict``: the header
+    fields, ``event``, then the body fields, omitting ``discards``
     so an accepted record never needs a second dict pass.  ``t`` is the
     layout's unpacked tuple, ``noff`` the offset in ``buf`` of the
     first NAME blob, ``look`` a :func:`name_lookup`."""
@@ -524,24 +548,26 @@ def wire_layout(raw):
     ValueError when it is not a whole Appendix-A message."""
     layout = _WIRE_LAYOUTS.get(peek_trace_type(raw))
     if layout is None:
-        raise ValueError("not an Appendix-A meter message")
+        if len(raw) < HEADER_BYTES:
+            raise ValueError("short meter message: %d bytes" % len(raw))
+        raise ValueError("unknown traceType %d" % peek_trace_type(raw))
     if len(raw) < layout.length:
         raise ValueError("truncated meter message")
     return layout
 
 
-def wire_decoder(host_names):
-    """``decode(raw) -> record dict`` for bare wire messages: the
-    generated lane, record-identical to :meth:`MessageCodec.decode` and
-    to the description-driven per-field walk on Appendix-A messages."""
-    look = name_lookup(host_names)
+def discard_mask(event, missing_fields):
+    """Bitmap over :func:`record_fields` marking the discarded ones."""
+    return sum(
+        1 << bit
+        for name, bit in event_layout("", event).field_bits.items()
+        if name in missing_fields
+    )
 
-    def decode(raw):
-        layout = wire_layout(raw)
-        return layout.mat(layout.unpack(raw), raw, layout.names_offset, look)
 
-    return decode
-
+def masked_fields(event, mask):
+    """The field names a mask discards."""
+    return list(event_layout("", event).masked(mask))
 
 
 class MessageCodec:
@@ -626,52 +652,32 @@ class MessageCodec:
     # -- decoding -------------------------------------------------------
 
     def decode(self, raw):
-        """Decode one full message into a flat dict (header + body).
+        """Decode one full message into a flat dict (header + body)
+        through its wire :class:`EventLayout`; a batch marker decodes to
+        a ``batchmark`` record of its header, ``pid`` and ``seq``.
 
         NAME fields decode to display strings; an all-zero NAME decodes
-        to the empty string.
+        to the empty string.  ValueError when the message is shorter
+        than its header, its ``size`` field or its layout, or has an
+        unknown traceType.
         """
         if len(raw) < HEADER_BYTES:
             raise ValueError("short meter message: %d bytes" % len(raw))
-        size, machine, cpu_time, proc_time, trace_type = _HEADER_DECODE.unpack_from(
-            raw
+        header = HEADER.unpack_from(raw)
+        if len(raw) < header[0]:
+            raise ValueError("truncated meter message")
+        if header[4] == BATCH_MARKER_TYPE:
+            if len(raw) < MARKER_BYTES:
+                raise ValueError("truncated batch marker: %d bytes" % len(raw))
+            record = dict(zip(HEADER_FIELDS, header), event="batchmark")
+            record["pid"], record["seq"] = _MARKER_STRUCT.unpack_from(raw)[5:]
+            return record
+        layout = _WIRE_LAYOUTS.get(header[4])
+        if layout is None or len(raw) < layout.length:
+            layout = wire_layout(raw)  # raises the ValueError
+        return layout.mat(
+            layout.unpack(raw), raw, layout.names_offset, self._name_text
         )
-        if len(raw) < size:
-            raise ValueError("truncated meter message")
-        if trace_type == BATCH_MARKER_TYPE:
-            pid, seq = struct.unpack_from(">ii", raw, HEADER_BYTES)
-            return {
-                "size": size,
-                "machine": machine,
-                "cpuTime": cpu_time,
-                "procTime": proc_time,
-                "traceType": trace_type,
-                "event": "batchmark",
-                "pid": pid,
-                "seq": seq,
-            }
-        event = EVENT_NAMES.get(trace_type)
-        if event is None:
-            raise ValueError("unknown traceType %d" % trace_type)
-        unpacker = _EVENT_STRUCTS[event]
-        if len(raw) < unpacker.size:
-            raise ValueError("truncated meter message")
-        values = unpacker.unpack_from(raw)
-        record = {
-            "size": size,
-            "machine": machine,
-            "cpuTime": cpu_time,
-            "procTime": proc_time,
-            "traceType": trace_type,
-            "event": event,
-        }
-        name_text = self._name_text
-        for index, (name, kind) in enumerate(BODY_FIELDS[event], 5):
-            if kind == "long":
-                record[name] = values[index]
-            else:
-                record[name] = name_text(values[index])
-        return record
 
 
 def peek_size(raw, offset=0):

@@ -12,18 +12,14 @@ check the Appendix-A layouts against a real trace::
 """
 
 from repro.metering import messages
-from repro.metering.messages import EVENT_NAMES, HEADER_BYTES
+from repro.metering.messages import (
+    EVENT_NAMES,
+    HEADER_BYTES,
+    HEADER_SPANS,
+    peek_size,
+    peek_trace_type,
+)
 from repro.net.addresses import decode_name
-
-_HEADER_LAYOUT = [
-    ("size", 0, 4),
-    ("machine", 4, 2),
-    ("(pad)", 6, 2),
-    ("cpuTime", 8, 4),
-    ("Dummy", 12, 4),
-    ("procTime", 16, 4),
-    ("traceType", 20, 4),
-]
 
 
 def _int_of(raw):
@@ -40,12 +36,12 @@ def annotate_message(raw, host_names=None):
     """Render one raw meter message as an annotated hexdump."""
     if len(raw) < HEADER_BYTES:
         raise ValueError("short meter message: %d bytes" % len(raw))
-    trace_type = _int_of(raw[20:24])
+    trace_type = peek_trace_type(raw)
     event = EVENT_NAMES.get(trace_type)
     if event is None:
         raise ValueError("unknown traceType %d" % trace_type)
-    lines = ["{0} message, {1} bytes".format(event, _int_of(raw[0:4]))]
-    for label, offset, nbytes in _HEADER_LAYOUT:
+    lines = ["{0} message, {1} bytes".format(event, peek_size(raw))]
+    for label, offset, nbytes in HEADER_SPANS:
         chunk = raw[offset : offset + nbytes]
         lines.append(_row(label, offset, chunk, _int_of(chunk)))
     for name, offset, nbytes, base in messages.field_layout(event):
@@ -66,7 +62,7 @@ def annotate_stream(raw, host_names=None, limit=None):
     offset = 0
     count = 0
     while offset + 4 <= len(raw):
-        size = _int_of(raw[offset : offset + 4])
+        size = peek_size(raw, offset)
         if size <= 0 or offset + size > len(raw):
             break
         blocks.append(annotate_message(raw[offset : offset + size], host_names))

@@ -12,16 +12,13 @@ so there is no window where queries go to a dead engine.
 """
 
 import json
-import struct
 
-from repro.metering.messages import HEADER_BYTES, STREAM_QUERY_TYPE
+from repro.metering.messages import HEADER, HEADER_BYTES, STREAM_QUERY_TYPE
 
 #: Must stay within the inbox's framing bound (filterlib's
 #: MAX_METER_MESSAGE); kept literal to avoid importing the filter from
 #: the daemon side.
 MAX_QUERY_FRAME = 4096
-
-_HEADER = struct.Struct(">ih2xiiii")
 
 
 def encode_query(request):
@@ -33,7 +30,7 @@ def encode_query(request):
         raise ValueError(
             "query too large for a meter frame ({0} bytes)".format(size)
         )
-    return _HEADER.pack(size, 0, 0, 0, 0, STREAM_QUERY_TYPE) + payload
+    return HEADER.pack(size, 0, 0, 0, STREAM_QUERY_TYPE) + payload
 
 
 def parse_query(raw):

@@ -1,9 +1,13 @@
 """Batch fast lane: fused decode + columnar rule pre-screen.
 
-:meth:`StoreReader.scan` is the *oracle*: one codec decode per frame,
-one dict per record, predicates and rules interpreted over dicts.  At
-~200k events/s that is the whole cost of an interactive query loop, so
-this module compiles the same semantics down to batch-shaped work:
+:meth:`StoreReader.scan` is the *oracle* of the walk: one codec decode
+per frame, one dict per record, predicates and rules interpreted over
+dicts.  At ~200k events/s that is the whole cost of an interactive
+query loop, so this module compiles the same semantics down to
+batch-shaped work.  It shares the oracle's segment admission
+(:meth:`StoreReader.admitted`) and, on frames it falls back on, its
+residual predicate (:meth:`Predicates.residual`); the decoder both
+run is the one in :mod:`repro.metering.messages`:
 
 - **Fused frame decode.**  Frames of one payload length share one
   precompiled ``struct.Struct`` covering frame header + message header
@@ -25,8 +29,9 @@ this module compiles the same semantics down to batch-shaped work:
 - **Lazy record materialization.**  Accepted records are built by a
   generated dict-literal function in exactly the codec's key order;
   NAME blobs decode through a per-scan cache keyed on their raw bytes.
-  (The layouts, materializers and NAME cache live beside the codec in
-  :mod:`repro.metering.messages`, the wire format's one owner.)
+  (The layouts, materializers and NAME cache live in
+  :mod:`repro.metering.messages`, the wire format's one owner; the
+  codec decodes through the same layouts, unframed.)
 - **Checksum hoisting.**  A sealed segment is verified with one CRC32
   sweep over the whole frame region (the footer's ``data_crc32``)
   instead of one per frame; a mismatch, or a footer without the field,
@@ -55,6 +60,7 @@ import zlib
 from repro.metering.messages import (
     BATCH_MARKER_TYPE,
     EVENT_TYPES,
+    discard_mask,
     event_layout,
     frame_layout,
     is_batch_marker,
@@ -64,7 +70,7 @@ from repro.metering.messages import (
 )
 from repro.tracestore import format as sformat
 from repro.tracestore.errors import CorruptFrameError, CorruptSegmentError
-from repro.tracestore.reader import ScanStats
+from repro.tracestore.reader import Predicates, ScanStats
 
 _U32 = struct.Struct(">I")
 
@@ -84,7 +90,7 @@ class _Accept:
 
     def __init__(self, info, discards):
         self.mat = info.materializer(discards)
-        self.mask = sformat.discard_mask(info.event, discards)
+        self.mask = discard_mask(info.event, discards)
 
 
 def _selected(records, ruleset):
@@ -277,14 +283,15 @@ class _Program:
 
 
 def _walk_segment(path, buf, start, end, out_append, program, ruleset,
-                  codec, look, stats, machine_set, pid_set, event_set,
-                  t_min, t_max):
+                  codec, look, stats, query):
     """Walk one sealed segment's frame region, appending final records
     (predicates, masks and rules applied) to ``out_append``.  Exactly
     :meth:`StoreReader._segment_records` + ``RuleSet.apply``, lowered.
     The caller has verified the region's CRC, so frames are not
     checksummed again one by one.
     """
+    machine_set, pid_set, event_set = query.machines, query.pids, query.events
+    t_min, t_max = query.t_min, query.t_max
     overhead = sformat.FRAME_OVERHEAD_BYTES
     base = len(_PREFIX)
     size_ix, machine_ix, cpu_ix, tt_ix = base, base + 1, base + 2, base + 4
@@ -316,21 +323,9 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
                 "undecodable frame payload: %s" % err, path=path
             )
         decoded += 1
-        if event_set is not None and record["event"] not in event_set:
+        record = query.residual(record, mask)
+        if record is None:
             return
-        if machine_set is not None and record["machine"] not in machine_set:
-            return
-        if pid_set is not None:
-            if (record["machine"], record.get("pid")) not in pid_set:
-                return
-        time = record["cpuTime"]
-        if t_min is not None and time < t_min:
-            return
-        if t_max is not None and time > t_max:
-            return
-        if mask:
-            for name in sformat.masked_fields(record["event"], mask):
-                record.pop(name, None)
         yielded += 1
         for record in _selected((record,), ruleset):
             out_append(record)
@@ -441,76 +436,36 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
 
 
 def _iter_fast(reader, ruleset, machines, pids, events, t_min, t_max):
+    query = Predicates(machines, pids, events, t_min, t_max)
     stats = reader.last_stats = ScanStats()
-    stats.segments_total = len(reader.segments)
-    machine_set = set(machines) if machines is not None else None
-    pid_set = set(pids) if pids is not None else None
-    event_set = set(events) if events is not None else None
-    #: Rule-event pushdown: a sealed segment holding only events no
-    #: rule can ever accept is skipped on its footer alone.  Guarded to
-    #: segments whose footer names only decodable event types, so a
-    #: strict scan's corruption errors are not skipped along with it.
+    # Rule-event pushdown: a sealed segment holding only events no rule
+    # can ever accept is skipped on its footer alone.
     rule_events = ruleset.pinned_events() if ruleset is not None else None
     codec = reader.codec
     look = name_lookup(codec.host_names)
     program = _Program(ruleset)
-
-    def oracle_walk(segment):
-        return _selected(
-            reader._segment_records(
-                segment, stats, machine_set, pid_set, event_set,
-                t_min, t_max, False,
-            ),
-            ruleset,
-        )
-
-    for segment in reader.segments:
-        if not segment.valid:
-            stats.segments_bad_header += 1
-            stats.segment_errors.append(
-                (segment.path, str(segment.header_error))
-            )
-            continue
+    for segment in reader.admitted(stats, query, rule_events):
         if segment.sealed:
-            footer = segment.footer
-            if not sformat.footer_matches(
-                footer, machines=machine_set, pids=pid_set,
-                events=event_set, t_min=t_min, t_max=t_max,
+            buf, start, end = segment.frame_region()
+            region_crc = segment.footer.get("data_crc32")
+            if region_crc is not None and (
+                zlib.crc32(memoryview(buf)[start:end]) & 0xFFFFFFFF
+                == region_crc
             ):
-                stats.segments_skipped += 1
+                out = []
+                _walk_segment(
+                    segment.path, buf, start, end, out.append, program,
+                    ruleset, codec, look, stats, query,
+                )
+                yield from out
                 continue
-            if rule_events is not None:
-                keys = footer["events"]
-                if all(key in EVENT_TYPES for key in keys) and not any(
-                    key in rule_events for key in keys
-                ):
-                    stats.segments_skipped += 1
-                    continue
-        else:
-            stats.segments_recovered += 1
-        stats.segments_scanned += 1
-        stats.bytes_scanned += segment.data_bytes()
-        if not segment.sealed:
-            # Unsealed tails need marker-based commit truncation: the
-            # oracle walk is authoritative (and tails are small).
-            yield from oracle_walk(segment)
-            continue
-        buf, start, end = segment.frame_region()
-        region_crc = segment.footer.get("data_crc32")
-        if region_crc is None or (
-            zlib.crc32(memoryview(buf)[start:end]) & 0xFFFFFFFF != region_crc
-        ):
-            # No region checksum, or the one sweep failed: the oracle
-            # verifies per frame, so an error carries the exact offset.
-            yield from oracle_walk(segment)
-            continue
-        out = []
-        _walk_segment(
-            segment.path, buf, start, end, out.append, program, ruleset,
-            codec, look, stats, machine_set, pid_set, event_set,
-            t_min, t_max,
+        # Unsealed tails need marker-based commit truncation, and a
+        # region without a checksum, or failing its one sweep, is
+        # verified frame by frame (an error carries the exact offset):
+        # the oracle walk is authoritative for both.
+        yield from _selected(
+            reader._segment_records(segment, stats, query, False), ruleset
         )
-        yield from out
 
 
 def scan_fast(reader, machines=None, pids=None, events=None, t_min=None,

@@ -74,11 +74,13 @@ import struct
 import zlib
 from collections import Counter
 
-from repro.metering.messages import (
+from repro.metering.messages import (  # discard masks re-exported
     EVENT_NAMES,
     HEADER_BYTES,
+    HEADER_OFFSETS,
+    discard_mask,
     field_layout,
-    record_fields,
+    masked_fields,
 )
 from repro.tracestore.errors import BadSegmentHeaderError, CorruptFrameError
 
@@ -107,14 +109,6 @@ DEFAULT_SEGMENT_BYTES = 64 * 1024
 #: length: real payloads are whole meter messages (tens of bytes), so
 #: anything bigger than a segment is noise, not a frame.
 MAX_SALVAGE_PAYLOAD = 1 << 20
-
-#: Wire offsets of the maskable header fields (size and traceType are
-#: never zeroed: they carry the framing and the record's identity).
-_MASKABLE_HEADER_OFFSETS = {
-    "machine": (4, 2),
-    "cpuTime": (8, 4),
-    "procTime": (16, 4),
-}
 
 
 def segment_header(flags=0):
@@ -269,26 +263,6 @@ def salvage_frames(data, start, end):
 # ----------------------------------------------------------------------
 
 
-def discard_mask(event, missing_fields):
-    """Bitmap over record_fields(event) marking the discarded ones."""
-    mask = 0
-    for i, name in enumerate(record_fields(event)):
-        if name in missing_fields:
-            mask |= 1 << i
-    return mask
-
-
-def masked_fields(event, mask):
-    """The field names a mask discards."""
-    if not mask:
-        return []
-    return [
-        name
-        for i, name in enumerate(record_fields(event))
-        if mask & (1 << i)
-    ]
-
-
 def zero_masked_bytes(raw, event, mask):
     """Zero the wire bytes of every masked field (reduction really does
     remove the data, not just the key).  size and traceType survive so
@@ -309,16 +283,14 @@ _MASKED_SPANS = {}
 
 
 def _masked_spans(event, mask):
-    body = {
-        name: (HEADER_BYTES + offset, length)
-        for name, offset, length, __ in field_layout(event)
-    }
-    spans = []
-    for name in masked_fields(event, mask):
-        span = _MASKABLE_HEADER_OFFSETS.get(name) or body.get(name)
-        if span is not None:
-            spans.append((span[0], span[0] + span[1]))
-    spans = _MASKED_SPANS[(event, mask)] = tuple(spans)
+    spans = dict(HEADER_OFFSETS)
+    for name, offset, length, __ in field_layout(event):
+        spans[name] = (HEADER_BYTES + offset, length)
+    spans = _MASKED_SPANS[(event, mask)] = tuple(
+        (spans[name][0], sum(spans[name]))
+        for name in masked_fields(event, mask)
+        if name not in ("size", "traceType")
+    )
     return spans
 
 

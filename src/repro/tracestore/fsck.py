@@ -16,7 +16,7 @@ control frames are not carried over -- the repaired copy is a plain
 record store, like the output of ``trace pack``.
 """
 
-from repro.metering.messages import MessageCodec, is_batch_marker
+from repro.metering.messages import is_batch_marker
 from repro.tracestore import format as sformat
 from repro.tracestore import reader as sreader
 from repro.tracestore.writer import StoreWriter, collect_ops
@@ -110,7 +110,6 @@ def repair_store(reader, out_base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
         out_base, segment_bytes=segment_bytes, host_names=host_names
     )
     sink = {} if writer_driver is None else None
-    codec = MessageCodec(host_names)
     for segment in reader.segments:
         if not segment.valid:
             continue
@@ -119,7 +118,7 @@ def repair_store(reader, out_base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
             if is_batch_marker(payload):
                 continue
             try:
-                codec.decode(payload)
+                reader.codec.decode(payload)
             except ValueError:
                 continue  # already accounted by fsck_store
             writer.append(payload, mask)

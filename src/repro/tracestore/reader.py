@@ -24,6 +24,9 @@ Damage handling is explicit, never silent:
   so a damaged store degrades into "these records, minus this much
   quantified loss" instead of an exception or a lie.
 
+The batch fast lane (:mod:`repro.tracestore.batchscan`), whose oracle
+this scan is, shares its segment admission and residual predicate.
+
 :func:`merge_scan` merges several filters' stores into one stream
 ordered by (header cpuTime, machine) -- the same heuristic interleaving
 as :meth:`Trace.merge`, but computed with a k-way heap merge over lazy
@@ -32,7 +35,7 @@ streams instead of sorting a materialized list.
 
 import heapq
 
-from repro.metering.messages import MessageCodec, is_batch_marker
+from repro.metering.messages import EVENT_TYPES, MessageCodec, is_batch_marker
 from repro.tracestore import format as sformat
 from repro.tracestore.errors import (
     BadSegmentHeaderError,
@@ -357,6 +360,41 @@ class ScanStats:
         return text + ")"
 
 
+class Predicates:
+    """One scan's predicates: pushed down to sealed footers, then
+    applied to each decoded record."""
+
+    __slots__ = ("machines", "pids", "events", "t_min", "t_max")
+
+    def __init__(self, machines=None, pids=None, events=None, t_min=None,
+                 t_max=None):
+        self.machines = set(machines) if machines is not None else None
+        self.pids = set(pids) if pids is not None else None
+        self.events = set(events) if events is not None else None
+        self.t_min = t_min
+        self.t_max = t_max
+
+    def residual(self, record, mask):
+        """``record`` as a scan yields it (the fields ``mask`` discards
+        dropped), or None when the residual predicate rejects it."""
+        if self.events is not None and record["event"] not in self.events:
+            return None
+        machine = record["machine"]
+        if self.machines is not None and machine not in self.machines:
+            return None
+        if self.pids is not None and (machine, record.get("pid")) not in self.pids:
+            return None
+        time = record["cpuTime"]
+        if self.t_min is not None and time < self.t_min:
+            return None
+        if self.t_max is not None and time > self.t_max:
+            return None
+        if mask:
+            for name in sformat.masked_fields(record["event"], mask):
+                record.pop(name, None)
+        return record
+
+
 class StoreReader:
     """Read one store (one filter's segment family)."""
 
@@ -468,11 +506,20 @@ class StoreReader:
         Segments with unreadable headers are skipped and counted in
         either mode.
         """
+        query = Predicates(machines, pids, events, t_min, t_max)
         stats = self.last_stats = ScanStats()
+        for segment in self.admitted(stats, query):
+            yield from self._segment_records(segment, stats, query, salvage)
+
+    def admitted(self, stats, query, rule_events=None):
+        """The segments a scan must read, in order, accounted in
+        ``stats``: a bad header is counted and skipped, and so is a
+        sealed segment whose footer proves that no record matches
+        ``query``, or -- given ``rule_events``, the events some rule
+        can accept -- that holds only decodable events no rule
+        accepts (a footer naming an unknown event is read, so a
+        strict scan's corruption errors are not skipped with it)."""
         stats.segments_total = len(self.segments)
-        machine_set = set(machines) if machines is not None else None
-        pid_set = set(pids) if pids is not None else None
-        event_set = set(events) if events is not None else None
         for segment in self.segments:
             if not segment.valid:
                 stats.segments_bad_header += 1
@@ -481,13 +528,14 @@ class StoreReader:
                 )
                 continue
             if segment.sealed:
+                footer = segment.footer
                 if not sformat.footer_matches(
-                    segment.footer,
-                    machines=machine_set,
-                    pids=pid_set,
-                    events=event_set,
-                    t_min=t_min,
-                    t_max=t_max,
+                    footer, machines=query.machines, pids=query.pids,
+                    events=query.events, t_min=query.t_min, t_max=query.t_max,
+                ) or (
+                    rule_events is not None
+                    and all(key in EVENT_TYPES for key in footer["events"])
+                    and not any(key in rule_events for key in footer["events"])
                 ):
                     stats.segments_skipped += 1
                     continue
@@ -495,13 +543,9 @@ class StoreReader:
                 stats.segments_recovered += 1
             stats.segments_scanned += 1
             stats.bytes_scanned += segment.data_bytes()
-            yield from self._segment_records(
-                segment, stats, machine_set, pid_set, event_set,
-                t_min, t_max, salvage,
-            )
+            yield segment
 
-    def _segment_records(self, segment, stats, machine_set, pid_set,
-                         event_set, t_min, t_max, salvage):
+    def _segment_records(self, segment, stats, query, salvage):
         """Decode one segment's committed frames through the residual
         predicate (the per-segment body of :meth:`scan`, shared with
         the batch fast lane's slow path so both walk damage and apply
@@ -552,23 +596,10 @@ class StoreReader:
             stats.records_decoded += 1
             if damaged:
                 stats.records_salvaged += 1
-            if event_set is not None and record["event"] not in event_set:
-                continue
-            if machine_set is not None and record["machine"] not in machine_set:
-                continue
-            if pid_set is not None:
-                if (record["machine"], record.get("pid")) not in pid_set:
-                    continue
-            time = record["cpuTime"]
-            if t_min is not None and time < t_min:
-                continue
-            if t_max is not None and time > t_max:
-                continue
-            if mask:
-                for name in sformat.masked_fields(record["event"], mask):
-                    record.pop(name, None)
-            stats.records_yielded += 1
-            yield record
+            record = query.residual(record, mask)
+            if record is not None:
+                stats.records_yielded += 1
+                yield record
 
     def records(self, **predicates):
         """Materialize a scan through the fused lane

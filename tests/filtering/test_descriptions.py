@@ -32,7 +32,9 @@ def test_header_line_lists_standard_fields():
 
 def test_descriptions_decode_matches_codec_decode():
     """The filter's description-driven decode and the kernel codec must
-    agree on every field -- this IS the meter/filter protocol."""
+    agree on every field -- this IS the meter/filter protocol.  Both go
+    through the one generated decoder, so each is held to the
+    description file read field by field."""
     codec = MessageCodec({1: "red", 2: "green"})
     ds = default_description_set()
     dest = InternetName("green", 7777, 2)
@@ -50,9 +52,10 @@ def test_descriptions_decode_matches_codec_decode():
     )
     via_codec = codec.decode(raw)
     via_descriptions = ds.decode_message(raw, {1: "red", 2: "green"})
+    reference = ds.decode_per_field(raw, {1: "red", 2: "green"})
     for key in ("machine", "cpuTime", "procTime", "pid", "pc", "sock",
                 "msgLength", "destNameLen", "destName", "event"):
-        assert via_descriptions[key] == via_codec[key], key
+        assert via_descriptions[key] == via_codec[key] == reference[key], key
 
 
 def test_all_events_decodable_via_descriptions():
@@ -83,6 +86,15 @@ def test_unknown_trace_type_raises():
 def test_bad_field_spec_raises():
     with pytest.raises(ValueError):
         parse_descriptions("SEND 1, pid,0,4\n")
+
+
+def test_event_keyword_without_a_type_code_raises():
+    """A line that is only an event keyword is a bad description file,
+    named in a ValueError like a bad field spec -- not an IndexError."""
+    with pytest.raises(ValueError, match="SEND"):
+        parse_descriptions("SEND\n")
+    with pytest.raises(ValueError, match="RECEIVE"):
+        parse_descriptions(default_descriptions_text() + "  RECEIVE  \n")
 
 
 def test_custom_description_subset():

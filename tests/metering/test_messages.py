@@ -208,6 +208,18 @@ def test_batch_marker_roundtrip(codec):
     assert record["traceType"] == messages.BATCH_MARKER_TYPE
 
 
+def test_header_only_batch_marker_is_a_value_error(codec):
+    """A 24-byte message of traceType 99 is a batch marker cut short:
+    ValueError naming its length, here and through decode_stream --
+    never a bare struct.error."""
+    raw = messages.encode_batch_marker(3, 2117, 9)[:HEADER_BYTES]
+    raw = HEADER_BYTES.to_bytes(4, "big") + raw[4:]
+    with pytest.raises(ValueError, match="24 bytes"):
+        codec.decode(raw)
+    with pytest.raises(ValueError, match="24 bytes"):
+        decode_stream(raw, codec)
+
+
 def test_decode_stream_skips_batch_markers(codec):
     event = codec.encode(
         "fork", machine=1, cpu_time=0, proc_time=0, pid=1, pc=1, newPid=2

@@ -1,5 +1,8 @@
-"""Property tests: the Appendix-A codec and the description decoder
-agree on arbitrary messages, and framing never corrupts a stream."""
+"""Property tests: the Appendix-A decoder reads arbitrary messages,
+bare and store-framed, exactly as the description file read field by
+field does, and framing never corrupts a stream."""
+
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,19 +87,47 @@ def test_encode_decode_round_trip(message):
                 assert record[field] == expected
 
 
-@given(_message_strategy())
+@given(
+    _message_strategy(),
+    st.binary(max_size=7),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
 @settings(max_examples=100)
-def test_codec_and_descriptions_always_agree(message):
-    """The generated description file decodes exactly like the codec."""
+def test_codec_and_descriptions_always_agree(message, lead, mask, crc):
+    """The codec, the description set's ``decode_message`` and the
+    store's frame layout all run the one generated decoder; each reads
+    exactly what the description file interpreted field by field
+    (``decode_per_field``, the reference) reads -- same values, same
+    key order."""
     event, header, body = message
     codec = MessageCodec(HOSTS)
     raw = codec.encode(event, **dict(header, **body))
+    descriptions = default_description_set()
+    reference = descriptions.decode_per_field(raw, HOSTS)
     via_codec = codec.decode(raw)
-    via_descriptions = default_description_set().decode_message(raw, HOSTS)
+    via_descriptions = descriptions.decode_message(raw, HOSTS)
     for key, value in via_descriptions.items():
         if key == "size":
             continue
         assert via_codec[key] == value, key
+    for record in (via_codec, via_descriptions):
+        assert record == reference
+        assert list(record) == list(reference)
+    # The store-framed layout: the message behind a (length, mask,
+    # crc32) frame header, at any offset in a buffer.
+    buf = lead + struct.pack(">III", len(raw), mask, crc) + raw
+    unpack, layouts = messages.frame_layout("III", len(raw))
+    layout = layouts[EVENT_TYPES[event]]
+    t = unpack(buf, len(lead))
+    assert t[:3] == (len(raw), mask, crc)
+    for name, index in layout.long_index.items():
+        assert t[index] == reference[name], name
+    framed = layout.mat(
+        t, buf, len(lead) + layout.names_offset, messages.name_lookup(HOSTS)
+    )
+    assert framed == reference
+    assert list(framed) == list(reference)
 
 
 @given(st.lists(_message_strategy(), min_size=0, max_size=20), st.data())

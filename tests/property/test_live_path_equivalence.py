@@ -32,10 +32,15 @@ from repro.metering.messages import (
     record_fields,
 )
 from repro.net.addresses import InternetName, PairName, UnixName
-from repro.tracestore.format import (
-    _MASKABLE_HEADER_OFFSETS,
-    zero_masked_bytes,
-)
+from repro.tracestore.format import zero_masked_bytes
+
+#: The maskable header fields' wire offsets, spelled out as the replaced
+#: mask loop had them (size and traceType are never zeroed).
+_MASKABLE_HEADER_OFFSETS = {
+    "machine": (4, 2),
+    "cpuTime": (8, 4),
+    "procTime": (16, 4),
+}
 
 # ----------------------------------------------------------------------
 # format_record

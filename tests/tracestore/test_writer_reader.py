@@ -1,14 +1,18 @@
 """StoreWriter/StoreReader: segmentation, recovery, pushdown, merge."""
 
+import struct
+
 import pytest
 
 from repro.metering.messages import MessageCodec
 from repro.net.addresses import InternetName
 from repro.tracestore import (
+    CorruptSegmentError,
     StoreReader,
     StoreWriter,
     collect_ops,
     merge_scan,
+    scan_fast,
     segment_path,
 )
 from repro.tracestore.format import discard_mask, zero_masked_bytes
@@ -95,6 +99,31 @@ def test_unclosed_writer_leaves_recoverable_tail():
     for scan in (_scan, StoreReader.records):
         assert scan(reader) == [codec.decode(raw) for raw in wire]
         assert reader.last_stats.segments_recovered == 1
+
+
+@pytest.mark.parametrize("sealed", [True, False], ids=["sealed", "unsealed"])
+def test_a_size_that_overruns_its_frame_is_refused_by_both_lanes(sealed):
+    """A frame whose CRC verifies but whose message header claims more
+    bytes than the frame holds is damage, not a record: the oracle
+    scan and the fused lane both refuse it, naming the truncation."""
+    codec = _codec()
+    wire = _wire(codec, 3)
+    overrun = bytearray(wire[1])
+    struct.pack_into(">i", overrun, 0, len(overrun) + 8)
+    wire[1] = bytes(overrun)
+    if sealed:
+        store, __ = _store_from([(raw, 0) for raw in wire])
+    else:
+        writer = StoreWriter("/t/s.store", flush_bytes=1, host_names=HOSTS)
+        store = {}
+        for raw in wire:
+            writer.append(raw)
+        collect_ops(store, writer)  # no close(): an unsealed tail
+    reader = StoreReader.from_bytes(store)
+    assert reader.segments[0].sealed == sealed
+    for lane in (StoreReader.scan, scan_fast):
+        with pytest.raises(CorruptSegmentError, match="truncated meter message"):
+            list(lane(reader))
 
 
 def test_buffered_tail_lost_on_crash_but_flushed_frames_survive():

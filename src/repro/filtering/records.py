@@ -29,13 +29,16 @@ def parse_trace(text):
     """Parse a whole log file into a list of records.
 
     Lines starting with ``#`` are filter metadata (batch-commit
-    markers such as ``#batch <machine> <pid> <seq>``), not records.
+    markers such as ``#batch <machine> <pid> <seq>``), not records;
+    so are blank lines.  Only a line that is empty or starts with
+    whitespace needs stripping to tell.
     """
     chunks = {}
     return [
         _parse_line(line, chunks)
         for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
+        if (head := line[:1]) != "#"
+        and (head.strip() or line.strip() and not line.lstrip().startswith("#"))
     ]
 
 

@@ -267,6 +267,7 @@ _FRAME_LAYOUTS = {}
 _MATERIALIZERS = {}
 _FIELD_ENCODERS = {}
 _ENCODERS = {}
+_SHAPE_ENCODERS = {}
 
 
 def name_lookup(host_names):
@@ -434,6 +435,80 @@ def record_encoder(event):
     }
     exec(source, namespace)
     enc = _ENCODERS[event] = namespace["enc"]
+    return enc
+
+
+#: Keys of a whole decoded record: every :func:`record_fields` entry
+#: plus ``event``.  A record with fewer keys has lost fields.
+WHOLE_RECORD_KEYS = {
+    event: len(record_fields(event)) + 1 for event in BODY_FIELDS
+}
+
+#: Shapes whose generated encoders are kept at once.  Text logs may
+#: hold any key sets: the cache drops its oldest shape past this many,
+#: and one pack generates code for at most this many shapes.
+SHAPE_ENCODERS_MAX = 256
+
+
+def shape_encoder(event, keys):
+    """The generated ``enc(record, name) -> (payload, mask)`` of an
+    ``event`` record whose keys are exactly ``keys`` (a tuple): the
+    encoder of a record a rule reduced.
+
+    One ``itemgetter`` fetches the present fields, the absent ones are
+    constants (0 for a long, ``NO_NAME`` -- what ``name(None)`` gives
+    -- for a NAME), and one ``Struct.pack`` takes them; the mask of the
+    absent fields is a constant of the shape.  A value ``pack`` or
+    ``name`` refuses as it stands goes to :func:`field_encoder`, which
+    gives the answer or raises the error, as in :func:`record_encoder`.
+    Cached per shape, :data:`SHAPE_ENCODERS_MAX` shapes at most."""
+    key = (event, keys)
+    enc = _SHAPE_ENCODERS.get(key)
+    if enc is not None:
+        return enc
+    slow = field_encoder(event)
+    if len(_SHAPE_ENCODERS) >= SHAPE_ENCODERS_MAX:
+        del _SHAPE_ENCODERS[next(iter(_SHAPE_ENCODERS))]  # the oldest
+    present = set(keys)
+    kinds = dict(BODY_FIELDS[event])
+    fetched = []
+    args = ["%d" % message_length(event)]
+    mask = 0
+    for bit, field in enumerate(record_fields(event)):
+        if field == "size":
+            continue
+        if field == "traceType":
+            args.append("%d" % EVENT_TYPES[event])
+        elif field in present:
+            arg = "a%d" % len(fetched)
+            fetched.append(field)
+            args.append("name(%s)" % arg if kinds.get(field) == "name" else arg)
+        else:
+            args.append("no_name" if kinds.get(field) == "name" else "0")
+        if field not in present:
+            mask |= 1 << bit
+    lines = ["def enc(record, name):", "    try:"]
+    if len(fetched) == 1:
+        # ``itemgetter`` of one field returns the value, not a tuple.
+        lines.append("        a0 = fetch(record)")
+    elif fetched:
+        lines.append("        %s = fetch(record)" % ", ".join(
+            "a%d" % i for i in range(len(fetched))
+        ))
+    lines += [
+        "        return pack(%s), %d" % (", ".join(args), mask),
+        "    except (TypeError, ValueError, error):",
+        "        return slow(record, name)",
+    ]
+    namespace = {
+        "fetch": itemgetter(*fetched) if fetched else None,
+        "pack": _EVENT_STRUCTS[event].pack,
+        "no_name": NO_NAME,
+        "error": struct.error,
+        "slow": slow,
+    }
+    exec("\n".join(lines) + "\n", namespace)
+    enc = _SHAPE_ENCODERS[key] = namespace["enc"]
     return enc
 
 

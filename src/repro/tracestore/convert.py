@@ -1,11 +1,13 @@
 """Converting between legacy text logs and binary stores.
 
 A text log line is a decoded record; packing re-encodes each record to
-its Appendix-A wire message with the event's generated encoder
-(:func:`~repro.metering.messages.record_encoder`, shared with the live
-meter), which also returns the frame's discard mask of reduced-away
-fields, so ``pack -> scan`` yields exactly the records ``parse_trace``
-would.
+its Appendix-A wire message with a generated encoder -- the event's
+:func:`~repro.metering.messages.record_encoder` (shared with the live
+meter) for a whole record, the
+:func:`~repro.metering.messages.shape_encoder` of its key tuple for a
+reduced one -- which also returns the frame's discard mask of
+reduced-away fields, so ``pack -> scan`` yields exactly the records
+``parse_trace`` would.
 
 Text logs carry host names only in display form ("inet:red:6101"), so
 packing builds a host table from the names it sees; the assigned ids
@@ -18,9 +20,13 @@ from itertools import islice
 from repro.filtering.records import parse_trace
 from repro.metering.messages import (
     BODY_FIELDS,
+    SHAPE_ENCODERS_MAX,
+    WHOLE_RECORD_KEYS,
     MessageCodec,
+    field_encoder,
     record_encoder,
     record_event,
+    shape_encoder,
 )
 from repro.tracestore import format as sformat
 from repro.tracestore.writer import StoreWriter, collect_ops
@@ -56,20 +62,35 @@ def host_names_from_records(records):
 
 def wire_pairs(records, codec, encoders=None):
     """(payload, mask) per record; fields missing from the record are
-    encoded as zero and flagged in the mask.  ``encoders`` (event ->
-    generated encoder) is the cache to fill, shared by the calls that
-    encode one log a chunk at a time."""
+    encoded as zero and flagged in the mask.  A whole record goes to
+    its event's :func:`record_encoder`, one with fewer keys than a
+    whole one (a rule reduced it) to the :func:`shape_encoder` of its
+    key tuple (past :data:`SHAPE_ENCODERS_MAX` entries, a new shape
+    goes to :func:`field_encoder`).  ``encoders`` (event -> (encoder,
+    whole key count), and shape -> encoder) is the cache to fill,
+    shared by the calls that encode one log a chunk at a time."""
     name = codec.name_wire_bytes
     if encoders is None:
         encoders = {}
     pairs = []
     for record in records:
         event = record_event(record)
-        enc = encoders.get(event)
-        if enc is None:
+        entry = encoders.get(event)
+        if entry is None:
             if event not in BODY_FIELDS:
                 continue  # not an Appendix-A record; text logs may hold anything
-            enc = encoders[event] = record_encoder(event)
+            entry = encoders[event] = (
+                record_encoder(event), WHOLE_RECORD_KEYS[event]
+            )
+        enc, whole = entry
+        if len(record) < whole:
+            shape = (event, *record)
+            enc = encoders.get(shape)
+            if enc is None:
+                if len(encoders) < SHAPE_ENCODERS_MAX:
+                    enc = encoders[shape] = shape_encoder(event, shape[1:])
+                else:
+                    enc = field_encoder(event)  # text logs may hold anything
         pairs.append(enc(record, name))
     return pairs
 
@@ -88,6 +109,9 @@ def pack_records(records, base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
     crash-loss bound is free).
     """
     if host_names is None:
+        if iter(records) is records:
+            # A one-shot iterator: the host table takes a pass of its own.
+            records = list(records)
         host_names = host_names_from_records(records)
     codec = MessageCodec(host_names)
     writer = StoreWriter(base, segment_bytes=segment_bytes,

@@ -90,6 +90,13 @@ _values = st.one_of(
     st.integers().map(str),
     st.text(max_size=4),
 )
+#: Every line boundary ``str.splitlines`` knows, ``\r\n`` included.
+_separators = st.sampled_from(
+    ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+     "\u2028", "\u2029"]
+)
+#: Whitespace ``str.strip`` removes, Unicode spaces among it.
+_blanks = st.text(alphabet=" \t\u00a0\u3000\x1f", min_size=1, max_size=3)
 _chunks = st.one_of(
     st.tuples(st.sampled_from(["pid", "a", "b", "k"]), _values).map("=".join),
     st.sampled_from(["bare", "#", "x==1", "=7", "==", "a=b=c"]),
@@ -97,13 +104,21 @@ _chunks = st.one_of(
 _lines = st.one_of(
     st.lists(_chunks, max_size=8).map(" ".join),
     st.sampled_from(["#batch 1 2 3", "  # note pid=4", "", "   "]),
+    # Whitespace, ASCII or not, before a ``#`` or a record.
+    st.tuples(_blanks, st.sampled_from(["#batch 1 2 3", "# x", "pid=4 a=b"]))
+    .map("".join),
+    _blanks,
+    # A separator inside what was meant as one line.
+    st.tuples(st.lists(_chunks, max_size=3).map(" ".join), _separators,
+              st.sampled_from(["#batch 1", " # pid=1", "pid=2", ""]))
+    .map("".join),
 )
 
 
-@given(st.lists(_lines, max_size=30))
+@given(st.lists(st.tuples(_lines, _separators), max_size=30))
 @settings(max_examples=300)
 def test_memoised_parse_matches_reference(lines):
-    text = "\n".join(lines)
+    text = "".join(line + separator for line, separator in lines)
     got = parse_trace(text)
     expected = _reference_trace(text)
     assert [list(record) for record in got] == [list(r) for r in expected]

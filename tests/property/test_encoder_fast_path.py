@@ -1,26 +1,38 @@
-"""Property tests: the encoder's C-level fast path gives what the
-per-field encoder gives.
+"""Property tests: the encoders' C-level lanes give what the per-field
+encoder gives.
 
 ``record_encoder(event)`` packs a whole record with one ``itemgetter``
 and one ``Struct.pack`` and hands anything else to
-``field_encoder(event)``, the per-field loop it wraps.  Over records of
-all ten events -- fields absent, None, bools, floats, numeric and junk
-strings, ints out of range, extra keys, every kind of NAME value --
-both must return the same ``(payload, mask)`` or raise the same type
-of error."""
+``field_encoder(event)``, the per-field loop it wraps;
+``shape_encoder(event, keys)`` does the same for a record with exactly
+``keys`` (a reduced one), the absent fields and the mask being
+constants of the shape.  Over records of all ten events -- fields
+absent, None, bools, floats, numeric and junk strings, ints out of
+range, extra keys, every kind of NAME value -- each lane must return
+the same ``(payload, mask)`` as ``field_encoder`` or raise the same
+type of error.  The pack's ``wire_pairs`` sends a record to the shape
+lane only when it has fewer keys than a whole one."""
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metering import messages
 from repro.metering.messages import (
     BODY_FIELDS,
     EVENT_TYPES,
+    SHAPE_ENCODERS_MAX,
+    WHOLE_RECORD_KEYS,
     MessageCodec,
     field_encoder,
     record_encoder,
     record_fields,
+    shape_encoder,
 )
 from repro.net.addresses import InternetName, PairName, UnixName
+from repro.tracestore import convert
+from repro.tracestore.convert import wire_pairs
 
 HOSTS = {1: "red", 2: "green", 3: "blue"}
 
@@ -150,3 +162,104 @@ def test_whole_records_take_the_fast_path(event, data):
     # Each NAME went through ``name`` once: no second, per-field pass.
     names = [f for f, kind in BODY_FIELDS[event] if kind == "name"]
     assert len(calls) == len(names)
+
+
+@st.composite
+def _reduced_records(draw):
+    """A record of ``event`` with a random subset of its fields (the
+    header's and ``event`` included), any values, sometimes extra
+    keys, in a random key order."""
+    event = draw(st.sampled_from(sorted(EVENT_TYPES)))
+    kinds = dict(BODY_FIELDS[event])
+    fields = record_fields(event) + ["event"]
+    kept = draw(st.lists(st.sampled_from(fields), unique=True))
+    record = {}
+    for field in kept:
+        if field in ("size", "traceType"):
+            values = st.sampled_from([EVENT_TYPES[event], 0, "junk", None])
+        elif field == "event":
+            values = st.just(event)
+        elif kinds.get(field) == "name":
+            values = _names
+        else:
+            values = st.one_of(_clean_longs, _longs)
+        record[field] = draw(values)
+    if "event" not in record and "traceType" in record:
+        record["traceType"] = EVENT_TYPES[event]  # the record names its event
+    for key in draw(st.lists(st.sampled_from(["extra", "seq", "note"]), max_size=2)):
+        record[key] = draw(st.one_of(st.integers(), st.text(max_size=3)))
+    return event, record
+
+
+@given(_reduced_records())
+@settings(max_examples=600)
+def test_shape_lane_matches_the_per_field_encoder(drawn):
+    event, record = drawn
+    codec = MessageCodec(HOSTS)
+    name = codec.name_wire_bytes
+    expected = _outcome(field_encoder(event), record, name)
+    enc = shape_encoder(event, tuple(record))
+    assert _outcome(enc, record, name) == expected
+    assert _outcome(enc, record, name) == expected  # NAME memo warm
+    # And as the pack routes it: a record that names its event.
+    if "event" in record or "traceType" in record:
+        try:
+            got = wire_pairs([record], codec)
+        except Exception as err:  # noqa: BLE001 - the type is the outcome
+            got = type(err)
+        assert got == (expected if isinstance(expected, type) else [expected])
+
+
+@given(_records())
+@settings(max_examples=300)
+def test_whole_records_never_enter_the_shape_lane(drawn):
+    """``wire_pairs`` routes by one ``len()`` test: a record with every
+    field and ``event`` (extra keys or not) goes to ``record_encoder``,
+    and the meter's ``encode`` never reaches the shape lane at all."""
+    event, record = drawn
+    codec = MessageCodec(HOSTS)
+    spy = mock.Mock(side_effect=shape_encoder)
+    with mock.patch.object(convert, "shape_encoder", spy), \
+            mock.patch.object(messages, "shape_encoder", spy):
+        record["event"] = event
+        try:
+            wire_pairs([record], codec)
+        except Exception:  # noqa: BLE001 - only the route is checked here
+            pass
+        # Every field and ``event`` present: at least the whole count.
+        assert spy.called == (len(record) < WHOLE_RECORD_KEYS[event])
+        spy.reset_mock()
+        body = {
+            field: 0 if kind == "long" else None
+            for field, kind in BODY_FIELDS[event]
+        }
+        codec.encode(event, 1, 2, 3, **body)
+        assert not spy.called
+
+
+def test_shape_caches_are_bounded():
+    """More distinct shapes than the cache holds: the module cache
+    keeps :data:`SHAPE_ENCODERS_MAX` of them, one ``wire_pairs``
+    generates code for at most that many and hands the rest to
+    ``field_encoder``, and every pair is still ``field_encoder``'s."""
+    codec = MessageCodec(HOSTS)
+    records = []
+    for i in range(SHAPE_ENCODERS_MAX + 40):
+        record = {
+            "event": "send", "machine": 1, "cpuTime": i, "pid": 7,
+            "destName": "inet:red:%d" % (6000 + i),
+        }
+        record["x%d" % i] = i  # a shape of its own
+        records.append(record)
+    encoders = {}
+    pairs = wire_pairs(records, codec, encoders)
+    slow = field_encoder("send")
+    assert pairs == [slow(record, codec.name_wire_bytes) for record in records]
+    assert len(encoders) == SHAPE_ENCODERS_MAX
+    assert len(messages._SHAPE_ENCODERS) <= SHAPE_ENCODERS_MAX
+    for record in records:
+        enc = shape_encoder("send", tuple(record))
+        assert enc(record, codec.name_wire_bytes) == slow(
+            record, codec.name_wire_bytes
+        )
+    assert len(messages._SHAPE_ENCODERS) == SHAPE_ENCODERS_MAX

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -9,12 +10,16 @@ from repro.__main__ import main
 from repro.core.cluster import Cluster
 from repro.core.session import MeasurementSession
 from repro.filtering.records import format_record, parse_trace
+from repro.filtering.rules import parse_rules
 from repro.kernel import defs
 from repro.metering.messages import (
     BODY_FIELDS,
     EVENT_TYPES,
+    WHOLE_RECORD_KEYS,
     MessageCodec,
+    field_encoder,
     message_length,
+    record_event,
 )
 from repro.tracestore import StoreReader, convert, pack_text
 from repro.tracestore.convert import (
@@ -67,6 +72,72 @@ def test_pack_preserves_reduced_records():
     out = StoreReader.from_bytes(store).records()
     assert out == parse_trace(text)
     assert "pc" not in out[0]
+
+
+def test_pack_records_takes_a_one_shot_iterator(log_text, monkeypatch):
+    """Without a host table the pack reads host names in a pass of its
+    own: a one-shot iterator packs what its list packs, and a list is
+    read as it is, not copied."""
+    records = parse_trace(log_text)
+    from_list, listed = pack_records(records, "/t/it.store")
+    from_iter, iterated = pack_records(iter(records), "/t/it.store")
+    assert iterated.records_appended == listed.records_appended == len(records)
+    assert from_iter == from_list
+    seen = []
+    real = convert.host_names_from_records
+    monkeypatch.setattr(
+        convert, "host_names_from_records",
+        lambda given: seen.append(given) or real(given),
+    )
+    pack_records(records, "/t/it.store")
+    assert seen[0] is records
+
+
+#: Fig 3.4-style templates: type-pinned rules whose ``#`` values
+#: discard fields (NAMEs, longs, header fields, ``traceType``).
+REDUCING_TEMPLATES = """\
+type=send, msgLength>=500
+type=send, msgLength>=300, pc=#*, destName=#*
+type=send, msgLength<300, sock=#*
+type=socket, domain=2, protocol=#*, pc=#*
+type=fork, newPid=#*
+type=#termproc, status>=0, cpuTime=#*, procTime=#*
+"""
+
+
+def test_reduced_records_never_reach_the_per_field_encoder(log_text):
+    """A pack of records a reduction left with ints and NAME display
+    strings -- values ``pack`` takes as they stand -- runs the
+    per-field encoder for none of them: reduced records take the shape
+    lane, whole ones ``record_encoder``'s."""
+    rules = parse_rules(REDUCING_TEMPLATES + "machine=*\n")
+    records = [
+        reduced
+        for reduced in map(
+            rules.apply, parse_trace(log_text + _generated_log(lines=400))
+        )
+        if reduced is not None
+    ]
+    reduced = [
+        r for r in records if len(r) < WHOLE_RECORD_KEYS[record_event(r)]
+    ]
+    assert len({tuple(r) for r in reduced}) >= 4 and len(reduced) < len(records)
+    per_field = {field_encoder(event).__code__ for event in BODY_FIELDS}
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in per_field:
+            runs.append(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        store, writer = pack_records(records, "/t/reduced.store")
+    finally:
+        sys.setprofile(previous)
+    assert runs == []
+    assert writer.records_appended == len(records)
+    assert StoreReader.from_bytes(store).records() == records
 
 
 def test_host_names_recovered_from_display_strings(log_text):

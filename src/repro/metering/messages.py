@@ -346,7 +346,7 @@ def field_encoder(event):
     fields absent from ``record`` (``size`` is always recomputed, so it
     is never masked); a field present with the value None is not
     absent.  Built on first use and cached; ValueError for anything
-    but an Appendix-A event.  :func:`record_encoder` falls back to it
+    but an Appendix-A event.  :func:`shape_encoder` falls back to it
     and the property tests hold the two equal."""
     enc = _FIELD_ENCODERS.get(event)
     if enc is not None:
@@ -379,65 +379,6 @@ def field_encoder(event):
     return enc
 
 
-def record_encoder(event):
-    """The generated ``enc(record, name) -> (payload, mask)`` of
-    ``event``: :func:`field_encoder`'s result, in a handful of C-level
-    calls when the record is whole.
-
-    One ``itemgetter`` fetches every field but ``size`` and
-    ``traceType``, and one ``Struct.pack`` takes them as they are, so
-    the mask is 0, or just the ``traceType`` bit when that key is
-    absent.  A record with fewer keys than those fields (a rule
-    reduced it), a missing key, a value ``pack`` refuses as it stands
-    (None, a float, a numeric string, an int out of range) or a NAME
-    ``name`` refuses goes to :func:`field_encoder`, which gives the
-    answer or raises the error, so the error is always the per-field
-    encoder's.  Every value ``pack`` takes as it stands is one
-    ``int(v or 0)`` leaves unchanged, so both give the same bytes."""
-    enc = _ENCODERS.get(event)
-    if enc is not None:
-        return enc
-    slow = field_encoder(event)
-    kinds = dict(BODY_FIELDS[event])
-    fields = [
-        field for field in record_fields(event)
-        if field not in ("size", "traceType")
-    ]
-    args = ["%d" % message_length(event)]
-    for i, field in enumerate(fields):
-        if field == "procTime":
-            args.append("a%d, %d" % (i, EVENT_TYPES[event]))
-        elif kinds.get(field) == "name":
-            args.append("name(a%d)" % i)
-        else:
-            args.append("a%d" % i)
-    trace_bit = 1 << record_fields(event).index("traceType")
-    source = (
-        "def enc(record, name):\n"
-        "    if len(record) >= %d:\n"
-        "        try:\n"
-        "            %s, = fetch(record)\n"
-        "            return pack(%s), 0 if 'traceType' in record else %d\n"
-        "        except (KeyError, TypeError, ValueError, error):\n"
-        "            pass\n"
-        "    return slow(record, name)\n"
-    ) % (
-        len(fields),
-        ", ".join("a%d" % i for i in range(len(fields))),
-        ", ".join(args),
-        trace_bit,
-    )
-    namespace = {
-        "fetch": itemgetter(*fields),
-        "pack": _EVENT_STRUCTS[event].pack,
-        "error": struct.error,
-        "slow": slow,
-    }
-    exec(source, namespace)
-    enc = _ENCODERS[event] = namespace["enc"]
-    return enc
-
-
 #: Keys of a whole decoded record: every :func:`record_fields` entry
 #: plus ``event``.  A record with fewer keys has lost fields.
 WHOLE_RECORD_KEYS = {
@@ -452,16 +393,21 @@ SHAPE_ENCODERS_MAX = 256
 
 def shape_encoder(event, keys):
     """The generated ``enc(record, name) -> (payload, mask)`` of an
-    ``event`` record whose keys are exactly ``keys`` (a tuple): the
-    encoder of a record a rule reduced.
+    ``event`` record whose keys are ``keys`` (a tuple): the one fast
+    lane, :func:`field_encoder`'s result in a handful of C-level calls.
 
-    One ``itemgetter`` fetches the present fields, the absent ones are
-    constants (0 for a long, ``NO_NAME`` -- what ``name(None)`` gives
-    -- for a NAME), and one ``Struct.pack`` takes them; the mask of the
-    absent fields is a constant of the shape.  A value ``pack`` or
-    ``name`` refuses as it stands goes to :func:`field_encoder`, which
-    gives the answer or raises the error, as in :func:`record_encoder`.
-    Cached per shape, :data:`SHAPE_ENCODERS_MAX` shapes at most."""
+    One ``itemgetter`` fetches the present fields (``traceType`` too,
+    though only to check it is there), the absent ones are constants
+    (0 for a long, ``NO_NAME`` -- what ``name(None)`` gives -- for a
+    NAME), and one ``Struct.pack`` takes them; the mask of the absent
+    fields is a constant of the shape.  A missing key, a value ``pack``
+    refuses as it stands (None, a float, a numeric string, an int out
+    of range) or a NAME ``name`` refuses goes to :func:`field_encoder`,
+    which gives the answer or raises the error, so the error is always
+    the per-field encoder's.  Every value ``pack`` takes as it stands
+    is one ``int(v or 0)`` leaves unchanged, so both give the same
+    bytes.  Cached per shape, :data:`SHAPE_ENCODERS_MAX` shapes at
+    most."""
     key = (event, keys)
     enc = _SHAPE_ENCODERS.get(key)
     if enc is not None:
@@ -477,16 +423,15 @@ def shape_encoder(event, keys):
     for bit, field in enumerate(record_fields(event)):
         if field == "size":
             continue
-        if field == "traceType":
-            args.append("%d" % EVENT_TYPES[event])
-        elif field in present:
-            arg = "a%d" % len(fetched)
-            fetched.append(field)
-            args.append("name(%s)" % arg if kinds.get(field) == "name" else arg)
-        else:
-            args.append("no_name" if kinds.get(field) == "name" else "0")
         if field not in present:
             mask |= 1 << bit
+            arg = "no_name" if kinds.get(field) == "name" else "0"
+        else:
+            arg = "a%d" % len(fetched)
+            fetched.append(field)  # traceType too: only its key is checked
+            if kinds.get(field) == "name":
+                arg = "name(%s)" % arg
+        args.append("%d" % EVENT_TYPES[event] if field == "traceType" else arg)
     lines = ["def enc(record, name):", "    try:"]
     if len(fetched) == 1:
         # ``itemgetter`` of one field returns the value, not a tuple.
@@ -497,7 +442,7 @@ def shape_encoder(event, keys):
         ))
     lines += [
         "        return pack(%s), %d" % (", ".join(args), mask),
-        "    except (TypeError, ValueError, error):",
+        "    except (KeyError, TypeError, ValueError, error):",
         "        return slow(record, name)",
     ]
     namespace = {
@@ -509,6 +454,18 @@ def shape_encoder(event, keys):
     }
     exec("\n".join(lines) + "\n", namespace)
     enc = _SHAPE_ENCODERS[key] = namespace["enc"]
+    return enc
+
+
+def record_encoder(event):
+    """The :func:`shape_encoder` of a whole ``event`` record (every
+    :func:`record_fields` entry), kept per event apart from the
+    bounded shape cache: the live meter's and a whole text-log
+    record's encoder."""
+    enc = _ENCODERS.get(event)
+    if enc is None:
+        field_encoder(event)  # the ValueError for a non-Appendix-A event
+        enc = _ENCODERS[event] = shape_encoder(event, tuple(record_fields(event)))
     return enc
 
 
@@ -666,10 +623,12 @@ class MessageCodec:
     def encode(self, event, machine, cpu_time, proc_time, **body):
         """Build one wire message.  NAME-kind fields take SocketName
         objects (or None for "name not available", length zero)."""
+        enc = record_encoder(event)
         body["machine"] = machine
         body["cpuTime"] = cpu_time
         body["procTime"] = proc_time
-        return record_encoder(event)(body, self.name_wire_bytes)[0]
+        body["traceType"] = EVENT_TYPES[event]  # a whole record's shape
+        return enc(body, self.name_wire_bytes)[0]
 
     def name_lengths(self, **names):
         """Helper: wire_len of each given name (0 when unavailable)."""

@@ -1,11 +1,10 @@
 """Converting between legacy text logs and binary stores.
 
 A text log line is a decoded record; packing re-encodes each record to
-its Appendix-A wire message with a generated encoder -- the event's
-:func:`~repro.metering.messages.record_encoder` (shared with the live
-meter) for a whole record, the
-:func:`~repro.metering.messages.shape_encoder` of its key tuple for a
-reduced one -- which also returns the frame's discard mask of
+its Appendix-A wire message with the generated
+:func:`~repro.metering.messages.shape_encoder` of its keys (for a whole
+record the event's :func:`~repro.metering.messages.record_encoder`,
+which the live meter shares) -- which also returns the discard mask of
 reduced-away fields, so ``pack -> scan`` yields exactly the records
 ``parse_trace`` would.
 
@@ -62,11 +61,12 @@ def host_names_from_records(records):
 
 def wire_pairs(records, codec, encoders=None):
     """(payload, mask) per record; fields missing from the record are
-    encoded as zero and flagged in the mask.  A whole record goes to
-    its event's :func:`record_encoder`, one with fewer keys than a
-    whole one (a rule reduced it) to the :func:`shape_encoder` of its
-    key tuple (past :data:`SHAPE_ENCODERS_MAX` entries, a new shape
-    goes to :func:`field_encoder`).  ``encoders`` (event -> (encoder,
+    encoded as zero and flagged in the mask.  A record with a whole
+    one's key count goes to its event's :func:`record_encoder` (the
+    whole shape), one with fewer (a rule reduced it) to the
+    :func:`shape_encoder` of its key tuple (past
+    :data:`SHAPE_ENCODERS_MAX` entries, to :func:`field_encoder`, its
+    oracle and fallback).  ``encoders`` (event -> (encoder,
     whole key count), and shape -> encoder) is the cache to fill,
     shared by the calls that encode one log a chunk at a time."""
     name = codec.name_wire_bytes

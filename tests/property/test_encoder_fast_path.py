@@ -1,21 +1,22 @@
-"""Property tests: the encoders' C-level lanes give what the per-field
+"""Property tests: the one generated encoder gives what the per-field
 encoder gives.
 
-``record_encoder(event)`` packs a whole record with one ``itemgetter``
-and one ``Struct.pack`` and hands anything else to
+``shape_encoder(event, keys)`` packs a record whose keys are ``keys``
+with one ``itemgetter`` and one ``Struct.pack``, the absent fields and
+the mask being constants of the shape, and hands anything else to
 ``field_encoder(event)``, the per-field loop it wraps;
-``shape_encoder(event, keys)`` does the same for a record with exactly
-``keys`` (a reduced one), the absent fields and the mask being
-constants of the shape.  Over records of all ten events -- fields
-absent, None, bools, floats, numeric and junk strings, ints out of
-range, extra keys, every kind of NAME value -- each lane must return
-the same ``(payload, mask)`` as ``field_encoder`` or raise the same
-type of error.  The pack's ``wire_pairs`` sends a record to the shape
-lane only when it has fewer keys than a whole one."""
+``record_encoder(event)`` is the shape of a whole record, kept per
+event.  Over records of all ten events -- fields absent, None, bools,
+floats, numeric and junk strings, ints out of range, extra keys, every
+kind of NAME value -- each must return the same ``(payload, mask)`` as
+``field_encoder`` or raise the same type of error.  The pack's
+``wire_pairs`` asks for a reduced shape only when a record has fewer
+keys than a whole one."""
 
+import sys
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.metering import messages
@@ -121,8 +122,10 @@ def _outcome(enc, record, name):
         return type(err)
 
 
+# The first full-Unicode ``st.text()`` draw builds Hypothesis's charmap
+# cache, which outlasts the too_slow budget in a fresh checkout.
 @given(_records())
-@settings(max_examples=600)
+@settings(max_examples=600, suppress_health_check=[HealthCheck.too_slow])
 def test_fast_path_matches_the_per_field_encoder(drawn):
     event, record = drawn
     name = MessageCodec(HOSTS).name_wire_bytes
@@ -136,8 +139,9 @@ def test_fast_path_matches_the_per_field_encoder(drawn):
 @settings(max_examples=200)
 def test_whole_records_take_the_fast_path(event, data):
     """A whole record of ints and NAMEs is encoded in one pass: each
-    NAME goes through ``name`` once (a fallback would map it twice),
-    and the mask is 0 or just the traceType bit."""
+    NAME goes through ``name`` once (a fallback after ``pack`` would
+    map it twice; one without ``traceType`` falls back at the fetch,
+    before any), and the mask is 0 or just the traceType bit."""
     kinds = dict(BODY_FIELDS[event])
     record = {}
     for field in record_fields(event):
@@ -215,8 +219,10 @@ def test_shape_lane_matches_the_per_field_encoder(drawn):
 def test_whole_records_never_enter_the_shape_lane(drawn):
     """``wire_pairs`` routes by one ``len()`` test: a record with every
     field and ``event`` (extra keys or not) goes to ``record_encoder``,
-    and the meter's ``encode`` never reaches the shape lane at all."""
+    the whole shape, and the meter's ``encode`` never asks for any
+    other shape."""
     event, record = drawn
+    whole = (event, tuple(record_fields(event)))
     codec = MessageCodec(HOSTS)
     spy = mock.Mock(side_effect=shape_encoder)
     with mock.patch.object(convert, "shape_encoder", spy), \
@@ -226,15 +232,43 @@ def test_whole_records_never_enter_the_shape_lane(drawn):
             wire_pairs([record], codec)
         except Exception:  # noqa: BLE001 - only the route is checked here
             pass
+        reduced = [c.args for c in spy.call_args_list if c.args != whole]
         # Every field and ``event`` present: at least the whole count.
-        assert spy.called == (len(record) < WHOLE_RECORD_KEYS[event])
+        assert bool(reduced) == (len(record) < WHOLE_RECORD_KEYS[event])
         spy.reset_mock()
         body = {
             field: 0 if kind == "long" else None
             for field, kind in BODY_FIELDS[event]
         }
         codec.encode(event, 1, 2, 3, **body)
-        assert not spy.called
+        assert all(c.args == whole for c in spy.call_args_list)
+
+
+def test_meter_encode_never_reaches_the_per_field_encoder():
+    """The meter's body carries ``traceType``, so it is a whole shape:
+    ``encode`` of every event, NAMEs present or not, runs
+    ``field_encoder``'s generated code for none of them."""
+    codec = MessageCodec(HOSTS)
+    per_field = {field_encoder(event).__code__ for event in BODY_FIELDS}
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in per_field:
+            runs.append(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for event, fields in BODY_FIELDS.items():
+            for peer in (None, InternetName("red", 6100, 1)):
+                body = {
+                    field: 5 if kind == "long" else peer
+                    for field, kind in fields
+                }
+                codec.encode(event, 1, 2, 3, **body)
+    finally:
+        sys.setprofile(previous)
+    assert runs == []
 
 
 def test_shape_caches_are_bounded():

@@ -1,5 +1,7 @@
-"""Property tests: the generated per-event encoder is byte- and
-mask-identical to the per-field loops it replaced.
+"""Property tests: the generated encoder -- ``record_encoder``, the
+whole-record shape of ``shape_encoder``, behind the live meter, the
+codec and the pack -- is byte- and mask-identical to the per-field
+loops it replaced.
 
 The references below are those loops as they were: the live meter's
 ``MessageCodec.encode``, the pack's ``MessageCodec.encode_record`` and

@@ -20,6 +20,7 @@ from repro.metering.messages import (
     field_encoder,
     message_length,
     record_event,
+    record_fields,
 )
 from repro.tracestore import StoreReader, convert, pack_text
 from repro.tracestore.convert import (
@@ -138,6 +139,28 @@ def test_reduced_records_never_reach_the_per_field_encoder(log_text):
     assert runs == []
     assert writer.records_appended == len(records)
     assert StoreReader.from_bytes(store).records() == records
+
+
+@pytest.mark.parametrize("missing", ["traceType", "pid"])
+def test_stand_in_key_does_not_make_a_record_whole(missing):
+    """A record with a whole record's key count, where an extra key
+    stands in for ``traceType`` (or a body field), still lacks that
+    field: the pack gives it ``field_encoder``'s mask, that bit set."""
+    record = {
+        "event": "send", "size": 60, "machine": 1, "cpuTime": 30,
+        "procTime": 10, "traceType": 1, "pid": 77, "pc": 9, "sock": 3,
+        "msgLength": 512, "destNameLen": 16, "destName": "inet:red:6101",
+    }
+    assert len(record) == WHOLE_RECORD_KEYS["send"]
+    del record[missing]
+    record["note"] = 0
+    codec = MessageCodec({1: "red"})
+    [(payload, mask)] = wire_pairs([record], codec)
+    assert mask == 1 << record_fields("send").index(missing)
+    assert (payload, mask) == field_encoder("send")(record, codec.name_wire_bytes)
+    store, __ = pack_records([record], "/t/stand-in.store")
+    del record["note"]
+    assert StoreReader.from_bytes(store).records() == [record]
 
 
 def test_host_names_recovered_from_display_strings(log_text):

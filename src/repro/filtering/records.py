@@ -22,7 +22,7 @@ def format_record(record, field_order=None):
 
 def parse_record_line(line):
     """Parse a log line back into a record dict (ints where possible)."""
-    return _parse_line(line, {})
+    return _parse_line(line, _Chunks())
 
 
 def parse_trace(text):
@@ -32,44 +32,59 @@ def parse_trace(text):
     markers such as ``#batch <machine> <pid> <seq>``), not records;
     so are blank lines.  Only a line that is empty or starts with
     whitespace needs stripping to tell.
+
+    Each kept line becomes ``dict(map(chunks.__getitem__,
+    line.split()))`` with no Python frame of its own: ``chunks`` is
+    this call's :class:`_Chunks` memo, which parses a chunk the first
+    time the log shows it.  A chunk with no ``=`` maps to None, which
+    ``dict`` refuses; a log holding one is parsed again line by line
+    with :func:`_parse_line`, the reference, sharing the memo.
     """
-    chunks = {}
-    return [
-        _parse_line(line, chunks)
+    chunks = _Chunks()
+    lines = [
+        line
         for line in text.splitlines()
         if (head := line[:1]) != "#"
         and (head.strip() or line.strip() and not line.lstrip().startswith("#"))
     ]
+    pair_of = chunks.__getitem__
+    try:
+        return [dict(map(pair_of, line.split())) for line in lines]
+    except TypeError:  # a pair-less chunk
+        return [_parse_line(line, chunks) for line in lines]
 
 
-_MISS = object()
+class _Chunks(dict):
+    """chunk -> ``(key, value)`` (None for a chunk with no ``=``) for
+    one parse: a log repeats a few thousand distinct ``key=value``
+    chunks endlessly, and keys and values are immutable strs and ints,
+    so records may share them.  Never kept across calls."""
+
+    __slots__ = ()
+
+    def __missing__(self, chunk):
+        key, sep, value = chunk.partition("=")
+        if not sep:
+            self[chunk] = None
+            return None
+        # No base-10 int literal starts with a letter (``event=send`` on
+        # every line): such a value is a string without raising to find
+        # out.
+        if not value[:1].isalpha():
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+        pair = self[chunk] = key, value
+        return pair
 
 
 def _parse_line(line, chunks):
-    """The one line parser.  ``chunks`` memoises chunk -> ``(key,
-    value)`` (None for a chunk with no ``=``) for one parse: a log
-    repeats a few thousand distinct ``key=value`` chunks endlessly, and
-    keys and values are immutable strs and ints, so records may share
-    them."""
+    """The reference line parser, one chunk at a time through the
+    ``chunks`` memo; a chunk with no ``=`` is skipped."""
     record = {}
     for chunk in line.split():
-        pair = chunks.get(chunk, _MISS)
-        if pair is _MISS:
-            pair = chunks[chunk] = _parse_chunk(chunk)
+        pair = chunks[chunk]
         if pair is not None:
             record[pair[0]] = pair[1]
     return record
-
-
-def _parse_chunk(chunk):
-    key, sep, value = chunk.partition("=")
-    if not sep:
-        return None
-    # No base-10 int literal starts with a letter (``event=send`` on
-    # every line): such a value is a string without raising to find out.
-    if not value[:1].isalpha():
-        try:
-            value = int(value)
-        except ValueError:
-            pass
-    return key, value

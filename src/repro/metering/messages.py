@@ -680,6 +680,10 @@ class MessageCodec:
             host_id = self._host_ids.get(name.host)
             if host_id is None and name.host.isdigit():
                 host_id = int(name.host)
+                if host_id >= 1 << 31:
+                    raise ValueError(
+                        "host id out of range in socket name %r" % text
+                    )
             name.host_id = host_id or 0
         return name.wire_bytes()
 

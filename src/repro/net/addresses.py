@@ -155,9 +155,15 @@ def parse_name(text):
     kind, __, rest = text.partition(":")
     if kind == "inet":
         host, __, port = rest.rpartition(":")
-        return InternetName(host, int(port))
+        name = InternetName(host, int(port))
+        if not 0 <= name.port <= 0xFFFF:  # the wire's unsigned short
+            raise ValueError("port out of range in socket name %r" % text)
+        return name
     if kind == "unix":
         return UnixName(rest)
     if kind == "pair":
-        return PairName(int(rest))
+        name = PairName(int(rest))
+        if not -(1 << 31) <= name.unique_id < 1 << 31:  # a long
+            raise ValueError("pair id out of range in socket name %r" % text)
+        return name
     raise ValueError("unparseable socket name %r" % text)

@@ -9,12 +9,15 @@ reduced-away fields, so ``pack -> scan`` yields exactly the records
 ``parse_trace`` would.
 
 Text logs carry host names only in display form ("inet:red:6101"), so
-packing builds a host table from the names it sees; the assigned ids
-travel in each sealed segment's footer and the reader's codec maps
-them back to the same display strings.
+packing builds a host table from the names it sees, one C-level pass
+over the records per NAME key; the assigned ids travel in each sealed
+segment's footer and the reader's codec maps them back to the same
+display strings.  The pack then reads the records once more, a chunk
+at a time, and hands its writer's ops to the driver once per sealed
+segment and at close.
 """
 
-from itertools import islice
+from itertools import islice, repeat
 
 from repro.filtering.records import parse_trace
 from repro.metering.messages import (
@@ -30,26 +33,30 @@ from repro.metering.messages import (
 from repro.tracestore import format as sformat
 from repro.tracestore.writer import StoreWriter, collect_ops
 
-#: event -> its NAME fields, in Appendix-A order.
-_NAME_FIELDS = {
-    event: tuple(name for name, kind in fields if kind == "name")
-    for event, fields in BODY_FIELDS.items()
-}
+#: Every NAME field of any Appendix-A event.
+_NAME_KEYS = sorted({
+    name
+    for fields in BODY_FIELDS.values()
+    for name, kind in fields
+    if kind == "name"
+})
 
 
-#: Records encoded and handed to the writer's batch loop between driver
-#: calls: bounds the wire pairs and the ops held at once, so a pack's
-#: memory does not grow with the log beyond its records.
+#: Records encoded and handed to the writer's batch loop at a time:
+#: bounds the wire pairs held at once.  The writer's ops wait for the
+#: driver until a chunk seals a segment, so beside its records a pack
+#: holds the ops of one segment or of one chunk, whichever is more.
 PACK_CHUNK_RECORDS = 256
 
 
 def host_names_from_records(records):
-    """Assign stable host ids to every Internet host name that appears
-    in a record's NAME-field display strings."""
+    """Assign stable host ids, in name order, to every Internet host
+    name in the NAME-key display strings of ``records`` (a list of
+    dicts, read once per NAME key).  A NAME key counts whatever the
+    record's event."""
     values = set()
-    for record in records:
-        for name in _NAME_FIELDS.get(record_event(record), ()):
-            values.add(record.get(name))
+    for name in _NAME_KEYS:
+        values.update(map(dict.get, records, repeat(name)))
     hosts = set()
     for value in values:
         if isinstance(value, str) and value.startswith("inet:"):
@@ -74,7 +81,7 @@ def wire_pairs(records, codec, encoders=None):
         encoders = {}
     pairs = []
     for record in records:
-        event = record_event(record)
+        event = record.get("event") or record_event(record)
         entry = encoders.get(event)
         if entry is None:
             if event not in BODY_FIELDS:
@@ -100,17 +107,17 @@ def pack_records(records, base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
     """Pack decoded records into a store.
 
     ``writer_driver(writer)`` applies the writer's ops to a medium
-    (e.g. :func:`~repro.tracestore.writer.flush_to_files`) after each
-    chunk of records that queued some; without one, returns a dict
-    path -> bytes.
+    (e.g. :func:`~repro.tracestore.writer.flush_to_files`) each time a
+    segment seals and at close; without one, returns a dict path ->
+    bytes.
     Returns (result, writer).  ``compress=True`` writes each sealed
     segment's data region as one zlib blob (``trace pack --compress``:
     offline packing is the one place the compressed writer's weaker
     crash-loss bound is free).
     """
     if host_names is None:
-        if iter(records) is records:
-            # A one-shot iterator: the host table takes a pass of its own.
+        if type(records) is not list:
+            # The host table reads the records once per NAME key.
             records = list(records)
         host_names = host_names_from_records(records)
     codec = MessageCodec(host_names)
@@ -121,11 +128,13 @@ def pack_records(records, base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
     # Each chunk is encoded just before it is appended, in one pass of
     # ``records``' own iterator.
     encoders = {}
+    sealed = 0
     remaining = iter(records)
     chunk = list(islice(remaining, PACK_CHUNK_RECORDS))
     while chunk:
         writer.append_many(wire_pairs(chunk, codec, encoders))
-        if writer.ops:
+        if writer.segments_sealed != sealed:
+            sealed = writer.segments_sealed
             drive(writer)
         chunk = list(islice(remaining, PACK_CHUNK_RECORDS))
     writer.close()

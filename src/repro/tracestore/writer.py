@@ -295,15 +295,26 @@ def flush_to_fs(fs, writer):
 
 
 def flush_to_files(writer):
-    """Apply pending ops to the real filesystem (the pack CLI)."""
-    for op in writer.pending_ops():
-        kind, path = op[0], op[1]
-        if kind == "open":
-            with open(path, "wb"):
-                pass
-        elif kind == "write":
-            with open(path, "ab") as handle:
+    """Apply pending ops to the real filesystem (the pack CLI).  A file
+    is opened once per run of writes to it: at its ``open`` op (which
+    truncates), or else at the run's first write, for appending."""
+    path = handle = None
+    try:
+        for op in writer.pending_ops():
+            kind = op[0]
+            if handle is not None and (kind != "write" or op[1] != path):
+                handle.close()
+                handle = None
+            if kind == "close":
+                continue
+            if handle is None:
+                path = op[1]
+                handle = open(path, "wb" if kind == "open" else "ab")
+            if kind == "write":
                 handle.write(op[2])
+    finally:
+        if handle is not None:
+            handle.close()
 
 
 def collect_ops(store, writer):

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.filtering import records
 from repro.filtering.descriptions import parse_descriptions
 from repro.filtering.records import format_record, parse_record_line, parse_trace
 
@@ -97,12 +98,33 @@ _separators = st.sampled_from(
 )
 #: Whitespace ``str.strip`` removes, Unicode spaces among it.
 _blanks = st.text(alphabet=" \t\u00a0\u3000\x1f", min_size=1, max_size=3)
+_keys = st.sampled_from(["pid", "a", "b", "k", ""])
 _chunks = st.one_of(
-    st.tuples(st.sampled_from(["pid", "a", "b", "k"]), _values).map("=".join),
-    st.sampled_from(["bare", "#", "x==1", "=7", "==", "a=b=c"]),
+    st.tuples(_keys, _values).map("=".join),
+    # No ``=`` at all; an empty key, value or both; more than one ``=``.
+    st.sampled_from(["bare", "#", "x==1", "=7", "==", "a=b=c", "=", "pid=",
+                     "=send", "7"]),
 )
+#: A line that names one key twice or more (the last value wins).
+_repeats = st.tuples(_keys, st.lists(_values, min_size=2, max_size=3)).map(
+    lambda drawn: " ".join(drawn[0] + "=" + value for value in drawn[1])
+)
+#: Lines whose every chunk holds an ``=`` ...
+_clean = st.one_of(
+    st.lists(st.tuples(_keys, _values).map("=".join), min_size=1, max_size=8)
+    .map(" ".join),
+    _repeats,
+)
+#: ... and lines with a chunk that has none.
+_pairless = st.tuples(
+    st.lists(_chunks, max_size=3),
+    st.sampled_from(["bare", "#", "7", "x"]),
+    st.lists(_chunks, max_size=3),
+).map(lambda drawn: " ".join(drawn[0] + [drawn[1]] + drawn[2]))
 _lines = st.one_of(
     st.lists(_chunks, max_size=8).map(" ".join),
+    _clean,
+    _pairless,
     st.sampled_from(["#batch 1 2 3", "  # note pid=4", "", "   "]),
     # Whitespace, ASCII or not, before a ``#`` or a record.
     st.tuples(_blanks, st.sampled_from(["#batch 1 2 3", "# x", "pid=4 a=b"]))
@@ -115,9 +137,27 @@ _lines = st.one_of(
 )
 
 
-@given(st.lists(st.tuples(_lines, _separators), max_size=30))
-@settings(max_examples=300)
+#: One call's text holding clean lines and at least one pair-less line,
+#: so the call leaves the C-level lane after parsing some of its lines.
+_mixed = st.tuples(
+    st.lists(_clean, min_size=1, max_size=6),
+    _pairless,
+    st.lists(st.one_of(_clean, _lines), max_size=6),
+).map(lambda drawn: [*drawn[0], drawn[1], *drawn[2]])
+_texts = st.one_of(
+    st.lists(st.tuples(_lines, _separators), max_size=30),
+    st.tuples(_mixed, _separators).map(
+        lambda drawn: [(line, drawn[1]) for line in drawn[0]]
+    ),
+)
+
+
+@given(_texts)
+@settings(max_examples=400)
 def test_memoised_parse_matches_reference(lines):
+    """Both lanes of ``parse_trace`` -- one ``dict(map(...))`` per line,
+    and the line-by-line reference a pair-less chunk sends the whole
+    call to -- give what a parse with no memo gives."""
     text = "".join(line + separator for line, separator in lines)
     got = parse_trace(text)
     expected = _reference_trace(text)
@@ -131,3 +171,39 @@ def test_memoised_parse_matches_reference(lines):
         got[0]["pid"] = "mutated"
         assert got[1:] == expected[1:]
         assert parse_trace(text)[0] == expected[0]
+
+
+def test_parse_trace_leaves_the_c_level_lane_only_for_a_pairless_chunk(monkeypatch):
+    """A log whose every chunk holds an ``=`` is parsed without the
+    line-by-line parser; one chunk with none sends that call to it,
+    and the next clean call is back on the fast lane."""
+    calls = []
+    reference = records._parse_line
+    monkeypatch.setattr(
+        records, "_parse_line",
+        lambda line, chunks: calls.append(line) or reference(line, chunks),
+    )
+    clean = "a=1 b=x\n#batch 1 2 3\na=1 a=2\n"
+    assert parse_trace(clean) == [{"a": 1, "b": "x"}, {"a": 2}]
+    assert calls == []
+    assert parse_trace(clean + "bare c=3\n") == [
+        {"a": 1, "b": "x"}, {"a": 2}, {"c": 3}
+    ]
+    assert calls == ["a=1 b=x", "a=1 a=2", "bare c=3"]
+    parse_trace(clean)
+    assert len(calls) == 3
+
+
+def test_chunk_memo_does_not_outlive_a_call(monkeypatch):
+    """Each call parses its chunks afresh: a memo kept across calls
+    would let a repeated parse of one log read a warm cache."""
+    parsed = []
+    missing = records._Chunks.__missing__
+    monkeypatch.setattr(
+        records._Chunks, "__missing__",
+        lambda memo, chunk: parsed.append(chunk) or missing(memo, chunk),
+    )
+    text = "a=1 b=2\na=1 b=3\n"
+    parse_trace(text)
+    parse_trace(text)
+    assert parsed == ["a=1", "b=2", "b=3"] * 2

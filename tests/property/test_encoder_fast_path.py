@@ -83,10 +83,12 @@ _ABSENT = object()
 def _records(draw):
     """A record of ``event``: whole and clean (ints and NAMEs, as the
     live meter and a full text log write them), whole with any values,
-    or with any fields absent; sometimes with extra keys."""
+    with any fields absent, or clean with a whole record's key count
+    where an extra key stands in for ``traceType`` or a dropped field;
+    sometimes with extra keys."""
     event = draw(st.sampled_from(sorted(EVENT_TYPES)))
     kinds = dict(BODY_FIELDS[event])
-    shape = draw(st.sampled_from(["clean", "whole", "any"]))
+    shape = draw(st.sampled_from(["clean", "whole", "any", "stand-in"]))
     record = {}
     for field in record_fields(event):
         if field in ("size", "traceType"):
@@ -94,12 +96,21 @@ def _records(draw):
         elif kinds.get(field) == "name":
             values = _names
         else:
-            values = _clean_longs if shape == "clean" else _longs
+            values = _clean_longs if shape in ("clean", "stand-in") else _longs
         if shape == "any":
             values = st.one_of(values, st.just(_ABSENT))
         value = draw(values)
         if value is not _ABSENT:
             record[field] = value
+    if shape == "stand-in":
+        missing = draw(st.one_of(
+            st.just("traceType"), st.sampled_from(record_fields(event))
+        ))
+        del record[missing]
+        record["event"] = event
+        record[draw(st.sampled_from(["extra", "seq", "note"]))] = 0
+        assert len(record) == WHOLE_RECORD_KEYS[event]
+        return event, record
     if shape == "clean" and draw(st.booleans()):
         # One field spoilt or dropped.
         field = draw(st.sampled_from(sorted(record)))

@@ -22,7 +22,9 @@ def format_record(record, field_order=None):
 
 def parse_record_line(line):
     """Parse a log line back into a record dict (ints where possible)."""
-    return _parse_line(line, _Chunks())
+    record = dict(map(_Chunks().__getitem__, line.split()))
+    record.pop(None, None)
+    return record
 
 
 def parse_trace(text):
@@ -36,37 +38,42 @@ def parse_trace(text):
     Each kept line becomes ``dict(map(chunks.__getitem__,
     line.split()))`` with no Python frame of its own: ``chunks`` is
     this call's :class:`_Chunks` memo, which parses a chunk the first
-    time the log shows it.  A chunk with no ``=`` maps to None, which
-    ``dict`` refuses; a log holding one is parsed again line by line
-    with :func:`_parse_line`, the reference, sharing the memo.
+    time the log shows it.  A chunk with no ``=`` parses to the pair
+    ``(None, None)``; once the memo has met one, every record drops
+    the key None, which no real chunk has.
     """
     chunks = _Chunks()
-    lines = [
-        line
+    pair_of = chunks.__getitem__
+    records = [
+        dict(map(pair_of, line.split()))
         for line in text.splitlines()
         if (head := line[:1]) != "#"
         and (head.strip() or line.strip() and not line.lstrip().startswith("#"))
     ]
-    pair_of = chunks.__getitem__
-    try:
-        return [dict(map(pair_of, line.split())) for line in lines]
-    except TypeError:  # a pair-less chunk
-        return [_parse_line(line, chunks) for line in lines]
+    if chunks.pairless:
+        for record in records:
+            record.pop(None, None)
+    return records
 
 
 class _Chunks(dict):
-    """chunk -> ``(key, value)`` (None for a chunk with no ``=``) for
-    one parse: a log repeats a few thousand distinct ``key=value``
-    chunks endlessly, and keys and values are immutable strs and ints,
-    so records may share them.  Never kept across calls."""
+    """chunk -> ``(key, value)`` for one parse (``(None, None)`` for a
+    chunk with no ``=``, which sets ``pairless``): a log repeats a few
+    thousand distinct ``key=value`` chunks endlessly, and keys and
+    values are immutable strs and ints, so records may share them.
+    Never kept across calls."""
 
-    __slots__ = ()
+    __slots__ = ("pairless",)
+
+    def __init__(self):
+        self.pairless = False
 
     def __missing__(self, chunk):
         key, sep, value = chunk.partition("=")
         if not sep:
-            self[chunk] = None
-            return None
+            self.pairless = True
+            pair = self[chunk] = None, None
+            return pair
         # No base-10 int literal starts with a letter (``event=send`` on
         # every line): such a value is a string without raising to find
         # out.
@@ -78,13 +85,3 @@ class _Chunks(dict):
         pair = self[chunk] = key, value
         return pair
 
-
-def _parse_line(line, chunks):
-    """The reference line parser, one chunk at a time through the
-    ``chunks`` memo; a chunk with no ``=`` is skipped."""
-    record = {}
-    for chunk in line.split():
-        pair = chunks[chunk]
-        if pair is not None:
-            record[pair[0]] = pair[1]
-    return record

@@ -9,15 +9,15 @@ reduced-away fields, so ``pack -> scan`` yields exactly the records
 ``parse_trace`` would.
 
 Text logs carry host names only in display form ("inet:red:6101"), so
-packing builds a host table from the names it sees, one C-level pass
-over the records per NAME key; the assigned ids travel in each sealed
-segment's footer and the reader's codec maps them back to the same
-display strings.  The pack then reads the records once more, a chunk
-at a time, and hands its writer's ops to the driver once per sealed
-segment and at close.
+packing builds a host table from the names it sees, in a pass of its
+own over the records; the assigned ids travel in each sealed segment's
+footer and the reader's codec maps them back to the same display
+strings.  The pack then reads the records once more, a chunk at a
+time, and hands its writer's ops to the driver once per sealed segment
+and at close.
 """
 
-from itertools import islice, repeat
+from itertools import islice
 
 from repro.filtering.records import parse_trace
 from repro.metering.messages import (
@@ -33,13 +33,11 @@ from repro.metering.messages import (
 from repro.tracestore import format as sformat
 from repro.tracestore.writer import StoreWriter, collect_ops
 
-#: Every NAME field of any Appendix-A event.
-_NAME_KEYS = sorted({
-    name
-    for fields in BODY_FIELDS.values()
-    for name, kind in fields
-    if kind == "name"
-})
+#: event -> its NAME fields, in Appendix-A order.
+_NAME_FIELDS = {
+    event: tuple(name for name, kind in fields if kind == "name")
+    for event, fields in BODY_FIELDS.items()
+}
 
 
 #: Records encoded and handed to the writer's batch loop at a time:
@@ -51,12 +49,13 @@ PACK_CHUNK_RECORDS = 256
 
 def host_names_from_records(records):
     """Assign stable host ids, in name order, to every Internet host
-    name in the NAME-key display strings of ``records`` (a list of
-    dicts, read once per NAME key).  A NAME key counts whatever the
-    record's event."""
+    name that appears in a record's NAME-field display strings."""
     values = set()
-    for name in _NAME_KEYS:
-        values.update(map(dict.get, records, repeat(name)))
+    for record in records:
+        # ``record_event(record)``, its first half read inline.
+        event = record.get("event") or record_event(record)
+        for name in _NAME_FIELDS.get(event, ()):
+            values.add(record.get(name))
     hosts = set()
     for value in values:
         if isinstance(value, str) and value.startswith("inet:"):
@@ -81,6 +80,7 @@ def wire_pairs(records, codec, encoders=None):
         encoders = {}
     pairs = []
     for record in records:
+        # ``record_event(record)``, its first half read inline.
         event = record.get("event") or record_event(record)
         entry = encoders.get(event)
         if entry is None:
@@ -116,8 +116,8 @@ def pack_records(records, base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
     crash-loss bound is free).
     """
     if host_names is None:
-        if type(records) is not list:
-            # The host table reads the records once per NAME key.
+        if iter(records) is records:
+            # A one-shot iterator: the host table takes a pass of its own.
             records = list(records)
         host_names = host_names_from_records(records)
     codec = MessageCodec(host_names)

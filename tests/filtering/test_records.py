@@ -50,6 +50,18 @@ def test_parse_trace_skips_blank_lines():
     assert parse_trace(text) == [{"a": 1}, {"b": 2}]
 
 
+def test_a_chunk_with_no_equals_sign_is_skipped_in_place():
+    """A pair-less chunk leaves no key behind (the memo's stand-in key
+    None included), and the keys around it keep their order."""
+    assert list(parse_record_line("b=1 bare a=2 # b=3").items()) == [
+        ("b", 3), ("a", 2)
+    ]
+    assert parse_trace("a=1 c=2\nbare\nc=3 7 a=4\n") == [
+        {"a": 1, "c": 2}, {}, {"c": 3, "a": 4}
+    ]
+    assert [list(record) for record in parse_trace("c=3 x a=4\n")] == [["c", "a"]]
+
+
 def test_empty_value_field():
     line = format_record({"destName": "", "pid": 1}, field_order=["pid", "destName"])
     parsed = parse_record_line(line)
@@ -138,7 +150,7 @@ _lines = st.one_of(
 
 
 #: One call's text holding clean lines and at least one pair-less line,
-#: so the call leaves the C-level lane after parsing some of its lines.
+#: so a chunk the memo maps to None comes after records already parsed.
 _mixed = st.tuples(
     st.lists(_clean, min_size=1, max_size=6),
     _pairless,
@@ -155,9 +167,9 @@ _texts = st.one_of(
 @given(_texts)
 @settings(max_examples=400)
 def test_memoised_parse_matches_reference(lines):
-    """Both lanes of ``parse_trace`` -- one ``dict(map(...))`` per line,
-    and the line-by-line reference a pair-less chunk sends the whole
-    call to -- give what a parse with no memo gives."""
+    """``parse_trace``'s one ``dict(filter(None, map(...)))`` per line
+    over the call's chunk memo gives what a parse with no memo gives,
+    pair-less chunks, empty keys and repeated keys among the lines."""
     text = "".join(line + separator for line, separator in lines)
     got = parse_trace(text)
     expected = _reference_trace(text)
@@ -171,27 +183,6 @@ def test_memoised_parse_matches_reference(lines):
         got[0]["pid"] = "mutated"
         assert got[1:] == expected[1:]
         assert parse_trace(text)[0] == expected[0]
-
-
-def test_parse_trace_leaves_the_c_level_lane_only_for_a_pairless_chunk(monkeypatch):
-    """A log whose every chunk holds an ``=`` is parsed without the
-    line-by-line parser; one chunk with none sends that call to it,
-    and the next clean call is back on the fast lane."""
-    calls = []
-    reference = records._parse_line
-    monkeypatch.setattr(
-        records, "_parse_line",
-        lambda line, chunks: calls.append(line) or reference(line, chunks),
-    )
-    clean = "a=1 b=x\n#batch 1 2 3\na=1 a=2\n"
-    assert parse_trace(clean) == [{"a": 1, "b": "x"}, {"a": 2}]
-    assert calls == []
-    assert parse_trace(clean + "bare c=3\n") == [
-        {"a": 1, "b": "x"}, {"a": 2}, {"c": 3}
-    ]
-    assert calls == ["a=1 b=x", "a=1 a=2", "bare c=3"]
-    parse_trace(clean)
-    assert len(calls) == 3
 
 
 def test_chunk_memo_does_not_outlive_a_call(monkeypatch):

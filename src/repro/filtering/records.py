@@ -30,25 +30,23 @@ def parse_record_line(line):
 def parse_trace(text):
     """Parse a whole log file into a list of records.
 
-    Lines starting with ``#`` are filter metadata (batch-commit
-    markers such as ``#batch <machine> <pid> <seq>``), not records;
-    so are blank lines.  Only a line that is empty or starts with
-    whitespace needs stripping to tell.
+    Lines whose first chunk starts with ``#`` are filter metadata
+    (batch-commit markers such as ``#batch <machine> <pid> <seq>``),
+    not records; so are blank lines, which have no chunk.
 
-    Each kept line becomes ``dict(map(chunks.__getitem__,
-    line.split()))`` with no Python frame of its own: ``chunks`` is
-    this call's :class:`_Chunks` memo, which parses a chunk the first
-    time the log shows it.  A chunk with no ``=`` parses to the pair
+    Each kept line becomes ``dict(map(chunks.__getitem__, chunks of the
+    line))`` with no Python frame of its own: ``chunks`` is this
+    call's :class:`_Chunks` memo, which parses a chunk the first time
+    the log shows it.  A chunk with no ``=`` parses to the pair
     ``(None, None)``; once the memo has met one, every record drops
     the key None, which no real chunk has.
     """
     chunks = _Chunks()
     pair_of = chunks.__getitem__
     records = [
-        dict(map(pair_of, line.split()))
+        dict(map(pair_of, words))
         for line in text.splitlines()
-        if (head := line[:1]) != "#"
-        and (head.strip() or line.strip() and not line.lstrip().startswith("#"))
+        if (words := line.split()) and words[0][0] != "#"
     ]
     if chunks.pairless:
         for record in records:

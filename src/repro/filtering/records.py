@@ -34,10 +34,10 @@ def parse_trace(text):
     (batch-commit markers such as ``#batch <machine> <pid> <seq>``),
     not records; so are blank lines, which have no chunk.
 
-    Each kept line becomes ``dict(map(chunks.__getitem__, chunks of the
-    line))`` with no Python frame of its own: ``chunks`` is this
-    call's :class:`_Chunks` memo, which parses a chunk the first time
-    the log shows it.  A chunk with no ``=`` parses to the pair
+    Each kept line's split ``words`` becomes ``dict(map(
+    chunks.__getitem__, words))`` with no Python frame of its own:
+    ``chunks`` is this call's :class:`_Chunks` memo, which parses a
+    chunk the first time the log shows it.  A chunk with no ``=`` parses to the pair
     ``(None, None)``; once the memo has met one, every record drops
     the key None, which no real chunk has.
     """

@@ -169,7 +169,13 @@ def _drift_run(offset_ms):
     session.settle()
     fired = _firing_identities(session.command("watch poll"))
     records = list(session.read_trace("f1"))
-    truth_all = twins.batch_unmatched_dgram_sends(Trace(list(records)))
+    # Ground truth: the datagram sends (they carry a destName) that the
+    # post-mortem matcher could not pair, keyed as firings report them.
+    truth_all = {
+        (event.machine, event.pid, event.proc_seq)
+        for event in Trace(list(records)).matcher().unmatched_sends
+        if event.dest
+    }
     # An online monitor can only flag what the stream outlived: restrict
     # ground truth to sends at least one window older than the final
     # watermark (e.g. the consumer's end-of-run stdout report is an

@@ -158,7 +158,9 @@ class MeterInbox:
 
     def _feed(self, fd, data, raw_messages):
         """Frame newly read bytes, appending complete messages to
-        ``raw_messages``.  Returns True if the stream is corrupt.
+        ``raw_messages`` -- or, on a query connection, to
+        :attr:`pending_queries` as ``(fd, raw frame)``.  Returns True
+        if the stream is corrupt.
 
         One concatenation joins any partial message left from the
         previous read; after that a cursor indexes into the buffer, so
@@ -169,8 +171,6 @@ class MeterInbox:
         leftover = self.buffers[fd]
         if leftover:
             data = leftover + data
-        if fd in self._query_fds:
-            return self._feed_queries(fd, data)
         if fd in self._unclassified:
             if len(data) < HEADER_BYTES:
                 self.buffers[fd] = data
@@ -178,7 +178,9 @@ class MeterInbox:
             self._unclassified.discard(fd)
             if peek_trace_type(data) == STREAM_QUERY_TYPE:
                 self._query_fds.add(fd)
-                return self._feed_queries(fd, data)
+        queries = fd in self._query_fds
+        out = [] if queries else raw_messages
+        corrupt = False
         end = len(data)
         offset = 0
         while True:
@@ -186,38 +188,23 @@ class MeterInbox:
             if size is None:
                 break
             if size < HEADER_BYTES or size > MAX_METER_MESSAGE:
-                return True
+                corrupt = True
+                break
             if end - offset < size:
                 break
             if offset == 0 and size == end:
                 # The read is exactly one message: pass it through.
-                raw_messages.append(data)
+                out.append(data)
                 offset = end
                 break
-            raw_messages.append(data[offset : offset + size])
+            out.append(data[offset : offset + size])
             offset += size
+        if queries:
+            self.pending_queries.extend((fd, raw) for raw in out)
         if offset == end:
             self.buffers[fd] = b""
         elif offset:
             self.buffers[fd] = data[offset:]
         else:
             self.buffers[fd] = data
-        return False
-
-    def _feed_queries(self, fd, data):
-        """Framing for a query connection: same size-delimited frames,
-        routed to :attr:`pending_queries` instead of the record path."""
-        end = len(data)
-        offset = 0
-        while True:
-            size = peek_size(data, offset)
-            if size is None:
-                break
-            if size < HEADER_BYTES or size > MAX_METER_MESSAGE:
-                return True
-            if end - offset < size:
-                break
-            self.pending_queries.append((fd, data[offset : offset + size]))
-            offset += size
-        self.buffers[fd] = data[offset:] if offset != end else b""
-        return False
+        return corrupt

@@ -149,8 +149,10 @@ def recover_store_seqs(sys, base, on_record=None):
         segment = Segment("", data)
         if not segment.valid:
             continue  # damaged header: nothing recoverable here
-        frames, __gaps = segment.committed_salvage()
-        for __, mask, payload in frames:
+        for item in segment.committed_frames():
+            if item[0] == "gap":
+                continue  # quarantined bytes: no frame to replay
+            __, __, mask, payload = item
             marker = parse_batch_marker(payload)
             if marker is None:
                 if on_record is not None:

@@ -163,11 +163,12 @@ def connect_retry(
     ``backoff_ms`` up to ``max_backoff_ms``, jittered by the simulator
     RNG so many retriers do not stampede in lockstep.  Returns the
     connected fd; on exhaustion raises a ``SyscallError`` naming the
-    destination and the attempt count.
+    destination and the attempt count, with no wait after the last
+    attempt.
     """
     last_err = None
     delay = backoff_ms
-    for __ in range(attempts):
+    for attempt in range(attempts):
         fd = yield sys.socket(domain, type_)
         try:
             yield sys.connect(fd, name, timeout_ms)
@@ -177,8 +178,9 @@ def connect_retry(
             yield sys.close(fd)
             if err.errno not in TRANSIENT_ERRNOS:
                 raise
-            yield from backoff_sleep(sys, delay)
-            delay = min(delay * 2.0, max_backoff_ms)
+            if attempt + 1 < attempts:
+                yield from backoff_sleep(sys, delay)
+                delay = min(delay * 2.0, max_backoff_ms)
     raise SyscallError(
         last_err.errno,
         "connect to {0!r} failed after {1} attempts".format(name, attempts),

@@ -76,20 +76,6 @@ def _pairs_digest(pairs):
     return digest
 
 
-def batch_clock_digest(trace):
-    """Digest the HappensBefore view's clocks with the helper the
-    online fold digests its own with (it discounts the padded clocks'
-    trailing zero components)."""
-    from repro.analysis.ordering import HappensBefore
-
-    return _clock_digest(trace, HappensBefore(trace).vector_clock)
-
-
-def batch_pairs_digest(trace):
-    """Digest the MessageMatcher view's pair set the online way."""
-    return _pairs_digest(trace.matcher().pairs)
-
-
 def answers_digest(trace, analysis, clock_of):
     """``analysis.pairs``, its ``totals()`` and ``per_process()``, and
     one ``clock_of(event)`` per event, in the engine's ``digest()``
@@ -115,17 +101,6 @@ def batch_digest(trace):
     return answers_digest(
         trace, trace.matcher(), HappensBefore(trace).vector_clock
     )
-
-
-def batch_unmatched_dgram_sends(trace):
-    """Ground truth for the ``undelivered`` query: datagram sends (they
-    carry a destName) the post-mortem matcher could not pair.  Returned
-    as (machine, pid, proc_seq) identities, the key firings report."""
-    return {
-        (event.machine, event.pid, event.proc_seq)
-        for event in trace.matcher().unmatched_sends
-        if event.dest
-    }
 
 
 def canonical(value):

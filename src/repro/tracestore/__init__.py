@@ -23,9 +23,10 @@ Durability: there is one segment format (version 2) -- every frame
 carries a CRC32 over its length, mask, and payload -- so corruption
 anywhere in the data region is *detectable*, not just at the sealed
 footer.  Any other version in a header is a bad header, reported and
-skipped like a foreign file.  Reads are strict by default
-(a corrupt frame raises :class:`CorruptSegmentError`); salvage mode
-(``scan(salvage=True)``) resynchronizes past damage and accounts every
+skipped like a foreign file.  Every read takes one frame walk; reads
+are strict by default (the walk's first gap, bytes no verifiable
+frame covers, raises :class:`CorruptSegmentError`), and salvage mode
+(``scan(salvage=True)``) skips the same gaps and accounts every
 quarantined byte in :class:`ScanStats`.
 """
 

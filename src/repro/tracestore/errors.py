@@ -11,8 +11,9 @@ working unchanged.
 - :class:`BadSegmentHeaderError` -- the first 8 bytes are not a valid
   segment header (foreign file, truncated header, unknown version);
 - :class:`CorruptSegmentError` -- a segment's data region is damaged;
-- :class:`CorruptFrameError` -- one specific frame failed its CRC or
-  overran the committed region (carries the byte offset).
+- :class:`CorruptFrameError` -- a strict read met a gap: bytes of a
+  data region that no verifiable frame covers (carries the gap's
+  first byte offset).
 """
 
 
@@ -52,5 +53,6 @@ class CorruptSegmentError(StoreError):
 
 
 class CorruptFrameError(CorruptSegmentError):
-    """One frame failed its integrity check (v2 CRC mismatch, or a
-    frame overrunning the sealed data region)."""
+    """A frame walk found bytes no verifiable frame covers: a CRC
+    mismatch, a length word no torn append writes, or bytes left
+    after a sealed region's last frame (``offset`` is the first)."""

@@ -33,12 +33,17 @@ writer flushed survives).  The footer lets a reader skip a whole
 segment when a predicate cannot match any record in it -- that is the
 predicate pushdown the streaming analyses rely on.
 
-Because a sealed segment always ends exactly on a frame boundary, a
-frame that overruns the sealed data region is corruption, not a torn
-tail; only *unsealed* segments may legitimately end mid-frame.
-:func:`iter_frames` enforces that distinction, and
-:func:`salvage_frames` resynchronizes past damage to the next frame
-whose CRC verifies, reporting every skipped byte range.
+Because a sealed segment always ends exactly on a frame boundary, any
+bytes left over after its last frame -- a short stub or a frame that
+overruns the region -- are damage, not a torn tail; only *unsealed*
+segments may legitimately end mid-frame.  One walk reads frames,
+:func:`salvage_frames`: it yields every frame whose CRC verifies,
+every byte range it had to skip to reach the next one (a *gap*), and
+an unsealed segment's torn tail.  A strict read is that same walk
+refusing to skip: it raises at the first gap, after yielding every
+frame before it; a salvage read counts the gap as loss.  (The batch
+scan's fused lane is a faster walk of CRC-verified sealed regions;
+this walk is its reference.)
 
 There is one format, version 2.  Version 1 (no per-frame CRC) existed
 for two days and no store of it outlived its process; a version-1
@@ -82,7 +87,7 @@ from repro.metering.messages import (  # discard masks re-exported
     field_layout,
     masked_fields,
 )
-from repro.tracestore.errors import BadSegmentHeaderError, CorruptFrameError
+from repro.tracestore.errors import BadSegmentHeaderError
 
 SEGMENT_MAGIC = b"RTS1"
 TRAILER_MAGIC = b"RTSX"
@@ -185,50 +190,22 @@ def _read_frame(data, offset, end):
     return mask, payload, next_offset, None
 
 
-def iter_frames(data, start, end, sealed=False, path=None):
-    """Yield (offset, mask, payload) for each complete frame in
-    ``data[start:end]``.
+def salvage_frames(data, start, end, sealed=False):
+    """The one reference walk of a frame region ``data[start:end]``.
 
-    A truncated trailing frame normally ends the iteration (a crash
-    mid-append is expected on unsealed tails); with ``sealed=True`` the
-    region is known to end on a frame boundary, so a trailing overrun
-    is corruption and raises.  A frame whose CRC does not match its
-    bytes always raises :class:`CorruptFrameError`.
-    """
-    offset = start
-    while offset < end:
-        mask, payload, next_offset, error = _read_frame(data, offset, end)
-        if error == "torn":
-            if sealed and offset + FRAME_OVERHEAD_BYTES <= end:
-                raise CorruptFrameError(
-                    "frame at offset %d overruns the sealed data region"
-                    % offset,
-                    path=path,
-                    offset=offset,
-                )
-            break  # torn tail frame: the writer died mid-append
-        if error == "crc":
-            raise CorruptFrameError(
-                "frame CRC mismatch at offset %d" % offset,
-                path=path,
-                offset=offset,
-            )
-        yield offset, mask, payload
-        offset = next_offset
-
-
-def salvage_frames(data, start, end):
-    """Best-effort frame walk that survives data-region corruption.
-
-    Yields ``("frame", offset, mask, payload)`` for every verifiable
-    frame, ``("gap", gap_start, gap_end)`` for every byte range that
-    had to be quarantined to reach the next verifiable frame, and at
-    most one trailing ``("torn", tail_start, end)`` when the region
-    ends with an ordinary torn tail frame (crash mid-append: expected
-    loss, not corruption).  After a bad frame, the scan resynchronizes
-    by sliding forward one byte at a time until a candidate frame's CRC
-    verifies.  A trailing region with no verifiable frame is
-    quarantined in full.
+    Yields ``("frame", offset, mask, payload)`` for every frame whose
+    CRC verifies, ``("gap", gap_start, gap_end)`` for every byte range
+    no verifiable frame covers, and -- only when the region is not
+    ``sealed`` -- at most one trailing ``("torn", tail_start, end)``:
+    an incomplete last frame with a plausible length word, straight
+    after a verified one (a crash mid-append: expected loss, not
+    damage).  A sealed region ends on a frame boundary, so anything
+    left over there, short or overrunning, is a gap.  After a bad
+    frame the walk slides forward one byte at a time until a
+    candidate frame's CRC verifies; a trailing region with no
+    verifiable frame is one gap.  A strict read refuses the first gap
+    (:meth:`~repro.tracestore.reader.StoreReader.scan`); a salvage
+    read counts it as loss.
     """
     offset = start
     gap_start = None
@@ -241,7 +218,7 @@ def salvage_frames(data, start, end):
             yield "frame", offset, mask, payload
             offset = next_offset
             continue
-        if error == "torn" and gap_start is None:
+        if error == "torn" and gap_start is None and not sealed:
             if offset + 4 > min(end, len(data)):
                 candidate_length = None  # too short even for a length
             else:
@@ -405,35 +382,30 @@ def compress_region(frame_bytes, level=6):
 
 
 def decompress_region(blob, raw_bytes=None):
-    """Inflate a compressed segment's data region.
+    """Inflate a compressed segment's data region, keeping whatever
+    prefix inflates cleanly when the blob does not (an unsealed
+    segment's writer died before seal, or the bytes are damaged): the
+    frame walk then recovers records exactly as from a plain region.
 
     With ``raw_bytes`` (from the footer of a sealed segment) the
-    output size is checked; a short or oversized result raises
-    :class:`CorruptFrameError`.  Without it (an unsealed compressed
-    segment: the writer died before seal, the blob may be truncated)
-    the decompressor keeps whatever prefix inflates cleanly -- the
-    frame walk then recovers records exactly as from a torn plain
-    tail.
+    result is cut or zero-filled to that size.  The bytes the blob
+    lost verify as no frame, so the walk of the sealed region reads
+    them as one gap up to its end.
     """
-    if raw_bytes is None:
+    try:
+        raw = zlib.decompress(blob)
+    except zlib.error:
         inflater = zlib.decompressobj()
         pieces = []
         for start in range(0, len(blob), 4096):
             try:
                 pieces.append(inflater.decompress(bytes(blob[start : start + 4096])))
             except zlib.error:
-                break  # inflated prefix is good; the rest is torn
-        return b"".join(pieces)
-    try:
-        raw = zlib.decompress(blob)
-    except zlib.error as err:
-        raise CorruptFrameError("compressed data region: %s" % err)
-    if len(raw) != raw_bytes:
-        raise CorruptFrameError(
-            "compressed data region inflated to %d bytes, footer says %d"
-            % (len(raw), raw_bytes)
-        )
-    return raw
+                break  # inflated prefix is good; the rest is lost
+        raw = b"".join(pieces)
+    if raw_bytes is None:
+        return raw
+    return raw[:raw_bytes].ljust(raw_bytes, b"\0")
 
 
 def footer_matches(footer, machines=None, pids=None, events=None,

@@ -4,8 +4,10 @@
 into a trace (sealed-clean / open-clean / torn-tail / corrupt-frame /
 bad-header / foreign), verifies each surviving frame (v2 CRC plus a
 payload decode check), and totals the loss: records recovered, records
-known lost (sealed footers record how many frames a segment held), and
-bytes quarantined.
+known lost (sealed footers record how many records a segment held),
+and bytes quarantined.  It reads each segment's frames once, from the
+frame walk every scan takes, so it calls a segment corrupt-frame
+exactly where a strict scan that reads the segment raises.
 
 ``repair_store`` rewrites a damaged store as a fresh copy containing
 only the verified frames, re-sealing every segment with a rebuilt
@@ -33,6 +35,13 @@ def fsck_store(reader):
     quarantined, skipped, or undecodable -- torn tails are expected
     crash loss and do not make a store unclean.
     """
+    return _check(reader, None)
+
+
+def _check(reader, keep):
+    """:func:`fsck_store`, walking each segment's frames once; every
+    verified, decodable record frame also goes to ``keep(payload,
+    mask)`` when given, in store order."""
     segments = []
     totals = {
         "segments": len(reader.segments),
@@ -43,32 +52,34 @@ def fsck_store(reader):
         "by_status": {},
     }
     for segment in reader.segments:
-        report = segment.verify()
+        items = list(segment.frames())
+        report = segment.verify(items)
         report["records_recovered"] = 0
         report["records_expected"] = (
-            segment.footer["records"] if segment.sealed else None
+            segment.footer_records() if segment.sealed else None
         )
-        if segment.valid:
-            frames, __gaps = segment.committed_salvage()
-            for __, __mask, payload in frames:
-                if is_batch_marker(payload):
-                    continue
-                try:
-                    reader.codec.decode(payload)
-                except ValueError:
-                    # Counts as damage even though the frame's CRC
-                    # verified: what was written is no meter message.
-                    report["quarantined_bytes"] += (
-                        len(payload) + sformat.FRAME_OVERHEAD_BYTES
-                    )
-                    if report["status"] in (
-                        sreader.SEALED_CLEAN,
-                        sreader.OPEN_CLEAN,
-                        sreader.TORN_TAIL,
-                    ):
-                        report["status"] = sreader.CORRUPT_FRAME
-                    continue
-                report["records_recovered"] += 1
+        for item in segment.committed_frames(items):
+            if item[0] == "gap" or is_batch_marker(item[3]):
+                continue  # a gap is in the verify report already
+            __, __, mask, payload = item
+            try:
+                reader.codec.decode(payload)
+            except ValueError:
+                # Counts as damage even though the frame's CRC
+                # verified: what was written is no meter message.
+                report["quarantined_bytes"] += (
+                    len(payload) + sformat.FRAME_OVERHEAD_BYTES
+                )
+                if report["status"] in (
+                    sreader.SEALED_CLEAN,
+                    sreader.OPEN_CLEAN,
+                    sreader.TORN_TAIL,
+                ):
+                    report["status"] = sreader.CORRUPT_FRAME
+                continue
+            report["records_recovered"] += 1
+            if keep is not None:
+                keep(payload, mask)
         if report["records_expected"] is not None:
             report["records_lost"] = (
                 report["records_expected"] - report["records_recovered"]
@@ -102,30 +113,22 @@ def repair_store(reader, out_base, segment_bytes=sformat.DEFAULT_SEGMENT_BYTES,
     applies the ops to a medium (e.g. ``flush_to_files``); without one
     the copy is returned as a dict path -> bytes.  Returns
     ``(result, writer, report)`` where report is the source store's
-    :func:`fsck_store` output.
+    :func:`fsck_store` output, from the same walk of each segment.
     """
-    report = fsck_store(reader)
     host_names = dict(reader.codec.host_names)
     writer = StoreWriter(
         out_base, segment_bytes=segment_bytes, host_names=host_names
     )
     sink = {} if writer_driver is None else None
-    for segment in reader.segments:
-        if not segment.valid:
-            continue
-        frames, __gaps = segment.committed_salvage()
-        for __, mask, payload in frames:
-            if is_batch_marker(payload):
-                continue
-            try:
-                reader.codec.decode(payload)
-            except ValueError:
-                continue  # already accounted by fsck_store
-            writer.append(payload, mask)
-            if writer_driver is None:
-                collect_ops(sink, writer)
-            else:
-                writer_driver(writer)
+
+    def keep(payload, mask):
+        writer.append(payload, mask)
+        if writer_driver is None:
+            collect_ops(sink, writer)
+        else:
+            writer_driver(writer)
+
+    report = _check(reader, keep)
     writer.close()
     if writer_driver is None:
         collect_ops(sink, writer)

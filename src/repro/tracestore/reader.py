@@ -13,16 +13,23 @@ Damage handling is explicit, never silent:
   bit-rotted header) is skipped and counted in
   :attr:`ScanStats.segments_bad_header`, with the reason kept in
   :attr:`ScanStats.segment_errors`;
-- in the default *strict* mode, a corrupt frame (v2 CRC mismatch, or a
-  frame overrunning a sealed data region) raises
-  :class:`~repro.tracestore.errors.CorruptSegmentError` -- the scan
-  refuses to return a record stream it cannot vouch for;
-- in *salvage* mode (``scan(salvage=True)``), the scan resynchronizes
-  past corrupt byte ranges to the next verifiable frame, quarantines
-  what it skipped, and accounts the loss in
+- every read takes one frame walk (:meth:`Segment.frames`, over
+  :func:`~repro.tracestore.format.salvage_frames`): it yields each
+  frame whose CRC verifies and each *gap*, a byte range no verifiable
+  frame covers (a CRC mismatch, a length word no torn append writes,
+  bytes left after a sealed region's last frame);
+- in the default *strict* mode a read is that walk refusing to skip:
+  at the first gap it raises
+  :class:`~repro.tracestore.errors.CorruptFrameError` with the segment
+  path and the gap's offset, after yielding the records before it --
+  the scan refuses to return a record stream it cannot vouch for;
+- in *salvage* mode (``scan(salvage=True)``) the same gap is
+  quarantined and the loss accounted in
   :attr:`ScanStats.bytes_quarantined` / :attr:`ScanStats.frames_corrupt`,
   so a damaged store degrades into "these records, minus this much
-  quantified loss" instead of an exception or a lie.
+  quantified loss" instead of an exception or a lie.  Whatever strict
+  refuses, salvage counts, and ``trace fsck`` calls the segment
+  corrupt.
 
 The batch fast lane (:mod:`repro.tracestore.batchscan`), whose oracle
 this scan is, shares its segment admission and residual predicate.
@@ -35,7 +42,12 @@ streams instead of sorting a materialized list.
 
 import heapq
 
-from repro.metering.messages import EVENT_TYPES, MessageCodec, is_batch_marker
+from repro.metering.messages import (
+    BATCH_MARKER_TYPE,
+    EVENT_TYPES,
+    MessageCodec,
+    is_batch_marker,
+)
 from repro.tracestore import format as sformat
 from repro.tracestore.errors import (
     BadSegmentHeaderError,
@@ -75,7 +87,6 @@ class Segment:
         self._raw = data
         self._snapshot = data if not isinstance(data, bytearray) else None
         self._region = None  # inflated frame region (compressed segments)
-        self._region_damaged = False
         self.header_error = None
         try:
             self.version = sformat.parse_segment_header(data, path=path)
@@ -104,16 +115,17 @@ class Segment:
             self._snapshot = bytes(self._raw)
         return self._snapshot
 
-    def frame_region(self, best_effort=False):
+    def frame_region(self):
         """(buffer, start, end) of the frame bytes to walk.
 
         Plain segments return the segment buffer itself (zero-copy);
         compressed segments inflate their data region once and cache
         it, with offsets matching the footer's uncompressed
         coordinates (frames start right after the 8-byte header).  A
-        sealed compressed region that fails to inflate raises
-        :class:`CorruptFrameError`; with ``best_effort=True`` (salvage
-        and verify paths) it degrades to whatever prefix inflates.
+        sealed region that fails to inflate is the prefix that does,
+        zero-filled to the footer's size
+        (:func:`~repro.tracestore.format.decompress_region`), so the
+        walk reads what it lost as one gap.
         """
         if not self.valid:
             return b"", 0, 0
@@ -125,22 +137,10 @@ class Segment:
             data = self.data
             if self.sealed:
                 blob = bytes(data[head : head + self.footer["stored_bytes"]])
-                try:
-                    raw = sformat.decompress_region(
-                        blob, self.footer["raw_bytes"]
-                    )
-                except CorruptSegmentError as err:
-                    if not best_effort:
-                        raise CorruptFrameError(str(err), path=self.path)
-                    self._region_damaged = True
-                    raw = sformat.decompress_region(blob, None)
+                raw = sformat.decompress_region(blob, self.footer["raw_bytes"])
             else:
-                raw = sformat.decompress_region(bytes(data[head:]), None)
+                raw = sformat.decompress_region(bytes(data[head:]))
             self._region = bytes(data[:head]) + raw
-        elif self._region_damaged and not best_effort:
-            raise CorruptFrameError(
-                "compressed data region is damaged", path=self.path
-            )
         return self._region, head, len(self._region)
 
     def data_bounds(self):
@@ -149,7 +149,7 @@ class Segment:
         if self.sealed:
             return self.footer["data_start"], self.footer["data_end"]
         if self.compressed:
-            __, start, end = self.frame_region(best_effort=True)
+            __, start, end = self.frame_region()
             return start, end
         return sformat.SEGMENT_HEADER_BYTES, len(self.data)
 
@@ -166,67 +166,59 @@ class Segment:
             return max(len(self.data) - sformat.SEGMENT_HEADER_BYTES, 0)
         return self.data_bytes()
 
-    def iter_frames(self):
-        """Strict frame walk: raises CorruptFrameError on damage."""
+    def frames(self):
+        """This segment's one frame walk
+        (:func:`~repro.tracestore.format.salvage_frames`): ``("frame",
+        offset, mask, payload)``, ``("gap", start, end)`` and, on an
+        unsealed segment only, ``("torn", start, end)`` items, in
+        order."""
         if not self.valid:
             return iter(())
         data, start, end = self.frame_region()
-        return sformat.iter_frames(
-            data, start, end, sealed=self.sealed, path=self.path
-        )
+        return sformat.salvage_frames(data, start, end, self.sealed)
 
-    def salvage_frames(self):
-        """Damage-tolerant walk: ("frame", offset, mask, payload) /
-        ("gap", start, end) / ("torn", start, end) items."""
-        if not self.valid:
-            return
-        data, start, end = self.frame_region(best_effort=True)
-        lost_from = end
-        for item in sformat.salvage_frames(data, start, end):
-            if self._region_damaged and item[0] == "torn":
-                lost_from = item[1]
-            else:
-                yield item
-        if self._region_damaged:
-            # A sealed region has no torn tail: whatever the blob did
-            # not inflate, up to the footer's size, is quarantined.
-            sealed_end = start + self.footer["raw_bytes"]
-            if lost_from < sealed_end:
-                yield "gap", lost_from, sealed_end
-
-    def committed_frames(self):
-        """Frames whose batch the writing filter actually committed.
+    def committed_frames(self, items=None):
+        """The walk's frames whose batch the writing filter actually
+        committed, and its gaps; ``items`` is the walk when the caller
+        holds it already.  Strict and salvage reads both take these
+        items: one raises at the first gap, the other counts it.
 
         Sealed segments seal on a batch boundary, so every frame
-        counts.  An unsealed tail that contains batch markers may end
-        with frames of a batch whose trailing marker never reached the
-        medium (the filter died mid-commit); those frames are
-        uncommitted -- a relaunched filter re-appends the whole batch
-        in a later segment, so reading them would double-count.
-        Marker-free unsealed segments (packed stores, markerless
-        senders) are taken whole.
+        counts, and the walk stays lazy.  An unsealed tail that
+        contains batch markers may end with frames of a batch whose
+        trailing marker never reached the medium (the filter died
+        mid-commit); those frames are uncommitted -- a relaunched
+        filter re-appends the whole batch in a later segment, so
+        reading them would double-count.  Marker-free unsealed
+        segments (packed stores, markerless senders) are taken whole.
+        A torn tail is expected loss and is left out.
         """
+        if items is None:
+            items = self.frames()
         if self.sealed:
-            return self.iter_frames()
-        return iter(_commit_truncate(list(self.iter_frames())))
+            return items
+        items = [item for item in items if item[0] != "torn"]
+        last_marker = None
+        for index, item in enumerate(items):
+            if item[0] == "frame" and is_batch_marker(item[3]):
+                last_marker = index
+        if last_marker is None:
+            return items
+        return items[: last_marker + 1] + [
+            item for item in items[last_marker + 1 :] if item[0] == "gap"
+        ]
 
-    def committed_salvage(self):
-        """The salvage-mode analogue of :meth:`committed_frames`:
-        returns (frames, gaps) where gaps is a list of quarantined
-        (start, end) byte ranges.  Torn-tail items are expected loss
-        and are not treated as gaps."""
-        frames, gaps = [], []
-        for item in self.salvage_frames():
-            if item[0] == "frame":
-                frames.append(item[1:])
-            elif item[0] == "gap":
-                gaps.append((item[1], item[2]))
-        if not self.sealed:
-            frames = _commit_truncate(frames)
-        return frames, gaps
+    def gap_error(self, start, end):
+        """What a strict read raises at the gap ``start``..``end``."""
+        return CorruptFrameError(
+            "no frame verifies in bytes %d..%d" % (start, end),
+            path=self.path,
+            offset=start,
+        )
 
-    def verify(self):
-        """Classify this segment's integrity without decoding records.
+    def verify(self, items=None):
+        """Classify this segment's integrity without decoding records,
+        from its walk (``items``, when the caller holds it already).
 
         Returns a dict: ``status`` (one of the class constants above),
         ``version``, ``sealed``, ``frames``/``markers`` verified,
@@ -254,7 +246,7 @@ class Segment:
             report["error"] = str(self.header_error)
             report["quarantined_bytes"] = len(self.data)
             return report
-        for item in self.salvage_frames():
+        for item in self.frames() if items is None else items:
             if item[0] == "frame":
                 payload = item[3]
                 report["frames"] += 1
@@ -275,6 +267,13 @@ class Segment:
             report["status"] = OPEN_CLEAN
         return report
 
+    def footer_records(self):
+        """The records a sealed segment's footer counts: its frames
+        less the batch markers (a footer names the marker's traceType
+        by its digits), so it compares with what a scan decodes."""
+        events = self.footer["events"]
+        return self.footer["records"] - events.get(str(BATCH_MARKER_TYPE), 0)
+
     def host_names(self):
         if not self.sealed:
             return {}
@@ -282,19 +281,6 @@ class Segment:
             int(host_id): name
             for host_id, name in self.footer.get("hosts", {}).items()
         }
-
-
-def _commit_truncate(frames):
-    """Drop unsealed-tail frames after the last batch marker (see
-    :meth:`Segment.committed_frames`); marker-free lists pass whole."""
-    last_marker = None
-    for index, entry in enumerate(frames):
-        payload = entry[2]
-        if is_batch_marker(payload):
-            last_marker = index
-    if last_marker is None:
-        return frames
-    return frames[: last_marker + 1]
 
 
 class ScanStats:
@@ -467,10 +453,6 @@ class StoreReader:
         """(path, footer-or-None) per segment, for inspect."""
         return [(segment.path, segment.footer) for segment in self.segments]
 
-    def integrity(self):
-        """Per-segment :meth:`Segment.verify` reports (inspect/fsck)."""
-        return [segment.verify() for segment in self.segments]
-
     def record_count(self):
         """Total records, from footers where sealed, scans otherwise."""
         total = 0
@@ -478,13 +460,13 @@ class StoreReader:
             if not segment.valid:
                 continue
             if segment.sealed:
-                total += segment.footer["records"]
-            else:
-                total += sum(
-                    1
-                    for __, __mask, payload in segment.committed_frames()
-                    if not is_batch_marker(payload)
-                )
+                total += segment.footer_records()
+                continue
+            for item in segment.committed_frames():
+                if item[0] == "gap":
+                    raise segment.gap_error(item[1], item[2])
+                if not is_batch_marker(item[3]):
+                    total += 1
         return total
 
     def scan(self, machines=None, pids=None, events=None, t_min=None,
@@ -497,14 +479,15 @@ class StoreReader:
         footer/trailer bytes are read.  The residual predicate is then
         applied per record, and masked (discarded) fields are dropped.
 
-        Integrity: strict by default -- a corrupt frame raises
-        :class:`CorruptSegmentError` rather than yielding a record
-        stream that silently differs from what was written.  With
-        ``salvage=True`` the scan skips to the next verifiable frame,
-        quarantines the damaged range, and accounts the loss in
-        :attr:`last_stats` (``bytes_quarantined``, ``frames_corrupt``).
-        Segments with unreadable headers are skipped and counted in
-        either mode.
+        Integrity: strict by default -- at the first gap in a
+        segment's walk (bytes no verifiable frame covers) the scan
+        raises :class:`CorruptSegmentError`, after the records before
+        it, rather than yield a record stream that silently differs
+        from what was written.  With ``salvage=True`` the same walk
+        goes on to the next verifiable frame, and the gap is
+        quarantined and accounted in :attr:`last_stats`
+        (``bytes_quarantined``, ``frames_corrupt``).  Segments with
+        unreadable headers are skipped and counted in either mode.
         """
         query = Predicates(machines, pids, events, t_min, t_max)
         stats = self.last_stats = ScanStats()
@@ -549,27 +532,19 @@ class StoreReader:
         """Decode one segment's committed frames through the residual
         predicate (the per-segment body of :meth:`scan`, shared with
         the batch fast lane's slow path so both walk damage and apply
-        predicates with byte-identical semantics)."""
-        if salvage:
-            frames, gaps = segment.committed_salvage()
-            for start, end in gaps:
-                stats.frames_corrupt += 1
-                stats.bytes_quarantined += end - start
-            if gaps:
-                stats.segment_errors.append(
-                    (
-                        segment.path,
-                        "quarantined {0} byte(s) in {1} range(s)".format(
-                            sum(end - start for start, end in gaps),
-                            len(gaps),
-                        ),
-                    )
-                )
-            damaged = bool(gaps)
-        else:
-            frames = segment.committed_frames()
-            damaged = False
-        for __, mask, payload in frames:
+        predicates with byte-identical semantics).  A strict read
+        raises at the first gap, after the records before it; a
+        salvage read counts the gap and goes on."""
+        ranges = lost = decoded = 0
+        damaged = False
+        for item in segment.committed_frames():
+            if item[0] == "gap":
+                if not salvage:
+                    raise segment.gap_error(item[1], item[2])
+                ranges += 1
+                lost += item[2] - item[1]
+                continue
+            __, __, mask, payload = item
             if is_batch_marker(payload):
                 continue  # delivery-protocol control frame
             try:
@@ -594,12 +569,24 @@ class StoreReader:
                     path=segment.path,
                 )
             stats.records_decoded += 1
-            if damaged:
-                stats.records_salvaged += 1
+            decoded += 1
             record = query.residual(record, mask)
             if record is not None:
                 stats.records_yielded += 1
                 yield record
+        if ranges:
+            stats.frames_corrupt += ranges
+            stats.bytes_quarantined += lost
+            stats.segment_errors.append(
+                (
+                    segment.path,
+                    "quarantined {0} byte(s) in {1} range(s)".format(
+                        lost, ranges
+                    ),
+                )
+            )
+        if ranges or damaged:
+            stats.records_salvaged += decoded
 
     def records(self, **predicates):
         """Materialize a scan through the fused lane

@@ -158,3 +158,53 @@ def test_feed_short_prefix_waits_for_size_word():
     assert not corrupt
     assert out == []
     assert inbox.buffers[4] == b"\x00\x00"
+
+
+# ---------------------------------------------------------------------------
+# Query connections frame through the same loop, then route to
+# pending_queries; a connection is classified by its first message.
+# ---------------------------------------------------------------------------
+
+from repro.streaming.protocol import encode_query
+
+
+def _query_inbox(fd=5):
+    inbox = MeterInbox()
+    inbox.buffers[fd] = b""
+    inbox._unclassified.add(fd)
+    return inbox
+
+
+def test_feed_routes_two_query_frames_in_one_read():
+    inbox = _query_inbox()
+    first = encode_query({"op": "stats", "n": 1})
+    second = encode_query({"op": "digest"})
+    out, corrupt = _fed(inbox, 5, first + second)
+    assert not corrupt
+    assert out == []  # never on the record path
+    assert inbox.take_queries() == [(5, first), (5, second)]
+    assert inbox.buffers[5] == b""
+
+
+def test_feed_reassembles_a_query_split_across_reads():
+    inbox = _query_inbox()
+    query = encode_query({"op": "stats", "window": 400})
+    for cut in (3, 30):  # inside the size word, then inside the body
+        out, corrupt = _fed(inbox, 5, query[:cut])
+        assert (out, corrupt) == ([], False)
+        assert inbox.take_queries() == []
+        out, corrupt = _fed(inbox, 5, query[cut:])
+        assert (out, corrupt) == ([], False)
+        assert inbox.take_queries() == [(5, query)]
+        assert inbox.buffers[5] == b""
+
+
+def test_feed_flags_a_garbage_size_on_a_query_connection_as_corrupt():
+    inbox = _query_inbox()
+    query = encode_query({"op": "stats"})
+    out, corrupt = _fed(inbox, 5, query)
+    assert inbox.take_queries() == [(5, query)]
+    out, corrupt = _fed(inbox, 5, struct.pack(">i", MAX_METER_MESSAGE + 1) + b"x" * 60)
+    assert corrupt
+    assert out == []
+    assert inbox.take_queries() == []

@@ -159,6 +159,46 @@ def test_connect_retry_gives_up(cluster):
     assert errors == [errno.ECONNREFUSED]
 
 
+def test_connect_retry_does_not_wait_after_its_last_attempt(cluster):
+    """Three refused attempts make two jittered backoff sleeps (one
+    ``random`` draw each), not three: the raise follows the last
+    attempt at once."""
+    waits = []
+    raised_after = []
+
+    class Counted:
+        def __init__(self, sys):
+            self._sys = sys
+
+        def __getattr__(self, name):
+            call = getattr(self._sys, name)
+            if name not in ("random", "sleep"):
+                return call
+
+            def counted(*args):
+                waits.append(name)
+                return call(*args)
+
+            return counted
+
+    def client(sys, argv):
+        try:
+            yield from guestlib.connect_retry(
+                Counted(sys),
+                defs.AF_INET,
+                defs.SOCK_STREAM,
+                ("red", 5999),
+                attempts=3,
+                backoff_ms=5,
+            )
+        except SyscallError:
+            raised_after.append(list(waits))
+        yield sys.exit(0)
+
+    run_guests(cluster, ("green", client, ()))
+    assert raised_after == [["random", "sleep", "random", "sleep"]]
+
+
 def test_read_exactly(cluster):
     got = []
 

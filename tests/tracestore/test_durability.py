@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metering.messages import MessageCodec
+from repro.metering.messages import MessageCodec, encode_batch_marker
 from repro.net.addresses import InternetName
 from repro.tracestore import (
     FORMAT_VERSION,
@@ -168,7 +168,7 @@ def test_foreign_file_flagged_not_parsed():
     report = segment.verify()
     assert report["status"] == FOREIGN
     assert report["quarantined_bytes"] == len(b"GIF89a not a segment at all")
-    assert list(segment.iter_frames()) == []
+    assert list(segment.frames()) == []
 
 
 # ----------------------------------------------------------------------
@@ -322,3 +322,114 @@ def test_repair_produces_a_store_that_rereads_clean():
     assert writer.records_appended == len(salvaged) == len(wire) - 1
     # The repaired copy is current-format: every frame CRC-protected.
     assert all(seg.version == FORMAT_VERSION for seg in repaired.segments)
+
+
+# ----------------------------------------------------------------------
+# One verdict: strict refuses exactly what salvage quarantines
+# ----------------------------------------------------------------------
+
+
+def _assert_one_verdict(store, path, gap, intact):
+    """Strict scans raise at ``gap`` (a (start, end) byte range of
+    ``path``) after yielding the ``intact`` records before it; salvage
+    yields ``intact`` and quarantines exactly that range; ``verify()``
+    and ``fsck_store`` call the segment corrupt."""
+    reader = StoreReader.from_bytes(store, host_names=HOSTS)
+    yielded = []
+    with pytest.raises(CorruptFrameError) as exc:
+        for record in reader.scan():
+            yielded.append(record)
+    assert yielded == intact  # lazy: the records before the gap came out
+    assert (exc.value.path, exc.value.offset) == (path, gap[0])
+    with pytest.raises(CorruptFrameError):
+        StoreReader.from_bytes(store, host_names=HOSTS).records()
+    for scan in (_scan, StoreReader.records):
+        reader = StoreReader.from_bytes(store, host_names=HOSTS)
+        assert scan(reader, salvage=True) == intact
+        stats = reader.last_stats
+        assert (stats.frames_corrupt, stats.bytes_quarantined) == (
+            1, gap[1] - gap[0]
+        )
+        assert not stats.loss_free()
+    segment = Segment(path, store[path])
+    report = segment.verify()
+    assert report["status"] == CORRUPT_FRAME
+    assert (report["quarantined_bytes"], report["torn_bytes"]) == (
+        gap[1] - gap[0], 0
+    )
+    fsck = fsck_store(StoreReader.from_bytes(store, host_names=HOSTS))
+    assert not fsck["clean"]
+    assert [seg["status"] for seg in fsck["segments"]] == [CORRUPT_FRAME]
+    assert fsck["totals"]["bytes_quarantined"] == gap[1] - gap[0]
+
+
+def test_an_implausible_length_word_on_an_unsealed_tail_is_damage():
+    """The top bit of the last frame's length word flipped on a
+    five-record unsealed tail: the frame now claims gigabytes, which
+    no torn append writes.  Strict used to stop there quietly (four
+    records, loss-free) while salvage quarantined the frame."""
+    codec = _codec()
+    wire = _wire(codec, 5)
+    writer = StoreWriter("/t/s.store", host_names=HOSTS, flush_bytes=1)
+    for raw in wire:
+        writer.append(raw)
+    sink = collect_ops({}, writer)  # crash: no close(), no footer
+    (path,) = sink
+    data = bytearray(sink[path])
+    last = len(data) - sformat.FRAME_OVERHEAD_BYTES - len(wire[-1])
+    data[last] ^= 0x80
+    _assert_one_verdict(
+        {path: bytes(data)}, path, (last, len(data)),
+        [codec.decode(raw) for raw in wire[:-1]],
+    )
+
+
+@pytest.mark.parametrize(
+    "stray",
+    [
+        b"\x00\x00\x00\x05\x01",  # shorter than a frame header
+        b"\x00\x00\x00\x3c" + bytes(16),  # a frame overrunning the region
+    ],
+    ids=["short", "overrun"],
+)
+def test_bytes_after_a_sealed_regions_last_frame_are_damage(stray):
+    """A sealed region ends on a frame boundary, so bytes left over
+    after its last frame cannot be a torn append.  Strict used to pass
+    a stub shorter than a frame header, and salvage called either
+    leftover a torn tail."""
+    codec = _codec()
+    wire = _wire(codec, 5)
+    store, __ = _store_from(wire)
+    (path,) = store
+    data = store[path]
+    footer = sformat.parse_footer(data)
+    end = footer["data_end"]
+    footer["data_end"] = end + len(stray)
+    del footer["data_crc32"]  # a footer may lack it; the walk decides
+    damaged = {path: data[:end] + stray + sformat.encode_footer(footer)}
+    _assert_one_verdict(
+        damaged, path, (end, end + len(stray)),
+        [codec.decode(raw) for raw in wire],
+    )
+
+
+def test_batch_markers_are_not_counted_as_lost_records():
+    """A filter's sealed segments hold a commit marker after each
+    batch; the footer counts those frames too, so fsck and
+    ``record_count`` take them out before comparing with records."""
+    codec = _codec()
+    wire = _wire(codec, 12)
+    writer = StoreWriter("/t/s.store", host_names=HOSTS, segment_bytes=300)
+    for seq, start in enumerate(range(0, len(wire), 3)):
+        for raw in wire[start : start + 3]:
+            writer.append(raw)
+        writer.append(encode_batch_marker(1, 100, seq))
+    writer.close()
+    store = collect_ops({}, writer)
+    reader = StoreReader.from_bytes(store)
+    assert len(reader.segments) > 1
+    assert reader.record_count() == len(_scan(reader)) == len(wire)
+    report = fsck_store(reader)
+    assert report["clean"]
+    assert report["totals"]["records_recovered"] == len(wire)
+    assert report["totals"]["records_lost_known"] == 0

@@ -58,7 +58,7 @@ def test_segment_header_rejects_junk():
 def test_frames_round_trip_including_empty_payload():
     payloads = [b"", b"x", b"y" * 300]
     data = b"".join(sformat.encode_frame(p, mask=i) for i, p in enumerate(payloads))
-    out = list(sformat.iter_frames(data, 0, len(data)))
+    out = [item[1:] for item in sformat.salvage_frames(data, 0, len(data))]
     assert [(mask, payload) for __, mask, payload in out] == [
         (0, b""), (1, b"x"), (2, b"y" * 300)
     ]
@@ -66,8 +66,10 @@ def test_frames_round_trip_including_empty_payload():
 
 def test_torn_tail_frame_is_dropped_not_fatal():
     data = sformat.encode_frame(b"whole") + sformat.encode_frame(b"torn-off")[:-3]
-    out = list(sformat.iter_frames(data, 0, len(data)))
+    items = list(sformat.salvage_frames(data, 0, len(data)))
+    out = [item[1:] for item in items if item[0] == "frame"]
     assert [payload for __, __, payload in out] == [b"whole"]
+    assert [item[0] for item in items] == ["frame", "torn"]
 
 
 def test_a_payload_cut_short_by_the_buffer_fails_even_with_a_matching_crc():

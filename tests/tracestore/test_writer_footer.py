@@ -65,9 +65,11 @@ def _reference_footer(data, host_names):
         "records": 0, "t_min": None, "t_max": None, "machines": {},
         "pids": {}, "events": {}, "event_offsets": {},
     }
-    for offset, mask, payload in sformat.iter_frames(
+    for item in sformat.salvage_frames(
         buf, sformat.SEGMENT_HEADER_BYTES, len(buf), sealed=True
     ):
+        assert item[0] == "frame"  # a sealed region written whole has no gap
+        __, offset, mask, payload = item
         end = offset + sformat.FRAME_OVERHEAD_BYTES + len(payload)
         crc = zlib.crc32(buf[offset:end], crc)
         frames.append((mask, payload))

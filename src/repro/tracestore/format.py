@@ -31,7 +31,9 @@ simply ends mid-frame and is recovered by scanning frames until the
 bytes run out (record framing is self-delimiting, so everything the
 writer flushed survives).  The footer lets a reader skip a whole
 segment when a predicate cannot match any record in it -- that is the
-predicate pushdown the streaming analyses rely on.
+predicate pushdown the streaming analyses rely on.  A segment whose
+footer or trailer bytes were damaged reads as unsealed, but its frames
+still end where its footer starts (:func:`footer_start`).
 
 Because a sealed segment always ends exactly on a frame boundary, any
 bytes left over after its last frame -- a short stub or a frame that
@@ -203,14 +205,18 @@ def salvage_frames(data, start, end, sealed=False):
     left over there, short or overrunning, is a gap.  After a bad
     frame the walk slides forward one byte at a time until a
     candidate frame's CRC verifies; a trailing region with no
-    verifiable frame is one gap.  A strict read refuses the first gap
+    verifiable frame is one gap.  ``end`` may lie past the end of
+    ``data`` (a sealed compressed region that inflated only in part):
+    the walk stops where ``data`` does, and the missing bytes join the
+    trailing gap.  A strict read refuses the first gap
     (:meth:`~repro.tracestore.reader.StoreReader.scan`); a salvage
     read counts it as loss.
     """
+    limit = min(end, len(data))
     offset = start
     gap_start = None
-    while offset < end:
-        mask, payload, next_offset, error = _read_frame(data, offset, end)
+    while offset < limit:
+        mask, payload, next_offset, error = _read_frame(data, offset, limit)
         if error is None:
             if gap_start is not None:
                 yield "gap", gap_start, offset
@@ -219,7 +225,7 @@ def salvage_frames(data, start, end, sealed=False):
             offset = next_offset
             continue
         if error == "torn" and gap_start is None and not sealed:
-            if offset + 4 > min(end, len(data)):
+            if offset + 4 > limit:
                 candidate_length = None  # too short even for a length
             else:
                 candidate_length = struct.unpack_from(">I", data, offset)[0]
@@ -231,7 +237,9 @@ def salvage_frames(data, start, end, sealed=False):
         if gap_start is None:
             gap_start = offset
         offset += 1
-    if gap_start is not None and gap_start < end:
+    if gap_start is None and offset < end:
+        gap_start = offset
+    if gap_start is not None:
         yield "gap", gap_start, end
 
 
@@ -376,6 +384,38 @@ def parse_footer(data):
     return footer
 
 
+def footer_start(data, start):
+    """Where the footer of a plain segment whose footer does not parse
+    begins: the segment was sealed, and a footer or trailer byte was
+    damaged since.  Its frame region ends there, on a frame boundary.
+    None when no footer is recognizable (the segment was never sealed).
+
+    The trailer's length word locates the footer when the bytes it
+    points at open a JSON object (a frame's length word never starts
+    with ``{"``).  When the length word or those bytes are damaged but
+    the trailer magic is intact, the footer starts where the frames
+    that verify end, and one of the two must still agree there.
+    """
+    end = len(data) - TRAILER_BYTES
+    if end < start:
+        return None
+    length, __, magic = _TRAILER_STRUCT.unpack_from(data, end)
+    at = end - length
+    if start <= at and data[at : at + 2] == b'{"':
+        return at
+    if magic != TRAILER_MAGIC:
+        return None
+    at = start
+    error = None
+    while error is None:
+        __, __, next_at, error = _read_frame(data, at, len(data))
+        if error is None:
+            at = next_at
+    if at < end and (data[at : at + 2] == b'{"' or at == end - length):
+        return at
+    return None
+
+
 def compress_region(frame_bytes, level=6):
     """The on-disk blob for a compressed segment's data region."""
     return zlib.compress(frame_bytes, level)
@@ -388,9 +428,8 @@ def decompress_region(blob, raw_bytes=None):
     frame walk then recovers records exactly as from a plain region.
 
     With ``raw_bytes`` (from the footer of a sealed segment) the
-    result is cut or zero-filled to that size.  The bytes the blob
-    lost verify as no frame, so the walk of the sealed region reads
-    them as one gap up to its end.
+    result is cut to at most that size; the bytes the blob lost are
+    the walk's trailing gap (:func:`salvage_frames`).
     """
     try:
         raw = zlib.decompress(blob)
@@ -403,9 +442,7 @@ def decompress_region(blob, raw_bytes=None):
             except zlib.error:
                 break  # inflated prefix is good; the rest is lost
         raw = b"".join(pieces)
-    if raw_bytes is None:
-        return raw
-    return raw[:raw_bytes].ljust(raw_bytes, b"\0")
+    return raw if raw_bytes is None else raw[:raw_bytes]
 
 
 def footer_matches(footer, machines=None, pids=None, events=None,

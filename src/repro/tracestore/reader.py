@@ -87,6 +87,7 @@ class Segment:
         self._raw = data
         self._snapshot = data if not isinstance(data, bytearray) else None
         self._region = None  # inflated frame region (compressed segments)
+        self._end = None  # frame region end of an unsealed plain segment
         self.header_error = None
         try:
             self.version = sformat.parse_segment_header(data, path=path)
@@ -122,10 +123,10 @@ class Segment:
         compressed segments inflate their data region once and cache
         it, with offsets matching the footer's uncompressed
         coordinates (frames start right after the 8-byte header).  A
-        sealed region that fails to inflate is the prefix that does,
-        zero-filled to the footer's size
-        (:func:`~repro.tracestore.format.decompress_region`), so the
-        walk reads what it lost as one gap.
+        sealed region that fails to inflate is the prefix that does
+        (:func:`~repro.tracestore.format.decompress_region`), and its
+        end stays the footer's, past the buffer: the walk reads what
+        the blob lost as one gap.
         """
         if not self.valid:
             return b"", 0, 0
@@ -141,6 +142,8 @@ class Segment:
             else:
                 raw = sformat.decompress_region(bytes(data[head:]))
             self._region = bytes(data[:head]) + raw
+        if self.sealed:
+            return self._region, head, head + self.footer["raw_bytes"]
         return self._region, head, len(self._region)
 
     def data_bounds(self):
@@ -151,7 +154,11 @@ class Segment:
         if self.compressed:
             __, start, end = self.frame_region()
             return start, end
-        return sformat.SEGMENT_HEADER_BYTES, len(self.data)
+        if self._end is None:
+            data = self.data
+            at = sformat.footer_start(data, sformat.SEGMENT_HEADER_BYTES)
+            self._end = len(data) if at is None else at
+        return sformat.SEGMENT_HEADER_BYTES, self._end
 
     def data_bytes(self):
         start, end = self.data_bounds()
@@ -171,11 +178,15 @@ class Segment:
         (:func:`~repro.tracestore.format.salvage_frames`): ``("frame",
         offset, mask, payload)``, ``("gap", start, end)`` and, on an
         unsealed segment only, ``("torn", start, end)`` items, in
-        order."""
+        order.  A plain segment that lost its seal to a damaged footer
+        or trailer still ends its region on a frame boundary, where the
+        footer starts (:func:`~repro.tracestore.format.footer_start`),
+        so the walk reads that region as sealed."""
         if not self.valid:
             return iter(())
         data, start, end = self.frame_region()
-        return sformat.salvage_frames(data, start, end, self.sealed)
+        bounded = self.sealed or (not self.compressed and end < len(data))
+        return sformat.salvage_frames(data, start, end, bounded)
 
     def committed_frames(self, items=None):
         """The walk's frames whose batch the writing filter actually
@@ -307,7 +318,9 @@ class ScanStats:
         #: mode (strict mode raises instead of counting).
         self.frames_corrupt = 0
         self.bytes_quarantined = 0
-        #: Records recovered from segments that contained damage.
+        #: Records recovered from segments that contained damage
+        #: (added when such a segment's read ends; a gap is counted
+        #: above as soon as the walk reaches it).
         self.records_salvaged = 0
         #: (path, reason) for every segment-level problem encountered.
         self.segment_errors = []
@@ -535,14 +548,18 @@ class StoreReader:
         predicates with byte-identical semantics).  A strict read
         raises at the first gap, after the records before it; a
         salvage read counts the gap and goes on."""
-        ranges = lost = decoded = 0
+        decoded = 0
         damaged = False
         for item in segment.committed_frames():
             if item[0] == "gap":
                 if not salvage:
                     raise segment.gap_error(item[1], item[2])
-                ranges += 1
-                lost += item[2] - item[1]
+                stats.frames_corrupt += 1
+                stats.bytes_quarantined += item[2] - item[1]
+                stats.segment_errors.append(
+                    (segment.path, "quarantined bytes %d..%d" % item[1:])
+                )
+                damaged = True
                 continue
             __, __, mask, payload = item
             if is_batch_marker(payload):
@@ -574,18 +591,7 @@ class StoreReader:
             if record is not None:
                 stats.records_yielded += 1
                 yield record
-        if ranges:
-            stats.frames_corrupt += ranges
-            stats.bytes_quarantined += lost
-            stats.segment_errors.append(
-                (
-                    segment.path,
-                    "quarantined {0} byte(s) in {1} range(s)".format(
-                        lost, ranges
-                    ),
-                )
-            )
-        if ranges or damaged:
+        if damaged:
             stats.records_salvaged += decoded
 
     def records(self, **predicates):

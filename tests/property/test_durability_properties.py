@@ -22,12 +22,20 @@ from hypothesis import strategies as st
 
 from repro.metering.messages import MessageCodec
 from repro.net.addresses import InternetName
-from repro.tracestore import StoreError, StoreReader, StoreWriter, collect_ops
+from repro.tracestore import (
+    StoreError,
+    StoreReader,
+    StoreWriter,
+    collect_ops,
+    fsck_store,
+)
 from repro.tracestore.format import (
     FRAME_OVERHEAD_BYTES,
     _FRAME_STRUCT,
     _read_frame,
+    encode_footer,
     encode_frame,
+    parse_footer,
 )
 
 HOSTS = {1: "red", 2: "green", 3: "blue"}
@@ -67,6 +75,10 @@ def _build_store(n=18, segment_bytes=500):
 STORE, BASELINE = _build_store()
 PATHS = sorted(STORE)
 SIZES = [len(STORE[path]) for path in PATHS]
+FOOTER_STARTS = [
+    len(STORE[path]) - len(encode_footer(parse_footer(STORE[path])))
+    for path in PATHS
+]
 
 
 def _is_subsequence(sub, full):
@@ -106,6 +118,29 @@ def test_single_bit_flip_detected_or_harmless(position):
     salvaged = reader.records(salvage=True)
     assert _is_subsequence(salvaged, BASELINE)
     assert not reader.last_stats.loss_free()
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_single_bit_flip_in_a_footer_or_trailer_is_harmless(data):
+    """A flip there only takes the segment's seal: its frames still
+    end where the footer starts, so strict and salvage reads both
+    return the clean records with no loss, and fsck calls the store
+    clean."""
+    index = data.draw(st.integers(min_value=0, max_value=len(PATHS) - 1))
+    offset = data.draw(
+        st.integers(min_value=FOOTER_STARTS[index], max_value=SIZES[index] - 1)
+    )
+    bit = data.draw(st.integers(min_value=0, max_value=7))
+    damaged = dict(STORE)
+    flipped = bytearray(damaged[PATHS[index]])
+    flipped[offset] ^= 1 << bit
+    damaged[PATHS[index]] = bytes(flipped)
+    for salvage in (False, True):
+        reader = StoreReader.from_bytes(damaged, host_names=HOSTS)
+        assert reader.records(salvage=salvage) == BASELINE
+        assert reader.last_stats.loss_free()
+    assert fsck_store(StoreReader.from_bytes(damaged, host_names=HOSTS))["clean"]
 
 
 @given(

@@ -22,6 +22,7 @@ from repro.tracestore.reader import (
     BAD_HEADER,
     CORRUPT_FRAME,
     FOREIGN,
+    OPEN_CLEAN,
     SEALED_CLEAN,
     TORN_TAIL,
     Segment,
@@ -209,6 +210,29 @@ def test_salvage_scan_loses_exactly_the_damaged_frame():
         assert not stats.loss_free()
 
 
+def test_salvage_counts_a_gap_before_the_records_after_it():
+    """A salvage read's loss ledger is current as the read goes: a
+    consumer holding a record from past a quarantined frame sees the
+    loss counted already."""
+    codec = _codec()
+    wire = _wire(codec, 10)
+    store, __ = _store_from(wire)
+    (path,) = store
+    damaged = _flip_data_byte(store, path)
+    baseline = [codec.decode(raw) for raw in wire]
+    reader = StoreReader.from_bytes(damaged)
+    (lost,) = [
+        i for i, record in enumerate(baseline)
+        if record not in _scan(reader, salvage=True)
+    ]
+    reader = StoreReader.from_bytes(damaged)
+    seen = [
+        (baseline.index(record) > lost, reader.last_stats.loss_free())
+        for record in reader.scan(salvage=True)
+    ]
+    assert seen == [(i > lost, i < lost) for i in range(10) if i != lost]
+
+
 def test_torn_tail_is_expected_loss_not_corruption():
     codec = _codec()
     wire = _wire(codec, 8)
@@ -366,8 +390,9 @@ def _assert_one_verdict(store, path, gap, intact):
 def test_an_implausible_length_word_on_an_unsealed_tail_is_damage():
     """The top bit of the last frame's length word flipped on a
     five-record unsealed tail: the frame now claims gigabytes, which
-    no torn append writes.  Strict used to stop there quietly (four
-    records, loss-free) while salvage quarantined the frame."""
+    no torn append writes.  It is damage, not a torn tail: strict
+    raises after the four records before it, and salvage quarantines
+    the frame."""
     codec = _codec()
     wire = _wire(codec, 5)
     writer = StoreWriter("/t/s.store", host_names=HOSTS, flush_bytes=1)
@@ -394,9 +419,9 @@ def test_an_implausible_length_word_on_an_unsealed_tail_is_damage():
 )
 def test_bytes_after_a_sealed_regions_last_frame_are_damage(stray):
     """A sealed region ends on a frame boundary, so bytes left over
-    after its last frame cannot be a torn append.  Strict used to pass
-    a stub shorter than a frame header, and salvage called either
-    leftover a torn tail."""
+    after its last frame cannot be a torn append: a stub shorter than
+    a frame header and a frame overrunning the region are both gaps,
+    to strict, salvage and fsck alike."""
     codec = _codec()
     wire = _wire(codec, 5)
     store, __ = _store_from(wire)
@@ -411,6 +436,76 @@ def test_bytes_after_a_sealed_regions_last_frame_are_damage(stray):
         damaged, path, (end, end + len(stray)),
         [codec.decode(raw) for raw in wire],
     )
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "zlib"])
+@pytest.mark.parametrize(
+    "where",
+    [
+        "footer-open",  # the footer's leading '{'
+        "footer-body",
+        "trailer-length",  # the footer length word's low byte
+        "trailer-crc",
+        "trailer-magic",
+    ],
+)
+def test_a_damaged_footer_or_trailer_costs_no_record(compress, where):
+    """One flipped byte in a sealed segment's footer or trailer only
+    takes its seal: every frame is intact, so the segment reads as an
+    open one whose frames end where the footer starts.  Strict returns
+    every record, salvage quarantines nothing, and fsck reports the
+    segment open-clean."""
+    codec = _codec()
+    wire = _wire(codec, 5)
+    store, __ = _store_from(wire, compress=compress)
+    (path,) = store
+    data = bytearray(store[path])
+    trailer = len(data) - sformat.TRAILER_BYTES
+    footer_at = trailer - len(
+        sformat.encode_footer(sformat.parse_footer(data))
+    ) + sformat.TRAILER_BYTES
+    data[{
+        "footer-open": footer_at,
+        "footer-body": (footer_at + trailer) // 2,
+        "trailer-length": trailer + 3,
+        "trailer-crc": trailer + 5,
+        "trailer-magic": trailer + 11,
+    }[where]] ^= 0x40
+    damaged = {path: bytes(data)}
+    baseline = [codec.decode(raw) for raw in wire]
+    for scan in (_scan, StoreReader.records):
+        reader = StoreReader.from_bytes(damaged, host_names=HOSTS)
+        assert not reader.segments[0].sealed
+        assert scan(reader) == baseline
+        assert scan(reader, salvage=True) == baseline
+        assert reader.last_stats.loss_free()
+    reader = StoreReader.from_bytes(damaged, host_names=HOSTS)
+    assert reader.record_count() == len(wire)
+    report = fsck_store(reader)
+    assert report["clean"]
+    assert [seg["status"] for seg in report["segments"]] == [OPEN_CLEAN]
+    assert report["totals"]["records_recovered"] == len(wire)
+
+
+def test_an_open_segment_is_not_cut_at_a_footer_it_does_not_have():
+    """A never-sealed segment whose last frame ends in bytes that read
+    as a trailer -- the magic, and a length word pointing at that
+    frame's own start -- still reads to its end: the frame there
+    verifies, so no footer starts at it."""
+    codec = _codec()
+    wire = _wire(codec, 5)
+    writer = StoreWriter("/t/s.store", host_names=HOSTS, flush_bytes=1)
+    for raw in wire:
+        writer.append(raw)
+    tail = bytes(12) + b"\x00\x00\x00\x18" + bytes(4) + sformat.TRAILER_MAGIC
+    writer.append(tail)
+    sink = collect_ops({}, writer)  # crash: no close(), no footer
+    (segment,) = StoreReader.from_bytes(sink, host_names=HOSTS).segments
+    assert not segment.sealed
+    assert segment.data_bounds()[1] == len(segment.data)
+    items = list(segment.frames())
+    assert [item[0] for item in items] == ["frame"] * 6
+    assert items[-1][3] == tail
 
 
 def test_batch_markers_are_not_counted_as_lost_records():

@@ -72,6 +72,15 @@ def test_torn_tail_frame_is_dropped_not_fatal():
     assert [item[0] for item in items] == ["frame", "torn"]
 
 
+def test_a_region_ending_past_the_buffer_ends_in_one_gap():
+    # A sealed compressed region that inflated only in part: the walk
+    # stops where the bytes do, and the rest of the region is one gap.
+    data = sformat.encode_frame(b"kept") + sformat.encode_frame(b"lost")[:5]
+    items = list(sformat.salvage_frames(data, 0, len(data) + 4000, sealed=True))
+    assert [item[0] for item in items] == ["frame", "gap"]
+    assert items[1][1:] == (len(sformat.encode_frame(b"kept")), len(data) + 4000)
+
+
 def test_a_payload_cut_short_by_the_buffer_fails_even_with_a_matching_crc():
     # The length word promises more bytes than the buffer holds, and
     # the CRC word was forged over the bytes that are there: the frame

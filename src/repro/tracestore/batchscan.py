@@ -425,6 +425,12 @@ def _walk_segment(path, buf, start, end, out_append, program, ruleset,
                 record.pop(name, None)
         out_append(record)
         off = nxt
+    if off != end:
+        raise CorruptFrameError(
+            "%d stray byte(s) after the sealed region's last frame"
+            % (end - off),
+            path=path, offset=off,
+        )
     stats.records_decoded += decoded
     stats.records_yielded += yielded
     stats.records_prescreened += prescreened

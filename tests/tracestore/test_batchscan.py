@@ -9,10 +9,12 @@ lines).
 """
 
 import mmap
+import zlib
 
 import pytest
 
 from repro.__main__ import main
+from repro.analysis.trace import Trace
 from repro.filtering.records import format_record
 from repro.filtering.rules import DEFAULT_TEMPLATES_TEXT, parse_rules
 from repro.metering.messages import (
@@ -26,11 +28,15 @@ from repro.tracestore import (
     StoreReader,
     StoreWriter,
     collect_ops,
+    merge_scan,
+    merge_scan_fast,
     pack_records,
     scan_fast,
     select,
 )
+from repro.tracestore import format as sformat
 from repro.tracestore.batchscan import message_select
+from repro.tracestore.errors import CorruptFrameError
 from repro.tracestore.writer import flush_to_files
 from tests.tracestore.harness import reference_select
 
@@ -254,6 +260,91 @@ def test_flipped_compression_flag_is_harmless():
             for path, data in store.items()
         }
         assert StoreReader.from_bytes(flipped).records() == baseline
+
+
+def test_stray_bytes_after_a_crc_matching_sealed_region_are_damage():
+    """Five stray bytes -- fewer than a frame header -- after a sealed
+    region's last frame, re-sealed so the region's ``data_crc32``
+    matches.  The fused lane trusts the region CRC and walks frames
+    unchecked; it must still stop at the stray bytes exactly where the
+    oracle walk does, and salvage must quarantine just those bytes."""
+    codec = MessageCodec(HOSTS)
+    wire = [_wire_for(codec, "send", i) for i in range(5)]
+    ((path, data),) = _store_from(wire).items()
+    footer = sformat.parse_footer(data)
+    start, end = footer["data_start"], footer["data_end"]
+    stray = b"\x00\x00\x00\x05\x01"
+    footer["data_end"] = end + len(stray)
+    footer["data_crc32"] = zlib.crc32(data[start:end] + stray) & 0xFFFFFFFF
+    store = {path: data[:end] + stray + sformat.encode_footer(footer)}
+    intact = [codec.decode(raw) for raw in wire]
+    for read in (
+        lambda reader: list(reader.scan()),
+        lambda reader: list(scan_fast(reader)),
+        StoreReader.records,
+    ):
+        with pytest.raises(CorruptFrameError) as exc:
+            read(StoreReader.from_bytes(store, host_names=HOSTS))
+        assert (exc.value.path, exc.value.offset) == (path, end)
+    reader = StoreReader.from_bytes(store, host_names=HOSTS)
+    assert list(reader.scan(salvage=True)) == intact
+    stats = reader.last_stats
+    assert (stats.frames_corrupt, stats.bytes_quarantined) == (1, len(stray))
+
+
+# ----------------------------------------------------------------------
+# Merged scans over several stores
+# ----------------------------------------------------------------------
+
+
+def _two_stores():
+    """Two filters' stores, several sealed segments each, whose records
+    interleave in time (sends in one, receives in the other)."""
+    codec = MessageCodec(HOSTS)
+    sends = [_wire_for(codec, "send", i) for i in range(0, 40, 2)]
+    receives = [_wire_for(codec, "receive", i) for i in range(1, 40, 2)]
+    return (
+        _store_from(sends, base="/t/a.store", segment_bytes=600),
+        _store_from(receives, base="/t/b.store", segment_bytes=600),
+    )
+
+
+def _readers(stores):
+    return [StoreReader.from_bytes(store, host_names=HOSTS) for store in stores]
+
+
+@pytest.mark.parametrize(
+    "predicates",
+    [{}, {"machines": {1, 2}}, {"t_min": 110, "t_max": 130}],
+    ids=["all", "machines", "window"],
+)
+def test_merge_scan_fast_equals_merge_scan(predicates):
+    stores = _two_stores()
+    assert all(len(store) > 1 for store in stores)
+    oracle = list(merge_scan(_readers(stores), **predicates))
+    assert oracle and len({r["event"] for r in oracle}) == 2
+    assert list(merge_scan_fast(_readers(stores), **predicates)) == oracle
+    trace = Trace.from_stores(*_readers(stores), **predicates)
+    assert [event.record for event in trace] == oracle
+
+
+def test_a_damaged_store_raises_the_same_error_through_both_merges():
+    store_a, store_b = _two_stores()
+    path = sorted(store_b)[0]
+    data = bytearray(store_b[path])
+    data[sformat.SEGMENT_HEADER_BYTES + 20] ^= 0x40  # inside frame 0
+    damaged = (store_a, dict(store_b, **{path: bytes(data)}))
+    errors = []
+    for merge in (
+        merge_scan,
+        merge_scan_fast,
+        lambda readers: Trace.from_stores(*readers),
+    ):
+        with pytest.raises(CorruptFrameError) as exc:
+            list(merge(_readers(damaged)))
+        errors.append((str(exc.value), exc.value.path, exc.value.offset))
+    assert errors[0][1:] == (path, sformat.SEGMENT_HEADER_BYTES)
+    assert errors == [errors[0]] * 3
 
 
 # ----------------------------------------------------------------------

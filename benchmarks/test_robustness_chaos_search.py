@@ -10,8 +10,8 @@ Three gates, all blocking in CI:
   triple produces a byte-identical schedule and the same verdict
   across two fresh searches.
 * **Shrinking** -- a 14-event schedule failing the synthetic
-  partition-budget oracle reduces to its 2-event core, and the written
-  artifact replays to the same verdict.
+  partition-budget oracle reduces to its two partition+heal moves (four
+  events), and the written artifact replays to the same verdict.
 
 Run by the CI ``chaos-search`` job.
 """
@@ -70,7 +70,8 @@ def test_search_is_deterministic_end_to_end():
 def test_shrinker_reduces_a_synthetic_failure_to_its_core(tmp_path):
     """A 14-event schedule hiding two partitions among noise fails the
     synthetic partition-budget oracle; the shrinker must find the
-    2-event core and the saved artifact must replay to that verdict."""
+    two-move core (each partition with its heal) and the saved artifact
+    must replay to that verdict."""
     scenario = DgramPairScenario(sends=12)
     machines = scenario.machines
     plan = FaultPlan(machines=machines)
@@ -98,8 +99,10 @@ def test_shrinker_reduces_a_synthetic_failure_to_its_core(tmp_path):
         return "partition_budget" in violated_names(verdict)
 
     result = shrink_plan(plan, fails)
-    assert result.final_events == 2
-    assert all(event.kind == "partition" for event in result.plan.events)
+    assert result.final_events == 4
+    assert [event.kind for event in result.plan.events] == [
+        "partition", "heal", "partition", "heal"
+    ]
     assert is_subsequence(result.plan, plan)
 
     run = run_scenario(scenario, CLUSTER_SEED, result.plan)

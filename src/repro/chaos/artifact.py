@@ -16,7 +16,7 @@ against it.
 import json
 import pathlib
 
-from repro.chaos.oracles import run_oracles, violated_names
+from repro.chaos.oracles import reproduces, run_oracles, violated_names
 from repro.chaos.scenario import make_scenario, run_scenario
 from repro.faults.plan import FaultPlan
 
@@ -90,8 +90,8 @@ def artifact_plan(artifact, scenario=None):
 def replay_artifact(artifact):
     """Re-run an artifact's schedule and judge it with the recorded
     oracle suite.  Returns ``(verdict, reproduced)`` where
-    ``reproduced`` means the fresh verdict matches the recorded one --
-    same ok flag, same set of violated oracles."""
+    ``reproduced`` means the fresh verdict violates the recorded set
+    of oracles, no more and no fewer (:func:`oracles.reproduces`)."""
     if isinstance(artifact, (str, pathlib.Path)):
         artifact = load_artifact(artifact)
     scenario = artifact_scenario(artifact)
@@ -100,9 +100,4 @@ def replay_artifact(artifact):
     baseline = run_scenario(scenario, cluster_seed)
     run = run_scenario(scenario, cluster_seed, plan)
     verdict = run_oracles(run, baseline, oracles=artifact.get("oracles"))
-    recorded = artifact["verdict"]
-    reproduced = (
-        verdict["ok"] == recorded["ok"]
-        and violated_names(verdict) == list(recorded["violated"])
-    )
-    return verdict, reproduced
+    return verdict, reproduces(verdict, artifact["verdict"]["violated"])

@@ -20,20 +20,15 @@ import json
 from repro.chaos.artifact import (
     artifact_plan,
     artifact_scenario,
-    build_artifact,
     load_artifact,
     replay_artifact,
     save_artifact,
 )
-from repro.chaos.oracles import (
-    format_verdict,
-    run_oracles,
-    violated_names,
-)
+from repro.chaos.oracles import format_verdict
 from repro.chaos.profiles import PROFILES
 from repro.chaos.scenario import SCENARIOS, make_scenario, run_scenario
-from repro.chaos.search import format_report, search
-from repro.chaos.shrink import shrink_plan
+from repro.chaos.search import format_report, search, shrink_failure
+from repro.chaos.shrink import MAX_PROBES
 from repro.cliflags import parse_flags, truthy
 
 CHAOS_USAGE = """\
@@ -71,89 +66,75 @@ def _parse_seeds(text):
     return seeds
 
 
-def _scenario_from_flags(flags):
-    kwargs = {}
-    if "sends" in flags:
-        kwargs["sends"] = flags["sends"]
-    return (
+#: The flags ``run`` and ``soak`` share.
+_SWEEP_FLAGS = {
+    "scenario": str,
+    "cluster-seed": int,
+    "artifacts": str,
+    "bench": str,
+    "sends": int,
+}
+
+
+def _sweep(flags, profiles, seeds, shrink):
+    """Search, print the report (and write it to ``--bench``); exit 1
+    on any violation."""
+    kwargs = {"sends": flags["sends"]} if "sends" in flags else {}
+    report = search(
         make_scenario(flags.get("scenario", "dgram_pair"), **kwargs),
-        kwargs,
+        profiles=profiles,
+        seeds=seeds,
+        cluster_seed=flags.get("cluster-seed", 7),
+        shrink_failures=shrink,
+        artifact_dir=flags.get("artifacts"),
+        log=print,
     )
-
-
-def _write_bench(report, path):
-    with open(path, "w", encoding="ascii") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("report written to {0}".format(path))
+    for line in format_report(report):
+        print(line)
+    if "bench" in flags:
+        with open(flags["bench"], "w", encoding="ascii") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("report written to {0}".format(flags["bench"]))
+    return 0 if not report["violations"] else 1
 
 
 def _chaos_run(args):
-    spec = {
-        "scenario": str,
-        "profile": str,
-        "seeds": _parse_seeds,
-        "cluster-seed": int,
-        "artifacts": str,
-        "bench": str,
-        "shrink": truthy,
-        "sends": int,
-    }
-    positional, flags = parse_flags(args, spec)
+    positional, flags = parse_flags(
+        args,
+        {**_SWEEP_FLAGS, "profile": str, "seeds": _parse_seeds, "shrink": truthy},
+    )
     if positional:
         print(CHAOS_USAGE)
         return 1
-    scenario, __ = _scenario_from_flags(flags)
     profiles = [
         name for name in flags.get("profile", "mixed").split(",") if name
     ]
-    report = search(
-        scenario,
-        profiles=profiles,
-        seeds=flags.get("seeds", list(range(5))),
-        cluster_seed=flags.get("cluster-seed", 7),
-        shrink_failures=flags.get("shrink", True),
-        artifact_dir=flags.get("artifacts"),
-        log=print,
+    return _sweep(
+        flags,
+        profiles,
+        flags.get("seeds", list(range(5))),
+        flags.get("shrink", True),
     )
-    for line in format_report(report):
-        print(line)
-    if "bench" in flags:
-        _write_bench(report, flags["bench"])
-    return 0 if not report["violations"] else 1
 
 
 def _chaos_soak(args):
-    spec = {
-        "scenario": str,
-        "schedules": int,
-        "cluster-seed": int,
-        "artifacts": str,
-        "bench": str,
-        "sends": int,
-    }
-    positional, flags = parse_flags(args, spec)
+    positional, flags = parse_flags(args, {**_SWEEP_FLAGS, "schedules": int})
     if positional:
         print(CHAOS_USAGE)
         return 1
-    scenario, __ = _scenario_from_flags(flags)
     budget = max(1, flags.get("schedules", 25))
     profiles = sorted(PROFILES)
     seeds_per_profile = max(1, (budget + len(profiles) - 1) // len(profiles))
-    report = search(
-        scenario,
-        profiles=profiles,
-        seeds=list(range(seeds_per_profile)),
-        cluster_seed=flags.get("cluster-seed", 7),
-        shrink_failures=True,
-        artifact_dir=flags.get("artifacts"),
-        log=print,
+    return _sweep(flags, profiles, list(range(seeds_per_profile)), True)
+
+
+def _recorded_line(artifact):
+    recorded = artifact["verdict"]
+    return "recorded verdict: {0}{1}".format(
+        "OK" if recorded["ok"] else "VIOLATED",
+        " " + ",".join(recorded["violated"]) if recorded["violated"] else "",
     )
-    for line in format_report(report):
-        print(line)
-    if "bench" in flags:
-        _write_bench(report, flags["bench"])
-    return 0 if not report["violations"] else 1
 
 
 def _chaos_replay(args):
@@ -165,13 +146,7 @@ def _chaos_replay(args):
     verdict, reproduced = replay_artifact(artifact)
     for line in format_verdict(verdict):
         print(line)
-    recorded = artifact["verdict"]
-    print(
-        "recorded verdict: {0}{1}".format(
-            "OK" if recorded["ok"] else "VIOLATED",
-            " " + ",".join(recorded["violated"]) if recorded["violated"] else "",
-        )
-    )
+    print(_recorded_line(artifact))
     print("reproduced" if reproduced else "DID NOT REPRODUCE")
     return 0 if reproduced else 1
 
@@ -185,48 +160,25 @@ def _chaos_shrink(args):
         return 1
     path = positional[0]
     artifact = load_artifact(path)
-    scenario = artifact_scenario(artifact)
-    plan = artifact_plan(artifact, scenario)
-    cluster_seed = artifact["cluster_seed"]
-    oracles = artifact.get("oracles")
-    baseline = run_scenario(scenario, cluster_seed)
-    original = set(artifact["verdict"]["violated"])
-    if not original:
+    if not artifact["verdict"]["violated"]:
         print("artifact verdict is OK; nothing to shrink")
         return 1
-
-    def fails(candidate):
-        run = run_scenario(scenario, cluster_seed, candidate)
-        verdict = run_oracles(run, baseline, oracles)
-        return bool(original & set(violated_names(verdict)))
-
-    result = shrink_plan(
-        plan, fails, max_probes=flags.get("max-probes", 200)
+    scenario = artifact_scenario(artifact)
+    cluster_seed = artifact["cluster_seed"]
+    result, shrunk = shrink_failure(
+        scenario, cluster_seed, run_scenario(scenario, cluster_seed),
+        artifact_plan(artifact, scenario), artifact["verdict"]["violated"],
+        artifact.get("oracles"), profile=artifact.get("profile"),
+        gen_seed=artifact.get("gen_seed"),
+        max_probes=flags.get("max-probes", MAX_PROBES),
     )
     print(result.summary())
-    run = run_scenario(scenario, cluster_seed, result.plan)
-    verdict = run_oracles(run, baseline, oracles)
-    shrunk = build_artifact(
-        scenario.name,
-        cluster_seed,
-        result.plan,
-        verdict,
-        scenario_kwargs=artifact["scenario"].get("kwargs"),
-        profile=artifact.get("profile"),
-        gen_seed=artifact.get("gen_seed"),
-        oracles=oracles,
-        shrink_info={
-            "original_events": result.original_events,
-            "probes": result.probes,
-        },
-    )
     out = flags.get("out") or (
         path[: -len(".json")] if path.endswith(".json") else path
     ) + ".shrunk.json"
     save_artifact(shrunk, out)
     print("shrunk artifact: {0}".format(out))
-    for line in format_verdict(verdict):
-        print(line)
+    print(_recorded_line(shrunk))
     return 0
 
 

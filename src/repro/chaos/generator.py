@@ -17,9 +17,9 @@ are stable and human-readable.
 Recovery pairing: moves that take a component away always schedule the
 matching recovery inside the horizon (heal after partition, init's
 daemon restart after a daemon kill, reboot after crash, a fresh
-controller after a controller kill).  Unrecovered outages would change
-what the *workload* computes, drowning every oracle in false alarms;
-leaving a component down is a scenario choice, not a generator draw.
+controller after a controller kill), so a generated plan has no open
+move (:meth:`FaultPlan.moves` pairs them back up for the shrinker).
+Leaving a component down is a scenario choice, not a generator draw.
 """
 
 import random

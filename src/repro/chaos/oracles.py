@@ -41,8 +41,13 @@ class Oracle:
 
 
 def _recoverable_only(run):
+    """Every fault is one the self-healing machinery absorbs, and the
+    plan ends with every outage recovered (its end state, not only its
+    kinds: an unhealed partition keeps records away for good)."""
     kinds = run.plan_kinds()
-    return not (kinds & (STORAGE_KINDS | DESTRUCTIVE_KINDS))
+    return not (kinds & (STORAGE_KINDS | DESTRUCTIVE_KINDS)) and not (
+        run.plan is not None and run.plan.open_moves()
+    )
 
 
 def _no_crash(run):
@@ -320,6 +325,14 @@ def violated_names(verdict):
         for name, entry in verdict["oracles"].items()
         if entry["violations"]
     )
+
+
+def reproduces(verdict, violated):
+    """Does ``verdict`` show exactly the ``violated`` oracle set?  The
+    one meaning of "reproduced": a replay against its artifact's
+    recorded verdict, and a shrink probe against the failure it
+    shrinks."""
+    return violated_names(verdict) == sorted(violated)
 
 
 def format_verdict(verdict, indent=""):

@@ -80,6 +80,11 @@ class DgramPairScenario(Scenario):
         self.gap_ms = float(gap_ms)
         self.expected_procs = {"dgramproducer": 2}
 
+    @property
+    def kwargs(self):
+        """What an artifact records to rebuild this scenario."""
+        return {"sends": self.sends, "gap_ms": self.gap_ms}
+
     def start(self, session):
         session.command(
             "filter {0} {1}".format(self.filter_name, self.filter_machine)

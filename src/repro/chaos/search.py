@@ -18,10 +18,10 @@ from collections import Counter
 
 from repro.chaos.artifact import build_artifact, save_artifact
 from repro.chaos.generator import generate_plan
-from repro.chaos.oracles import run_oracles, violated_names
+from repro.chaos.oracles import reproduces, run_oracles, violated_names
 from repro.chaos.profiles import get_profile
 from repro.chaos.scenario import run_scenario
-from repro.chaos.shrink import shrink_plan
+from repro.chaos.shrink import MAX_PROBES, shrink_plan
 
 
 def search(
@@ -32,7 +32,7 @@ def search(
     oracles=None,
     shrink_failures=True,
     artifact_dir=None,
-    max_shrink_probes=120,
+    max_shrink_probes=MAX_PROBES,
     log=None,
 ):
     """Run the search; returns the report dict.
@@ -83,39 +83,21 @@ def search(
                 continue
             failure = dict(entry)
             if shrink_failures:
-                shrunk = _shrink_failure(
-                    scenario,
-                    cluster_seed,
-                    baseline,
-                    plan,
-                    violated,
-                    oracles,
-                    max_shrink_probes,
+                shrunk, artifact = shrink_failure(
+                    scenario, cluster_seed, baseline, plan, violated,
+                    oracles, profile=profile.name, gen_seed=int(seed),
+                    max_probes=max_shrink_probes,
                 )
                 failure["shrunk_events"] = shrunk.final_events
                 failure["shrink_probes"] = shrunk.probes
                 emit("  " + shrunk.summary())
-                repro_plan = shrunk.plan
-                shrink_info = {
-                    "original_events": shrunk.original_events,
-                    "probes": shrunk.probes,
-                }
             else:
-                repro_plan = plan
-                shrink_info = None
-            if artifact_dir is not None:
-                repro_run = run_scenario(scenario, cluster_seed, repro_plan)
-                repro_verdict = run_oracles(repro_run, baseline, oracles)
                 artifact = build_artifact(
-                    scenario.name,
-                    cluster_seed,
-                    repro_plan,
-                    repro_verdict,
-                    profile=profile.name,
-                    gen_seed=int(seed),
-                    oracles=oracles,
-                    shrink_info=shrink_info,
+                    scenario.name, cluster_seed, plan, verdict,
+                    scenario_kwargs=scenario.kwargs, profile=profile.name,
+                    gen_seed=int(seed), oracles=oracles,
                 )
+            if artifact_dir is not None:
                 path = save_artifact(
                     artifact,
                     "{0}/chaos_{1}_{2}_{3}.json".format(
@@ -149,19 +131,34 @@ def search(
     return report
 
 
-def _shrink_failure(
-    scenario, cluster_seed, baseline, plan, violated, oracles, max_probes
-):
-    """Delta-debug a failing schedule: a candidate still "fails" when
-    it reproduces at least one of the originally violated oracles."""
-    original = set(violated)
+def shrink_failure(scenario, cluster_seed, baseline, plan, violated,
+                   oracles=None, profile=None, gen_seed=None,
+                   max_probes=MAX_PROBES):
+    """Delta-debug a failing schedule to a minimal one that violates
+    exactly the ``violated`` oracles (:func:`oracles.reproduces`, the
+    test a replay applies), so its artifact claims the original bug.
+    Returns ``(ShrinkResult, artifact)``; the artifact records the
+    shrunk plan's verdict, re-run."""
 
-    def fails(candidate):
+    def verdict_of(candidate):
         run = run_scenario(scenario, cluster_seed, candidate)
-        verdict = run_oracles(run, baseline, oracles)
-        return bool(original & set(violated_names(verdict)))
+        return run_oracles(run, baseline, oracles)
 
-    return shrink_plan(plan, fails, max_probes=max_probes)
+    result = shrink_plan(
+        plan,
+        lambda candidate: reproduces(verdict_of(candidate), violated),
+        max_probes=max_probes,
+    )
+    artifact = build_artifact(
+        scenario.name, cluster_seed, result.plan, verdict_of(result.plan),
+        scenario_kwargs=scenario.kwargs, profile=profile, gen_seed=gen_seed,
+        oracles=oracles,
+        shrink_info={
+            "original_events": result.original_events,
+            "probes": result.probes,
+        },
+    )
+    return result, artifact
 
 
 def format_report(report):

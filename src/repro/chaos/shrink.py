@@ -4,16 +4,20 @@ Given a failing schedule and a deterministic failure predicate
 (``fails(plan) -> bool``), :func:`shrink_plan` reduces the schedule to
 a 1-minimal failing core:
 
-1. **Event dropping** -- classic delta debugging (Zeller's ddmin) over
-   the event list: try dropping chunks, then complements, halving
-   granularity until no single event can be removed.  The result is a
-   strict subsequence of the original schedule.
+1. **Move dropping** -- classic delta debugging (Zeller's ddmin) over
+   the plan's moves (:meth:`FaultPlan.moves`: an outage and the
+   recovery that closes it are one move, so a healed partition is
+   never shrunk to its unhealed half): try dropping chunks, then
+   complements, halving granularity until no single move can be
+   removed.  A probe keeps its events in declaration order, so the
+   result is a subsequence of the original schedule and opens no
+   outage the original closed.
 2. **Parameter narrowing** -- for each surviving event, try a ladder of
    simpler parameter values (``flips`` down to 1, ``drop_bytes`` down
    to 1, ``loss`` down the ladder) and snap timestamps onto coarse
    grids, keeping a change only when the schedule still fails.  This
-   phase never reorders, adds, or removes events, so the *sequence* of
-   faults stays a subsequence of the original.
+   phase never reorders (in firing order), adds, or removes events, so
+   the moves stay the same moves.
 
 Everything is deterministic: candidate order is fixed, the predicate is
 assumed pure (chaos runs are seeded simulations), and the probe budget
@@ -22,6 +26,10 @@ the result's ``history`` for post-mortems.
 """
 
 from repro.faults.plan import FaultPlan
+
+#: The one probe budget of every shrink (``chaos shrink --max-probes``
+#: and ``search(max_shrink_probes=...)`` override it).
+MAX_PROBES = 200
 
 
 class ShrinkResult:
@@ -75,35 +83,38 @@ class _Prober:
         return outcome
 
 
-def _ddmin(entries, prober):
-    """Zeller's ddmin: returns a 1-minimal failing subsequence."""
+def _ddmin(entries, moves, prober):
+    """Zeller's ddmin over whole moves: returns the entries of a
+    1-minimal failing set of moves, in declaration order."""
+
+    def flat(chosen):
+        return [entries[i] for i in sorted(i for move in chosen for i in move)]
+
     granularity = 2
-    while len(entries) >= 2:
-        chunk = max(1, len(entries) // granularity)
+    while len(moves) >= 2:
+        chunk = max(1, len(moves) // granularity)
         reduced = False
-        # Subsets first (big jumps), then complements.
+        # Subsets first (big jumps), then complements (at granularity
+        # 2 the two coincide).
         candidates = []
-        for start in range(0, len(entries), chunk):
-            candidates.append(entries[start : start + chunk])
+        for start in range(0, len(moves), chunk):
+            candidates.append(moves[start : start + chunk])
         if granularity > 2:
-            for start in range(0, len(entries), chunk):
-                candidates.append(entries[:start] + entries[start + chunk :])
-        else:
-            # At granularity 2 subsets and complements coincide.
-            pass
+            for start in range(0, len(moves), chunk):
+                candidates.append(moves[:start] + moves[start + chunk :])
         for candidate in candidates:
-            if len(candidate) == len(entries) or not candidate:
+            if len(candidate) == len(moves) or not candidate:
                 continue
-            if prober.failing(candidate):
-                entries = candidate
+            if prober.failing(flat(candidate)):
+                moves = candidate
                 granularity = 2
                 reduced = True
                 break
         if not reduced:
-            if granularity >= len(entries):
+            if granularity >= len(moves):
                 break
-            granularity = min(len(entries), granularity * 2)
-    return entries
+            granularity = min(len(moves), granularity * 2)
+    return flat(moves)
 
 
 _PARAM_LADDERS = {
@@ -140,30 +151,22 @@ def _narrow_parameters(entries, prober):
                 continue
             candidate = [dict(entry) for entry in entries]
             candidate[index]["at_ms"] = snapped
-            # Snapping must not reorder the schedule's firing order.
-            times = [entry["at_ms"] for entry in candidate]
-            if times != sorted(times) and _order_changed(entries, candidate):
+            # Snapping must not reorder the schedule's firing order
+            # (which would re-pair its outages and recoveries).
+            if _firing_order(candidate) != _firing_order(entries):
                 continue
             if prober.failing(candidate):
                 entries = candidate
     return entries
 
 
-def _order_changed(before, after):
-    """Did time-snapping change the firing order of the schedule?"""
-
-    def firing(entries):
-        return [
-            entry["kind"]
-            for entry in sorted(
-                entries, key=lambda e: (e["at_ms"],)
-            )
-        ]
-
-    return firing(before) != firing(after)
+def _firing_order(entries):
+    return sorted(
+        range(len(entries)), key=lambda i: (entries[i]["at_ms"], i)
+    )
 
 
-def shrink_plan(plan, fails, max_probes=300, narrow=True):
+def shrink_plan(plan, fails, max_probes=MAX_PROBES, narrow=True):
     """Reduce ``plan`` to a minimal schedule for which ``fails`` still
     holds.  ``fails`` receives a :class:`FaultPlan` and must be
     deterministic.  Raises ``ValueError`` if the input plan does not
@@ -172,7 +175,7 @@ def shrink_plan(plan, fails, max_probes=300, narrow=True):
     prober = _Prober(fails, plan.machines, max_probes)
     if not prober.failing(entries):
         raise ValueError("plan does not fail its oracle; nothing to shrink")
-    entries = _ddmin(entries, prober)
+    entries = _ddmin(entries, plan.moves(), prober)
     if narrow:
         entries = _narrow_parameters(entries, prober)
     return ShrinkResult(

@@ -46,6 +46,14 @@ STORAGE_KINDS = frozenset(
 #: Kinds that destroy computation state the self-healing machinery does
 #: not promise to recover (a crashed machine's processes are gone).
 DESTRUCTIVE_KINDS = frozenset((CRASH, REBOOT))
+#: Recovery kind -> the outage kind it closes (a daemon restart closes
+#: a ``kill_process`` of the meterdaemon, on the same machine).
+RECOVERS = {
+    HEAL: PARTITION,
+    REBOOT: CRASH,
+    RESTART_DAEMON: KILL_PROCESS,
+    RESTART_CONTROLLER: KILL_CONTROLLER,
+}
 
 
 class FaultEvent:
@@ -301,6 +309,33 @@ class FaultPlan:
         """Human-readable schedule, one line per fault."""
         return [event.describe() for __, event in self.sorted_events()]
 
+    def moves(self):
+        """The schedule as *moves*, each a list of declaration indices.
+
+        Walking the events in firing order, each recovery closes the
+        earliest open outage it recovers (:data:`RECOVERS`; a reboot, a
+        daemon restart on the same machine); every other event is a
+        move of its own.  An outage no recovery closes is an *open*
+        move (:meth:`open_moves`): the plan ends with that component
+        down."""
+        return self._paired()[0]
+
+    def open_moves(self):
+        """The outages no recovery closes (see :meth:`moves`)."""
+        return self._paired()[1]
+
+    def _paired(self):
+        moves, waiting = [], {}
+        for index, event in self.sorted_events():
+            target = _target(event)
+            if event.kind in RECOVERS and waiting.get(target):
+                waiting[target].pop(0).append(index)
+                continue
+            moves.append([index])
+            if target is not None and event.kind not in RECOVERS:
+                waiting.setdefault(target, []).append(moves[-1])
+        return moves, [move for queue in waiting.values() for move in queue]
+
     def kinds(self):
         """The set of fault kinds this plan schedules."""
         return {event.kind for event in self.events}
@@ -352,21 +387,21 @@ class FaultPlan:
         return len(self.events)
 
 
-#: Kinds reachable through from_jsonable (method name == kind).
-_BUILDER_KINDS = frozenset(
-    (
-        CRASH,
-        REBOOT,
-        PARTITION,
-        HEAL,
-        LOSS_BURST,
-        LATENCY_SPIKE,
-        KILL_PROCESS,
-        RESTART_DAEMON,
-        STORAGE_TORN_WRITE,
-        STORAGE_DROP_FLUSH,
-        STORAGE_BIT_ROT,
-        KILL_CONTROLLER,
-        RESTART_CONTROLLER,
-    )
+def _target(event):
+    """``(outage kind, machine)`` an outage or recovery event is about;
+    None for an event that is neither (a filter kill is not an outage:
+    its daemon relaunches the filter)."""
+    kind = RECOVERS.get(event.kind, event.kind)
+    if kind not in RECOVERS.values() or (
+        event.kind == KILL_PROCESS and event.args["program"] != "meterdaemon"
+    ):
+        return None
+    return kind, event.args.get("machine")
+
+
+#: Kinds reachable through from_jsonable (method name == kind): every
+#: outage and recovery, every storage fault, and the two link faults.
+_BUILDER_KINDS = (
+    frozenset(RECOVERS) | frozenset(RECOVERS.values()) | STORAGE_KINDS
+    | frozenset((LOSS_BURST, LATENCY_SPIKE))
 )

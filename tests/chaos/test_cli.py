@@ -89,8 +89,9 @@ def test_shrink_refuses_a_passing_artifact(tmp_path, capsys):
 
 def test_shrink_reduces_a_synthetic_failure(tmp_path, capsys):
     """End-to-end over the CLI: a schedule with two partitions fails
-    the synthetic partition-budget oracle, shrinks to its 2-event
-    core, and the written artifact replays to the same verdict."""
+    the synthetic partition-budget oracle, shrinks to its two
+    partition+heal moves, and the written artifact replays to the same
+    verdict."""
     scenario = DgramPairScenario(sends=12)
     plan = generate_plan(1, "network", scenario.surface(log_directory=None))
     assert sum(1 for e in plan.events if e.kind == "partition") >= 2
@@ -113,7 +114,8 @@ def test_shrink_reduces_a_synthetic_failure(tmp_path, capsys):
     out_path = tmp_path / "fail.shrunk.json"
     assert chaos_main(["shrink", str(path), "--out", str(out_path)]) == 0
     shrunk = load_artifact(out_path)
-    assert len(shrunk["plan"]) == 2
-    assert all(entry["kind"] == "partition" for entry in shrunk["plan"])
+    assert sorted(entry["kind"] for entry in shrunk["plan"]) == [
+        "heal", "heal", "partition", "partition"
+    ]
     assert shrunk["verdict"]["violated"] == ["partition_budget"]
     assert chaos_main(["replay", str(out_path)]) == 0

@@ -6,7 +6,9 @@ daemons killed mid-episode, duplicate DONE reports after a controller
 resume, restarts between heartbeats, orphan batches stranded on a
 retired port).  They are committed with their post-fix verdicts, so a
 regression flips ``reproduced`` to False and names the oracle that
-started failing.
+started failing.  An artifact whose recorded verdict is VIOLATED pins
+a monitor bug that is found but not yet fixed (a record duplicated
+after a torn write and a filter kill); its fix re-records it OK.
 """
 
 import pathlib

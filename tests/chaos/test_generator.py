@@ -101,6 +101,8 @@ def test_every_outage_carries_its_recovery(profile, seed):
         if event.kind == plan_mod.RESTART_DAEMON
     ]
     assert sorted(kills) == sorted(restarts)
+    # ... and each recovery fires after the outage it closes.
+    assert plan.open_moves() == []
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))

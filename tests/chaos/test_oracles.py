@@ -12,7 +12,9 @@ import pytest
 from repro.chaos.generator import generate_plan
 from repro.chaos.oracles import (
     SYNTHETIC_ORACLES,
+    format_verdict,
     get_oracles,
+    reproduces,
     run_oracles,
     violated_names,
 )
@@ -101,6 +103,33 @@ def test_death_reports_missing_fails_only_when_recoverable():
     )
     destructive.done_reports = dict(missing)
     assert "death_reports" not in violated_names(run_oracles(destructive))
+
+
+def test_an_unhealed_partition_drops_to_the_unconditional_tier():
+    """The tier follows the plan's end state, not its kinds: a partition
+    no heal closes keeps records away for good, so record identity with
+    the baseline and exactly-once death reports no longer apply."""
+    plan = FaultPlan(machines=MACHINES).heal(5.0).partition(
+        10.0, [["red"], ["green", "blue", "yellow"]]
+    )
+    assert plan.open_moves() == [[1]]
+    run = _run_with(plan, done_reports={"dgramproducer": 1})
+    verdict = run_oracles(run, baseline=_run_with(None))
+    assert not _applied(verdict, "baseline_identical")
+    assert "  baseline_identical: not applicable" in format_verdict(verdict)
+    assert "death_reports" not in violated_names(verdict)
+    assert _applied(verdict, "workload_completed")
+
+
+def test_reproduces_means_the_same_violated_set():
+    run = _run_with(None, controller_alive=False)
+    verdict = run_oracles(run)
+    assert violated_names(verdict) == ["session_alive"]
+    assert reproduces(verdict, ["session_alive"])
+    assert not reproduces(verdict, [])
+    assert not reproduces(verdict, ["death_reports", "session_alive"])
+    passing = run_oracles(_run_with(None), oracles=["partition_budget"])
+    assert reproduces(passing, []) and not reproduces(passing, ["session_alive"])
 
 
 def test_dead_controller_fails_session_alive():

@@ -1,9 +1,14 @@
 """The shrinker's contract: the output still fails its predicate, is a
-subsequence of the input, is 1-minimal for the synthetic two-partition
-bug, and the whole reduction is deterministic and budget-bounded."""
+subsequence of the input, keeps or drops an outage together with its
+recovery, is 1-minimal for the synthetic two-partition bug, and the
+whole reduction is deterministic and budget-bounded."""
 
 import pytest
 
+from repro.chaos.artifact import artifact_plan, load_artifact, replay_artifact
+from repro.chaos.generator import generate_plan
+from repro.chaos.scenario import DgramPairScenario
+from repro.chaos.search import search
 from repro.chaos.shrink import is_subsequence, shrink_plan
 from repro.faults.plan import FaultPlan
 
@@ -35,12 +40,18 @@ def _two_partitions(plan):
     return sum(1 for event in plan.events if event.kind == "partition") >= 2
 
 
-def test_two_partition_bug_shrinks_to_exactly_two_events():
+def test_two_partition_bug_shrinks_to_its_two_healed_partitions():
+    """Each partition is kept with the heal that closes it: the core is
+    two moves, four events, and the plan still ends healed."""
     plan = _noisy_plan()
     assert len(plan) >= 12
     result = shrink_plan(plan, _two_partitions)
-    assert result.final_events == 2
-    assert all(event.kind == "partition" for event in result.plan.events)
+    assert result.final_events == 4
+    assert [event.kind for event in result.plan.events] == [
+        "partition", "heal", "partition", "heal"
+    ]
+    assert len(result.plan.moves()) == 2
+    assert result.plan.open_moves() == []
     assert _two_partitions(result.plan)
     assert is_subsequence(result.plan, plan)
 
@@ -114,3 +125,31 @@ def test_is_subsequence_rejects_reordered_and_invented_events():
     invented = FaultPlan(machines=MACHINES)
     invented.crash(10.0, "red")
     assert not is_subsequence(invented, original)
+
+
+def test_search_writes_a_shrunk_artifact_that_replays(tmp_path):
+    """The search loop's own shrink path, in-process: network seed 1
+    fires two partitions, so the synthetic partition-budget oracle
+    fails; the shrunk artifact keeps both heals, records the scenario
+    it ran, and replays to the original violated set."""
+    scenario = DgramPairScenario(sends=12)
+    report = search(
+        scenario,
+        profiles=["network"],
+        seeds=[1],
+        oracles=["partition_budget"],
+        artifact_dir=tmp_path,
+    )
+    (failure,) = report["failures"]
+    assert failure["violated"] == ["partition_budget"]
+    assert failure["shrunk_events"] == 4 < failure["events"]
+    artifact = load_artifact(failure["artifact"])
+    assert artifact["scenario"]["kwargs"] == scenario.kwargs
+    assert artifact["verdict"]["violated"] == ["partition_budget"]
+    assert artifact["shrink"]["original_events"] == failure["events"]
+    shrunk = artifact_plan(artifact)
+    assert shrunk.open_moves() == []
+    original = generate_plan(1, "network", scenario.surface(None))
+    assert is_subsequence(shrunk, original)
+    verdict, reproduced = replay_artifact(artifact)
+    assert reproduced, verdict

@@ -105,3 +105,60 @@ def test_applied_log_is_reproducible():
         return injector.describe_applied()
 
     assert run() == run()
+
+
+def test_moves_pair_each_recovery_with_the_outage_it_closes():
+    """In firing order, each recovery closes the earliest open outage of
+    its kind (on its machine); everything else is a move of its own."""
+    plan = (
+        FaultPlan()
+        .partition(100.0, [["red"], ["green"]])  # 0
+        .partition(150.0, [["red", "green"], ["blue"]])  # 1
+        .heal(300.0)  # 2: closes the earlier partition
+        .heal(400.0)  # 3
+        .kill_daemon(50.0, "green")  # 4
+        .kill_daemon(60.0, "red")  # 5
+        .restart_daemon(90.0, "red")  # 6: red's daemon, not green's
+        .restart_daemon(95.0, "green")  # 7
+        .crash(10.0, "blue")  # 8
+        .reboot(20.0, "blue")  # 9
+        .kill_controller(30.0)  # 10
+        .restart_controller(40.0)  # 11
+        .kill_filter(45.0, "blue")  # 12: the daemon relaunches it
+        .loss_burst(70.0, duration_ms=20.0, loss=0.5)  # 13
+    )
+    assert plan.moves() == [
+        [8, 9], [10, 11], [12], [4, 7], [5, 6], [13], [0, 2], [1, 3]
+    ]
+    assert plan.open_moves() == []
+
+
+def test_an_outage_no_recovery_follows_is_an_open_move():
+    plan = (
+        FaultPlan()
+        .heal(10.0)  # nothing to heal yet: a move of its own
+        .partition(20.0, [["red"], ["green"]])
+        .restart_daemon(30.0, "red")
+        .kill_daemon(40.0, "red")  # restarted before it was killed
+        .crash(50.0, "green")
+        .reboot(60.0, "red")  # another machine
+    )
+    assert plan.open_moves() == [[1], [3], [4]]
+    assert len(plan.moves()) == 6
+
+
+def test_interleaved_recoveries_pair_like_the_recovery_churn_plan():
+    """Outages and their recoveries need not be adjacent: a daemon kill
+    stays open across a partition and a controller outage."""
+    plan = (
+        FaultPlan()
+        .kill_filter(30.0, "blue")
+        .kill_daemon(100.0, "green")
+        .partition(120.0, [["yellow"], ["red", "green", "blue"]])
+        .heal(200.0)
+        .kill_controller(250.0)
+        .restart_controller(350.0)
+        .restart_daemon(600.0, "green")
+    )
+    assert plan.moves() == [[0], [1, 6], [2, 3], [4, 5]]
+    assert plan.open_moves() == []

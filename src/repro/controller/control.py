@@ -21,6 +21,13 @@ from repro.streaming.queries import QUERY_KINDS
 
 PROMPT = "<Control> "
 
+#: What ``HealthMonitor.note_success``'s verdict tells the user.
+_ANSWER_WARNINGS = {
+    "recovered": "WARNING: meterdaemon on '{0}' is responding again",
+    "restarted": "WARNING: meterdaemon on '{0}' was restarted between "
+    "heartbeats; reconciling",
+}
+
 DEFAULT_FILTER_FILE = "filter"
 DEFAULT_DESCRIPTIONS = "descriptions"
 DEFAULT_TEMPLATES = "templates"
@@ -142,20 +149,9 @@ class Controller:
         self.notify_port = None
         #: notify conn fd -> reassembly buffer
         self.notify_buffers = {}
-        #: Daemon liveness: heartbeats, degradation, recovery probes.
+        #: One record per machine's daemon: health state, probe clock,
+        #: boot epoch and owed drains.
         self.health = health.HealthMonitor()
-        #: machine -> boot epoch from its last ping reply.  A changed
-        #: epoch means the daemon was restarted behind our back -- the
-        #: whole outage fit between two heartbeats, so no degraded
-        #: transition will ever fire for it.
-        self.daemon_boots = {}
-        #: machine -> {filtername: set of retired meter ports} for
-        #: REMETER exchanges that failed because the machine was
-        #: unreachable.  Its kernel may hold final batches spooled
-        #: under those ports, and only its daemon can drain them --
-        #: the debt keeps the machine on the heartbeat schedule until
-        #: a recovery pays it (see _settle_owed_remeters).
-        self.owed_remeters = {}
         self.input_stack = []
         self.sink_fd = None  # output file fd, or None for the terminal
         #: Per-filter poll cursors into the engine's firing sequence.
@@ -282,7 +278,7 @@ class Controller:
             for record in job.processes:
                 if record.state != states.KILLED:
                     watched.add(record.machine)
-        watched.update(self.owed_remeters)
+        watched.update(self.health.owing())
         return watched
 
     # ------------------------------------------------------------------
@@ -391,33 +387,17 @@ class Controller:
     def _daemon_answered(self, machine, body):
         """Record a successful exchange (RPC or probe) and reconcile
         session state with the daemon when it is not the one we knew:
-        on a degraded->healthy transition (it may be brand-new), or
-        when the boot epoch every reply carries changed on a machine we
-        believed healthy -- the daemon died and was replaced entirely
-        inside one heartbeat interval, so no transition fired, yet the
+        it was degraded (it may be brand-new), or the boot epoch every
+        reply carries changed on a machine we believed healthy -- the
+        daemon was replaced inside one heartbeat interval, and the
         replacement has empty state and must re-adopt this machine's
         share of the session (and report any child that died in the
         gap)."""
         now = yield self.sys.gettimeofday()
-        recovered = self.health.note_success(machine, now)
-        boot = body.get("boot")
-        known = self.daemon_boots.get(machine)
-        if boot is not None:
-            # Before reconciling: the replies to the reconcile's own
-            # RPCs must find the new epoch, not reconcile again.
-            self.daemon_boots[machine] = boot
-        if recovered:
-            yield from self.emit(
-                "WARNING: meterdaemon on '{0}' is responding again", machine
-            )
-        elif boot is not None and known is not None and boot != known:
-            yield from self.emit(
-                "WARNING: meterdaemon on '{0}' was restarted between "
-                "heartbeats; reconciling",
-                machine,
-            )
-        else:
+        change = self.health.note_success(machine, now, body.get("boot"))
+        if change is None:
             return
+        yield from self.emit(_ANSWER_WARNINGS[change], machine)
         yield from self._reconcile_machine(machine)
 
     def _note_failure(self, machine):
@@ -514,32 +494,12 @@ class Controller:
     # Recovery: reconcile, respawn, repoint
     # ------------------------------------------------------------------
 
-    def _settle_owed_remeters(self, machine):
-        """Pay the remeter debt recorded while ``machine`` was unreachable
-        during a filter relaunch: processes on it may have died with final
-        batches spooled under meter ports the relaunch retired, and only a
-        drain aimed at the filter's *current* address recovers them."""
-        owed = self.owed_remeters.get(machine)
-        if not owed:
-            return
-        for filtername in sorted(owed):
-            info = self.session.filters.get(filtername)
-            if info is None:
-                # The filter is gone from the session; there is nothing to
-                # aim a drain at any more.
-                owed.pop(filtername, None)
-                continue
-            ports = sorted(set(owed[filtername]) | set(info.past_ports))
-            yield from self._remeter_machine(info, machine, ports)
-        if not self.owed_remeters.get(machine):
-            self.owed_remeters.pop(machine, None)
-
     def _reconcile_machine(self, machine):
-        """A machine came back (healed partition or restarted daemon):
-        have its daemon adopt the session's processes and filters, then
-        square our records with what actually survived."""
+        """A machine came back (healed partition, restarted daemon or
+        controller): have its daemon adopt the session's processes and
+        filters, square our records with what actually survived, then
+        REMETER each filter whose meters or spools there may be stale."""
         session = self.session
-        yield from self._settle_owed_remeters(machine)
         children = [
             {
                 "pid": record.pid,
@@ -565,13 +525,14 @@ class Controller:
                         "meter_port": info.meter_port,
                     }
                 )
-        if not children and not filter_infos:
-            return
-        ok, body = yield from self.rpc(
-            machine, protocol.ADOPT_REQ, children=children, filters=filter_infos
-        )
-        if not ok:
-            return
+        adopted = bool(children or filter_infos)
+        body = {}
+        if adopted:
+            ok, body = yield from self.rpc(
+                machine, protocol.ADOPT_REQ, children=children, filters=filter_infos
+            )
+            if not ok:
+                return  # still watched; the next recovery tries again
         for pid in body.get("dead", []):
             yield from self.report_death(
                 machine, pid, "lost while machine was degraded"
@@ -593,19 +554,22 @@ class Controller:
                     pid=record.pid,
                     flags=record.flags,
                 )
-        # A filter restart this machine slept through left its meters
-        # aimed at a dead port and its kernel holding orphaned batches
-        # spooled under the old one: re-aim every live meter of the jobs
-        # it hosts and drain all earlier ports.  Filters respawned just
-        # above already repointed everything, and a filter with no past
-        # ports never restarted, so its meters were never stale.
+        # One REMETER per filter.  A filter restart this machine slept
+        # through left its meters aimed at a dead port and its kernel
+        # holding batches spooled under the old ones; a REMETER that
+        # failed while it was down is owed.  Filters respawned just above
+        # already repointed everything, and a filter with no past ports
+        # never restarted, so its meters were never stale.  A debt for a
+        # filter that left the session has nothing to drain into.
+        entry = self.health.entry(machine)
+        entry.owed.intersection_update(session.filters)
         for name in list(session.filter_order):
             info = session.filters.get(name)
-            if info is None or name in respawned or not info.past_ports:
+            if info is None or name in respawned:
                 continue
-            if session.records_on(machine, name):
-                ports = list(dict.fromkeys(info.past_ports + [info.meter_port]))
-                yield from self._remeter_machine(info, machine, ports)
+            stale = adopted and info.past_ports and session.records_on(machine, name)
+            if name in entry.owed or stale:
+                yield from self._remeter_machine(info, machine)
 
     def _create_filter(self, machine, name, filterfile, descriptions, templates):
         request = dict(
@@ -656,31 +620,28 @@ class Controller:
             info.machine,
             info.pid,
         )
-        yield from self._repoint_filter(info, [old_port])
+        yield from self._repoint_filter(info)
         yield from self._reregister_watches(info)
 
-    def _repoint_filter(self, info, old_ports):
+    def _repoint_filter(self, info):
         """A filter has a new meter port: every machine with a process of
         one of its jobs re-aims live meters at it (the kernel resends its
         unacknowledged window; the filter dedups) and drains batches
-        orphaned under the old port numbers.  Machines whose processes all
-        died still get the drain -- their final batches are waiting."""
+        orphaned under its earlier port numbers.  Machines whose processes
+        all died still get the drain -- their final batches are waiting."""
         machines = {
             record.machine
             for job in self.session.jobs.values()
             if job.filtername == info.name
             for record in job.processes
         }
-        # A machine that was degraded during an EARLIER restart may still
-        # hold spools under ports older than the one being replaced now.
-        ports = list(dict.fromkeys(list(old_ports) + info.past_ports))
         for machine in sorted(machines):
-            yield from self._remeter_machine(info, machine, ports)
+            yield from self._remeter_machine(info, machine)
 
-    def _remeter_machine(self, info, machine, old_ports):
+    def _remeter_machine(self, info, machine):
         """One REMETER exchange: aim the meters of the filter's live
         processes on ``machine`` at its current port and drain batches
-        orphaned under ``old_ports``."""
+        orphaned under any port it has had (``FilterInfo.drain_ports``)."""
         records = [
             {"pid": record.pid, "flags": record.flags}
             for record in self.session.records_on(machine, info.name)
@@ -692,21 +653,15 @@ class Controller:
             records=records,
             filter_host=info.meter_host,
             filter_port=info.meter_port,
-            old_ports=list(old_ports),
+            old_ports=info.drain_ports(),
         )
         if not ok:
             # The machine's kernel may hold batches spooled under the old
-            # ports; remember the debt so recovery can drain them at
-            # whatever port the filter has by then.
-            self.owed_remeters.setdefault(machine, {}).setdefault(
-                info.name, set()
-            ).update(int(port) for port in old_ports)
+            # ports; the debt keeps it watched until a reconcile drains
+            # them at whatever port the filter has by then.
+            self.health.entry(machine).owed.add(info.name)
             return
-        owed = self.owed_remeters.get(machine)
-        if owed is not None:
-            owed.pop(info.name, None)
-            if not owed:
-                self.owed_remeters.pop(machine, None)
+        self.health.entry(machine).owed.discard(info.name)
         for pid in body.get("dead", []):
             yield from self.report_death(machine, pid, "died during filter restart")
 

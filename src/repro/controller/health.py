@@ -1,23 +1,23 @@
 """Daemon liveness: heartbeats, degradation, bounded recovery probes.
 
-The controller holds one :class:`HealthMonitor`; every outcome that
-says anything about a meterdaemon -- a user command's RPC, a liveness
-ping -- flows through the same two transitions (:meth:`note_success`,
-:meth:`note_failure`), so a machine cannot be half-degraded depending
-on who last talked to it.
+The controller holds one :class:`HealthMonitor` with one
+:class:`MachineHealth` per machine: all it believes about that
+machine's meterdaemon.  Every outcome that says anything about a
+daemon -- a user command's RPC, a liveness ping -- flows through the
+same two transitions (:meth:`~HealthMonitor.note_success`,
+:meth:`~HealthMonitor.note_failure`), so a machine cannot be
+half-degraded depending on who last talked to it.
 
-Schedule shape (all simulator milliseconds):
+Three states; a move off the ``_EDGES`` table raises (as ``states.py``
+does for Figure 4.2):
 
-- While the user is active (a command or RPC within the last
-  ``HEARTBEAT_MS * IDLE_ROUNDS``), every machine hosting part of the
-  session -- a job process or a filter -- is pinged every
-  ``HEARTBEAT_MS``.
-- A machine that stops answering is *degraded* (one warning, visible
-  in ``jobs``) and re-probed with exponential backoff from
-  ``PROBE_MIN_MS`` to ``PROBE_CAP_MS``, at most ``PROBES_PER_EPISODE``
-  probes, then the monitor goes dormant for it.
-- Any activity re-arms the dormant probes; any successful exchange
-  clears the degradation (one "responding again" warning).
+- *healthy*: pinged every ``HEARTBEAT_MS`` while the user is active (a
+  command or RPC within the last ``HEARTBEAT_MS * IDLE_ROUNDS``).
+- *probing*: stopped answering (one warning, visible in ``jobs``);
+  re-probed with exponential backoff from ``PROBE_MIN_MS`` to
+  ``PROBE_CAP_MS``, at most ``PROBES_PER_EPISODE`` probes.
+- *dormant*: the episode's probes are spent; nothing is scheduled
+  until activity re-arms a new episode.
 
 Dormancy is load-bearing: the controller idles in a select with no
 timeout when nothing is scheduled, so a finished session quiesces and
@@ -35,26 +35,57 @@ PROBES_PER_EPISODE = 8
 #: a probe asks one cheap question and gives up fast.
 PROBE_DEADLINE_MS = 800.0
 
+HEALTHY = "healthy"
+PROBING = "probing"
+DORMANT = "dormant"
+
+_EDGES = {
+    (HEALTHY, PROBING),  # an exchange failed
+    (PROBING, DORMANT),  # the episode's last probe failed
+    (DORMANT, PROBING),  # activity re-arms a new episode
+    (PROBING, HEALTHY),  # an exchange succeeded
+    (DORMANT, HEALTHY),
+}
+
 
 class MachineHealth:
     """What the controller believes about one machine's meterdaemon."""
 
     __slots__ = (
+        "state",
         "failures",
-        "degraded",
         "last_probe_ms",
         "next_probe_ms",
         "backoff_ms",
         "probes_left",
+        "boot",
+        "owed",
     )
 
     def __init__(self):
+        self.state = HEALTHY
         self.failures = 0
-        self.degraded = False
         self.last_probe_ms = None
         self.next_probe_ms = None
         self.backoff_ms = PROBE_MIN_MS
         self.probes_left = 0
+        #: Boot epoch of the daemon's last reply that carried one.
+        self.boot = None
+        #: Filters whose REMETER here failed: the kernel may hold their
+        #: batches spooled under retired ports, and only this daemon can
+        #: drain them, so the machine stays watched until one succeeds.
+        self.owed = set()
+
+    def _move(self, state):
+        if (self.state, state) not in _EDGES:
+            raise ValueError("illegal health move {0} -> {1}".format(self.state, state))
+        self.state = state
+
+    def _start_episode(self, now):
+        self._move(PROBING)
+        self.backoff_ms = PROBE_MIN_MS
+        self.probes_left = PROBES_PER_EPISODE
+        self.next_probe_ms = now + self.backoff_ms
 
 
 class HealthMonitor:
@@ -74,24 +105,23 @@ class HealthMonitor:
         another idle window, and re-arm dormant recovery probes."""
         self.active_until = now + HEARTBEAT_MS * IDLE_ROUNDS
         for health in self.machines.values():
-            if health.degraded and health.probes_left <= 0:
-                health.probes_left = PROBES_PER_EPISODE
-                health.backoff_ms = PROBE_MIN_MS
-                health.next_probe_ms = now + health.backoff_ms
+            if health.state == DORMANT:
+                health._start_episode(now)
 
     def watch(self, machine, now):
         """Ensure a machine hosting session state is on the heartbeat
         schedule."""
         health = self.entry(machine)
-        if health.next_probe_ms is None and not health.degraded:
+        if health.state == HEALTHY and health.next_probe_ms is None:
             health.next_probe_ms = now + HEARTBEAT_MS
 
     def _armed(self, health):
-        if health.next_probe_ms is None:
-            return False
-        if health.degraded:
-            return health.probes_left > 0
-        return health.next_probe_ms <= self.active_until
+        if health.state == HEALTHY:
+            return (
+                health.next_probe_ms is not None
+                and health.next_probe_ms <= self.active_until
+            )
+        return health.state == PROBING
 
     def next_wakeup(self, watched):
         """Earliest scheduled probe among ``watched`` machines, or None
@@ -118,19 +148,26 @@ class HealthMonitor:
 
     # -- the shared transitions -----------------------------------------
 
-    def note_success(self, machine, now):
-        """Any successful exchange with the machine's daemon.  Returns
-        True when this cleared a degraded state (emit the recovery
-        warning and reconcile)."""
+    def note_success(self, machine, now, boot):
+        """Any successful exchange; ``boot`` is the epoch the reply
+        carried, if any.  Returns "recovered" when this ended a
+        degradation, "restarted" when the epoch changed on a machine
+        believed healthy (the whole outage fit between two heartbeats),
+        else None -- either string means reconcile.  The epoch is stored
+        first, so the reconcile's own RPCs do not read as a restart."""
         health = self.entry(machine)
-        recovered = health.degraded
+        known, change = health.boot, None
+        if boot is not None:
+            health.boot = boot
+        if health.state != HEALTHY:
+            health._move(HEALTHY)
+            change = "recovered"
+        elif boot is not None and known is not None and boot != known:
+            change = "restarted"
         health.failures = 0
-        health.degraded = False
         health.last_probe_ms = now
-        health.backoff_ms = PROBE_MIN_MS
-        health.probes_left = 0
         health.next_probe_ms = now + HEARTBEAT_MS
-        return recovered
+        return change
 
     def note_failure(self, machine, now):
         """Any failed exchange (retry budget already spent by the
@@ -139,28 +176,24 @@ class HealthMonitor:
         health = self.entry(machine)
         health.failures += 1
         health.last_probe_ms = now
-        if not health.degraded:
-            health.degraded = True
-            health.backoff_ms = PROBE_MIN_MS
-            health.probes_left = PROBES_PER_EPISODE
-            health.next_probe_ms = now + health.backoff_ms
+        if health.state == HEALTHY:
+            health._start_episode(now)
             return True
-        if health.probes_left > 0:
+        if health.state == PROBING:
             health.probes_left -= 1
-        if health.probes_left <= 0:
-            health.next_probe_ms = None  # dormant until activity
-        else:
-            health.backoff_ms = min(health.backoff_ms * 2.0, PROBE_CAP_MS)
-            health.next_probe_ms = now + health.backoff_ms
+            if health.probes_left <= 0:
+                health._move(DORMANT)
+            else:
+                health.backoff_ms = min(health.backoff_ms * 2.0, PROBE_CAP_MS)
+                health.next_probe_ms = now + health.backoff_ms
         return False
 
     # -- queries ---------------------------------------------------------
 
+    def owing(self):
+        """Machines owing a drain: they stay watched until it is paid."""
+        return {name for name, health in self.machines.items() if health.owed}
+
     def is_degraded(self, machine):
         health = self.machines.get(machine)
-        return health is not None and health.degraded
-
-    def degraded_machines(self):
-        return sorted(
-            name for name, health in self.machines.items() if health.degraded
-        )
+        return health is not None and health.state != HEALTHY

@@ -37,6 +37,11 @@ class FilterInfo:
         #: has spools under these, so reconcile drains all of them.
         self.past_ports = []
 
+    def drain_ports(self):
+        """Every meter port this filter has had, oldest incarnation
+        first: where a kernel may hold batches spooled for it."""
+        return list(dict.fromkeys(self.past_ports + [self.meter_port]))
+
 
 class ProcessRecord:
     """One process of a job, tracked through its life cycle."""

@@ -76,27 +76,18 @@ def test_success_clears_degradation_exactly_once():
     monitor = health.HealthMonitor()
     monitor.note_activity(0.0)
     monitor.watch("red", 0.0)
-    assert monitor.note_success("red", 10.0) is False  # already healthy
+    assert monitor.note_success("red", 10.0, None) is None  # already healthy
     monitor.note_failure("red", 100.0)
     monitor.note_failure("red", 400.0)
     entry = monitor.entry("red")
     assert entry.failures == 2
-    # The transition out of degraded reports True exactly once, resets
-    # the failure count, and goes back on the heartbeat schedule.
-    assert monitor.note_success("red", 500.0) is True
-    assert monitor.note_success("red", 600.0) is False
+    # The transition out of degraded reports "recovered" exactly once,
+    # resets the failure count, and goes back on the heartbeat schedule.
+    assert monitor.note_success("red", 500.0, None) == "recovered"
+    assert monitor.note_success("red", 600.0, None) is None
     assert not monitor.is_degraded("red")
     assert entry.failures == 0
     assert entry.next_probe_ms == 600.0 + health.HEARTBEAT_MS
-
-
-def test_degraded_listing_is_sorted():
-    monitor = health.HealthMonitor()
-    for name in ("red", "blue", "green"):
-        monitor.note_failure(name, 0.0)
-    assert monitor.degraded_machines() == ["blue", "green", "red"]
-    monitor.note_success("green", 1.0)
-    assert monitor.degraded_machines() == ["blue", "red"]
 
 
 def test_unwatched_machines_never_probe():

@@ -19,7 +19,9 @@ narrowest deterministic repro:
 from repro.chaos.generator import generate_plan
 from repro.chaos.oracles import run_oracles, violated_names
 from repro.chaos.scenario import DgramPairScenario, run_scenario
+from repro.controller.control import Controller
 from repro.core.cluster import Cluster
+from repro.daemon import protocol
 from repro.core.session import MeasurementSession
 from repro.faults import FaultInjector, FaultPlan
 from repro.programs import install_all
@@ -119,3 +121,41 @@ def test_recovered_cluster_leaves_no_orphan_batches_parked():
     }
     assert all(count == 0 for count in parked.values()), parked
     assert session.transcript().count(DONE_LINE) == 2
+
+
+def test_reconcile_remeters_each_filter_at_most_once(monkeypatch):
+    """A reconcile that pays a remeter debt and also finds a filter
+    restart the machine slept through must send that filter ONE
+    REMETER, not a debt payment followed by a second re-aim (the soak
+    schedule ``processes:20`` did both)."""
+    stack, counts = [], []
+    real_rpc = Controller.rpc
+    real_reconcile = Controller._reconcile_machine
+
+    def counting_reconcile(self, machine):
+        stack.append({})
+        try:
+            yield from real_reconcile(self, machine)
+        finally:
+            counts.append(stack.pop())
+
+    def counting_rpc(self, machine, msg_type, **body):
+        if stack and msg_type == protocol.REMETER_REQ:
+            name = next(
+                info.name
+                for info in self.session.filters.values()
+                if info.meter_port == body["filter_port"]
+            )
+            stack[-1][machine, name] = stack[-1].get((machine, name), 0) + 1
+        return (yield from real_rpc(self, machine, msg_type, **body))
+
+    monkeypatch.setattr(Controller, "_reconcile_machine", counting_reconcile)
+    monkeypatch.setattr(Controller, "rpc", counting_rpc)
+    scenario = DgramPairScenario()
+    plan = generate_plan(20, "processes", scenario.surface(None))
+    baseline = run_scenario(scenario, 7)
+    run = run_scenario(scenario, 7, plan)
+    verdict = run_oracles(run, baseline)
+    assert any(count for count in counts), "no reconcile REMETERed"
+    assert all(n <= 1 for count in counts for n in count.values()), counts
+    assert verdict["ok"], violated_names(verdict)

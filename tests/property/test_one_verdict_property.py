@@ -14,6 +14,12 @@ unsealed tail:
 A segment whose header no longer parses is skipped and counted by
 both scans alike (it is no frame verdict), so there ``loss_free()``
 is False and fsck unclean while strict still reads the rest.
+
+The fast lanes give the same verdict as their oracles on the same
+bytes: ``scan_fast(salvage=True)`` yields the salvage scan's records
+and accounts the same ``last_stats``, and ``merge_scan_fast`` over the
+damaged store and a clean one equals ``merge_scan``, strict and
+salvage alike.
 """
 
 import pytest
@@ -28,6 +34,9 @@ from repro.tracestore import (
     StoreWriter,
     collect_ops,
     fsck_store,
+    merge_scan,
+    merge_scan_fast,
+    scan_fast,
 )
 
 HOSTS = {1: "red", 2: "green", 3: "blue"}
@@ -100,6 +109,10 @@ _damage = st.one_of(
         st.binary(min_size=1, max_size=40),
     ),
 )
+_damaged_stores = dict(
+    compress=st.booleans(),
+    damages=st.lists(_damage, min_size=1, max_size=3),
+)
 
 
 def _damaged(compress, damages):
@@ -131,10 +144,7 @@ def _strict(store, read):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(
-    compress=st.booleans(),
-    damages=st.lists(_damage, min_size=1, max_size=3),
-)
+@given(**_damaged_stores)
 def test_strict_raises_exactly_when_salvage_and_fsck_see_loss(compress, damages):
     store = _damaged(compress, damages)
     salvage_reader = StoreReader.from_bytes(store, host_names=HOSTS)
@@ -157,3 +167,44 @@ def test_strict_raises_exactly_when_salvage_and_fsck_see_loss(compress, damages)
     # A footer that survived vouches for its records: none went missing
     # without a gap to show for it.
     assert fsck["totals"]["records_lost_known"] == 0
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(**_damaged_stores)
+def test_fast_salvage_scan_matches_the_oracle(compress, damages):
+    store = _damaged(compress, damages)
+    oracle = StoreReader.from_bytes(store, host_names=HOSTS)
+    fast = StoreReader.from_bytes(store, host_names=HOSTS)
+    assert list(scan_fast(fast, salvage=True)) == list(oracle.scan(salvage=True))
+    assert vars(fast.last_stats) == vars(oracle.last_stats)
+
+
+def _merged(merge, store, salvage):
+    """``merge``'s records over the damaged store and a clean one, or
+    None if the strict read raised the typed error."""
+    readers = [
+        StoreReader.from_bytes(store, host_names=HOSTS),
+        StoreReader.from_bytes(STORES[True], host_names=HOSTS),
+    ]
+    try:
+        return list(merge(readers, salvage=salvage))
+    except CorruptSegmentError:
+        return None
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(salvage=st.booleans(), **_damaged_stores)
+def test_fast_merge_matches_the_oracle_merge(salvage, compress, damages):
+    store = _damaged(compress, damages)
+    merged = _merged(merge_scan, store, salvage)
+    assert _merged(merge_scan_fast, store, salvage) == merged
+    if salvage:
+        assert merged is not None

@@ -90,10 +90,13 @@ def log_path_for(filtername, directory=None, log_format=LOG_FORMAT_TEXT):
 # reconnects.  The filter holds a batch's accepted records in memory
 # until the marker arrives, then commits records *and* a durable copy
 # of the marker to the log in one atomic step (one text write / one
-# frame run ending in a marker frame).  A relaunched filter recovers
-# the committed sequence numbers from its own log and rejects
+# frame run ending in a marker frame).  A batch whose every record the
+# templates reject commits nothing, not even its marker: the log grows
+# with what the filter keeps.  A relaunched filter recovers the
+# committed sequence numbers from its own log and rejects
 # retransmissions of batches it already has -- at-least-once delivery
-# on the wire, exactly-once records in the log.
+# on the wire, exactly-once records in the log.  (A retransmitted
+# empty batch is selected again and again commits nothing.)
 
 
 def format_batch_line(machine, pid, seq):
@@ -260,7 +263,10 @@ def standard_filter(sys, argv):
         """One batch's items to the log, then to the engine.  ``marker``
         is the durable form of the batch's commit marker -- the raw
         marker message in store mode, its ``#batch`` line in text mode
-        -- or None for a markerless flush."""
+        -- or None for a markerless flush.  A batch with no accepted
+        item leaves no trace, marker included."""
+        if not batch:
+            return
         if store_mode:
             writer.append_many(map(_PAYLOAD_MASK, batch))
             if marker is not None:

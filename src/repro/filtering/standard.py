@@ -36,6 +36,7 @@ from repro.filtering.records import format_record, parse_trace
 from repro.filtering.rules import RuleSet, parse_rules
 from repro.kernel.errno import SyscallError
 from repro.metering.messages import (
+    WINDOW_BATCHES,
     is_batch_marker,
     parse_batch_marker,
     record_fields,
@@ -65,9 +66,13 @@ LOG_FORMAT_STORE = "store"
 
 #: Text-mode log buffering: accepted lines accumulate across wait
 #: batches and hit the file in one write when the buffer reaches this
-#: many bytes or the meter stream goes idle for the flush interval.
+#: many bytes, the meter stream goes idle for the flush interval, or
+#: half a meter resend window of batches has been accepted since the
+#: last write -- so a buffered batch is on disk before its sender's
+#: window can roll it out (a relaunched filter gets only the window).
 LOG_FLUSH_BYTES = 32 * 1024
 LOG_IDLE_FLUSH_MS = 5.0
+LOG_FLUSH_BATCHES = WINDOW_BATCHES // 2
 
 #: A store-mode batch item is (payload, mask, saved record): the
 #: writer takes the first two.
@@ -104,7 +109,8 @@ def format_batch_line(machine, pid, seq):
     return "#batch {0} {1} {2}".format(machine, pid, seq)
 
 
-def _parse_batch_line(line):
+def parse_batch_line(line):
+    """(machine, pid, seq) of a ``#batch`` line, or None."""
     parts = line.split()
     if len(parts) != 4 or parts[0] != "#batch":
         return None
@@ -120,7 +126,7 @@ def recover_text_seqs(text):
     for line in text.splitlines():
         if not line.startswith("#batch"):
             continue
-        parsed = _parse_batch_line(line)
+        parsed = parse_batch_line(line)
         if parsed is None:
             continue
         machine, pid, seq = parsed
@@ -257,6 +263,7 @@ def standard_filter(sys, argv):
     field_orders = {}  # event -> its log line order, looked up once
     pending = []  # committed text lines buffered across wait batches
     pending_bytes = 0
+    pending_batches = 0  # batches accepted while lines await a write
     lines = []  # text lines committed by the current wait batch
 
     def commit(batch, marker=None):
@@ -294,6 +301,7 @@ def standard_filter(sys, argv):
                 batch = open_batches.pop((machine_id, pid), [])
                 if not inbox.accept_batch(machine_id, pid, seq):
                     continue  # retransmitted batch already in the log
+                pending_batches += 1
                 commit(
                     batch,
                     raw if store_mode
@@ -344,12 +352,20 @@ def standard_filter(sys, argv):
             pending_bytes += sum(len(line) + 1 for line in lines)
             del lines[:]
         # One write per committed batch train: flush when the stream
-        # pauses (idle timeout, connection close) or the buffer fills.
-        # The whole of ``pending`` goes in one atomic write, so a
-        # batch's records and its marker line always land together.
-        if pending and (not raw_messages or pending_bytes >= LOG_FLUSH_BYTES):
+        # pauses (idle timeout, connection close), the buffer fills, or
+        # the train is half a resend window long.  The whole of
+        # ``pending`` goes in one atomic write, so a batch's records and
+        # its marker line always land together.
+        if not pending:
+            pending_batches = 0  # nothing buffered, nothing to lose
+        elif (
+            not raw_messages
+            or pending_bytes >= LOG_FLUSH_BYTES
+            or pending_batches >= LOG_FLUSH_BATCHES
+        ):
             data = ("\n".join(pending) + "\n").encode("ascii")
             pending = []
             pending_bytes = 0
+            pending_batches = 0
             yield sys.write(log_fd, data)
         # The filter runs until the controller removes it (die).

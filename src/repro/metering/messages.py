@@ -51,6 +51,13 @@ EVENT_NAMES = {value: name for name, value in EVENT_TYPES.items()}
 #: only know types 1-10 can recognise and skip it.
 BATCH_MARKER_TYPE = 99
 
+#: Flushed batches the kernel meter retains per process for resending
+#: after a filter reconnect (:mod:`repro.metering.subsystem`).  It
+#: lives beside the marker because both ends of the batch protocol read
+#: it: a filter must make a batch durable before the batch can roll out
+#: of its sender's window.
+WINDOW_BATCHES = 32
+
 #: Trace type of a live-analysis query frame: a request sent *to* a
 #: filter's meter port (standard header framing, JSON body) asking its
 #: streaming engine for stats, a digest, or a continuous-query change.

@@ -8,10 +8,19 @@ by a restart budget) and the log continuity that relaunch depends on
 rather than erases the first incarnation's records).
 """
 
+from collections import Counter
+from functools import lru_cache
+
+import pytest
+
 from repro.core.cluster import Cluster
 from repro.core.session import MeasurementSession
 from repro.faults import FaultInjector, FaultPlan
+from repro.filtering.records import parse_record_line
+from repro.filtering.standard import parse_batch_line
 from repro.kernel import defs
+from repro.metering.messages import parse_batch_marker
+from repro.programs import install_all
 
 
 def _talker(sys, argv):
@@ -128,3 +137,130 @@ def test_filter_restart_budget_exhaustion_reports_death():
     assert "DONE: filter 'f1' terminated" in transcript
     assert "filter restart budget exhausted" in transcript
     assert "f1" not in session.command("filter")
+
+
+# ----------------------------------------------------------------------
+# Exactly-once records across a relaunch, in both log formats
+# ----------------------------------------------------------------------
+
+#: (consumer machine, producer machine, port, bytes): paced at 2 ms, so
+#: no datagram is lost and the fault-free twin is the whole truth.
+_PAIRS = (
+    ("red", "green", 6001, 64),
+    ("red", "blue", 6002, 96),
+    ("green", "red", 6003, 128),
+    ("green", "blue", 6004, 160),
+)
+
+#: Type-pinned rules, one with a reduction, that reject whole batches: with
+#: ``immediate`` flags every event is its own batch, and about three in
+#: four of them commit nothing.
+_REJECTING_RULES = """\
+type=send, msgLength>=150, destName=#*
+type=receive, msgLength<100
+type=termproc
+"""
+
+#: Fields whose values follow simulated time, not what happened.
+_TIMING_FIELDS = ("cpuTime", "procTime")
+
+
+def _identity_multiset(records):
+    return Counter(
+        tuple(sorted(item for item in record.items() if item[0] not in _TIMING_FIELDS))
+        for record in records
+    )
+
+
+def _durable_batches(session):
+    """The log in commit order as ``[(marker key, records before it)]``,
+    plus the count of records after the last marker."""
+    batches = []
+    count = 0
+    if session.log_format == "store":
+        for segment in session.store_reader("f1").segments:
+            for item in segment.committed_frames():
+                assert item[0] == "frame", item
+                marker = parse_batch_marker(item[3])
+                if marker is None:
+                    count += 1
+                    continue
+                batches.append((marker, count))
+                count = 0
+    else:
+        __, text = session.find_filter_log("f1")
+        for line in text.splitlines():
+            marker = parse_batch_line(line)
+            if marker is None:
+                assert parse_record_line(line), line
+                count += 1
+                continue
+            batches.append((marker, count))
+            count = 0
+    return batches, count
+
+
+def _dgram_job(log_format, rules, kill_after_ms=None):
+    cluster = Cluster(seed=7)
+    session = MeasurementSession(
+        cluster, control_machine="yellow", log_format=log_format
+    )
+    install_all(session)
+    if rules is None:
+        session.command("filter f1 blue")
+    else:
+        for machine in cluster.machines.values():
+            machine.fs.install("rejecting.templates", data=rules, mode=0o644)
+        session.command("filter f1 blue filter descriptions rejecting.templates")
+    session.command("newjob j")
+    for consumer, __, port, __ in _PAIRS:
+        session.command("addprocess j %s dgramconsumer %d 300 300" % (consumer, port))
+    for consumer, producer, port, size in _PAIRS:
+        session.command(
+            "addprocess j %s dgramproducer %s %d 300 %d 2"
+            % (producer, consumer, port, size)
+        )
+    session.command(
+        "setflags j send receive receivecall socket destsocket termproc immediate"
+    )
+    session.command("startjob j")
+    if kill_after_ms is not None:
+        plan = FaultPlan().kill_filter(cluster.sim.now + kill_after_ms, "blue")
+        FaultInjector(cluster, plan).arm()
+    session.settle()
+    return session
+
+
+@lru_cache(maxsize=None)
+def _twin_multiset(log_format, rules):
+    return _identity_multiset(_dgram_job(log_format, rules).read_trace("f1"))
+
+
+@pytest.mark.parametrize("kill_after_ms", [120.0, 300.0])
+@pytest.mark.parametrize("rules", [_REJECTING_RULES, None], ids=["rejecting", "default"])
+@pytest.mark.parametrize("log_format", ["text", "store"])
+def test_relaunched_filter_commits_every_record_once(log_format, rules, kill_after_ms):
+    """A filter killed mid-job and relaunched by its daemon commits the
+    fault-free twin's records, each once, and one marker per batch that
+    committed records.  The text filter buffers lines across batches;
+    they must reach the log before their batches can roll out of the
+    kernel's resend window, or the relaunch cannot get them back."""
+    session = _dgram_job(log_format, rules, kill_after_ms)
+    assert "WARNING: filter 'f1' on blue was relaunched" in session.transcript()
+    assert "dropped:" not in session.command("jobs j")
+
+    records = list(session.read_trace("f1"))
+    expected = _twin_multiset(log_format, rules)
+    got = _identity_multiset(records)
+    assert got == expected, (
+        "missing %d, extra %d"
+        % (sum((expected - got).values()), sum((got - expected).values()))
+    )
+    assert max(got.values()) == 1  # no duplicates
+
+    batches, trailing = _durable_batches(session)
+    assert trailing == 0
+    assert all(count > 0 for __, count in batches)  # no empty batch's marker
+    markers = [marker for marker, __ in batches]
+    assert len(set(markers)) == len(markers)
+    assert sum(count for __, count in batches) == len(records)

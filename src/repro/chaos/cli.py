@@ -15,7 +15,9 @@ artifact and exits 0 only when the recorded verdict reproduces.
 ``shrink`` delta-debugs an artifact's schedule to a minimal repro.
 """
 
+import contextlib
 import json
+import os
 
 from repro.chaos.artifact import (
     artifact_plan,
@@ -76,26 +78,37 @@ _SWEEP_FLAGS = {
 }
 
 
+def _open_report(path):
+    """``path`` opened for writing, its directory created first -- before
+    a search that may run for minutes, so a bad path fails at once."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    return open(path, "w", encoding="ascii")
+
+
 def _sweep(flags, profiles, seeds, shrink):
     """Search, print the report (and write it to ``--bench``); exit 1
     on any violation."""
     kwargs = {"sends": flags["sends"]} if "sends" in flags else {}
-    report = search(
-        make_scenario(flags.get("scenario", "dgram_pair"), **kwargs),
-        profiles=profiles,
-        seeds=seeds,
-        cluster_seed=flags.get("cluster-seed", 7),
-        shrink_failures=shrink,
-        artifact_dir=flags.get("artifacts"),
-        log=print,
-    )
-    for line in format_report(report):
-        print(line)
-    if "bench" in flags:
-        with open(flags["bench"], "w", encoding="ascii") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("report written to {0}".format(flags["bench"]))
+    scenario = make_scenario(flags.get("scenario", "dgram_pair"), **kwargs)
+    bench = _open_report(flags["bench"]) if "bench" in flags else None
+    with bench or contextlib.nullcontext():
+        report = search(
+            scenario,
+            profiles=profiles,
+            seeds=seeds,
+            cluster_seed=flags.get("cluster-seed", 7),
+            shrink_failures=shrink,
+            artifact_dir=flags.get("artifacts"),
+            log=print,
+        )
+        for line in format_report(report):
+            print(line)
+        if bench is not None:
+            json.dump(report, bench, indent=2, sort_keys=True)
+            bench.write("\n")
+            print("report written to {0}".format(flags["bench"]))
     return 0 if not report["violations"] else 1
 
 
@@ -194,6 +207,6 @@ def chaos_main(args):
         return 1
     try:
         return handlers[args[0]](args[1:])
-    except (FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print("chaos {0}: {1}".format(args[0], err))
         return 1

@@ -43,6 +43,30 @@ def test_run_sweeps_and_writes_the_bench_report(tmp_path, capsys):
     assert "chaos search: 2 schedule(s)" in out
 
 
+def test_run_writes_the_bench_report_into_a_new_directory(tmp_path, capsys):
+    bench = tmp_path / "new" / "dir" / "r.json"
+    code = chaos_main(
+        ["run", "--profile", "network", "--seeds", "0", "--sends", "12",
+         "--bench", str(bench)]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert json.loads(bench.read_text())["schedules"] == 1
+
+
+def test_run_refuses_a_bad_bench_path_before_searching(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = chaos_main(
+        ["run", "--profile", "network", "--seeds", "0", "--sends", "12",
+         "--bench", str(blocker / "r.json")]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("chaos run: ")
+    assert "chaos search:" not in out
+
+
 def test_replay_reproduces_a_recorded_verdict(tmp_path, capsys):
     scenario = DgramPairScenario(sends=12)
     plan = generate_plan(1, "network", scenario.surface(log_directory=None))

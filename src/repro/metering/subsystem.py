@@ -52,12 +52,12 @@ DEFAULT_BUFFER_LIMIT = 8
 #: socket cannot grow the kernel buffer without bound.
 DEFAULT_REQUEUE_LIMIT = 64
 
-#: ``WINDOW_BATCHES`` (from messages) flushed batches are retained per
-#: process for retransmission after a filter reconnect.  Each batch is
-#: stamped with a per-process sequence number; a replacement meter
-#: connection gets the whole window resent and the filter inbox dedups
-#: by (machine, pid, seq).  Rolling a never-delivered batch out of the
-#: window is real, counted loss.
+# ``WINDOW_BATCHES`` (from messages) flushed batches are retained per
+# process for retransmission after a filter reconnect.  Each batch is
+# stamped with a per-process sequence number; a replacement meter
+# connection gets the whole window resent and the filter inbox dedups
+# by (machine, pid, seq).  Rolling a never-delivered batch out of the
+# window is real, counted loss.
 
 #: Stamped batches retained per destination (filter address) after
 #: their process exits, so a filter that crashes around a process's

@@ -258,7 +258,8 @@ def standard_filter(sys, argv):
     #: (machine, pid) -> the in-flight batch's accepted items; the
     #: last element of every item is the saved record dict, fed to the
     #: streaming engine at commit.  Committed or discarded when the
-    #: batch's trailing marker arrives.
+    #: batch's trailing marker arrives, and only then: records with no
+    #: marker never reach the log.
     open_batches = {}
     field_orders = {}  # event -> its log line order, looked up once
     pending = []  # committed text lines buffered across wait batches
@@ -266,31 +267,27 @@ def standard_filter(sys, argv):
     pending_batches = 0  # batches accepted while lines await a write
     lines = []  # text lines committed by the current wait batch
 
-    def commit(batch, marker=None):
+    def commit(batch, marker):
         """One batch's items to the log, then to the engine.  ``marker``
         is the durable form of the batch's commit marker -- the raw
-        marker message in store mode, its ``#batch`` line in text mode
-        -- or None for a markerless flush.  A batch with no accepted
-        item leaves no trace, marker included."""
+        marker message in store mode, its ``#batch`` line in text mode.
+        A batch with no accepted item leaves no trace, marker included."""
         if not batch:
             return
         if store_mode:
             writer.append_many(map(_PAYLOAD_MASK, batch))
-            if marker is not None:
-                writer.append_marker(marker)
+            writer.append_marker(marker)
             writer.maybe_seal()
         else:
             lines.extend(item[0] for item in batch)
-            if marker is not None:
-                lines.append(marker)
+            lines.append(marker)
         for item in batch:
             engine.update(item[-1])
 
     while True:
-        # While lines are buffered (or batches are open on a markerless
-        # stream), wake after a short idle gap so the log never lags
-        # the stream by more than the flush interval.
-        timeout_ms = LOG_IDLE_FLUSH_MS if (pending or open_batches) else None
+        # While lines are buffered, wake after a short idle gap so the
+        # log never lags the stream by more than the flush interval.
+        timeout_ms = LOG_IDLE_FLUSH_MS if pending else None
         raw_messages = yield from inbox.wait(sys, timeout_ms=timeout_ms)
         for raw in raw_messages:
             if is_batch_marker(raw):
@@ -335,12 +332,6 @@ def standard_filter(sys, argv):
                 )
             except SyscallError:
                 pass  # asker gone; engine state is unaffected
-        if not raw_messages and open_batches:
-            # Idle with batches still open: a markerless sender (tests,
-            # hand-built meter streams).  Flush what we have without
-            # commit markers, preserving the pre-marker behaviour.
-            for key in list(open_batches):
-                commit(open_batches.pop(key))
         if store_mode:
             # Bounded buffering: whatever this batch left in the
             # writer's buffer goes to disk before we block again.

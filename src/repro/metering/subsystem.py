@@ -46,18 +46,14 @@ _EVENT_FLAG = {
 #: Messages buffered before the kernel ships a batch to the filter.
 DEFAULT_BUFFER_LIMIT = 8
 
-#: Upper bound on messages retained across failed flushes (transient
-#: backpressure, e.g. a meter socket that is not yet connected): past
-#: this the oldest messages are dropped and counted, so a never-ready
-#: socket cannot grow the kernel buffer without bound.
-DEFAULT_REQUEUE_LIMIT = 64
-
-# ``WINDOW_BATCHES`` (from messages) flushed batches are retained per
-# process for retransmission after a filter reconnect.  Each batch is
-# stamped with a per-process sequence number; a replacement meter
-# connection gets the whole window resent and the filter inbox dedups
-# by (machine, pid, seq).  Rolling a never-delivered batch out of the
-# window is real, counted loss.
+# Every flushed batch is stamped with a per-process sequence number into
+# a resend window of ``WINDOW_BATCHES`` (from messages) batches per
+# process, and shipped from there.  A batch the socket refuses -- a
+# broken connection, or a meter socket set but not yet connected --
+# waits in the window; a replacement meter connection gets the whole
+# window resent and the filter inbox dedups by (machine, pid, seq).
+# The window is the one bound on undelivered meter data: rolling a
+# never-delivered batch out of it is real, counted loss.
 
 #: Stamped batches retained per destination (filter address) after
 #: their process exits, so a filter that crashes around a process's
@@ -69,23 +65,19 @@ ORPHAN_BATCHES = 512
 class MeterSubsystem:
     """Per-machine metering state and hooks."""
 
-    def __init__(
-        self,
-        machine,
-        buffer_limit=DEFAULT_BUFFER_LIMIT,
-        requeue_limit=DEFAULT_REQUEUE_LIMIT,
-    ):
+    def __init__(self, machine, buffer_limit=DEFAULT_BUFFER_LIMIT):
         self.machine = machine
         self.buffer_limit = buffer_limit
-        self.requeue_limit = requeue_limit
         self.codec = MessageCodec()
         # Statistics for the perturbation / buffering studies.
         self.events_recorded = 0
         self.wire_sends = 0
         self.wire_bytes = 0
-        #: Meter messages lost for any reason (broken or never-ready
-        #: meter connection, re-queue overflow, process termination
-        #: with an unsendable buffer) -- loss is observable, not silent.
+        #: Meter messages lost for any reason (a batch rolled out of a
+        #: resend window or orphan spool before any filter got it, a
+        #: window discarded with no destination, a message recorded
+        #: with no connection to ship it) -- loss is observable, not
+        #: silent.
         self.events_dropped = 0
         #: pid -> share of ``events_dropped``, surfaced per process
         #: through meterstat(2) and the daemon status RPC.
@@ -184,6 +176,10 @@ class MeterSubsystem:
         child.meter_flags = parent.meter_flags
         if parent.meter_entry is not None:
             child.meter_entry = self.machine.file_table.ref(parent.meter_entry)
+        # A parent whose meter connection is broken passes on where it
+        # pointed: the child records into its own window and shows in
+        # meterstat's ``disconnected`` list, so the daemon redials it.
+        child.meter_pending_dest = parent.meter_pending_dest
 
     # ------------------------------------------------------------------
     # Recording
@@ -224,59 +220,33 @@ class MeterSubsystem:
             self.flush(proc)
 
     def flush(self, proc):
-        """Ship any buffered messages over the meter connection."""
-        if proc.meter_unsent:
-            # Older stamped batches first, so the stream stays in
-            # sequence order across a reconnect.
-            self._pump_window(proc)
-        if not proc.meter_buffer:
-            return
-        if proc.meter_entry is None:
-            if proc.meter_pending_dest is not None:
-                # The connection broke but a replacement filter may
-                # reconnect: stamp the batch into the resend window
-                # instead of dropping it.
-                self._stamp_batch(proc, sent=False)
-            else:
-                # "Meter messages are lost if ... unconnected."
-                self._count_dropped(proc.pid, len(proc.meter_buffer))
-                proc.meter_buffer = []
-            return
+        """Stamp the buffered messages into the resend window as one
+        unsent [seq, wire bytes, record count, sent] entry -- the only
+        place a batch is made -- then ship the window's unsent suffix."""
         pending = proc.meter_buffer
-        proc.meter_buffer = []
-        # The batch marker trails the batch, stamping it with this
-        # process's flush sequence number; it rides in the same send,
-        # so batching cost (one wire send per batch) is unchanged.
-        seq = proc.meter_seq
-        data = (
-            pending[0] if len(pending) == 1 else b"".join(pending)
-        ) + encode_batch_marker(self.machine.host.host_id, proc.pid, seq)
-        sock = proc.meter_entry.obj
-        if self.machine.kernel_stream_send(sock, data):
-            self.wire_sends += 1
-            self.wire_bytes += len(data)
+        if pending:
+            proc.meter_buffer = []
+            if proc.meter_entry is None and proc.meter_pending_dest is None:
+                # "Meter messages are lost if ... unconnected."
+                self._count_dropped(proc.pid, len(pending))
+                return
+            # The batch marker trails the batch, stamping it with this
+            # process's flush sequence number, in the batch's one send.
+            seq = proc.meter_seq
             proc.meter_seq = seq + 1
-            self._window_push(proc, [seq, data, len(pending), True])
-        elif sock.closed or sock.peer_gone or sock.error is not None:
-            # The meter connection broke (filter died, path severed):
-            # transparency under failure (Section 2) -- quietly un-meter
-            # the process and let it keep computing, never perturb it.
-            # The batch waits in the resend window for a reconnect.
-            proc.meter_seq = seq + 1
-            self._window_push(proc, [seq, data, len(pending), False])
-            self._disconnect(proc, sock)
-        else:
-            # Transient refusal while the socket itself is healthy
-            # (e.g. a meter socket set before it finished connecting):
-            # keep the batch for the next flush instead of silently
-            # discarding it, bounded by the re-queue limit.  No sequence
-            # number is consumed -- the records are still unstamped.
-            requeued = pending + proc.meter_buffer
-            overflow = len(requeued) - self.requeue_limit
-            if overflow > 0:
-                self._count_dropped(proc.pid, overflow)
-                requeued = requeued[overflow:]
-            proc.meter_buffer = requeued
+            data = (
+                pending[0] if len(pending) == 1 else b"".join(pending)
+            ) + encode_batch_marker(self.machine.host.host_id, proc.pid, seq)
+            window = proc.meter_window
+            window.append([seq, data, len(pending), False])
+            proc.meter_unsent += 1
+            while len(window) > WINDOW_BATCHES:
+                old = window.popleft()
+                if not old[3]:
+                    proc.meter_unsent -= 1
+                    self._count_dropped(proc.pid, old[2])
+        if proc.meter_unsent:
+            self._pump_window(proc)
 
     # -- resend window --------------------------------------------------
 
@@ -311,49 +281,34 @@ class MeterSubsystem:
             self.lost_wait.wake_all()
         self._drop_meter_socket(proc)
 
-    def _stamp_batch(self, proc, sent):
-        """Move the whole meter buffer into the window as one stamped,
-        marker-prefixed batch."""
-        pending = proc.meter_buffer
-        proc.meter_buffer = []
-        seq = proc.meter_seq
-        proc.meter_seq = seq + 1
-        data = (
-            pending[0] if len(pending) == 1 else b"".join(pending)
-        ) + encode_batch_marker(self.machine.host.host_id, proc.pid, seq)
-        self._window_push(proc, [seq, data, len(pending), sent])
-
-    def _window_push(self, proc, entry):
-        """Append a [seq, wire bytes, record count, sent] entry, rolling
-        the window; an entry that never reached any filter is loss."""
-        proc.meter_window.append(entry)
-        if not entry[3]:
-            proc.meter_unsent += 1
-        while len(proc.meter_window) > WINDOW_BATCHES:
-            old = proc.meter_window.popleft()
-            if not old[3]:
-                proc.meter_unsent -= 1
-                self._count_dropped(proc.pid, old[2])
-
     def _pump_window(self, proc):
-        """(Re)send window batches not yet delivered on the current
-        connection, oldest first; stops at the first refusal."""
+        """(Re)send the window's unsent suffix -- the batches not yet
+        sent on the current connection -- oldest first, up to the
+        first refusal."""
         if proc.meter_entry is None:
             return
         sock = proc.meter_entry.obj
-        for entry in proc.meter_window:
-            if entry[3]:
-                continue
+        window = proc.meter_window
+        for index in range(len(window) - proc.meter_unsent, len(window)):
+            entry = window[index]
             if self.machine.kernel_stream_send(sock, entry[1]):
                 self.wire_sends += 1
                 self.wire_bytes += len(entry[1])
                 entry[3] = True
                 proc.meter_unsent -= 1
             elif sock.closed or sock.peer_gone or sock.error is not None:
+                # The meter connection broke (filter died, path
+                # severed): transparency under failure (Section 2) --
+                # quietly un-meter the process and let it keep
+                # computing.  The batch waits in the window for a
+                # reconnect.
                 self._disconnect(proc, sock)
                 return
             else:
-                return  # transient; retried at the next flush
+                # Transient refusal while the socket itself is healthy
+                # (e.g. a meter socket set before it finished
+                # connecting): retried at the next flush.
+                return
 
     def _discard_window(self, proc):
         for entry in proc.meter_window:
@@ -470,10 +425,6 @@ class MeterSubsystem:
                 status=proc.exit_status if proc.exit_status is not None else 0,
             )
         self.flush(proc)
-        if proc.meter_buffer:
-            # The process is gone; whatever could not be shipped is lost.
-            self._count_dropped(proc.pid, len(proc.meter_buffer))
-            proc.meter_buffer = []
         if proc.meter_window:
             # The process is gone but its filter may be mid-restart:
             # park the window where a drain for that filter address can

@@ -201,7 +201,8 @@ class Segment:
         mid-commit); those frames are uncommitted -- a relaunched
         filter re-appends the whole batch in a later segment, so
         reading them would double-count.  Marker-free unsealed
-        segments (packed stores, markerless senders) are taken whole.
+        segments are taken whole: a filter commits every batch with its
+        marker, so those are packed stores.
         A torn tail is expected loss and is left out.
         """
         if items is None:

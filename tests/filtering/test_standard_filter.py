@@ -5,7 +5,11 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.session import MeasurementSession
 from repro.filtering.records import parse_trace
+from repro.filtering.standard import LOG_IDLE_FLUSH_MS, log_path_for
 from repro.kernel import defs
+from repro.metering.messages import MessageCodec, encode_batch_marker
+from repro.tracestore import StoreReader
+from repro.tracestore.writer import segment_path
 
 
 def _talker(port_base):
@@ -209,3 +213,82 @@ def test_edited_descriptions_take_only_the_per_field_lane(
     assert edited_log == shipped_log
     assert installed == []
     assert len(walked) == 8  # 6 sends + socket + termproc, once each
+
+
+# ----------------------------------------------------------------------
+# The marker rule: a batch commits only with its trailing marker
+# ----------------------------------------------------------------------
+
+
+def _hand_fed_filter(log_format, with_marker):
+    """A standard filter on blue fed one hand-built meter stream from
+    red: three send records -- followed by their batch's marker, and
+    the whole batch then sent again as a reconnecting meter resends it,
+    when ``with_marker`` -- and then a connection left open and idle for
+    ten idle-flush intervals.  Returns (records in the log, its ``#batch`` lines, or
+    None for a store)."""
+    cluster = Cluster(seed=21)
+    MeasurementSession(cluster, start=False)
+    blue = cluster.machine("blue")
+    red_id = cluster.host_table.lookup("red").host_id
+    log_path = log_path_for("f1", log_format=log_format)
+    codec = MessageCodec()
+    batch = b"".join(
+        codec.encode(
+            "send", machine=red_id, cpu_time=10 + pc, proc_time=pc, pc=pc,
+            pid=700, sock=3, msgLength=100 * pc, destName=None, destNameLen=0,
+        )
+        for pc in (1, 2, 3)
+    )
+    if with_marker:
+        batch += encode_batch_marker(red_id, 700, 0)
+        batch += batch  # the resend a reconnect would make
+
+    def launcher(sys, argv):
+        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.bind(fd, ("", 4400))
+        yield sys.listen(fd, defs.SOMAXCONN)
+        yield sys.forkexec(
+            "filter", argv=["f1", log_path, "descriptions", "templates"],
+            stdio_fd=fd, uid=0,
+        )
+        yield sys.close(fd)
+        yield sys.exit(0)
+
+    def sender(sys, argv):
+        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.connect(fd, ("blue", 4400))
+        yield sys.write(fd, batch)
+        yield sys.sleep(10 * LOG_IDLE_FLUSH_MS)
+        yield sys.exit(0)
+
+    cluster.run_until_exit([cluster.spawn("blue", launcher, uid=0)])
+    sending = cluster.spawn("red", sender)
+    cluster.run_until(lambda: sending.state == defs.PROC_ZOMBIE)
+    if log_format == "text":
+        text = bytes(blue.fs.node(log_path).data).decode("ascii")
+        markers = [
+            line for line in text.splitlines() if line.startswith("#batch")
+        ]
+        return parse_trace(text), markers
+    if not blue.fs.exists(segment_path(log_path, 0)):
+        return [], None
+    reader = StoreReader.from_fs(
+        blue.fs, log_path, host_names=cluster.host_table.names_by_id()
+    )
+    return reader.records(), None
+
+
+@pytest.mark.parametrize("log_format", ["text", "store"])
+def test_records_without_their_marker_commit_nothing(log_format):
+    records, markers = _hand_fed_filter(log_format, with_marker=False)
+    assert records == []
+    assert not markers
+
+
+@pytest.mark.parametrize("log_format", ["text", "store"])
+def test_records_with_their_marker_commit_exactly_once(log_format):
+    records, markers = _hand_fed_filter(log_format, with_marker=True)
+    assert [r["pc"] for r in records] == [1, 2, 3]
+    if markers is not None:
+        assert markers == ["#batch {0} 700 0".format(records[0]["machine"])]

@@ -1,5 +1,7 @@
 """The in-kernel meter: event generation, buffering, flush policy."""
 
+import types
+
 import pytest
 
 from repro.kernel import defs
@@ -301,8 +303,8 @@ def test_unmetered_process_records_nothing(cluster):
 
 def test_backpressure_requeues_batch_until_meter_socket_connects(cluster):
     """A healthy-but-not-yet-connected meter socket refuses the flush
-    transiently; the batch must be kept, not silently discarded, and
-    shipped once the socket connects."""
+    transiently; the batch must be kept in the resend window, not
+    silently discarded, and shipped once the socket connects."""
     records, __ = start_collector(cluster)
     machine = cluster.machine("red")
 
@@ -323,14 +325,15 @@ def test_backpressure_requeues_batch_until_meter_socket_connects(cluster):
     cluster.run(until_ms=cluster.sim.now + 20)
     assert _events(records) == ["send", "send", "send", "send"]
     assert machine.meter.events_dropped == 0
-    # All four events left in one wire message, after the connect.
-    assert machine.meter.wire_sends == 1
+    # The three refused batches waited in the window and left after
+    # the connect, oldest first, each in its own wire send.
+    assert machine.meter.wire_sends == 4
 
 
 def test_backpressure_requeue_is_bounded_and_counted(cluster):
-    """A meter socket that never becomes ready cannot grow the kernel
-    buffer forever: past the re-queue limit the oldest messages are
-    dropped, and every loss shows up in events_dropped."""
+    """A meter socket that never becomes ready cannot grow the kernel's
+    undelivered data forever: past the resend window the oldest batches
+    are dropped, and every loss shows up in events_dropped."""
     machine = cluster.machine("red")
 
     def guest(sys, argv):
@@ -345,10 +348,69 @@ def test_backpressure_requeue_is_bounded_and_counted(cluster):
     cluster.run_until_exit([proc])
     assert machine.meter.events_recorded == 100
     assert machine.meter.wire_sends == 0
-    # 36 overflowed the 64-message re-queue bound; the surviving 64
-    # were unshippable at termination.  Nothing lost silently.
+    # 68 one-message batches rolled out of the 32-batch resend window;
+    # the surviving 32 were discarded at exit, since an unconnected
+    # socket names no filter to spool them for.  Nothing lost silently.
     assert machine.meter.events_dropped == 100
     assert proc.meter_buffer == []
+
+
+def test_child_forked_on_a_broken_meter_connection_records_into_its_window(
+    cluster,
+):
+    """fork() passes on a broken meter connection's destination: the
+    child records into its own resend window, shows in meterstat's
+    ``disconnected`` list (the daemon's redial worklist), and parks its
+    window for a drain at exit -- it neither records nothing nor loses
+    anything uncounted."""
+    machine = cluster.machine("red")
+    seen = {}
+
+    def filter_stub(sys, argv):
+        fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.bind(fd, ("", 4400))
+        yield sys.listen(fd, defs.SOMAXCONN)
+        conn, __ = yield sys.accept(fd)
+        yield sys.close(conn)  # hang up at once
+        yield sys.exit(0)
+
+    def child(sys, argv):
+        data_fd = yield sys.socket(defs.AF_INET, defs.SOCK_DGRAM)
+        for __ in range(5):
+            yield sys.sendto(data_fd, b"x", ("red", 6000))
+        pid = yield sys.getpid()
+        stat = machine.meter.sys_meterstat(types.SimpleNamespace(uid=0), None)
+        seen["disconnected"] = pid in stat["disconnected"]
+        yield sys.exit(0)
+
+    def parent(sys, argv):
+        data_fd = yield sys.socket(defs.AF_INET, defs.SOCK_DGRAM)
+        meter_fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.connect(meter_fd, ("blue", 4400))
+        yield sys.setmeter(mf.SELF, mf.METERSEND | mf.M_IMMEDIATE, meter_fd)
+        yield sys.close(meter_fd)
+        yield sys.sleep(20)  # the stub's hang-up arrives
+        for __ in range(2):  # the second flush finds the connection dead
+            yield sys.sendto(data_fd, b"x", ("red", 6000))
+        seen["child"] = yield sys.fork(child)
+        yield sys.sleep(50)
+        yield sys.exit(0)
+
+    cluster.spawn("blue", filter_stub, uid=0)
+    cluster.run(until_ms=cluster.sim.now + 5)
+    proc = cluster.spawn("red", parent, uid=100)
+    cluster.run_until_exit([proc])
+    meter = machine.meter
+    assert meter.events_recorded == 7
+    assert meter.events_dropped == 0
+    assert seen["disconnected"]
+    parked = [
+        entry[2]
+        for spool in meter.orphans.values()
+        for entry in spool
+        if entry[4] == seen["child"]
+    ]
+    assert sum(parked) == 5
 
 
 def test_metering_cost_is_charged_to_the_process(cluster):

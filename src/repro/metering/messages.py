@@ -336,6 +336,12 @@ def _materializer(prefix, event, discards):
     return mat
 
 
+def name_len(name):
+    """A NAME field's ``*NameLen``: ``name.wire_len()``, or 0 for None
+    ("name not available")."""
+    return name.wire_len() if name is not None else 0
+
+
 def record_event(record):
     """The event a decoded record describes: its ``event`` field, or
     failing that the name of its ``traceType`` (None when neither)."""
@@ -630,19 +636,24 @@ class MessageCodec:
     def encode(self, event, machine, cpu_time, proc_time, **body):
         """Build one wire message.  NAME-kind fields take SocketName
         objects (or None for "name not available", length zero)."""
-        enc = record_encoder(event)
         body["machine"] = machine
         body["cpuTime"] = cpu_time
         body["procTime"] = proc_time
-        body["traceType"] = EVENT_TYPES[event]  # a whole record's shape
-        return enc(body, self.name_wire_bytes)[0]
+        return self.encode_body(event, body)
+
+    def encode_body(self, event, body):
+        """Build one wire message from ``body``, a dict of every field
+        of ``event`` but ``size`` and ``traceType`` (NAMEs as for
+        :meth:`encode`): the meter's one encode call per event.  It
+        sets ``traceType`` in ``body``, which makes it a whole record,
+        so :func:`record_encoder` packs it in one pass."""
+        body["traceType"] = EVENT_TYPES[event]
+        return record_encoder(event)(body, self.name_wire_bytes)[0]
 
     def name_lengths(self, **names):
-        """Helper: wire_len of each given name (0 when unavailable)."""
-        return {
-            key + "Len": (value.wire_len() if value is not None else 0)
-            for key, value in names.items()
-        }
+        """Helper: the :func:`name_len` of each given name, keyed by
+        its ``*NameLen`` field."""
+        return {key + "Len": name_len(value) for key, value in names.items()}
 
     def encode_record(self, record):
         """Re-encode a decoded record dict back to its wire message.

@@ -26,6 +26,7 @@ from repro.metering.messages import (
     WINDOW_BATCHES,
     MessageCodec,
     encode_batch_marker,
+    name_len,
 )
 from repro.net.addresses import InternetName
 
@@ -65,9 +66,9 @@ ORPHAN_BATCHES = 512
 class MeterSubsystem:
     """Per-machine metering state and hooks."""
 
-    def __init__(self, machine, buffer_limit=DEFAULT_BUFFER_LIMIT):
+    def __init__(self, machine):
         self.machine = machine
-        self.buffer_limit = buffer_limit
+        self.buffer_limit = DEFAULT_BUFFER_LIMIT
         self.codec = MessageCodec()
         # Statistics for the perturbation / buffering studies.
         self.events_recorded = 0
@@ -195,17 +196,16 @@ class MeterSubsystem:
             return False
         return proc.meter_flags & _EVENT_FLAG[event] != 0
 
-    def _record(self, proc, event, **body):
-        """Build, buffer, and maybe ship one meter message."""
-        raw = self.codec.encode(
-            event,
-            machine=self.machine.host.host_id,
-            cpu_time=int(self.machine.clock.local_time(self.machine.sim.now)),
-            proc_time=int(proc.proc_time()),
-            pc=proc.step_count,
-            **body
-        )
-        proc.meter_buffer.append(raw)
+    def _record(self, proc, event, body):
+        """Complete ``body`` -- the hook's dict of the event's own
+        fields -- with the header and ``pc``, then encode, buffer, and
+        maybe ship it."""
+        machine = self.machine
+        body["machine"] = machine.host.host_id
+        body["cpuTime"] = int(machine.clock.local_time(machine.sim.now))
+        body["procTime"] = int(proc.proc_time())
+        body["pc"] = proc.step_count
+        proc.meter_buffer.append(self.codec.encode_body(event, body))
         self.events_recorded += 1
         proc.charge_cpu(kdefs.METER_EVENT_COST_MS)
         immediate = proc.meter_flags & mflags.M_IMMEDIATE != 0
@@ -336,94 +336,71 @@ class MeterSubsystem:
 
     def on_socket(self, proc, entry, sock):
         if self._metered(proc, "socket"):
-            self._record(
-                proc,
-                "socket",
-                pid=proc.pid,
-                sock=entry.addr,
-                domain=sock.domain,
-                type=sock.type,
-                protocol=sock.protocol,
-            )
+            self._record(proc, "socket", {
+                "pid": proc.pid, "sock": entry.addr, "domain": sock.domain,
+                "type": sock.type, "protocol": sock.protocol,
+            })
 
     def on_connect(self, proc, entry, sock, peer_name):
         if self._metered(proc, "connect"):
-            self._record(
-                proc,
-                "connect",
-                pid=proc.pid,
-                sock=entry.addr,
-                sockName=sock.name,
-                peerName=peer_name,
-                **self.codec.name_lengths(sockName=sock.name, peerName=peer_name)
-            )
+            name = sock.name
+            self._record(proc, "connect", {
+                "pid": proc.pid, "sock": entry.addr,
+                "sockName": name, "sockNameLen": name_len(name),
+                "peerName": peer_name, "peerNameLen": name_len(peer_name),
+            })
 
     def on_accept(self, proc, listener_entry, conn_entry, listener, conn):
         if self._metered(proc, "accept"):
-            self._record(
-                proc,
-                "accept",
-                pid=proc.pid,
-                sock=listener_entry.addr,
-                newSock=conn_entry.addr,
-                sockName=listener.name,
-                peerName=conn.peer_name,
-                **self.codec.name_lengths(
-                    sockName=listener.name, peerName=conn.peer_name
-                )
-            )
+            name = listener.name
+            peer_name = conn.peer_name
+            self._record(proc, "accept", {
+                "pid": proc.pid, "sock": listener_entry.addr,
+                "newSock": conn_entry.addr,
+                "sockName": name, "sockNameLen": name_len(name),
+                "peerName": peer_name, "peerNameLen": name_len(peer_name),
+            })
 
     def on_send(self, proc, entry, sock, msg_length, dest_name):
         if self._metered(proc, "send"):
-            self._record(
-                proc,
-                "send",
-                pid=proc.pid,
-                sock=entry.addr,
-                msgLength=msg_length,
-                destName=dest_name,
-                **self.codec.name_lengths(destName=dest_name)
-            )
+            self._record(proc, "send", {
+                "pid": proc.pid, "sock": entry.addr, "msgLength": msg_length,
+                "destName": dest_name, "destNameLen": name_len(dest_name),
+            })
 
     def on_recvcall(self, proc, entry, sock):
         if self._metered(proc, "receivecall"):
-            self._record(proc, "receivecall", pid=proc.pid, sock=entry.addr)
+            self._record(proc, "receivecall", {"pid": proc.pid, "sock": entry.addr})
 
     def on_recv(self, proc, entry, sock, msg_length, source_name):
         if self._metered(proc, "receive"):
-            self._record(
-                proc,
-                "receive",
-                pid=proc.pid,
-                sock=entry.addr,
-                msgLength=msg_length,
-                sourceName=source_name,
-                **self.codec.name_lengths(sourceName=source_name)
-            )
+            self._record(proc, "receive", {
+                "pid": proc.pid, "sock": entry.addr, "msgLength": msg_length,
+                "sourceName": source_name,
+                "sourceNameLen": name_len(source_name),
+            })
 
     def on_dup(self, proc, entry, newfd):
         if self._metered(proc, "dup"):
-            self._record(
-                proc, "dup", pid=proc.pid, sock=entry.addr, newSock=newfd
-            )
+            self._record(proc, "dup", {
+                "pid": proc.pid, "sock": entry.addr, "newSock": newfd,
+            })
 
     def on_destsocket(self, proc, entry):
         if self._metered(proc, "destsocket"):
-            self._record(proc, "destsocket", pid=proc.pid, sock=entry.addr)
+            self._record(proc, "destsocket", {"pid": proc.pid, "sock": entry.addr})
 
     def on_fork(self, parent, child):
         if self._metered(parent, "fork"):
-            self._record(parent, "fork", pid=parent.pid, newPid=child.pid)
+            self._record(parent, "fork", {"pid": parent.pid, "newPid": child.pid})
 
     def on_termproc(self, proc):
         """Called from proc_exit: final event, flush, close the socket."""
         if self._metered(proc, "termproc"):
-            self._record(
-                proc,
-                "termproc",
-                pid=proc.pid,
-                status=proc.exit_status if proc.exit_status is not None else 0,
-            )
+            status = proc.exit_status
+            self._record(proc, "termproc", {
+                "pid": proc.pid, "status": status if status is not None else 0,
+            })
         self.flush(proc)
         if proc.meter_window:
             # The process is gone but its filter may be mid-restart:

@@ -1,12 +1,20 @@
 """The in-kernel meter: event generation, buffering, flush policy."""
 
 import types
+from sys import getprofile, setprofile
 
 import pytest
 
 from repro.kernel import defs
 from repro.metering import flags as mf
-from repro.metering.messages import parse_batch_marker, peek_size
+from repro.metering.messages import (
+    BODY_FIELDS,
+    EVENT_TYPES,
+    field_encoder,
+    message_length,
+    parse_batch_marker,
+    peek_size,
+)
 from tests.metering.harness import metered_spawn, start_collector
 
 
@@ -197,6 +205,155 @@ def test_accept_event_records_both_names_and_new_socket(cluster):
     assert accepts[0]["sockName"] == "inet:red:5000"
     assert accepts[0]["peerName"].startswith("inet:green:")
     assert accepts[0]["newSock"] != accepts[0]["sock"]
+
+
+def test_every_hook_records_each_of_its_fields(cluster):
+    """Each of the ten hooks, driven through the real kernel, fills
+    every field of its message: both names and both ``*NameLen`` of a
+    connect and an accept, a stream send's empty and a datagram send's
+    real destination, a receive's source, dup's ``newSock``, fork's
+    ``newPid`` and termproc's ``status``.  A record whose hook left a
+    field out would have been packed by ``field_encoder`` (the
+    per-field fallback), so its code must run for none of them."""
+    records, __ = start_collector(cluster)
+    seen = {}
+
+    def addr(machine, pid, fd):
+        return cluster.machine(machine).procs[pid].fds[fd].addr
+
+    def child(sys, argv):
+        yield sys.exit(3)
+
+    def server(sys, argv):
+        pid = yield sys.getpid()
+        listener = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.bind(listener, ("", 5000))
+        yield sys.listen(listener, 5)
+        udp = yield sys.socket(defs.AF_INET, defs.SOCK_DGRAM)
+        yield sys.bind(udp, ("", 6000))
+        conn, __peer = yield sys.accept(listener)
+        yield sys.read(conn, 100)
+        yield sys.recvfrom(udp, 100)
+        copy = yield sys.dup(conn)
+        yield sys.close(copy)
+        seen["child"] = yield sys.fork(child)
+        seen["red"] = {
+            "listener": addr("red", pid, listener),
+            "udp": addr("red", pid, udp),
+            "conn": addr("red", pid, conn),
+            "copy": copy,
+        }
+        yield sys.exit(5)
+
+    def client(sys, argv):
+        pid = yield sys.getpid()
+        stream = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+        yield sys.connect(stream, ("red", 5000))
+        stream_name = yield sys.getsockname(stream)
+        yield sys.write(stream, b"hello")
+        udp = yield sys.socket(defs.AF_INET, defs.SOCK_DGRAM)
+        yield sys.sendto(udp, b"abc", ("red", 6000))
+        udp_name = yield sys.getsockname(udp)
+        seen["green"] = {
+            "stream": addr("green", pid, stream),
+            "udp": addr("green", pid, udp),
+            "stream_name": stream_name.display(),
+            "udp_name": udp_name.display(),
+        }
+        yield sys.exit(0)
+
+    per_field = {field_encoder(event).__code__ for event in BODY_FIELDS}
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in per_field:
+            runs.append(frame.f_code)
+
+    previous = getprofile()
+    setprofile(profile)
+    try:
+        srv = metered_spawn(cluster, "red", server)
+        cluster.run(until_ms=cluster.sim.now + 20)  # listening first
+        cli = metered_spawn(cluster, "green", client)
+        cluster.run_until_exit([srv, cli])
+        cluster.run(until_ms=cluster.sim.now + 20)
+    finally:
+        setprofile(previous)
+    assert runs == []
+
+    red, green = seen["red"], seen["green"]
+    stream_name, udp_name = green["stream_name"], green["udp_name"]
+    inet, stream, dgram = defs.AF_INET, defs.SOCK_STREAM, defs.SOCK_DGRAM
+    # (event, pc, body): pc is the ordinal of the syscall that fired
+    # the hook in its process (a blocked read's receive shares it).
+    expected = {
+        srv.pid: [
+            ("socket", 2, dict(sock=red["listener"], domain=inet, type=stream, protocol=0)),
+            ("socket", 5, dict(sock=red["udp"], domain=inet, type=dgram, protocol=0)),
+            ("accept", 7, dict(
+                sock=red["listener"], newSock=red["conn"],
+                sockName="inet:red:5000", sockNameLen=8,
+                peerName=stream_name, peerNameLen=8,
+            )),
+            ("receivecall", 8, dict(sock=red["conn"])),
+            ("receive", 8, dict(
+                sock=red["conn"], msgLength=5,
+                sourceName=stream_name, sourceNameLen=8,
+            )),
+            ("receivecall", 9, dict(sock=red["udp"])),
+            ("receive", 9, dict(
+                sock=red["udp"], msgLength=3,
+                sourceName=udp_name, sourceNameLen=8,
+            )),
+            ("dup", 10, dict(sock=red["conn"], newSock=red["copy"])),
+            ("destsocket", 11, dict(sock=red["conn"])),
+            ("fork", 12, dict(newPid=seen["child"])),
+            ("termproc", 13, dict(status=5)),
+        ],
+        seen["child"]: [("termproc", 1, dict(status=3))],
+        cli.pid: [
+            ("socket", 2, dict(sock=green["stream"], domain=inet, type=stream, protocol=0)),
+            ("connect", 3, dict(
+                sock=green["stream"],
+                sockName=stream_name, sockNameLen=8,
+                peerName="inet:red:5000", peerNameLen=8,
+            )),
+            ("send", 5, dict(
+                sock=green["stream"], msgLength=5, destName="", destNameLen=0,
+            )),
+            ("socket", 6, dict(sock=green["udp"], domain=inet, type=dgram, protocol=0)),
+            ("send", 7, dict(
+                sock=green["udp"], msgLength=3,
+                destName="inet:red:6000", destNameLen=8,
+            )),
+            ("termproc", 9, dict(status=0)),
+        ],
+    }
+    hosts = {
+        srv.pid: cluster.host_table.lookup("red").host_id,
+        seen["child"]: cluster.host_table.lookup("red").host_id,
+        cli.pid: cluster.host_table.lookup("green").host_id,
+    }
+    assert {r["pid"] for r in records} == set(expected)
+    for pid, events in expected.items():
+        got = [r for r in records if r["pid"] == pid]
+        clock = [r["cpuTime"] for r in got]
+        assert clock == sorted(clock) and clock[-1] <= cluster.sim.now
+        assert [r["procTime"] for r in got] == [0] * len(got)  # no compute
+        assert got == [
+            dict(
+                body,
+                size=message_length(event),
+                machine=hosts[pid],
+                cpuTime=record["cpuTime"],
+                procTime=0,
+                traceType=EVENT_TYPES[event],
+                event=event,
+                pid=pid,
+                pc=pc,
+            )
+            for record, (event, pc, body) in zip(got, events)
+        ]
 
 
 def test_buffering_batches_messages(cluster):

@@ -257,8 +257,9 @@ def test_whole_records_never_enter_the_shape_lane(drawn):
 
 def test_meter_encode_never_reaches_the_per_field_encoder():
     """The meter's body carries ``traceType``, so it is a whole shape:
-    ``encode`` of every event, NAMEs present or not, runs
-    ``field_encoder``'s generated code for none of them."""
+    ``encode_body`` (the meter's entry) and ``encode`` (its keyword
+    wrapper) of every event, NAMEs present or not, give the same bytes
+    and run ``field_encoder``'s generated code for none of them."""
     codec = MessageCodec(HOSTS)
     per_field = {field_encoder(event).__code__ for event in BODY_FIELDS}
     runs = []
@@ -276,7 +277,9 @@ def test_meter_encode_never_reaches_the_per_field_encoder():
                     field: 5 if kind == "long" else peer
                     for field, kind in fields
                 }
-                codec.encode(event, 1, 2, 3, **body)
+                raw = codec.encode(event, 1, 2, 3, **body)
+                body.update(machine=1, cpuTime=2, procTime=3)
+                assert codec.encode_body(event, body) == raw
     finally:
         sys.setprofile(previous)
     assert runs == []

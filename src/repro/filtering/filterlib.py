@@ -111,11 +111,20 @@ class MeterInbox:
         As a sub-generator, also returns child events through
         ``self.last_child_events`` when ``want_children`` is set.
         """
+        reads = yield from self.wait_reads(sys, timeout_ms, want_children)
+        return [raw for __, messages in reads if messages for raw in messages]
+
+    def wait_reads(self, sys, timeout_ms=None, want_children=False):
+        """:meth:`wait` by connection: ``[(conn fd, raw messages)]`` in
+        read order, one entry per read that completed a message, and
+        ``(conn fd, None)`` where a connection closed -- so a filter
+        can tell which connection a message came on, and drop what a
+        closed one left unfinished."""
         ready, child_events = yield sys.select(
             self.fds(), timeout_ms=timeout_ms, want_children=want_children
         )
         self.last_child_events = child_events
-        raw_messages = []
+        reads = []
         for fd in ready:
             if fd == self.listen_fd:
                 try:
@@ -140,15 +149,20 @@ class MeterInbox:
             if not data:
                 yield sys.close(fd)
                 self._drop(fd)
+                reads.append((fd, None))
                 continue
+            raw_messages = []
             corrupt = self._feed(fd, data, raw_messages)
+            if raw_messages:
+                self.messages_received += len(raw_messages)
+                reads.append((fd, raw_messages))
             if corrupt:
                 # Not the meter protocol: drop the connection rather
                 # than loop over garbage framing.
                 yield sys.close(fd)
                 self._drop(fd)
-        self.messages_received += len(raw_messages)
-        return raw_messages
+                reads.append((fd, None))
+        return reads
 
     def _drop(self, fd):
         del self.buffers[fd]

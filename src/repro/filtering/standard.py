@@ -94,14 +94,17 @@ def log_path_for(filtername, directory=None, log_format=LOG_FORMAT_TEXT):
 # (machine, pid, seq) and retransmits its resend window when a filter
 # reconnects.  The filter holds a batch's accepted records in memory
 # until the marker arrives, then commits records *and* a durable copy
-# of the marker to the log in one atomic step (one text write / one
-# frame run ending in a marker frame).  A batch whose every record the
-# templates reject commits nothing, not even its marker: the log grows
-# with what the filter keeps.  A relaunched filter recovers the
-# committed sequence numbers from its own log and rejects
-# retransmissions of batches it already has -- at-least-once delivery
-# on the wire, exactly-once records in the log.  (A retransmitted
-# empty batch is selected again and again commits nothing.)
+# of the marker to the log in one atomic step: one frame run ending in
+# a marker frame, or one text write, which carries one ``#batch`` line
+# per process (:class:`TextLogBuffer`; a torn or lost write so strips
+# the line from the process's whole run of batches in it, and a resend
+# duplicates the run).  A batch whose every record the templates
+# reject commits nothing, not even its marker: the log grows with what
+# the filter keeps.  A relaunched filter recovers the committed
+# sequence numbers from its own log and rejects retransmissions of
+# batches it already has -- at-least-once delivery on the wire,
+# exactly-once records in the log.  (A retransmitted empty batch is
+# selected again and again commits nothing.)
 
 
 def format_batch_line(machine, pid, seq):
@@ -118,6 +121,43 @@ def parse_batch_line(line):
         return int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
         return None
+
+
+class TextLogBuffer:
+    """A text filter's committed lines awaiting their one atomic write.
+
+    A batch whose process already has a ``#batch`` line here blanks
+    that line: the write is atomic and recovery reads only the highest
+    seq per process, so it keeps the line of each process's last batch,
+    right after that batch's records.  :attr:`nbytes` is what the write
+    will carry."""
+
+    def __init__(self):
+        self.lines = []  # None where a later #batch line took over
+        self.nbytes = 0
+        self._marker_at = {}  # (machine, pid) -> index of its #batch line
+
+    def commit(self, records, key, seq):
+        """Buffer one batch: its record lines, then the ``#batch`` line
+        of ``key`` = (machine, pid) at ``seq``."""
+        lines = self.lines
+        at = self._marker_at.get(key)
+        if at is not None:
+            self.nbytes -= len(lines[at]) + 1
+            lines[at] = None
+        marker = format_batch_line(key[0], key[1], seq)
+        lines.extend(records)
+        lines.append(marker)
+        self._marker_at[key] = len(lines) - 1
+        self.nbytes += sum(map(len, records)) + len(records) + len(marker) + 1
+
+    def take(self):
+        """The bytes of the next write; the buffer is empty after."""
+        data = ("\n".join(filter(None, self.lines)) + "\n").encode("ascii")
+        self.lines = []
+        self.nbytes = 0
+        self._marker_at.clear()
+        return data
 
 
 def recover_text_seqs(text):
@@ -255,73 +295,78 @@ def standard_filter(sys, argv):
         log_fd = yield sys.open(log_path, "a")
 
     inbox = MeterInbox(recovered_seqs=recovered)
-    #: (machine, pid) -> the in-flight batch's accepted items; the
+    #: conn fd -> {(machine, pid) -> the in-flight batch's accepted
+    #: items} (forked children share their parent's connection); the
     #: last element of every item is the saved record dict, fed to the
     #: streaming engine at commit.  Committed or discarded when the
     #: batch's trailing marker arrives, and only then: records with no
-    #: marker never reach the log.
+    #: marker never reach the log, nor do those of a closed connection
+    #: (its meter resends the whole batch on the next).
     open_batches = {}
     field_orders = {}  # event -> its log line order, looked up once
-    pending = []  # committed text lines buffered across wait batches
-    pending_bytes = 0
+    pending = TextLogBuffer()  # committed lines buffered across wait batches
     pending_batches = 0  # batches accepted while lines await a write
-    lines = []  # text lines committed by the current wait batch
 
-    def commit(batch, marker):
-        """One batch's items to the log, then to the engine.  ``marker``
-        is the durable form of the batch's commit marker -- the raw
-        marker message in store mode, its ``#batch`` line in text mode.
-        A batch with no accepted item leaves no trace, marker included."""
+    def commit(batch, key, seq, raw):
+        """One batch's items to the log, then to the engine.  A store
+        takes ``raw``, the marker message, as the durable marker; text
+        goes through :class:`TextLogBuffer`.  A batch with no accepted
+        item leaves no trace, marker included."""
         if not batch:
             return
         if store_mode:
             writer.append_many(map(_PAYLOAD_MASK, batch))
-            writer.append_marker(marker)
+            writer.append_marker(raw)
             writer.maybe_seal()
         else:
-            lines.extend(item[0] for item in batch)
-            lines.append(marker)
+            pending.commit([item[0] for item in batch], key, seq)
         for item in batch:
             engine.update(item[-1])
 
     while True:
         # While lines are buffered, wake after a short idle gap so the
         # log never lags the stream by more than the flush interval.
-        timeout_ms = LOG_IDLE_FLUSH_MS if pending else None
-        raw_messages = yield from inbox.wait(sys, timeout_ms=timeout_ms)
-        for raw in raw_messages:
-            if is_batch_marker(raw):
-                marker = parse_batch_marker(raw)
-                if marker is None:
+        timeout_ms = LOG_IDLE_FLUSH_MS if pending.lines else None
+        reads = yield from inbox.wait_reads(sys, timeout_ms=timeout_ms)
+        received = False
+        for fd, raw_messages in reads:
+            if raw_messages is None:
+                open_batches.pop(fd, None)  # the connection closed
+                continue
+            received = True
+            batches = open_batches.get(fd)
+            if batches is None:
+                batches = open_batches[fd] = {}
+            for raw in raw_messages:
+                if is_batch_marker(raw):
+                    marker = parse_batch_marker(raw)
+                    if marker is None:
+                        continue
+                    machine_id, pid, seq = marker
+                    key = (machine_id, pid)
+                    batch = batches.pop(key, [])
+                    if not inbox.accept_batch(machine_id, pid, seq):
+                        continue  # retransmitted batch already in the log
+                    pending_batches += 1
+                    commit(batch, key, seq, raw)
                     continue
-                machine_id, pid, seq = marker
-                batch = open_batches.pop((machine_id, pid), [])
-                if not inbox.accept_batch(machine_id, pid, seq):
-                    continue  # retransmitted batch already in the log
-                pending_batches += 1
-                commit(
-                    batch,
-                    raw if store_mode
-                    else format_batch_line(machine_id, pid, seq),
-                )
-                continue
-            try:
-                selected = select(raw)
-            except (ValueError, KeyError):
-                # Anything may connect to the meter port; a malformed
-                # message must not take the filter down -- drop it.
-                continue
-            if selected is None:
-                continue
-            saved, mask, key, event = selected
-            if store_mode:
-                item = (zero_masked_bytes(raw, event, mask), mask, saved)
-            else:
-                order = field_orders.get(event)
-                if order is None:
-                    order = field_orders[event] = descriptions.field_order(event)
-                item = (format_record(saved, order), saved)
-            open_batches.setdefault(key, []).append(item)
+                try:
+                    selected = select(raw)
+                except (ValueError, KeyError):
+                    # Anything may connect to the meter port; a malformed
+                    # message must not take the filter down -- drop it.
+                    continue
+                if selected is None:
+                    continue
+                saved, mask, key, event = selected
+                if store_mode:
+                    item = (zero_masked_bytes(raw, event, mask), mask, saved)
+                else:
+                    order = field_orders.get(event)
+                    if order is None:
+                        order = field_orders[event] = descriptions.field_order(event)
+                    item = (format_record(saved, order), saved)
+                batches.setdefault(key, []).append(item)
         for query_fd, raw_query in inbox.take_queries():
             # A live-analysis query on the meter port: answer from the
             # engine on the same connection, one JSON frame.
@@ -338,25 +383,19 @@ def standard_filter(sys, argv):
             writer.sync()
             yield from flush_to_guest(sys, writer)
             continue
-        if lines:
-            pending.extend(lines)
-            pending_bytes += sum(len(line) + 1 for line in lines)
-            del lines[:]
         # One write per committed batch train: flush when the stream
         # pauses (idle timeout, connection close), the buffer fills, or
         # the train is half a resend window long.  The whole of
         # ``pending`` goes in one atomic write, so a batch's records and
-        # its marker line always land together.
-        if not pending:
+        # the ``#batch`` line of its process's last batch in the write
+        # always land together.
+        if not pending.lines:
             pending_batches = 0  # nothing buffered, nothing to lose
         elif (
-            not raw_messages
-            or pending_bytes >= LOG_FLUSH_BYTES
+            not received
+            or pending.nbytes >= LOG_FLUSH_BYTES
             or pending_batches >= LOG_FLUSH_BATCHES
         ):
-            data = ("\n".join(pending) + "\n").encode("ascii")
-            pending = []
-            pending_bytes = 0
             pending_batches = 0
-            yield sys.write(log_fd, data)
+            yield sys.write(log_fd, pending.take())
         # The filter runs until the controller removes it (die).

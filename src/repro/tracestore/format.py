@@ -42,10 +42,10 @@ segments may legitimately end mid-frame.  One walk reads frames,
 :func:`salvage_frames`: it yields every frame whose CRC verifies,
 every byte range it had to skip to reach the next one (a *gap*), and
 an unsealed segment's torn tail.  A strict read is that same walk
-refusing to skip: it raises at the first gap, after yielding every
-frame before it; a salvage read counts the gap as loss.  (The batch
-scan's fused lane is a faster walk of CRC-verified sealed regions;
-this walk is its reference.)
+refusing to skip: it raises at the first gap's first byte, after
+yielding every frame before it; a salvage read counts the gap as
+loss.  (The batch scan's fused lane is a faster walk of CRC-verified
+sealed regions; this walk is its reference.)
 
 There is one format, version 2.  Version 1 (no per-frame CRC) existed
 for two days and no store of it outlived its process; a version-1
@@ -192,7 +192,7 @@ def _read_frame(data, offset, end):
     return mask, payload, next_offset, None
 
 
-def salvage_frames(data, start, end, sealed=False):
+def salvage_frames(data, start, end, sealed=False, strict=False):
     """The one reference walk of a frame region ``data[start:end]``.
 
     Yields ``("frame", offset, mask, payload)`` for every frame whose
@@ -210,7 +210,9 @@ def salvage_frames(data, start, end, sealed=False):
     the walk stops where ``data`` does, and the missing bytes join the
     trailing gap.  A strict read refuses the first gap
     (:meth:`~repro.tracestore.reader.StoreReader.scan`); a salvage
-    read counts it as loss.
+    read counts it as loss.  With ``strict`` the walk ends at the first
+    gap's first byte, yielding ``("gap", gap_start, None)``: it never
+    slides to the gap's end, which a strict read has no use for.
     """
     limit = min(end, len(data))
     offset = start
@@ -235,12 +237,15 @@ def salvage_frames(data, start, end, sealed=False):
                 yield "torn", offset, end
                 return
         if gap_start is None:
+            if strict:
+                yield "gap", offset, None
+                return
             gap_start = offset
         offset += 1
     if gap_start is None and offset < end:
         gap_start = offset
     if gap_start is not None:
-        yield "gap", gap_start, end
+        yield "gap", gap_start, None if strict else end
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,8 @@ Damage handling is explicit, never silent:
 - in the default *strict* mode a read is that walk refusing to skip:
   at the first gap it raises
   :class:`~repro.tracestore.errors.CorruptFrameError` with the segment
-  path and the gap's offset, after yielding the records before it --
+  path and the gap's offset, after yielding the records before it and
+  without walking past the gap's first byte --
   the scan refuses to return a record stream it cannot vouch for;
 - in *salvage* mode (``scan(salvage=True)``) the same gap is
   quarantined and the loss accounted in
@@ -173,26 +174,29 @@ class Segment:
             return max(len(self.data) - sformat.SEGMENT_HEADER_BYTES, 0)
         return self.data_bytes()
 
-    def frames(self):
+    def frames(self, strict=False):
         """This segment's one frame walk
         (:func:`~repro.tracestore.format.salvage_frames`): ``("frame",
         offset, mask, payload)``, ``("gap", start, end)`` and, on an
         unsealed segment only, ``("torn", start, end)`` items, in
-        order.  A plain segment that lost its seal to a damaged footer
-        or trailer still ends its region on a frame boundary, where the
-        footer starts (:func:`~repro.tracestore.format.footer_start`),
-        so the walk reads that region as sealed."""
+        order; ``strict`` ends the walk at the first gap's first byte
+        (its end is None).  A plain segment that lost its seal to a
+        damaged footer or trailer still ends its region on a frame
+        boundary, where the footer starts
+        (:func:`~repro.tracestore.format.footer_start`), so the walk
+        reads that region as sealed."""
         if not self.valid:
             return iter(())
         data, start, end = self.frame_region()
         bounded = self.sealed or (not self.compressed and end < len(data))
-        return sformat.salvage_frames(data, start, end, bounded)
+        return sformat.salvage_frames(data, start, end, bounded, strict)
 
-    def committed_frames(self, items=None):
+    def committed_frames(self, items=None, strict=False):
         """The walk's frames whose batch the writing filter actually
         committed, and its gaps; ``items`` is the walk when the caller
         holds it already.  Strict and salvage reads both take these
-        items: one raises at the first gap, the other counts it.
+        items: one raises at the first gap, the other counts it, and
+        ``strict`` walks no further than that gap's first byte.
 
         Sealed segments seal on a batch boundary, so every frame
         counts, and the walk stays lazy.  An unsealed tail that
@@ -202,11 +206,12 @@ class Segment:
         filter re-appends the whole batch in a later segment, so
         reading them would double-count.  Marker-free unsealed
         segments are taken whole: a filter commits every batch with its
-        marker, so those are packed stores.
+        marker, so those are packed stores.  (A strict walk sees no
+        marker past its gap, so it commits only the batches before it.)
         A torn tail is expected loss and is left out.
         """
         if items is None:
-            items = self.frames()
+            items = self.frames(strict)
         if self.sealed:
             return items
         items = [item for item in items if item[0] != "torn"]
@@ -220,10 +225,10 @@ class Segment:
             item for item in items[last_marker + 1 :] if item[0] == "gap"
         ]
 
-    def gap_error(self, start, end):
-        """What a strict read raises at the gap ``start``..``end``."""
+    def gap_error(self, start):
+        """What a strict read raises at a gap starting at ``start``."""
         return CorruptFrameError(
-            "no frame verifies in bytes %d..%d" % (start, end),
+            "no frame verifies from byte %d" % start,
             path=self.path,
             offset=start,
         )
@@ -476,9 +481,9 @@ class StoreReader:
             if segment.sealed:
                 total += segment.footer_records()
                 continue
-            for item in segment.committed_frames():
+            for item in segment.committed_frames(strict=True):
                 if item[0] == "gap":
-                    raise segment.gap_error(item[1], item[2])
+                    raise segment.gap_error(item[1])
                 if not is_batch_marker(item[3]):
                     total += 1
         return total
@@ -551,10 +556,10 @@ class StoreReader:
         salvage read counts the gap and goes on."""
         decoded = 0
         damaged = False
-        for item in segment.committed_frames():
+        for item in segment.committed_frames(strict=not salvage):
             if item[0] == "gap":
                 if not salvage:
-                    raise segment.gap_error(item[1], item[2])
+                    raise segment.gap_error(item[1])
                 stats.frames_corrupt += 1
                 stats.bytes_quarantined += item[2] - item[1]
                 stats.segment_errors.append(

@@ -241,10 +241,12 @@ def _twin_multiset(log_format, rules):
 @pytest.mark.parametrize("log_format", ["text", "store"])
 def test_relaunched_filter_commits_every_record_once(log_format, rules, kill_after_ms):
     """A filter killed mid-job and relaunched by its daemon commits the
-    fault-free twin's records, each once, and one marker per batch that
-    committed records.  The text filter buffers lines across batches;
-    they must reach the log before their batches can roll out of the
-    kernel's resend window, or the relaunch cannot get them back."""
+    fault-free twin's records, each once, and every marker follows
+    records, none repeated: one marker per batch in a store, one per
+    process per write in a text log.  The text filter buffers lines
+    across batches; they must reach the log before their batches can
+    roll out of the kernel's resend window, or the relaunch cannot get
+    them back."""
     session = _dgram_job(log_format, rules, kill_after_ms)
     assert "WARNING: filter 'f1' on blue was relaunched" in session.transcript()
     assert "dropped:" not in session.command("jobs j")

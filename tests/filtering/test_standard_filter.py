@@ -4,8 +4,12 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.session import MeasurementSession
-from repro.filtering.records import parse_trace
-from repro.filtering.standard import LOG_IDLE_FLUSH_MS, log_path_for
+from repro.filtering.records import parse_record_line, parse_trace
+from repro.filtering.standard import (
+    LOG_IDLE_FLUSH_MS,
+    log_path_for,
+    recover_text_seqs,
+)
 from repro.kernel import defs
 from repro.metering.messages import MessageCodec, encode_batch_marker
 from repro.tracestore import StoreReader
@@ -220,29 +224,28 @@ def test_edited_descriptions_take_only_the_per_field_lane(
 # ----------------------------------------------------------------------
 
 
-def _hand_fed_filter(log_format, with_marker):
-    """A standard filter on blue fed one hand-built meter stream from
-    red: three send records -- followed by their batch's marker, and
-    the whole batch then sent again as a reconnecting meter resends it,
-    when ``with_marker`` -- and then a connection left open and idle for
-    ten idle-flush intervals.  Returns (records in the log, its ``#batch`` lines, or
-    None for a store)."""
+def _sends(red_id, pid, pcs):
+    """Hand-built meter ``send`` messages of red's process ``pid``."""
+    codec = MessageCodec()
+    return b"".join(
+        codec.encode(
+            "send", machine=red_id, cpu_time=10 + pc, proc_time=pc, pc=pc,
+            pid=pid, sock=3, msgLength=100 * pc, destName=None, destNameLen=0,
+        )
+        for pc in pcs
+    )
+
+
+def _fed_filter(log_format, streams):
+    """A standard filter on blue fed hand-built meter streams from red,
+    each on a connection of its own in turn: written whole, then closed
+    -- all but the last, which is left open and idle for ten
+    idle-flush intervals.  Returns (records in the log, the text log,
+    or None for a store)."""
     cluster = Cluster(seed=21)
     MeasurementSession(cluster, start=False)
     blue = cluster.machine("blue")
-    red_id = cluster.host_table.lookup("red").host_id
     log_path = log_path_for("f1", log_format=log_format)
-    codec = MessageCodec()
-    batch = b"".join(
-        codec.encode(
-            "send", machine=red_id, cpu_time=10 + pc, proc_time=pc, pc=pc,
-            pid=700, sock=3, msgLength=100 * pc, destName=None, destNameLen=0,
-        )
-        for pc in (1, 2, 3)
-    )
-    if with_marker:
-        batch += encode_batch_marker(red_id, 700, 0)
-        batch += batch  # the resend a reconnect would make
 
     def launcher(sys, argv):
         fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
@@ -256,9 +259,15 @@ def _hand_fed_filter(log_format, with_marker):
         yield sys.exit(0)
 
     def sender(sys, argv):
+        for stream in streams[:-1]:
+            fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
+            yield sys.connect(fd, ("blue", 4400))
+            yield sys.write(fd, stream)
+            yield sys.close(fd)
+            yield sys.sleep(2 * LOG_IDLE_FLUSH_MS)
         fd = yield sys.socket(defs.AF_INET, defs.SOCK_STREAM)
         yield sys.connect(fd, ("blue", 4400))
-        yield sys.write(fd, batch)
+        yield sys.write(fd, streams[-1])
         yield sys.sleep(10 * LOG_IDLE_FLUSH_MS)
         yield sys.exit(0)
 
@@ -267,16 +276,36 @@ def _hand_fed_filter(log_format, with_marker):
     cluster.run_until(lambda: sending.state == defs.PROC_ZOMBIE)
     if log_format == "text":
         text = bytes(blue.fs.node(log_path).data).decode("ascii")
-        markers = [
-            line for line in text.splitlines() if line.startswith("#batch")
-        ]
-        return parse_trace(text), markers
+        return parse_trace(text), text
     if not blue.fs.exists(segment_path(log_path, 0)):
         return [], None
     reader = StoreReader.from_fs(
         blue.fs, log_path, host_names=cluster.host_table.names_by_id()
     )
     return reader.records(), None
+
+
+def _red_id():
+    return Cluster(seed=21).host_table.lookup("red").host_id
+
+
+def _hand_fed_filter(log_format, with_marker):
+    """Three send records of red's pid 700 -- followed by their batch's
+    marker, and the whole batch then sent again as a reconnecting meter
+    resends it, when ``with_marker`` -- on one connection then left
+    idle.  Returns (records in the log, its ``#batch`` lines, or None
+    for a store)."""
+    red_id = _red_id()
+    batch = _sends(red_id, 700, (1, 2, 3))
+    if with_marker:
+        batch += encode_batch_marker(red_id, 700, 0)
+        batch += batch  # the resend a reconnect would make
+    records, text = _fed_filter(log_format, [batch])
+    if text is None:
+        return records, None
+    return records, [
+        line for line in text.splitlines() if line.startswith("#batch")
+    ]
 
 
 @pytest.mark.parametrize("log_format", ["text", "store"])
@@ -292,3 +321,40 @@ def test_records_with_their_marker_commit_exactly_once(log_format):
     assert [r["pc"] for r in records] == [1, 2, 3]
     if markers is not None:
         assert markers == ["#batch {0} 700 0".format(records[0]["machine"])]
+
+
+@pytest.mark.parametrize("log_format", ["text", "store"])
+def test_a_batch_split_by_a_closed_connection_commits_once(log_format):
+    """A connection that closes after a read ending inside a batch
+    leaves that batch's first records open; the meter then resends
+    the whole batch on a new connection.  The closed connection's open
+    records go with it, so each record commits once."""
+    red_id = _red_id()
+    first = _sends(red_id, 700, (1, 2))
+    resend = _sends(red_id, 700, (1, 2, 3)) + encode_batch_marker(red_id, 700, 0)
+    records, __ = _fed_filter(log_format, [first, resend])
+    assert [r["pc"] for r in records] == [1, 2, 3]
+
+
+def test_a_text_write_carries_one_batch_line_per_process():
+    """Batches of two processes interleaved in one write leave one
+    ``#batch`` line per process, right after that process's last batch
+    in the write, and recovery reads each one's highest seq from it."""
+    red_id = _red_id()
+    stream = b"".join([
+        _sends(red_id, 700, (1, 2)), encode_batch_marker(red_id, 700, 0),
+        _sends(red_id, 701, (3,)), encode_batch_marker(red_id, 701, 0),
+        _sends(red_id, 700, (4,)), encode_batch_marker(red_id, 700, 1),
+        _sends(red_id, 701, (5,)), encode_batch_marker(red_id, 701, 1),
+        _sends(red_id, 700, (6,)), encode_batch_marker(red_id, 700, 2),
+    ])
+    records, text = _fed_filter("text", [stream])
+    assert [r["pc"] for r in records] == [1, 2, 3, 4, 5, 6]
+    lines = [
+        line if line.startswith("#") else parse_record_line(line)["pc"]
+        for line in text.splitlines()
+    ]
+    assert lines == [
+        1, 2, 3, 4, 5, "#batch %d 701 1" % red_id, 6, "#batch %d 700 2" % red_id,
+    ]
+    assert recover_text_seqs(text) == {(red_id, 700): 2, (red_id, 701): 1}

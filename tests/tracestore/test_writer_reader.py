@@ -126,6 +126,46 @@ def test_a_size_that_overruns_its_frame_is_refused_by_both_lanes(sealed):
             list(lane(reader))
 
 
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "zlib"])
+def test_a_strict_read_raises_at_the_gaps_first_byte(compress, monkeypatch):
+    """A strict read of a damaged region stops where the gap starts:
+    it walks the frames before it and the first bad one, never the
+    bytes after (a compressed segment inflates garbage from a flipped
+    blob byte on, the whole rest of the region).  Both lanes raise at
+    the offset the salvage walk reports, which still walks to the
+    gap's end."""
+    from repro.tracestore import CorruptFrameError
+    from repro.tracestore import format as sformat
+
+    codec = _codec()
+    store, __ = _store_from(
+        [(raw, 0) for raw in _wire(codec, 2000)], compress=compress
+    )
+    path = sorted(store)[0]
+    damaged = bytearray(store[path])
+    damaged[sformat.SEGMENT_HEADER_BYTES + 200] ^= 0xFF
+    store[path] = bytes(damaged)
+    segment = StoreReader.from_bytes(store).segments[0]
+    walk = list(segment.frames())
+    gap = next(i for i, item in enumerate(walk) if item[0] == "gap")
+    assert walk[gap][2] > walk[gap][1] + 1  # salvage slides to its end
+
+    real = sformat._read_frame
+    calls = []
+
+    def counting(data, offset, end):
+        calls.append(offset)
+        return real(data, offset, end)
+
+    monkeypatch.setattr(sformat, "_read_frame", counting)
+    for lane in (StoreReader.scan, scan_fast):
+        del calls[:]
+        with pytest.raises(CorruptFrameError) as raised:
+            list(lane(StoreReader.from_bytes(store)))
+        assert raised.value.offset == walk[gap][1]
+        assert len(calls) == gap + 1  # the frames before it, and the gap
+
+
 def test_buffered_tail_lost_on_crash_but_flushed_frames_survive():
     codec = _codec()
     wire = _wire(codec, 10)

@@ -438,7 +438,7 @@ class Machine(SocketCalls, FileCalls, ProcessCalls):
             return
         # A syscall trap: charge the trap cost, then execute.
         proc.syscall_count += 1
-        proc.charge_cpu(defs.SYSCALL_COST_MS)
+        proc.cpu_ms += defs.SYSCALL_COST_MS
         self._cpu_event = self.sim.schedule(
             defs.SYSCALL_COST_MS, self._finish_trap, proc, token, request
         )

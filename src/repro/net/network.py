@@ -23,9 +23,15 @@ FIFO and lossless only between mutually reachable, live hosts: severing
 a channel (:meth:`break_channel`) cancels its in-flight packets -- the
 bytes are gone, exactly like a TCP connection reset -- and the kernel
 layer surfaces ``ECONNRESET``/``EPIPE`` to the endpoints.
+
+Each reliable channel is one :class:`_Channel`: its FIFO clearance,
+the endpoints of its last send, and its in-flight packets' event
+handles in send order.  Arrival times on a channel strictly increase,
+so a landing packet is always the head of that deque.
 """
 
 import itertools
+from collections import deque
 
 
 class NetworkParams:
@@ -50,6 +56,28 @@ class NetworkParams:
         self.bandwidth_bytes_per_ms = float(bandwidth_bytes_per_ms)
 
 
+class _Channel:
+    """One reliable channel's state, from its first send until it is
+    closed or broken."""
+
+    __slots__ = ("clearance", "src", "dst", "pending")
+
+    def __init__(self):
+        #: Earliest time the next packet may arrive (keeps the FIFO).
+        self.clearance = 0.0
+        #: Hosts of the last send, so a partition or crash can tell
+        #: whether it severs this channel.
+        self.src = self.dst = None
+        #: Event handles of the packets in flight, oldest first.
+        self.pending = deque()
+
+
+def _arrive(pending, deliver, args):
+    """A reliable packet lands: it is no longer in flight."""
+    pending.popleft()
+    deliver(*args)
+
+
 class Network:
     """Delivers packets between machines via the shared simulator."""
 
@@ -62,17 +90,9 @@ class Network:
         # (the determinism requirement of DESIGN.md Section 5).
         self._endpoint_ids = itertools.count(1)
         self._pair_ids = itertools.count(1)
-        #: channel key -> earliest time the next packet may arrive,
-        #: used to keep reliable channels FIFO.
-        self._channel_clearance = {}
-        #: channel key -> (src Host, dst Host) of the last send, so a
-        #: partition or crash can identify the channels it severs.
-        self._channel_hosts = {}
-        #: channel key -> {packet id: in-flight delivery event},
-        #: cancellable by break_channel (a severed channel drops its
-        #: packets).
-        self._channel_pending = {}
-        self._packet_ids = itertools.count()
+        #: channel key -> :class:`_Channel` of each open reliable
+        #: channel.
+        self._channels = {}
         #: host name -> partition group index; None = no partition.
         #: Hosts absent from every group share one implicit group.
         self._partition = None
@@ -200,37 +220,27 @@ class Network:
             self.reliable_packets_dropped += 1
             return False
         delay = self._transit_time(src_host, dst_host, size_bytes, jittered=True)
-        arrival = self.sim.now + delay
-        clearance = self._channel_clearance.get(channel, 0.0)
-        arrival = max(arrival, clearance)
+        state = self._channels.get(channel)
+        if state is None:
+            state = self._channels[channel] = _Channel()
+        arrival = max(self.sim.now + delay, state.clearance)
         # Strictly increasing arrivals preserve FIFO under equal times too.
-        self._channel_clearance[channel] = arrival + 1e-9
-        self._channel_hosts[channel] = (src_host, dst_host)
-
-        packet_id = next(self._packet_ids)
-        event = self.sim.schedule_at(
-            arrival, self._arrive, channel, packet_id, deliver, args
+        state.clearance = arrival + 1e-9
+        state.src = src_host
+        state.dst = dst_host
+        state.pending.append(
+            self.sim.schedule_at(arrival, _arrive, state.pending, deliver, args)
         )
-        self._channel_pending.setdefault(channel, {})[packet_id] = event
         return True
-
-    def _arrive(self, channel, packet_id, deliver, args):
-        """A reliable packet lands: it is no longer in flight."""
-        pending = self._channel_pending.get(channel)
-        if pending is not None:
-            pending.pop(packet_id, None)
-        deliver(*args)
 
     def close_channel(self, channel):
         """Forget FIFO state for a finished connection.
 
         Graceful: packets already in flight still arrive.  Called from
-        kernel socket teardown so long runs do not accumulate clearance
-        state for dead connections.
+        kernel socket teardown so long runs do not accumulate state for
+        dead connections.
         """
-        self._channel_clearance.pop(channel, None)
-        self._channel_hosts.pop(channel, None)
-        self._channel_pending.pop(channel, None)
+        self._channels.pop(channel, None)
 
     def break_channel(self, channel):
         """Sever a reliable channel: its in-flight packets are dropped.
@@ -238,29 +248,29 @@ class Network:
         Violent: models the loss of a transport connection when the
         path dies.  Returns the number of in-flight packets destroyed.
         """
-        pending = self._channel_pending.pop(channel, {})
-        for event in pending.values():
-            self.sim.cancel(event)
-        self.reliable_packets_dropped += len(pending)
-        self._channel_clearance.pop(channel, None)
-        self._channel_hosts.pop(channel, None)
-        return len(pending)
+        state = self._channels.pop(channel, None)
+        if state is None:
+            return 0
+        for handle in state.pending:
+            self.sim.cancel(handle)
+        self.reliable_packets_dropped += len(state.pending)
+        return len(state.pending)
 
     def severed_channels(self):
         """Channels whose recorded endpoints can no longer reach each
         other (after a partition or crash); candidates for breaking."""
         return [
             channel
-            for channel, (src_host, dst_host) in self._channel_hosts.items()
-            if not self.reachable(src_host, dst_host)
+            for channel, state in self._channels.items()
+            if not self.reachable(state.src, state.dst)
         ]
 
     def break_channels_involving(self, host):
         """Sever every tracked channel that touches ``host``."""
         victims = [
             channel
-            for channel, (src_host, dst_host) in self._channel_hosts.items()
-            if src_host is host or dst_host is host
+            for channel, state in self._channels.items()
+            if state.src is host or state.dst is host
         ]
         for channel in victims:
             self.break_channel(channel)

@@ -1,6 +1,6 @@
-"""The reliable-channel FIFO map must not leak: closed connections
-release their clearance/host/pending entries (kernel teardown calls
-Network.close_channel)."""
+"""The reliable-channel map must not leak: closed connections release
+their channel (its clearance, hosts and in-flight packets; kernel
+teardown calls Network.close_channel)."""
 
 from repro.core.cluster import Cluster
 from repro.core.session import MeasurementSession
@@ -31,10 +31,7 @@ def test_channel_state_drains_after_stream_teardown():
         ("red", simple_stream_server(5000, count=1), ()),
         ("green", _client("red", 5000), ()),
     )
-    net = cluster.network
-    assert net._channel_clearance == {}
-    assert net._channel_hosts == {}
-    assert net._channel_pending == {}
+    assert cluster.network._channels == {}
 
 
 def test_channel_state_stays_bounded_across_many_connections():
@@ -45,12 +42,12 @@ def test_channel_state_stays_bounded_across_many_connections():
             ("red", simple_stream_server(5000 + round_number, count=1), ()),
             ("green", _client("red", 5000 + round_number), ()),
         )
-    assert cluster.network._channel_clearance == {}
+    assert cluster.network._channels == {}
 
 
 def test_measurement_session_run_drains_channel_state():
     """A full controller/daemon/filter session tears every connection
-    down; nothing may linger in the channel maps once it quiesces."""
+    down; nothing may linger in the channel map once it quiesces."""
     cluster = Cluster(seed=11)
     session = MeasurementSession(cluster, control_machine="yellow")
     install_all(session)
@@ -63,6 +60,4 @@ def test_measurement_session_run_drains_channel_state():
     session.command("die")
     session.command("die")
     session.settle()
-    assert cluster.network._channel_clearance == {}
-    assert cluster.network._channel_hosts == {}
-    assert cluster.network._channel_pending == {}
+    assert cluster.network._channels == {}

@@ -15,11 +15,12 @@ from tests.conftest import run_guests
 
 
 def _timer_events(sim):
-    """Live ``_timeout_wake`` events in the queue."""
+    """Live ``_timeout_wake`` events in the queue (their heap entries,
+    ``[time, seq, callback, args]``)."""
     return [
-        event
-        for __, __, event in sim._queue
-        if getattr(event.callback, "__name__", None) == "_timeout_wake"
+        entry
+        for entry in sim._queue
+        if getattr(entry[2], "__name__", None) == "_timeout_wake"
     ]
 
 
@@ -151,7 +152,7 @@ def test_polling_a_session_does_not_grow_the_event_queue():
         session.command("stats f1")
         pending.add(cluster.sim.pending_events())
         # No process ever owns more than one timer event.
-        owners = [event.args[0] for event in _timer_events(cluster.sim)]
+        owners = [entry[3][0] for entry in _timer_events(cluster.sim)]
         assert len(owners) == len(set(owners))
     # One stale timer per poll made this 8, 14, 20 ... 155.
     assert len(pending) == 1 and pending.pop() <= 6

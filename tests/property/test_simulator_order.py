@@ -64,6 +64,8 @@ class ReferenceScheduler:
         return True
 
     def run(self, until_ms=None, max_events=None):
+        if until_ms is not None:
+            until_ms = max(self.now, until_ms)
         count = 0
         while max_events is None or count < max_events:
             entry = self._next()
@@ -95,6 +97,8 @@ class ReferenceScheduler:
 # Few distinct delays, so equal times (ties broken by insertion order)
 # are the common case.
 _delays = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0])
+# Stop times for ``run``, relative to ``now``: some behind the clock.
+_stops = st.sampled_from([-7.0, -0.5, 0.0, 0.5, 1.0, 2.5, 7.0])
 _times = st.sampled_from([0.0, 1.0, 3.0, 3.0, 8.0, 20.0])
 _handle_refs = st.integers(min_value=0, max_value=10_000)
 
@@ -112,7 +116,7 @@ _top_level = st.one_of(
     _actions,
     _actions,
     st.tuples(st.just("step")),
-    st.tuples(st.just("run"), st.one_of(st.none(), _delays), _limits),
+    st.tuples(st.just("run"), st.one_of(st.none(), _stops), _limits),
     st.tuples(
         st.just("run_until"),
         st.integers(min_value=0, max_value=5),

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.cluster import Cluster
+from repro.core.session import MeasurementSession
+from repro.programs import install_all
 from repro.sim.errors import SimulationDeadlock, SimulationError
 from repro.sim.simulator import Simulator
 
@@ -199,3 +202,63 @@ def test_pending_events_is_live_count_through_churn():
     assert sim.pending_events() == 250
     sim.run(max_events=100)
     assert sim.pending_events() == 150
+
+
+def test_a_stop_time_behind_the_clock_runs_nothing_later():
+    """run(until_ms) never moves the clock backwards: a later call_soon
+    must not run before an event that already ran."""
+    sim = Simulator()
+    order = []
+    sim.schedule(10.0, order.append, 10.0)
+    sim.schedule(20.0, order.append, 20.0)
+    sim.run(until_ms=15.0)
+    assert order == [10.0] and sim.now == 15.0
+    sim.run(until_ms=5.0)
+    assert order == [10.0] and sim.now == 15.0
+    assert sim.pending_events() == 1
+    sim.call_soon(lambda: order.append(sim.now))
+    sim.run()
+    assert order == [10.0, 15.0, 20.0]
+
+
+def test_a_stop_time_behind_the_clock_counts_as_now():
+    """Events already due at ``now`` still run; nothing later does."""
+    sim = Simulator()
+    seen = []
+    sim.run(until_ms=30.0)
+    sim.call_soon(lambda: seen.append(sim.now))
+    sim.schedule(1.0, seen.append, "later")
+    sim.run(until_ms=10.0)
+    assert sim.now == 30.0
+    assert seen == [30.0]
+
+
+def test_settle_with_negative_time_keeps_the_clock():
+    """session.settle(ms) with ms < 0 is the same stop time behind now."""
+    cluster = Cluster(seed=3)
+    session = MeasurementSession(cluster, control_machine="yellow")
+    install_all(session)
+    session.command("filter f1 blue")
+    before = cluster.sim.now
+    session.settle(-50.0)
+    assert cluster.sim.now == before
+    session.settle(5.0)
+    assert cluster.sim.now == before + 5.0
+
+
+def test_a_handle_is_its_heap_entry():
+    """schedule() returns the queued [time, seq, callback, args] list;
+    running or cancelling it clears the callback slot."""
+    sim = Simulator()
+    seen = []
+    ran = sim.schedule(1.0, seen.append, "x")
+    dropped = sim.call_soon(seen.append, "y")
+    assert ran[0] == 1.0 and ran[2] == seen.append and ran[3] == ("x",)
+    sim.cancel(dropped)
+    assert dropped[2] is None and dropped[3] == ()
+    sim.run(max_events=0)
+    assert sim.pending_events() == 1
+    sim.step()
+    assert seen == ["x"] and ran[2] is None
+    sim.cancel(ran)  # already ran: no effect on the counts
+    assert sim.pending_events() == 0 and sim._cancelled_in_queue == 0

@@ -213,3 +213,26 @@ def test_read_exactly(cluster):
 
     run_guests(cluster, ("red", main, ()))
     assert got == [b"0123", b"456789", None]
+
+
+def test_recv_frame_deadline_half_a_frame_then_silence(cluster):
+    """A peer that sends half a frame and then goes quiet, without
+    hanging up, costs the reader its deadline and no more."""
+    got = []
+
+    def main(sys, argv):
+        a, b = yield sys.socketpair(defs.AF_UNIX, defs.SOCK_STREAM)
+        yield sys.write(a, (10).to_bytes(4, "big") + b"hello")
+        start = yield sys.gettimeofday()
+        try:
+            yield from guestlib.recv_frame_timeout(sys, b, 100.0)
+        except SyscallError as err:
+            got.append(err.errno)
+        got.append((yield sys.gettimeofday()) - start)
+        yield sys.exit(0)
+
+    run_guests(cluster, ("red", main, ()))
+    from repro.kernel import errno
+
+    assert got[0] == errno.ETIMEDOUT
+    assert 100.0 <= got[1] < 110.0

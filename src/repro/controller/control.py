@@ -95,29 +95,6 @@ RPC_ATTEMPTS = 3
 RPC_BACKOFF_MS = 40.0
 RPC_BACKOFF_CAP_MS = 320.0
 
-#: Commands whose line is journaled write-ahead (they mutate session
-#: state; a crash mid-command leaves the intent on record).
-_JOURNALED_COMMANDS = frozenset(
-    {
-        "filter",
-        "newjob",
-        "addprocess",
-        "add",
-        "acquire",
-        "setflags",
-        "startjob",
-        "stopjob",
-        "removejob",
-        "rmjob",
-        "removeprocess",
-        "watch",
-        "resume",
-        "die",
-        "exit",
-        "bye",
-    }
-)
-
 
 def controller(sys, argv):
     """Guest main for the control process."""
@@ -437,33 +414,29 @@ class Controller:
         request = protocol.encode(msg_type, **body)
         now = yield self.sys.gettimeofday()
         self.health.note_activity(now)
-        attempts = 1 if self.health.is_degraded(machine) else RPC_ATTEMPTS
-        delay = RPC_BACKOFF_MS
-        last_status = None
-        for attempt in range(attempts):
-            payload, err = yield from protocol.exchange(
-                self.sys, (machine, METERDAEMON_PORT), request, RPC_DEADLINE_MS
-            )
-            if err is not None:
-                last_status = "no meterdaemon on '{0}' ({1})".format(
-                    machine, errno_name(err.errno)
-                )
-                if err.errno not in guestlib.TRANSIENT_ERRNOS:
-                    break
-                if attempt + 1 < attempts:
-                    yield from guestlib.backoff_sleep(self.sys, delay)
-                    delay = min(delay * 2.0, RPC_BACKOFF_CAP_MS)
-                continue
-            if payload is None:
-                # Mid-exchange hangup: ambiguous outcome, never retried,
-                # and no health transition -- the daemon was reachable.
-                return False, {"status": "daemon closed the connection"}
-            reply_type, reply = protocol.decode(payload)
-            yield from self._daemon_answered(machine, reply)
-            ok = reply_type == protocol.REPLY_FOR[msg_type] and protocol.is_ok(reply)
-            return ok, reply
-        yield from self._note_failure(machine)
-        return False, {"status": last_status}
+        payload, err = yield from guestlib.retry(
+            self.sys,
+            1 if self.health.is_degraded(machine) else RPC_ATTEMPTS,
+            RPC_BACKOFF_MS,
+            RPC_BACKOFF_CAP_MS,
+            protocol.exchange,
+            self.sys,
+            (machine, METERDAEMON_PORT),
+            request,
+            RPC_DEADLINE_MS,
+        )
+        if err is not None:
+            yield from self._note_failure(machine)
+            status = "no meterdaemon on '{0}' ({1})"
+            return False, {"status": status.format(machine, errno_name(err.errno))}
+        if payload is None:
+            # Mid-exchange hangup: ambiguous outcome, never retried,
+            # and no health transition -- the daemon was reachable.
+            return False, {"status": "daemon closed the connection"}
+        reply_type, reply = protocol.decode(payload)
+        yield from self._daemon_answered(machine, reply)
+        ok = reply_type == protocol.REPLY_FOR[msg_type] and protocol.is_ok(reply)
+        return ok, reply
 
     def _probe_machine(self, machine):
         """One liveness ping (Section 3.5.1's exchange, minimal body).
@@ -683,14 +656,18 @@ class Controller:
         if not all(set(token) <= allowed for token in args):
             yield from self.emit("bad parameter characters in command")
             return
-        handler = _COMMANDS.get(command)
-        if handler is None:
+        entry = self._COMMANDS.get(command)
+        if entry is None:
             yield from self.emit("unknown command '{0}' (try help)", command)
             return
+        handler, journaled, fewest, most, usage = entry
         now = yield self.sys.gettimeofday()
         self.health.note_activity(now)
-        if command in _JOURNALED_COMMANDS:
+        if journaled:
             yield from self.record("cmd", line=line)
+        if len(args) < fewest or (most is not None and len(args) > most):
+            yield from self.emit("usage: " + usage)
+            return
         yield from handler(self, args)
 
     def cmd_help(self, args):
@@ -745,9 +722,6 @@ class Controller:
 
     def cmd_newjob(self, args):
         session = self.session
-        if not args:
-            yield from self.emit("usage: newjob <jobname> [<filtername>]")
-            return
         jobname = args[0]
         if jobname in session.jobs:
             yield from self.emit("job '{0}' already exists", jobname)
@@ -783,11 +757,6 @@ class Controller:
         )
 
     def cmd_addprocess(self, args):
-        if len(args) < 3:
-            yield from self.emit(
-                "usage: addprocess <jobname> <machine> <processfile> [<parms>...]"
-            )
-            return
         jobname, machine, processfile = args[0], args[1], args[2]
         params = args[3:]
         job = yield from self._find_job(jobname)
@@ -831,11 +800,6 @@ class Controller:
         )
 
     def cmd_acquire(self, args):
-        if len(args) != 3:
-            yield from self.emit(
-                "usage: acquire <jobname> <machine> <process identifier>"
-            )
-            return
         jobname, machine = args[0], args[1]
         try:
             pid = int(args[2])
@@ -863,9 +827,6 @@ class Controller:
         yield from self.emit("process {0} ... acquired", pid)
 
     def cmd_setflags(self, args):
-        if len(args) < 2:
-            yield from self.emit("usage: setflags <jobname> <flag1> [...]")
-            return
         job = yield from self._find_job(args[0])
         if job is None:
             return
@@ -901,59 +862,44 @@ class Controller:
                     body.get("status"),
                 )
 
-    def cmd_startjob(self, args):
-        if not args:
-            yield from self.emit("usage: startjob <jobname>")
-            return
-        job = yield from self._find_job(args[0])
+    def _signal_job(self, jobname, eligible, sig, state, done, refusal):
+        """Signal every ``eligible`` process of the job and move it to
+        ``state``; ``refusal`` (or silence, when None) answers the rest."""
+        job = yield from self._find_job(jobname)
         if job is None:
             return
         for record in job.processes:
-            if states.startable(record.state):
-                ok, body = yield from self.rpc(
-                    record.machine,
-                    protocol.SIGNAL_REQ,
-                    pid=record.pid,
-                    sig=defs.SIGCONT,
-                )
-                if ok:
-                    yield from self.record_state(job, record, states.RUNNING)
-                    yield from self.emit("'{0}' started.", record.procname)
-                else:
-                    yield from self.emit(
-                        "'{0}' not started: {1}", record.procname, body.get("status")
-                    )
+            if not eligible(record.state):
+                if refusal is not None:
+                    yield from self.emit(refusal, record.procname, record.state)
+                continue
+            ok, body = yield from self.rpc(
+                record.machine, protocol.SIGNAL_REQ, pid=record.pid, sig=sig
+            )
+            if ok:
+                yield from self.record_state(job, record, state)
+                yield from self.emit("'{0}' {1}.", record.procname, done)
             else:
                 yield from self.emit(
-                    "'{0}' cannot be started: it is {1}.",
-                    record.procname,
-                    record.state,
+                    "'{0}' not {1}: {2}", record.procname, done, body.get("status")
                 )
 
+    def cmd_startjob(self, args):
+        yield from self._signal_job(
+            args[0],
+            states.startable,
+            defs.SIGCONT,
+            states.RUNNING,
+            "started",
+            "'{0}' cannot be started: it is {1}.",
+        )
+
     def cmd_stopjob(self, args):
-        if not args:
-            yield from self.emit("usage: stopjob <jobname>")
-            return
-        job = yield from self._find_job(args[0])
-        if job is None:
-            return
-        for record in job.processes:
-            if states.stoppable(record.state):
-                ok, body = yield from self.rpc(
-                    record.machine,
-                    protocol.SIGNAL_REQ,
-                    pid=record.pid,
-                    sig=defs.SIGSTOP,
-                )
-                if ok:
-                    yield from self.record_state(job, record, states.STOPPED)
-                    yield from self.emit("'{0}' stopped.", record.procname)
-                else:
-                    yield from self.emit(
-                        "'{0}' not stopped: {1}", record.procname, body.get("status")
-                    )
-            elif record.state in (states.KILLED, states.ACQUIRED):
-                continue  # "Processes that are killed or acquired are ignored."
+        # "Processes that are killed or acquired are ignored", and so is
+        # an already stopped one.
+        yield from self._signal_job(
+            args[0], states.stoppable, defs.SIGSTOP, states.STOPPED, "stopped", None
+        )
 
     def _remove_record(self, job, record):
         """Shared by removejob/removeprocess: stopped processes are killed
@@ -972,9 +918,6 @@ class Controller:
         yield from self.emit("'{0}' removed", record.procname)
 
     def cmd_removejob(self, args):
-        if not args:
-            yield from self.emit("usage: removejob <jobname>")
-            return
         job = yield from self._find_job(args[0])
         if job is None:
             return
@@ -994,9 +937,6 @@ class Controller:
         yield from self.record("removejob", name=job.name)
 
     def cmd_removeprocess(self, args):
-        if len(args) != 2:
-            yield from self.emit("usage: removeprocess <jobname> <procname>")
-            return
         job = yield from self._find_job(args[0])
         if job is None:
             return
@@ -1095,9 +1035,6 @@ class Controller:
         return dropped
 
     def cmd_getlog(self, args):
-        if len(args) != 2:
-            yield from self.emit("usage: getlog <filtername> <destfile>")
-            return
         info = yield from self._resolve_filter(args[0])
         if info is None:
             return
@@ -1127,9 +1064,6 @@ class Controller:
     def cmd_input(self, args):
         """Send a line to a process' standard input through its daemon's
         I/O gateway (the reverse path of Section 3.5.2)."""
-        if len(args) < 3:
-            yield from self.emit("usage: input <jobname> <procname> <word>...")
-            return
         record = yield from self._find_job_process(args[0], args[1])
         if record is None:
             return
@@ -1146,9 +1080,6 @@ class Controller:
         """Redirect a file into a process' standard input (Section 3.5.2:
         the file is copied to the process' machine and opened by its
         meterdaemon)."""
-        if len(args) != 3:
-            yield from self.emit("usage: stdinfile <jobname> <procname> <filename>")
-            return
         record = yield from self._find_job_process(args[0], args[1])
         if record is None:
             return
@@ -1171,9 +1102,6 @@ class Controller:
             yield from self.emit("stdin not redirected: {0}", body.get("status"))
 
     def cmd_source(self, args):
-        if len(args) != 1:
-            yield from self.emit("usage: source <filename>")
-            return
         if len(self.input_stack) >= MAX_SOURCE_DEPTH:
             yield from self.emit("source nesting too deep (max 16)")
             return
@@ -1449,6 +1377,49 @@ class Controller:
         yield from self.record("die")
         self.dead = True
 
+    #: command -> (handler, journaled, fewest arguments, most arguments or
+    #: None, usage line).  A journaled command's line is written ahead (it
+    #: changes session state: a crash mid-command leaves the intent on
+    #: record); ``_dispatch`` checks the argument count after that write.
+    _COMMANDS = {
+        "help": (cmd_help, False, 0, None, None),
+        "filter": (cmd_filter, True, 0, None, None),
+        "newjob": (cmd_newjob, True, 1, None, "newjob <jobname> [<filtername>]"),
+        "addprocess": (
+            cmd_addprocess, True, 3, None,
+            "addprocess <jobname> <machine> <processfile> [<parms>...]",
+        ),
+        "acquire": (
+            cmd_acquire, True, 3, 3,
+            "acquire <jobname> <machine> <process identifier>",
+        ),
+        "setflags": (cmd_setflags, True, 2, None, "setflags <jobname> <flag1> [...]"),
+        "startjob": (cmd_startjob, True, 1, None, "startjob <jobname>"),
+        "stopjob": (cmd_stopjob, True, 1, None, "stopjob <jobname>"),
+        "removejob": (cmd_removejob, True, 1, None, "removejob <jobname>"),
+        "removeprocess": (
+            cmd_removeprocess, True, 2, 2, "removeprocess <jobname> <procname>"
+        ),
+        "jobs": (cmd_jobs, False, 0, None, None),
+        "getlog": (cmd_getlog, False, 2, 2, "getlog <filtername> <destfile>"),
+        "source": (cmd_source, False, 1, 1, "source <filename>"),
+        "sink": (cmd_sink, False, 0, None, None),
+        "input": (cmd_input, False, 3, None, "input <jobname> <procname> <word>..."),
+        "stdinfile": (
+            cmd_stdinfile, False, 3, 3, "stdinfile <jobname> <procname> <filename>"
+        ),
+        "stats": (cmd_stats, False, 0, None, None),
+        "watch": (cmd_watch, True, 0, None, None),
+        "resume": (cmd_resume, True, 0, None, None),
+        "die": (cmd_die, True, 0, None, None),
+    }
+    _COMMANDS.update(
+        add=_COMMANDS["addprocess"],
+        rmjob=_COMMANDS["removejob"],
+        exit=_COMMANDS["die"],
+        bye=_COMMANDS["die"],
+    )
+
 
 def _flag_order(order, names):
     """``order`` (flag spellings in first-set order) after a setflags."""
@@ -1476,31 +1447,3 @@ def _coerce_param(value):
         return float(value)
     except ValueError:
         return value
-
-
-_COMMANDS = {
-    "help": Controller.cmd_help,
-    "filter": Controller.cmd_filter,
-    "newjob": Controller.cmd_newjob,
-    "addprocess": Controller.cmd_addprocess,
-    "add": Controller.cmd_addprocess,
-    "acquire": Controller.cmd_acquire,
-    "setflags": Controller.cmd_setflags,
-    "startjob": Controller.cmd_startjob,
-    "stopjob": Controller.cmd_stopjob,
-    "removejob": Controller.cmd_removejob,
-    "rmjob": Controller.cmd_removejob,
-    "removeprocess": Controller.cmd_removeprocess,
-    "jobs": Controller.cmd_jobs,
-    "getlog": Controller.cmd_getlog,
-    "source": Controller.cmd_source,
-    "sink": Controller.cmd_sink,
-    "input": Controller.cmd_input,
-    "stdinfile": Controller.cmd_stdinfile,
-    "stats": Controller.cmd_stats,
-    "watch": Controller.cmd_watch,
-    "resume": Controller.cmd_resume,
-    "die": Controller.cmd_die,
-    "exit": Controller.cmd_die,
-    "bye": Controller.cmd_die,
-}

@@ -163,16 +163,18 @@ class Daemon:
         exponential backoff; hard errors (the controller is really
         gone) abandon the notification, since there is nobody left to
         tell."""
-        delay = NOTIFY_BACKOFF_MS
-        for attempt in range(NOTIFY_ATTEMPTS):
-            __, err = yield from protocol.exchange(
-                self.sys, address, payload, NOTIFY_CONNECT_TIMEOUT_MS, reply=False
-            )
-            if err is None or err.errno not in guestlib.TRANSIENT_ERRNOS:
-                return
-            if attempt + 1 < NOTIFY_ATTEMPTS:
-                yield from guestlib.backoff_sleep(self.sys, delay)
-                delay = min(delay * 2.0, NOTIFY_BACKOFF_CAP_MS)
+        yield from guestlib.retry(
+            self.sys,
+            NOTIFY_ATTEMPTS,
+            NOTIFY_BACKOFF_MS,
+            NOTIFY_BACKOFF_CAP_MS,
+            protocol.exchange,
+            self.sys,
+            address,
+            payload,
+            NOTIFY_CONNECT_TIMEOUT_MS,
+            reply=False,
+        )
 
     def _report(self, control, msg_type, **fields):
         """Notify ``control`` of something that happened on this machine."""
@@ -392,8 +394,12 @@ class Daemon:
             self.pending_redials.pop(job["key"], None)
             return
         try:
-            fd = yield from self._dial_meter(
-                host, port, METER_REDIAL_CONNECT_TIMEOUT_MS
+            fd = yield from guestlib.dial(
+                sys,
+                defs.AF_INET,
+                defs.SOCK_STREAM,
+                (host, port),
+                METER_REDIAL_CONNECT_TIMEOUT_MS,
             )
         except SyscallError as err:
             job["attempts_left"] -= 1
@@ -467,18 +473,6 @@ class Daemon:
         if uid != 0 and stat["uid"] != uid:
             raise SyscallError(1, "process %d belongs to uid %d" % (pid, stat["uid"]))
 
-    def _dial_meter(self, host, port, timeout_ms=None):
-        """Create the kernel end of a meter connection: a stream socket in
-        the Internet domain, connected to the filter (Section 4.1).  A
-        failed connect costs the daemon no descriptor."""
-        fd = yield self.sys.socket(defs.AF_INET, defs.SOCK_STREAM)
-        try:
-            yield self.sys.connect(fd, (host, port), timeout_ms)
-        except SyscallError:
-            yield self.sys.close(fd)
-            raise
-        return fd
-
     def _then_close(self, fd, request):
         """Make one syscall that hands ``fd`` to the kernel or a child,
         then close the daemon's copy whether it succeeded or not.  Not a
@@ -493,8 +487,13 @@ class Daemon:
         return result
 
     def _meter(self, pid, flags, body):
-        """Point ``pid``'s meter at the filter a request names."""
-        fd = yield from self._dial_meter(body["filter_host"], body["filter_port"])
+        """Point ``pid``'s meter at the filter a request names: the
+        kernel end of a meter connection is a stream socket in the
+        Internet domain, connected to the filter (Section 4.1)."""
+        address = (body["filter_host"], body["filter_port"])
+        fd = yield from guestlib.dial(
+            self.sys, defs.AF_INET, defs.SOCK_STREAM, address, None
+        )
         yield from self._then_close(fd, self.sys.setmeter(pid, flags, fd))
 
     def _handle_create(self, body):
@@ -696,8 +695,9 @@ class Daemon:
         drained = 0
         old_ports = [int(port) for port in body.get("old_ports", [])]
         if old_ports:
-            drain_fd = yield from self._dial_meter(
-                body["filter_host"], body["filter_port"]
+            address = (body["filter_host"], body["filter_port"])
+            drain_fd = yield from guestlib.dial(
+                sys, defs.AF_INET, defs.SOCK_STREAM, address, None
             )
             drained = yield sys.meterdrain(drain_fd, old_ports)
             yield sys.close(drain_fd)
@@ -763,11 +763,13 @@ class Daemon:
         if spec is None:
             raise SyscallError(3, "no filter named %r on this machine" % filtername)
         hostname = yield sys.hostname()
-        fd = yield from self._dial_meter(hostname, spec["meter_port"])
+        fd = yield from guestlib.dial(
+            sys, defs.AF_INET, defs.SOCK_STREAM, (hostname, spec["meter_port"]), None
+        )
         try:
             yield sys.write(fd, streamproto.encode_query(body.get("query") or {}))
-            payload = yield from guestlib.recv_frame_timeout(
-                sys, fd, QUERY_REPLY_TIMEOUT_MS
+            payload = yield from guestlib.recv_frame(
+                sys, fd, timeout_ms=QUERY_REPLY_TIMEOUT_MS
             )
         except SyscallError:
             yield sys.close(fd)

@@ -119,7 +119,7 @@ def exchange(sys, address, request, deadline_ms, reply=True):
         yield sys.connect(fd, address, deadline_ms)
         yield from guestlib.send_frame(sys, fd, request)
         if reply:
-            payload = yield from guestlib.recv_frame_timeout(sys, fd, deadline_ms)
+            payload = yield from guestlib.recv_frame(sys, fd, timeout_ms=deadline_ms)
     except SyscallError as err:
         error = err
     # Not in a ``finally``: the kernel close()s a killed guest's

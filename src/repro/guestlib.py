@@ -14,36 +14,34 @@ from repro.kernel import errno
 from repro.kernel.errno import SyscallError
 
 
-def read_whole_file(sys, path):
-    """Open, read to EOF, close; returns the content as text."""
+def _read_to_eof(sys, path, chunk_bytes):
+    """Open, read to EOF in ``chunk_bytes`` reads, close; the raw bytes."""
     fd = yield sys.open(path, "r")
     chunks = []
     while True:
-        data = yield sys.read(fd, 4096)
+        data = yield sys.read(fd, chunk_bytes)
         if not data:
             break
         chunks.append(data)
     yield sys.close(fd)
-    return b"".join(chunks).decode("ascii", "replace")
+    return b"".join(chunks)
+
+
+def read_whole_file(sys, path):
+    """Open, read to EOF, close; returns the content as text."""
+    data = yield from _read_to_eof(sys, path, 4096)
+    return data.decode("ascii", "replace")
 
 
 def read_whole_bytes(sys, path):
     """Open, read to EOF, close; returns the raw bytes (binary files
     such as trace-store segments).  None if the file is absent."""
     try:
-        fd = yield sys.open(path, "r")
+        return (yield from _read_to_eof(sys, path, 65536))
     except SyscallError as err:
         if err.errno == errno.ENOENT:
             return None
         raise
-    chunks = []
-    while True:
-        data = yield sys.read(fd, 65536)
-        if not data:
-            break
-        chunks.append(data)
-    yield sys.close(fd)
-    return b"".join(chunks)
 
 
 def read_optional_file(sys, path):
@@ -64,39 +62,26 @@ def write_text(sys, path, text, mode="w"):
     yield sys.close(fd)
 
 
-def read_exactly(sys, fd, nbytes):
-    """Read exactly ``nbytes`` from a stream; returns None at EOF."""
-    parts = []
-    remaining = nbytes
-    while remaining > 0:
-        data = yield sys.read(fd, remaining)
-        if not data:
-            return None
-        parts.append(data)
-        remaining -= len(data)
-    return b"".join(parts)
+def read_exactly(sys, fd, nbytes, timeout_ms=None):
+    """Read exactly ``nbytes`` from a stream; returns None at EOF.
 
-
-def read_exactly_timeout(sys, fd, nbytes, timeout_ms):
-    """Like :func:`read_exactly` but with a deadline: raises
-    ``SyscallError(ETIMEDOUT)`` if the bytes do not arrive in time.
-
-    The deadline is enforced with select-with-timeout against a
-    ``gettimeofday`` budget, so a peer that stops talking mid-frame
-    cannot wedge the caller forever.
+    With ``timeout_ms`` each read waits in a select against a
+    ``gettimeofday`` budget and ``SyscallError(ETIMEDOUT)`` is raised
+    when the bytes do not arrive in time, so a peer that stops talking
+    mid-frame cannot wedge the caller forever.
     """
-    start = yield sys.gettimeofday()
-    deadline = start + timeout_ms
+    if timeout_ms is not None:
+        deadline = (yield sys.gettimeofday()) + timeout_ms
     parts = []
     remaining = nbytes
     while remaining > 0:
-        now = yield sys.gettimeofday()
-        budget = deadline - now
-        if budget <= 0:
-            raise SyscallError(errno.ETIMEDOUT, "read deadline expired")
-        ready, __ = yield sys.select([fd], timeout_ms=budget)
-        if fd not in ready:
-            raise SyscallError(errno.ETIMEDOUT, "read deadline expired")
+        if timeout_ms is not None:
+            budget = deadline - (yield sys.gettimeofday())
+            if budget <= 0:
+                raise SyscallError(errno.ETIMEDOUT, "read deadline expired")
+            ready, __ = yield sys.select([fd], timeout_ms=budget)
+            if fd not in ready:
+                raise SyscallError(errno.ETIMEDOUT, "read deadline expired")
         data = yield sys.read(fd, remaining)
         if not data:
             return None
@@ -137,12 +122,40 @@ TRANSIENT_ERRNOS = frozenset(
 )
 
 
-def backoff_sleep(sys, delay_ms):
-    """Sleep ``delay_ms`` scaled by a seeded-random factor in [0.5, 1.0]
+def retry(sys, attempts, backoff_ms, max_backoff_ms, attempt, *args, **kwargs):
+    """Run ``attempt(*args, **kwargs)``, a sub-generator returning
+    ``(result, error)``, until it succeeds, fails with an errno outside
+    :data:`TRANSIENT_ERRNOS`, or has run ``attempts`` times; returns the
+    last ``(result, error)`` and leaves giving up to the caller.
+
+    The wait between attempts doubles from ``backoff_ms`` up to
+    ``max_backoff_ms``, scaled by a seeded-random factor in [0.5, 1.0]
     (decorrelates retry storms without hurting reproducibility: the
-    jitter comes from the simulator's own RNG via ``random(2)``)."""
-    jitter = yield sys.random()
-    yield sys.sleep(delay_ms * (0.5 + 0.5 * jitter))
+    jitter comes from the simulator's own RNG via ``random(2)``).
+    There is no wait after the last attempt.
+    """
+    delay = backoff_ms
+    for tried in range(1, attempts + 1):
+        result, error = yield from attempt(*args, **kwargs)
+        if error is None or error.errno not in TRANSIENT_ERRNOS:
+            break
+        if tried < attempts:
+            jitter = yield sys.random()
+            yield sys.sleep(delay * (0.5 + 0.5 * jitter))
+            delay = min(delay * 2.0, max_backoff_ms)
+    return result, error
+
+
+def dial(sys, domain, type_, name, timeout_ms):
+    """Create a socket and connect it; a failed connect closes the
+    socket before the error propagates, so it costs no descriptor."""
+    fd = yield sys.socket(domain, type_)
+    try:
+        yield sys.connect(fd, name, timeout_ms)
+    except SyscallError:
+        yield sys.close(fd)
+        raise
+    return fd
 
 
 def connect_retry(
@@ -155,34 +168,28 @@ def connect_retry(
     max_backoff_ms=320.0,
     timeout_ms=None,
 ):
-    """Create a socket and connect, retrying on transient errors.
+    """:func:`dial`, retried on transient errors by :func:`retry`.
 
     Workload processes of a job all start at once (startjob), so a
     client can race its server's listen(); real 4.2BSD programs retried
-    exactly like this.  The wait between attempts doubles from
-    ``backoff_ms`` up to ``max_backoff_ms``, jittered by the simulator
-    RNG so many retriers do not stampede in lockstep.  Returns the
-    connected fd; on exhaustion raises a ``SyscallError`` naming the
-    destination and the attempt count, with no wait after the last
-    attempt.
+    exactly like this.  Returns the connected fd; a hard error is
+    raised as it is, and exhaustion raises a ``SyscallError`` naming
+    the destination and the attempt count.
     """
-    last_err = None
-    delay = backoff_ms
-    for attempt in range(attempts):
-        fd = yield sys.socket(domain, type_)
+
+    def attempt():
         try:
-            yield sys.connect(fd, name, timeout_ms)
-            return fd
+            return (yield from dial(sys, domain, type_, name, timeout_ms)), None
         except SyscallError as err:
-            last_err = err
-            yield sys.close(fd)
-            if err.errno not in TRANSIENT_ERRNOS:
-                raise
-            if attempt + 1 < attempts:
-                yield from backoff_sleep(sys, delay)
-                delay = min(delay * 2.0, max_backoff_ms)
+            return None, err
+
+    fd, err = yield from retry(sys, attempts, backoff_ms, max_backoff_ms, attempt)
+    if err is None:
+        return fd
+    if err.errno not in TRANSIENT_ERRNOS:
+        raise err
     raise SyscallError(
-        last_err.errno,
+        err.errno,
         "connect to {0!r} failed after {1} attempts".format(name, attempts),
     )
 
@@ -198,35 +205,24 @@ def send_frame(sys, fd, payload):
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
-def recv_frame(sys, fd):
+def recv_frame(sys, fd, timeout_ms=None):
     """Read one length-prefixed frame; returns None at EOF or when the
-    claimed length is absurd (a non-protocol peer)."""
-    header = yield from read_exactly(sys, fd, 4)
+    claimed length is absurd (a non-protocol peer).  With
+    ``timeout_ms`` the whole frame must arrive within it, or
+    ``SyscallError(ETIMEDOUT)`` is raised."""
+    if timeout_ms is not None:
+        start = yield sys.gettimeofday()
+    header = yield from read_exactly(sys, fd, 4, timeout_ms)
     if header is None:
         return None
     length = int.from_bytes(header, "big")
     if length > MAX_FRAME_BYTES:
         return None
-    payload = yield from read_exactly(sys, fd, length)
-    return payload
-
-
-def recv_frame_timeout(sys, fd, timeout_ms):
-    """Like :func:`recv_frame` but raises ``SyscallError(ETIMEDOUT)``
-    when the whole frame has not arrived within ``timeout_ms``."""
-    start = yield sys.gettimeofday()
-    header = yield from read_exactly_timeout(sys, fd, 4, timeout_ms)
-    if header is None:
-        return None
-    length = int.from_bytes(header, "big")
-    if length > MAX_FRAME_BYTES:
-        return None
-    now = yield sys.gettimeofday()
-    budget = timeout_ms - (now - start)
-    if budget <= 0:
-        raise SyscallError(errno.ETIMEDOUT, "read deadline expired")
-    payload = yield from read_exactly_timeout(sys, fd, length, budget)
-    return payload
+    if timeout_ms is not None:
+        timeout_ms -= (yield sys.gettimeofday()) - start
+        if timeout_ms <= 0:
+            raise SyscallError(errno.ETIMEDOUT, "read deadline expired")
+    return (yield from read_exactly(sys, fd, length, timeout_ms))
 
 
 def send_json(sys, fd, obj):

@@ -121,7 +121,7 @@ def test_read_exactly_eof_mid_count_is_none():
 def test_read_exactly_with_a_deadline_selects_before_each_read():
     script = Script(chunks=[b"abc", b"def"])
     got = drive(
-        guestlib.read_exactly_timeout(RecordingSys(), 3, 6, 100.0), script
+        guestlib.read_exactly(RecordingSys(), 3, 6, timeout_ms=100.0), script
     )
     assert got == b"abcdef"
     assert script.names() == [
@@ -148,7 +148,7 @@ def test_recv_frame_refuses_an_absurd_length_after_the_header():
 
 def test_recv_frame_with_a_deadline():
     script = Script(chunks=[frame(b"hello")[:4], b"hello"])
-    got = drive(guestlib.recv_frame_timeout(RecordingSys(), 3, 100.0), script)
+    got = drive(guestlib.recv_frame(RecordingSys(), 3, timeout_ms=100.0), script)
     assert got == b"hello"
     assert script.names() == [
         "gettimeofday",  # the frame's start
@@ -165,7 +165,7 @@ def test_recv_frame_with_a_deadline():
 
 def test_recv_frame_with_a_deadline_refuses_an_absurd_length():
     script = Script(chunks=[b"\xff\xff\xff\xff"])
-    got = drive(guestlib.recv_frame_timeout(RecordingSys(), 3, 100.0), script)
+    got = drive(guestlib.recv_frame(RecordingSys(), 3, timeout_ms=100.0), script)
     assert got is None
     assert script.names() == ["gettimeofday", "gettimeofday", "gettimeofday",
                               "select", "read"]
@@ -173,7 +173,7 @@ def test_recv_frame_with_a_deadline_refuses_an_absurd_length():
 
 def test_recv_frame_deadline_expires_mid_payload():
     script = Script(chunks=[frame(b"hello")[:4], b"he"], ready=[True, True, False])
-    got = drive(guestlib.recv_frame_timeout(RecordingSys(), 3, 100.0), script)
+    got = drive(guestlib.recv_frame(RecordingSys(), 3, timeout_ms=100.0), script)
     assert isinstance(got, SyscallError) and got.errno == errno.ETIMEDOUT
     assert script.names() == [
         "gettimeofday",

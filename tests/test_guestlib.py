@@ -225,7 +225,7 @@ def test_recv_frame_deadline_half_a_frame_then_silence(cluster):
         yield sys.write(a, (10).to_bytes(4, "big") + b"hello")
         start = yield sys.gettimeofday()
         try:
-            yield from guestlib.recv_frame_timeout(sys, b, 100.0)
+            yield from guestlib.recv_frame(sys, b, timeout_ms=100.0)
         except SyscallError as err:
             got.append(err.errno)
         got.append((yield sys.gettimeofday()) - start)

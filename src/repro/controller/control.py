@@ -308,19 +308,24 @@ class Controller:
                     data = yield sys.read(fd, 4096)
                 except SyscallError:
                     data = b""  # daemon's machine died mid-notification
-                if not data:
-                    yield sys.close(fd)
-                    del self.notify_buffers[fd]
-                    continue
                 buf = self.notify_buffers[fd] + data
-                while len(buf) >= 4:
+                while data and len(buf) >= 4:
                     length = int.from_bytes(buf[:4], "big")
+                    if length > guestlib.MAX_FRAME_BYTES:
+                        # No daemon sends that (its recv_frame refuses
+                        # one): hang up instead of holding a descriptor.
+                        data = b""
+                        break
                     if len(buf) - 4 < length:
                         break
                     payload = buf[4 : 4 + length]
                     buf = buf[4 + length :]
                     yield from self._handle_notification(payload)
-                self.notify_buffers[fd] = buf
+                if data:
+                    self.notify_buffers[fd] = buf
+                else:
+                    yield sys.close(fd)
+                    del self.notify_buffers[fd]
 
     def _handle_notification(self, payload):
         try:

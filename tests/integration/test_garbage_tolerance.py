@@ -197,3 +197,41 @@ def test_controller_survives_garbage_notifications(session):
     assert session.controller_alive()
     assert "no jobs" in session.command("jobs")
     del controller, port
+
+
+def test_controller_hangs_up_on_an_absurd_notification_length(session):
+    """A notification header claiming more than MAX_FRAME_BYTES is no
+    daemon's: the controller closes the connection at once instead of
+    holding one of its descriptors open to buffer it."""
+    yellow = session.cluster.machine("yellow")
+    ports = [
+        p
+        for (stype, p), sock in yellow.inet_ports.items()
+        if stype == defs.SOCK_STREAM and p != METERDAEMON_PORT
+    ]
+    assert ports
+    seen = []
+
+    def lingering_sender(sys, argv):
+        from repro import guestlib
+
+        fd = yield from guestlib.connect_retry(
+            sys, defs.AF_INET, defs.SOCK_STREAM, ("yellow", ports[0])
+        )
+        yield sys.write(fd, b"\xff\xff\xff\xff")
+        start = yield sys.gettimeofday()
+        ready, __ = yield sys.select([fd], timeout_ms=200.0)
+        if fd in ready:
+            data = yield sys.read(fd, 16)
+            seen.append((data, (yield sys.gettimeofday()) - start))
+        yield sys.close(fd)
+        yield sys.exit(0)
+
+    attacker = session.cluster.spawn("red", lingering_sender, uid=100)
+    session.cluster.run_until_exit([attacker])
+    assert len(seen) == 1, "the controller kept the connection open"
+    data, waited = seen[0]
+    assert data == b"" and waited < 200.0
+    session.settle(50)
+    assert session.controller_alive()
+    assert "no jobs" in session.command("jobs")

@@ -890,7 +890,7 @@ class Controller:
                 )
 
     def cmd_startjob(self, args):
-        yield from self._signal_job(
+        return self._signal_job(
             args[0],
             states.startable,
             defs.SIGCONT,
@@ -902,7 +902,7 @@ class Controller:
     def cmd_stopjob(self, args):
         # "Processes that are killed or acquired are ignored", and so is
         # an already stopped one.
-        yield from self._signal_job(
+        return self._signal_job(
             args[0], states.stoppable, defs.SIGSTOP, states.STOPPED, "stopped", None
         )
 

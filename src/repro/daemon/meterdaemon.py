@@ -60,6 +60,10 @@ QUERY_REPLY_TIMEOUT_MS = 2000.0
 #: Largest single stdin datagram pushed into a child's gateway.
 _STDIN_CHUNK = 512
 
+#: The kernel end of a meter connection, and the daemon's end of a query
+#: relay: a stream socket in the Internet domain (Section 4.1).
+_METER_SOCKET = (defs.AF_INET, defs.SOCK_STREAM)
+
 
 def meterdaemon(sys, argv):
     """Guest main.  argv: optionally [port]."""
@@ -395,11 +399,7 @@ class Daemon:
             return
         try:
             fd = yield from guestlib.dial(
-                sys,
-                defs.AF_INET,
-                defs.SOCK_STREAM,
-                (host, port),
-                METER_REDIAL_CONNECT_TIMEOUT_MS,
+                sys, *_METER_SOCKET, (host, port), METER_REDIAL_CONNECT_TIMEOUT_MS
             )
         except SyscallError as err:
             job["attempts_left"] -= 1
@@ -487,13 +487,9 @@ class Daemon:
         return result
 
     def _meter(self, pid, flags, body):
-        """Point ``pid``'s meter at the filter a request names: the
-        kernel end of a meter connection is a stream socket in the
-        Internet domain, connected to the filter (Section 4.1)."""
+        """Point ``pid``'s meter at the filter a request names."""
         address = (body["filter_host"], body["filter_port"])
-        fd = yield from guestlib.dial(
-            self.sys, defs.AF_INET, defs.SOCK_STREAM, address, None
-        )
+        fd = yield from guestlib.dial(self.sys, *_METER_SOCKET, address, None)
         yield from self._then_close(fd, self.sys.setmeter(pid, flags, fd))
 
     def _handle_create(self, body):
@@ -696,9 +692,7 @@ class Daemon:
         old_ports = [int(port) for port in body.get("old_ports", [])]
         if old_ports:
             address = (body["filter_host"], body["filter_port"])
-            drain_fd = yield from guestlib.dial(
-                sys, defs.AF_INET, defs.SOCK_STREAM, address, None
-            )
+            drain_fd = yield from guestlib.dial(sys, *_METER_SOCKET, address, None)
             drained = yield sys.meterdrain(drain_fd, old_ports)
             yield sys.close(drain_fd)
         return {"remetered": remetered, "dead": dead, "drained": drained}
@@ -763,9 +757,8 @@ class Daemon:
         if spec is None:
             raise SyscallError(3, "no filter named %r on this machine" % filtername)
         hostname = yield sys.hostname()
-        fd = yield from guestlib.dial(
-            sys, defs.AF_INET, defs.SOCK_STREAM, (hostname, spec["meter_port"]), None
-        )
+        address = (hostname, spec["meter_port"])
+        fd = yield from guestlib.dial(sys, *_METER_SOCKET, address, None)
         try:
             yield sys.write(fd, streamproto.encode_query(body.get("query") or {}))
             payload = yield from guestlib.recv_frame(

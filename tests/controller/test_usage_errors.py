@@ -65,7 +65,15 @@ def session():
     return MeasurementSession(cluster, control_machine="yellow")
 
 
-@pytest.mark.parametrize("line,expected", USAGE_CASES)
+@pytest.mark.parametrize(
+    "line,expected",
+    USAGE_CASES,
+    # Ids name the usage line by its first two words: "newjob-usage: newjob".
+    ids=[
+        "{0}-{1}".format(line, " ".join(usage.split()[:2]))
+        for line, usage in USAGE_CASES
+    ],
+)
 def test_usage_message(session, line, expected):
     out = session.command(line)
     assert out.splitlines() == [expected]
